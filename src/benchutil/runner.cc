@@ -66,7 +66,6 @@ Status BenchEnv::OpenEngine(EngineConfig config, KvEngine** engine) {
       opts.bloom_bits_per_key = options_.bloom_bits_per_key;
       opts.memory_budget_bytes = options_.memory_budget_bytes;
       opts.arbiter_interval_ms = options_.arbiter_interval_ms;
-      opts.background_compaction = options_.background_compaction;
       opts.compaction_workers = options_.compaction_workers;
       opts.max_subcompactions = options_.max_subcompactions;
       // Keep the compactor's merge pool at least as wide as the slice

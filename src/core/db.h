@@ -62,9 +62,11 @@ class DB : public KvEngine {
   // ---- introspection ----
   virtual const DbStatistics& statistics() const = 0;
   virtual DbStatistics& statistics() = 0;
-  /// Named properties: "pmblade.l0-bytes", "pmblade.l1-bytes",
-  /// "pmblade.num-partitions", "pmblade.pm-used-bytes",
-  /// "pmblade.num-unsorted-tables", "pmblade.num-sorted-tables".
+  /// Numeric properties, read from metrics_registry(): any registry metric
+  /// name, or a hyphenated alias listed in PropertyAliases()
+  /// (core/properties.h), e.g. "pmblade.l0-bytes" for
+  /// "pmblade.lsm.l0_bytes". On a sharded engine,
+  /// "pmblade.shard.<i>.<name>" reads one shard. False for unknown names.
   virtual bool GetProperty(const std::string& property, uint64_t* value) = 0;
   /// Instantaneous write-path backpressure state (see WritePressure).
   /// Cheap — one short mutex hold — so admission controllers may poll it

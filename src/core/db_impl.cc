@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "compaction/merging_iterator.h"
+#include "core/properties.h"
 #include "core/sharded_db.h"
 #include "core/version.h"
 #include "memtable/txn_record.h"
@@ -165,8 +166,7 @@ DBImpl::~DBImpl() {
   if (model_ != nullptr) model_->set_event_bus(nullptr);
   // Drain the background flush before tearing anything down (the job takes
   // mu_ itself, so wait without holding it). This must precede the
-  // scheduler shutdown: an inline-mode flush blocks on the scheduler
-  // draining, and any flush may enqueue a check.
+  // scheduler shutdown: any flush may enqueue a check.
   if (flush_pool_ != nullptr) {
     flush_pool_->Wait();
     flush_pool_.reset();
@@ -298,82 +298,97 @@ Status DBImpl::Init() {
     return static_cast<double>(group_write_counter_->Value()) /
            static_cast<double>(syncs);
   });
+  metrics_.RegisterGaugeCallback("pmblade.write.pressure", [this] {
+    return static_cast<double>(static_cast<int>(GetWritePressure()));
+  });
+  metrics_.RegisterGaugeCallback("pmblade.memtable.limit", [this] {
+    return static_cast<double>(
+        memtable_limit_.load(std::memory_order_relaxed));
+  });
   metrics_.RegisterGaugeCallback("pmblade.flush.queue_depth", [this] {
     return flush_pool_ != nullptr
                ? static_cast<double>(flush_pool_->PendingTasks())
                : 0.0;
   });
-  metrics_.RegisterGaugeCallback("pmblade.write.queue_depth", [this] {
-    std::lock_guard<std::mutex> lock(mu_);
-    return static_cast<double>(writers_.size());
-  });
-  // Computed gauges. Callbacks run outside the registry lock (see
-  // MetricsRegistry::Snapshot), so locking mu_ here is safe.
   metrics_.RegisterGaugeCallback("pmblade.io.q_flush", [this] {
     int q = options_.major.max_io_q;
     int q_comp = model_->Inflight(IoClass::kCompaction);
     int q_cli = model_->Inflight(IoClass::kClient);
     return static_cast<double>(std::max(q - q_comp - q_cli, 0));
   });
-  metrics_.RegisterGaugeCallback("pmblade.lsm.l0_bytes", [this] {
-    std::lock_guard<std::mutex> lock(mu_);
-    uint64_t total = 0;
-    for (const auto& p : partitions_) total += p->L0Bytes();
-    return static_cast<double>(total);
-  });
-  metrics_.RegisterGaugeCallback("pmblade.lsm.l1_bytes", [this] {
-    std::lock_guard<std::mutex> lock(mu_);
-    uint64_t total = 0;
-    for (const auto& p : partitions_) total += p->SsdBytes();
-    return static_cast<double>(total);
-  });
-  metrics_.RegisterGaugeCallback("pmblade.lsm.num_partitions", [this] {
-    std::lock_guard<std::mutex> lock(mu_);
-    return static_cast<double>(partitions_.size());
-  });
-  metrics_.RegisterGaugeCallback("pmblade.lsm.unsorted_tables", [this] {
-    std::lock_guard<std::mutex> lock(mu_);
-    uint64_t total = 0;
-    for (const auto& p : partitions_) total += p->unsorted().size();
-    return static_cast<double>(total);
-  });
-  metrics_.RegisterGaugeCallback("pmblade.lsm.sorted_tables", [this] {
-    std::lock_guard<std::mutex> lock(mu_);
-    uint64_t total = 0;
-    for (const auto& p : partitions_) total += p->sorted_run().size();
-    return static_cast<double>(total);
-  });
-  // LSM shape under the active policy: the policy ordinal plus per-level
-  // run/file/byte gauges (level 0 = PM level-0; SSD runs start at 1).
+  // The policy ordinal (see CompactionPolicyKind).
   metrics_.RegisterGaugeCallback("pmblade.policy", [this] {
     return static_cast<double>(static_cast<int>(picker_->kind()));
   });
+  metrics_.GetGauge("pmblade.shards")->Set(1);
+
+  // Gauges over state guarded by mu_. Callbacks run outside the registry
+  // lock (see MetricsRegistry::Snapshot), so locking mu_ here is safe.
+  auto locked_gauge = [this](const std::string& name,
+                             std::function<uint64_t()> fn) {
+    metrics_.RegisterGaugeCallback(name, [this, fn = std::move(fn)] {
+      std::lock_guard<std::mutex> lock(mu_);
+      return static_cast<double>(fn());
+    });
+  };
+  auto partition_gauge = [this, &locked_gauge](
+                             const char* name,
+                             uint64_t (*fn)(const Partition&)) {
+    locked_gauge(name, [this, fn] {
+      uint64_t total = 0;
+      for (const auto& p : partitions_) total += fn(*p);
+      return total;
+    });
+  };
+  locked_gauge("pmblade.write.queue_depth",
+               [this] { return uint64_t{writers_.size()}; });
+  locked_gauge("pmblade.txn.pending", [this] {
+    uint64_t pending = 0;
+    for (const auto& entry : txns_) {
+      if (!entry.second.committed) ++pending;
+    }
+    return pending;
+  });
+  locked_gauge("pmblade.txn.retained", [this] {
+    return uint64_t{txns_.size() + replay_committed_.size() +
+                    replay_rolled_back_.size()};
+  });
+  locked_gauge("pmblade.snapshots.open",
+               [this] { return uint64_t{live_snapshots_.size()}; });
+  locked_gauge("pmblade.lsm.num_partitions",
+               [this] { return uint64_t{partitions_.size()}; });
+  // l1_bytes covers the WHOLE SSD run stack (all levels): the historical
+  // name predates policies that hold more than one run.
+  partition_gauge("pmblade.lsm.l0_bytes",
+                  [](const Partition& p) { return p.L0Bytes(); });
+  partition_gauge("pmblade.lsm.l1_bytes",
+                  [](const Partition& p) { return p.SsdBytes(); });
+  partition_gauge("pmblade.lsm.unsorted_tables", [](const Partition& p) {
+    return uint64_t{p.unsorted().size()};
+  });
+  partition_gauge("pmblade.lsm.sorted_tables", [](const Partition& p) {
+    return uint64_t{p.sorted_run().size()};
+  });
+  partition_gauge("pmblade.lsm.ssd_runs", [](const Partition& p) {
+    return uint64_t{p.ssd_runs().size()};
+  });
+  locked_gauge("pmblade.lsm.max_ssd_level", [this] {
+    uint64_t deepest = 0;
+    for (const auto& p : partitions_) {
+      deepest = std::max<uint64_t>(deepest, p->MaxSsdLevel());
+    }
+    return deepest;
+  });
+  // Per-level run/file/byte shape (level 0 = PM level-0; SSD runs start
+  // at 1).
   for (uint32_t level = 0; level <= options_.max_ssd_levels; ++level) {
-    char gauge_name[64];
-    snprintf(gauge_name, sizeof(gauge_name), "pmblade.lsm.level%u.runs",
-             level);
-    metrics_.RegisterGaugeCallback(gauge_name, [this, level] {
-      std::lock_guard<std::mutex> lock(mu_);
-      uint64_t runs = 0, files = 0, bytes = 0;
-      LevelShapeLocked(level, &runs, &files, &bytes);
-      return static_cast<double>(runs);
-    });
-    snprintf(gauge_name, sizeof(gauge_name), "pmblade.lsm.level%u.files",
-             level);
-    metrics_.RegisterGaugeCallback(gauge_name, [this, level] {
-      std::lock_guard<std::mutex> lock(mu_);
-      uint64_t runs = 0, files = 0, bytes = 0;
-      LevelShapeLocked(level, &runs, &files, &bytes);
-      return static_cast<double>(files);
-    });
-    snprintf(gauge_name, sizeof(gauge_name), "pmblade.lsm.level%u.bytes",
-             level);
-    metrics_.RegisterGaugeCallback(gauge_name, [this, level] {
-      std::lock_guard<std::mutex> lock(mu_);
-      uint64_t runs = 0, files = 0, bytes = 0;
-      LevelShapeLocked(level, &runs, &files, &bytes);
-      return static_cast<double>(bytes);
-    });
+    const std::string prefix = "pmblade.lsm.level" + std::to_string(level);
+    locked_gauge(prefix + ".runs",
+                 [this, level] { return LevelShapeLocked(level).runs; });
+    locked_gauge(prefix + ".files",
+                 [this, level] { return LevelShapeLocked(level).files; });
+    locked_gauge(prefix + ".bytes",
+                 [this, level] { return LevelShapeLocked(level).bytes; });
   }
   // Route major-compaction instrumentation through our bus/registry.
   options_.major.event_bus = &events_;
@@ -384,21 +399,24 @@ Status DBImpl::Init() {
   bloom_check_counter_ = metrics_.GetCounter("pmblade.bloom.checks");
   bloom_negative_counter_ = metrics_.GetCounter("pmblade.bloom.negatives");
   bloom_fp_counter_ = metrics_.GetCounter("pmblade.bloom.false_positives");
-  if (block_cache_ != nullptr) {
-    BlockCache* cache = block_cache_;
-    metrics_.RegisterGaugeCallback("pmblade.blockcache.hits", [cache] {
-      return static_cast<double>(cache->hits());
+  // Block-cache gauges read 0 when the cache is off.
+  BlockCache* cache = block_cache_;
+  auto cache_gauge = [this, cache](const char* name,
+                                   uint64_t (*fn)(const BlockCache&)) {
+    metrics_.RegisterGaugeCallback(name, [cache, fn] {
+      return cache != nullptr ? static_cast<double>(fn(*cache)) : 0.0;
     });
-    metrics_.RegisterGaugeCallback("pmblade.blockcache.misses", [cache] {
-      return static_cast<double>(cache->misses());
-    });
-    metrics_.RegisterGaugeCallback("pmblade.blockcache.charge", [cache] {
-      return static_cast<double>(cache->TotalCharge());
-    });
-    metrics_.RegisterGaugeCallback("pmblade.blockcache.capacity", [cache] {
-      return static_cast<double>(cache->capacity());
-    });
-  }
+  };
+  cache_gauge("pmblade.blockcache.hits",
+              [](const BlockCache& c) { return c.hits(); });
+  cache_gauge("pmblade.blockcache.misses",
+              [](const BlockCache& c) { return c.misses(); });
+  cache_gauge("pmblade.blockcache.charge",
+              [](const BlockCache& c) { return uint64_t{c.TotalCharge()}; });
+  cache_gauge("pmblade.blockcache.capacity",
+              [](const BlockCache& c) { return uint64_t{c.capacity()}; });
+  // Counted by the memory arbiter when there is one; 0 otherwise.
+  metrics_.GetCounter("pmblade.mem.rebalances");
 
   // Memory arbitration: one budget over {memtable quota, block cache,
   // Eq. 3 keep-set}, retuned by the MemoryArbiter's feedback thread. The
@@ -449,23 +467,7 @@ Status DBImpl::Init() {
     aopts.logger = options_.logger;
     arbiter_.reset(new mem::MemoryArbiter(
         aopts, mem_budget_.get(),
-        [this] {
-          mem::ArbiterInputs in;
-          in.reads = stats_.total_reads();
-          in.reads_ssd_l1 = stats_.reads(ReadSource::kSsdLevel1);
-          in.writes = stats_.writes();
-          if (block_cache_ != nullptr) {
-            in.cache_hits = block_cache_->hits();
-            in.cache_misses = block_cache_->misses();
-          }
-          in.bloom_checks = bloom_check_counter_->Value();
-          in.bloom_negatives = bloom_negative_counter_->Value();
-          in.bloom_false_positives = bloom_fp_counter_->Value();
-          in.flushes = stats_.flushes();
-          in.slowdowns = slowdown_counter_->Value();
-          in.stalls = stall_counter_->Value();
-          return in;
-        },
+        [this] { return mem::ReadArbiterInputs(metrics_); },
         apply));
     arbiter_->Start();
   }
@@ -1559,23 +1561,11 @@ void DBImpl::BackgroundFlush() {
                     static_cast<double>(clock_->NowNanos() - flush_start)));
     }
     if (s.ok()) {
-      if (options_.background_compaction) {
-        // The flush is committed and imm_ is clear: wake stalled writers
-        // NOW. Algorithm 1 is handed to the scheduler below and must not
-        // extend the stall (writers used to sleep through an entire major
-        // compaction here).
-        flush_done_cv_.notify_all();
-        ScheduleCompactionCheck(touched);
-      } else {
-        // A/B benchmarking mode: historical inline behaviour. The work
-        // still executes on the scheduler thread (single-compactor
-        // invariant), but this flush thread blocks until it drains, holding
-        // stalled writers down for the compaction's duration.
-        ScheduleCompactionCheck(touched);
-        lock.unlock();
-        compaction_scheduler_->WaitIdle();
-        lock.lock();
-      }
+      // The flush is committed and imm_ is clear: wake stalled writers
+      // NOW. Algorithm 1 is handed to the scheduler below and must not
+      // extend the stall.
+      flush_done_cv_.notify_all();
+      ScheduleCompactionCheck(touched);
     }
   } else {
     // Failed build: drop partial outputs. imm_ stays installed for reads
@@ -2523,256 +2513,30 @@ void DBImpl::SetDynamicTauT(uint64_t bytes) {
 }
 
 bool DBImpl::GetProperty(const std::string& property, uint64_t* value) {
-  if (property == "pmblade.write-pressure") {
-    *value = static_cast<uint64_t>(GetWritePressure());
-    return true;
-  }
-  // Counter-backed properties first: they are atomic and need no lock.
-  if (property == "pmblade.wal-syncs") {
-    *value = wal_sync_counter_->Value();
-    return true;
-  }
-  if (property == "pmblade.write-groups") {
-    *value = group_counter_->Value();
-    return true;
-  }
-  if (property == "pmblade.write-group-writes") {
-    *value = group_write_counter_->Value();
-    return true;
-  }
-  if (property == "pmblade.write-slowdowns") {
-    *value = slowdown_counter_->Value();
-    return true;
-  }
-  if (property == "pmblade.write-stalls") {
-    *value = stall_counter_->Value();
-    return true;
-  }
-  if (property == "pmblade.write-stall-nanos") {
-    *value = stall_nanos_counter_->Value();
-    return true;
-  }
-  if (property == "pmblade.bg-flushes") {
-    *value = bg_flush_counter_->Value();
-    return true;
-  }
-  if (property == "pmblade.txn-prepared") {
-    *value = txn_prepared_counter_->Value();
-    return true;
-  }
-  if (property == "pmblade.txn-committed") {
-    *value = txn_committed_counter_->Value();
-    return true;
-  }
-  if (property == "pmblade.txn-rolled-back") {
-    *value = txn_rolled_back_counter_->Value();
-    return true;
-  }
-  if (property == "pmblade.txn-pending") {
-    std::lock_guard<std::mutex> lock(mu_);
-    uint64_t pending = 0;
-    for (const auto& entry : txns_) {
-      if (!entry.second.committed) ++pending;
-    }
-    *value = pending;
-    return true;
-  }
-  if (property == "pmblade.txn-retained") {
-    std::lock_guard<std::mutex> lock(mu_);
-    *value = txns_.size() + replay_committed_.size() +
-             replay_rolled_back_.size();
-    return true;
-  }
-  if (property == "pmblade.open-snapshots") {
-    std::lock_guard<std::mutex> lock(mu_);
-    *value = live_snapshots_.size();
-    return true;
-  }
-  if (property == "pmblade.compactions-completed") {
-    *value = compaction_scheduler_->checks_completed();
-    return true;
-  }
-  if (property == "pmblade.compactions-failed") {
-    *value = compaction_scheduler_->checks_failed();
-    return true;
-  }
-  if (property == "pmblade.compaction-retries") {
-    *value = compaction_scheduler_->retries();
-    return true;
-  }
-  if (property == "pmblade.compaction-queue-depth") {
-    *value = compaction_scheduler_->QueueDepth();
-    return true;
-  }
-  if (property == "pmblade.compaction-workers") {
-    *value = static_cast<uint64_t>(compaction_scheduler_->workers());
-    return true;
-  }
-  if (property == "pmblade.compaction-active") {
-    *value = static_cast<uint64_t>(compaction_scheduler_->active());
-    return true;
-  }
-  if (property == "pmblade.compaction-subcompactions") {
-    *value = subcompaction_counter_->Value();
-    return true;
-  }
-  if (property == "pmblade.compaction-major-wall-nanos") {
-    *value = major_wall_nanos_counter_->Value();
-    return true;
-  }
-  if (property == "pmblade.file-gc-failures") {
-    *value = file_gc_fail_counter_->Value();
-    return true;
-  }
-  if (property == "pmblade.bloom-checks") {
-    *value = bloom_check_counter_->Value();
-    return true;
-  }
-  if (property == "pmblade.bloom-negatives") {
-    *value = bloom_negative_counter_->Value();
-    return true;
-  }
-  if (property == "pmblade.bloom-false-positives") {
-    *value = bloom_fp_counter_->Value();
-    return true;
-  }
-  if (property == "pmblade.blockcache-charge") {
-    *value = block_cache_ != nullptr ? block_cache_->TotalCharge() : 0;
-    return true;
-  }
-  if (property == "pmblade.blockcache-capacity") {
-    *value = block_cache_ != nullptr ? block_cache_->capacity() : 0;
-    return true;
-  }
-  if (property == "pmblade.mem-rebalances") {
-    *value = arbiter_ != nullptr ? arbiter_->rebalances() : 0;
-    return true;
-  }
-  if (property == "pmblade.memtable-limit") {
-    *value = memtable_limit_.load(std::memory_order_relaxed);
-    return true;
-  }
-  if (property == "pmblade.pm-bytes-written") {
-    *value = pool_ != nullptr ? pool_->stats().bytes_written() : 0;
-    return true;
-  }
-  if (property == "pmblade.num-shards") {
-    *value = 1;
-    return true;
-  }
-  // Monotonic write-amplification inputs: WA is computable from properties
-  // alone as ssd-bytes-written / ssd-user-bytes-written.
-  if (property == "pmblade.ssd-user-bytes-written") {
-    *value = stats_.user_bytes_written();
-    return true;
-  }
-  if (property == "pmblade.ssd-bytes-written") {
-    *value = stats_.major_compaction_bytes();
-    return true;
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  if (property == "pmblade.l0-bytes") {
-    uint64_t total = 0;
-    for (const auto& p : partitions_) total += p->L0Bytes();
-    *value = total;
-    return true;
-  }
-  if (property == "pmblade.l1-bytes" || property == "pmblade.ssd-bytes") {
-    // Historical name kept; covers the WHOLE SSD run stack (all levels) now
-    // that policies other than leveled may hold more than one run.
-    uint64_t total = 0;
-    for (const auto& p : partitions_) total += p->SsdBytes();
-    *value = total;
-    return true;
-  }
-  if (property == "pmblade.num-ssd-runs") {
-    uint64_t total = 0;
-    for (const auto& p : partitions_) total += p->ssd_runs().size();
-    *value = total;
-    return true;
-  }
-  if (property == "pmblade.max-ssd-level") {
-    uint64_t deepest = 0;
-    for (const auto& p : partitions_) {
-      deepest = std::max<uint64_t>(deepest, p->MaxSsdLevel());
-    }
-    *value = deepest;
-    return true;
-  }
-  constexpr char kLevelPrefix[] = "pmblade.lsm.level";
-  if (property.compare(0, sizeof(kLevelPrefix) - 1, kLevelPrefix) == 0) {
-    // pmblade.lsm.level<i>.{runs,files,bytes}
-    size_t pos = sizeof(kLevelPrefix) - 1;
-    uint64_t level = 0;
-    size_t digits = 0;
-    while (pos < property.size() && property[pos] >= '0' &&
-           property[pos] <= '9' && digits < 9) {
-      level = level * 10 + static_cast<uint64_t>(property[pos] - '0');
-      ++pos;
-      ++digits;
-    }
-    if (digits > 0 && pos < property.size() && property[pos] == '.') {
-      const std::string stat = property.substr(pos + 1);
-      uint64_t runs = 0, files = 0, bytes = 0;
-      LevelShapeLocked(static_cast<uint32_t>(level), &runs, &files, &bytes);
-      if (stat == "runs") {
-        *value = runs;
-        return true;
-      }
-      if (stat == "files") {
-        *value = files;
-        return true;
-      }
-      if (stat == "bytes") {
-        *value = bytes;
-        return true;
-      }
-    }
-    return false;
-  }
-  if (property == "pmblade.num-partitions") {
-    *value = partitions_.size();
-    return true;
-  }
-  if (property == "pmblade.pm-used-bytes") {
-    *value = pool_->UsedBytes();
-    return true;
-  }
-  if (property == "pmblade.num-unsorted-tables") {
-    uint64_t total = 0;
-    for (const auto& p : partitions_) total += p->unsorted().size();
-    *value = total;
-    return true;
-  }
-  if (property == "pmblade.num-sorted-tables") {
-    uint64_t total = 0;
-    for (const auto& p : partitions_) total += p->sorted_run().size();
-    *value = total;
-    return true;
-  }
-  return false;
+  return ReadNumericProperty(metrics_, property, value);
 }
 
-void DBImpl::LevelShapeLocked(uint32_t level, uint64_t* runs, uint64_t* files,
-                              uint64_t* bytes) const {
-  *runs = *files = *bytes = 0;
+DBImpl::LevelShape DBImpl::LevelShapeLocked(uint32_t level) const {
+  LevelShape shape;
   for (const auto& partition : partitions_) {
     if (level == 0) {
       // PM level-0: each unsorted table is its own (single-table) run, the
       // sorted run is one more.
-      *runs += partition->unsorted().size() +
-               (partition->sorted_run().empty() ? 0 : 1);
-      *files += partition->unsorted().size() + partition->sorted_run().size();
-      *bytes += partition->L0Bytes();
+      shape.runs += partition->unsorted().size() +
+                    (partition->sorted_run().empty() ? 0 : 1);
+      shape.files +=
+          partition->unsorted().size() + partition->sorted_run().size();
+      shape.bytes += partition->L0Bytes();
     } else {
       for (const SsdRun& run : partition->ssd_runs()) {
         if (run.level != level) continue;
-        *runs += 1;
-        *files += run.tables.size();
-        *bytes += run.bytes();
+        shape.runs += 1;
+        shape.files += run.tables.size();
+        shape.bytes += run.bytes();
       }
     }
   }
+  return shape;
 }
 
 bool DBImpl::GetProperty(const std::string& property, std::string* value) {

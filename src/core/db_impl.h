@@ -303,8 +303,12 @@ class DBImpl final : public DB {
   /// mu_ held. Aggregate shape of one LSM level across partitions: level 0
   /// is the PM side (each unsorted table is one run, the sorted run one
   /// more); level >= 1 counts the SSD runs carrying that level tag.
-  void LevelShapeLocked(uint32_t level, uint64_t* runs, uint64_t* files,
-                        uint64_t* bytes) const;
+  struct LevelShape {
+    uint64_t runs = 0;
+    uint64_t files = 0;
+    uint64_t bytes = 0;
+  };
+  LevelShape LevelShapeLocked(uint32_t level) const;
 
   // ---- read path ----
   Partition* FindPartition(const Slice& user_key);

@@ -140,17 +140,6 @@ struct Options {
   MajorCompactionOptions major;
 
   // ---- compaction scheduling ----
-  /// Run Algorithm-1 (internal + major compaction) asynchronously on the
-  /// dedicated compaction scheduler thread. The flush thread then only
-  /// enqueues a check and returns, so writers stalled on a full memtable
-  /// resume as soon as the flush commits instead of sleeping through the
-  /// whole compaction. When false, the flush thread blocks until the
-  /// scheduled compaction work has drained (the historical behaviour,
-  /// writers stall for the compaction's duration) — kept for A/B
-  /// benchmarking (`benchmark_kv --compaction_stall`). Compaction always
-  /// EXECUTES on the scheduler thread in both modes, preserving the
-  /// single-compactor invariant.
-  bool background_compaction = true;
   /// Consecutive failed background compaction checks are retried up to this
   /// many times (logged + counted, never poisoning the DB's sticky
   /// background error) before the scheduler parks until the next flush

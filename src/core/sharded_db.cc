@@ -7,6 +7,7 @@
 #include <set>
 
 #include "compaction/merging_iterator.h"
+#include "core/properties.h"
 #include "obs/exporter.h"
 #include "util/comparator.h"
 #include "util/sync_point.h"
@@ -52,6 +53,55 @@ bool ParseShardProperty(const std::string& property, uint32_t num_shards,
   *shard = static_cast<uint32_t>(index);
   *rest = "pmblade." + property.substr(dot + 1);
   return true;
+}
+
+/// How a shard metric folds into the facade's cross-shard value. Metrics
+/// the facade registers itself (shard count, open snapshots, 2PC
+/// resolution, writes per sync, the shared arbiter's pmblade.mem.*) are
+/// not folded at all: the facade's own entry shadows the shards'.
+enum class Combine {
+  kSum,   // counters, sizes and queue depths add up across shards
+  kOnce,  // one shared resource seen by every shard: count it once
+  kMax,   // LSM depth, worst write pressure, largest free PM extent
+};
+
+Combine CombineOf(const std::string& name, bool shared_ssd) {
+  auto starts_with = [&name](const char* prefix) {
+    return name.rfind(prefix, 0) == 0;
+  };
+  // The block cache is process-wide, and every shard runs one policy. A
+  // caller-shared SSD model is one device: its counters and the q_flush
+  // budget derived from its queue are identical in every shard.
+  if (starts_with("pmblade.blockcache.") || name == "pmblade.policy" ||
+      (shared_ssd &&
+       (starts_with("pmblade.ssd.") || name == "pmblade.io.q_flush"))) {
+    return Combine::kOnce;
+  }
+  if (name == "pmblade.lsm.max_ssd_level" ||
+      name == "pmblade.write.pressure" ||
+      name == "pmblade.pm.largest_free_extent") {
+    return Combine::kMax;
+  }
+  return Combine::kSum;
+}
+
+void Fold(Combine rule, const obs::MetricSample& next,
+          obs::MetricSample* acc) {
+  switch (rule) {
+    case Combine::kOnce:
+      break;
+    case Combine::kMax:
+      acc->value = std::max(acc->value, next.value);
+      break;
+    case Combine::kSum:
+      if (acc->kind == obs::MetricKind::kHistogram) {
+        acc->hist.Merge(next.hist);
+        acc->value = static_cast<double>(acc->hist.count());
+      } else {
+        acc->value += next.value;
+      }
+      break;
+  }
 }
 
 }  // namespace
@@ -237,55 +287,37 @@ Status ShardedDB::SetUpSharedArbiter() {
   aopts.logger = options_.logger;
   arbiter_.reset(new mem::MemoryArbiter(
       aopts, mem_budget_.get(),
-      [this] {
-        mem::ArbiterInputs in;
-        for (auto& shard : shards_) {
-          const DbStatistics& stats =
-              static_cast<const DBImpl&>(*shard).statistics();
-          in.reads += stats.total_reads();
-          in.reads_ssd_l1 += stats.reads(ReadSource::kSsdLevel1);
-          in.writes += stats.writes();
-          in.flushes += stats.flushes();
-          uint64_t v = 0;
-          if (shard->GetProperty("pmblade.bloom-checks", &v)) {
-            in.bloom_checks += v;
-          }
-          if (shard->GetProperty("pmblade.bloom-negatives", &v)) {
-            in.bloom_negatives += v;
-          }
-          if (shard->GetProperty("pmblade.bloom-false-positives", &v)) {
-            in.bloom_false_positives += v;
-          }
-          if (shard->GetProperty("pmblade.write-slowdowns", &v)) {
-            in.slowdowns += v;
-          }
-          if (shard->GetProperty("pmblade.write-stalls", &v)) in.stalls += v;
-        }
-        if (shared_cache_ != nullptr) {
-          in.cache_hits = shared_cache_->hits();
-          in.cache_misses = shared_cache_->misses();
-        }
-        return in;
-      },
+      [this] { return mem::ReadArbiterInputs(metrics_); },
       apply));
   arbiter_->Start();
   return Status::OK();
 }
 
 void ShardedDB::RegisterAggregatedMetrics() {
+  // Metrics the facade owns.
   metrics_.RegisterGaugeCallback("pmblade.shards", [this] {
     return static_cast<double>(shards_.size());
   });
+  // Each facade handle pins one snapshot per shard, so a per-shard sum
+  // would overcount by N.
+  metrics_.RegisterGaugeCallback("pmblade.snapshots.open", [this] {
+    std::lock_guard<std::mutex> lock(snap_mu_);
+    return static_cast<double>(snapshots_.size());
+  });
+  // A ratio of the cross-shard sums, not a sum of per-shard ratios.
+  metrics_.RegisterGaugeCallback("pmblade.write.writes_per_sync", [this] {
+    obs::MetricSample syncs, writes;
+    if (!ReadShardMetric("pmblade.wal.syncs", &syncs) || syncs.value == 0 ||
+        !ReadShardMetric("pmblade.write.group_writes", &writes)) {
+      return 0.0;
+    }
+    return writes.value / syncs.value;
+  });
   // Splice every shard's registry into facade snapshots: a
   // pmblade.shard.<i>.* breakdown plus cross-shard aggregates under the
-  // original names (counters/histograms sum; gauges sum too — sizes and
-  // depths add up across shards). Metrics over a process-wide resource
-  // (the shared block cache; a caller-shared SSD model) are identical in
-  // every shard's registry, so the first shard's value stands instead of
-  // an N-fold sum.
-  const bool shared_ssd = options_.ssd_model != nullptr;
+  // original names, folded by CombineOf.
   metrics_.RegisterSnapshotProvider(
-      [this, shared_ssd](std::vector<obs::MetricSample>* out) {
+      [this](std::vector<obs::MetricSample>* out) {
         std::map<std::string, obs::MetricSample> agg;
         for (size_t i = 0; i < shards_.size(); ++i) {
           obs::MetricsSnapshot snap =
@@ -296,9 +328,6 @@ void ShardedDB::RegisterAggregatedMetrics() {
             if (suffix.rfind(kRoot, 0) == 0) {
               suffix = suffix.substr(sizeof(kRoot) - 1);
             }
-            const bool shared_resource =
-                sample.name.rfind("pmblade.blockcache.", 0) == 0 ||
-                (shared_ssd && sample.name.rfind("pmblade.ssd.", 0) == 0);
             obs::MetricSample per_shard = sample;
             per_shard.name =
                 "pmblade.shard." + std::to_string(i) + "." + suffix;
@@ -306,14 +335,8 @@ void ShardedDB::RegisterAggregatedMetrics() {
             auto it = agg.find(sample.name);
             if (it == agg.end()) {
               agg.emplace(sample.name, std::move(sample));
-            } else if (!shared_resource) {
-              if (it->second.kind == obs::MetricKind::kHistogram) {
-                it->second.hist.Merge(sample.hist);
-                it->second.value =
-                    static_cast<double>(it->second.hist.count());
-              } else {
-                it->second.value += sample.value;
-              }
+            } else {
+              Fold(CombineOf(sample.name, shared_ssd_), sample, &it->second);
             }
           }
         }
@@ -321,7 +344,36 @@ void ShardedDB::RegisterAggregatedMetrics() {
           (void)name;
           out->push_back(std::move(sample));
         }
+      },
+      [this](const std::string& name, obs::MetricSample* out) {
+        return ReadShardMetric(name, out);
       });
+}
+
+bool ShardedDB::ReadShardMetric(const std::string& name,
+                                obs::MetricSample* out) {
+  uint32_t shard = 0;
+  std::string rest;
+  if (ParseShardProperty(name, static_cast<uint32_t>(shards_.size()),
+                         &shard, &rest)) {
+    if (!shards_[shard]->metrics_registry()->Read(rest, out)) return false;
+    out->name = name;
+    return true;
+  }
+  const Combine rule = CombineOf(name, shared_ssd_);
+  bool found = false;
+  for (auto& s : shards_) {
+    obs::MetricSample sample;
+    if (!s->metrics_registry()->Read(name, &sample)) continue;
+    if (found) {
+      Fold(rule, sample, out);
+    } else {
+      *out = std::move(sample);
+      found = true;
+      if (rule == Combine::kOnce) break;
+    }
+  }
+  return found;
 }
 
 // ---------------------------------------------------------------------------
@@ -733,74 +785,15 @@ WritePressure ShardedDB::GetShardWritePressure(uint32_t shard) {
 }
 
 bool ShardedDB::GetProperty(const std::string& property, uint64_t* value) {
-  const uint32_t n = static_cast<uint32_t>(shards_.size());
-  if (property == "pmblade.num-shards") {
-    *value = n;
-    return true;
-  }
-  if (property == "pmblade.write-pressure") {
-    *value = static_cast<uint64_t>(GetWritePressure());
-    return true;
-  }
-  // Per-shard drill-down: "pmblade.shard.<i>.<prop>".
+  // Per-shard drill-down, hyphenated names included:
+  // "pmblade.shard.<i>.<prop>".
   uint32_t shard = 0;
   std::string rest;
-  if (ParseShardProperty(property, n, &shard, &rest)) {
+  if (ParseShardProperty(property, static_cast<uint32_t>(shards_.size()),
+                         &shard, &rest)) {
     return shards_[shard]->GetProperty(rest, value);
   }
-  // Process-wide resources: one value, not a per-shard sum.
-  if (property == "pmblade.blockcache-charge") {
-    *value = shared_cache_ != nullptr ? shared_cache_->TotalCharge() : 0;
-    return true;
-  }
-  if (property == "pmblade.blockcache-capacity") {
-    *value = shared_cache_ != nullptr ? shared_cache_->capacity() : 0;
-    return true;
-  }
-  if (property == "pmblade.mem-rebalances") {
-    *value = arbiter_ != nullptr ? arbiter_->rebalances() : 0;
-    return true;
-  }
-  // Facade-level (NOT a per-shard sum: each facade handle pins one
-  // snapshot per shard, so summing would overcount by N).
-  if (property == "pmblade.open-snapshots") {
-    std::lock_guard<std::mutex> lock(snap_mu_);
-    *value = snapshots_.size();
-    return true;
-  }
-  if (property == "pmblade.txn-in-doubt") {
-    *value = txn_in_doubt_counter_->Value();
-    return true;
-  }
-  if (property == "pmblade.txn-resolved-commit") {
-    *value = txn_resolved_commit_counter_->Value();
-    return true;
-  }
-  if (property == "pmblade.txn-resolved-rollback") {
-    *value = txn_resolved_rollback_counter_->Value();
-    return true;
-  }
-  // Depth is a maximum across shards, not a sum.
-  if (property == "pmblade.max-ssd-level") {
-    uint64_t deepest = 0;
-    for (auto& s : shards_) {
-      uint64_t v = 0;
-      if (!s->GetProperty(property, &v)) return false;
-      deepest = std::max(deepest, v);
-    }
-    *value = deepest;
-    return true;
-  }
-  // Everything else sums across shards (counters and sizes both add up;
-  // pmblade.memtable-limit becomes the combined write quota).
-  uint64_t total = 0;
-  for (auto& s : shards_) {
-    uint64_t v = 0;
-    if (!s->GetProperty(property, &v)) return false;
-    total += v;
-  }
-  *value = total;
-  return true;
+  return ReadNumericProperty(metrics_, property, value);
 }
 
 bool ShardedDB::GetProperty(const std::string& property, std::string* value) {

@@ -132,6 +132,10 @@ class ShardedDB final : public DB {
   Status CheckOrPinShardCount();
   Status SetUpSharedArbiter();
   void RegisterAggregatedMetrics();
+  /// Reads `name` from the shards' registries: the cross-shard value folded
+  /// by CombineOf (sharded_db.cc), or one shard's value for a
+  /// "pmblade.shard.<i>." name. The facade registry's provider.
+  bool ReadShardMetric(const std::string& name, obs::MetricSample* out);
 
   // ---- cross-shard writes ----
   /// Runs fn(shard) concurrently for every shard index in `ids` (the last
@@ -172,6 +176,8 @@ class ShardedDB final : public DB {
   Options options_;
   std::string dbname_;
   Env* env_ = nullptr;
+  /// A caller-owned SSD model is one device behind every shard.
+  const bool shared_ssd_ = options_.ssd_model != nullptr;
 
   /// The process-wide block cache every shard reads through (nullptr when
   /// block_cache_bytes == 0). Destroyed after the shards.
@@ -216,8 +222,9 @@ class ShardedDB final : public DB {
   mutable DbStatistics agg_stats_;
 
   /// Facade registry: the server's counters, the shared arbiter's
-  /// pmblade.mem.* metrics, plus a snapshot provider that splices in every
-  /// shard's registry (summed aggregates + pmblade.shard.<i>.* breakdown).
+  /// pmblade.mem.* metrics and the facade-owned metrics, plus a provider
+  /// that splices in every shard's registry (cross-shard aggregates +
+  /// pmblade.shard.<i>.* breakdown).
   obs::MetricsRegistry metrics_;
 };
 

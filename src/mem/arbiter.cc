@@ -35,6 +35,28 @@ ArbiterInputs Delta(const ArbiterInputs& now, const ArbiterInputs& prev) {
 
 }  // namespace
 
+ArbiterInputs ReadArbiterInputs(const obs::MetricsRegistry& registry) {
+  auto read = [&registry](const char* name) -> uint64_t {
+    obs::MetricSample sample;
+    return registry.Read(name, &sample) ? static_cast<uint64_t>(sample.value)
+                                        : 0;
+  };
+  ArbiterInputs in;
+  in.reads_ssd_l1 = read("pmblade.reads.ssd_l1");
+  in.reads = read("pmblade.reads.memtable") + read("pmblade.reads.pm_l0") +
+             in.reads_ssd_l1 + read("pmblade.reads.miss");
+  in.writes = read("pmblade.writes");
+  in.cache_hits = read("pmblade.blockcache.hits");
+  in.cache_misses = read("pmblade.blockcache.misses");
+  in.bloom_checks = read("pmblade.bloom.checks");
+  in.bloom_negatives = read("pmblade.bloom.negatives");
+  in.bloom_false_positives = read("pmblade.bloom.false_positives");
+  in.flushes = read("pmblade.flush.count");
+  in.slowdowns = read("pmblade.write.slowdowns");
+  in.stalls = read("pmblade.write.stalls");
+  return in;
+}
+
 MemoryArbiter::MemoryArbiter(const ArbiterOptions& options,
                              MemoryBudget* budget, InputsFn inputs_fn,
                              ApplyFn apply_fn)

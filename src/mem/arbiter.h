@@ -73,6 +73,11 @@ struct ArbiterInputs {
   uint64_t stalls = 0;
 };
 
+/// The inputs read from an engine's metrics registry (the ShardedDB facade
+/// registry yields cross-shard aggregates under the same names); a metric
+/// the registry lacks reads as 0.
+ArbiterInputs ReadArbiterInputs(const obs::MetricsRegistry& registry);
+
 struct ArbiterOptions {
   uint64_t interval_ms = 250;
   /// Fraction of the total budget moved per rebalance.

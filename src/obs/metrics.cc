@@ -99,32 +99,55 @@ void MetricsRegistry::RegisterHistogramCallback(
   entry.gauge_fn = nullptr;
 }
 
-void MetricsRegistry::RegisterSnapshotProvider(
-    std::function<void(std::vector<MetricSample>*)> fn) {
+void MetricsRegistry::RegisterSnapshotProvider(ListFn list, ReadFn read) {
   std::lock_guard<std::mutex> lock(mu_);
-  providers_.push_back(std::move(fn));
+  providers_.push_back(Provider{std::move(list), std::move(read)});
 }
 
-MetricsSnapshot MetricsRegistry::Snapshot(uint64_t now_nanos) const {
-  // Phase 1 (registry lock): copy names, kinds, instrument pointers and
-  // callback copies. Phase 2 (no lock): evaluate. Callbacks may acquire
-  // arbitrary unrelated locks (the DB mutex, the SSD model mutex) whose
-  // holders in turn call GetCounter(); evaluating outside the registry lock
-  // keeps the lock graph acyclic. Instruments and entries are never removed,
-  // so the copied pointers stay valid for the registry's lifetime.
-  struct PendingSample {
-    const Counter* counter = nullptr;
-    const Gauge* gauge = nullptr;
-    const HistogramMetric* histogram = nullptr;
-    std::function<uint64_t()> counter_fn;
-    std::function<double()> gauge_fn;
-    std::function<Histogram()> histogram_fn;
-  };
+// Callbacks may acquire arbitrary unrelated locks (the DB mutex, the SSD
+// model mutex) whose holders in turn call GetCounter(), so Snapshot() and
+// Read() copy what they need under mu_ and evaluate after releasing it —
+// that keeps the lock graph acyclic. Instruments and entries are never
+// removed, so the copied pointers stay valid for the registry's lifetime.
+struct MetricsRegistry::Reading {
+  explicit Reading(const Entry& entry)
+      : counter(entry.counter.get()),
+        gauge(entry.gauge.get()),
+        histogram(entry.histogram.get()),
+        counter_fn(entry.counter_fn),
+        gauge_fn(entry.gauge_fn),
+        histogram_fn(entry.histogram_fn) {}
 
+  void Evaluate(MetricSample* sample) const {
+    switch (sample->kind) {
+      case MetricKind::kCounter:
+        sample->value = counter_fn ? static_cast<double>(counter_fn())
+                                   : static_cast<double>(counter->Value());
+        break;
+      case MetricKind::kGauge:
+        sample->value =
+            gauge_fn ? gauge_fn() : static_cast<double>(gauge->Value());
+        break;
+      case MetricKind::kHistogram:
+        sample->hist = histogram_fn ? histogram_fn() : histogram->Snapshot();
+        sample->value = static_cast<double>(sample->hist.count());
+        break;
+    }
+  }
+
+  const Counter* counter;
+  const Gauge* gauge;
+  const HistogramMetric* histogram;
+  std::function<uint64_t()> counter_fn;
+  std::function<double()> gauge_fn;
+  std::function<Histogram()> histogram_fn;
+};
+
+MetricsSnapshot MetricsRegistry::Snapshot(uint64_t now_nanos) const {
   MetricsSnapshot snap;
   snap.taken_at_nanos = now_nanos;
-  std::vector<PendingSample> pending;
-  std::vector<std::function<void(std::vector<MetricSample>*)>> providers;
+  std::vector<Reading> pending;
+  std::vector<Provider> providers;
   {
     std::lock_guard<std::mutex> lock(mu_);
     providers = providers_;
@@ -135,47 +158,52 @@ MetricsSnapshot MetricsRegistry::Snapshot(uint64_t now_nanos) const {
       sample.name = name;
       sample.kind = entry.kind;
       snap.samples.push_back(std::move(sample));
-
-      PendingSample p;
-      p.counter = entry.counter.get();
-      p.gauge = entry.gauge.get();
-      p.histogram = entry.histogram.get();
-      p.counter_fn = entry.counter_fn;
-      p.gauge_fn = entry.gauge_fn;
-      p.histogram_fn = entry.histogram_fn;
-      pending.push_back(std::move(p));
+      pending.emplace_back(entry);
     }
   }
 
   for (size_t i = 0; i < pending.size(); ++i) {
-    MetricSample& sample = snap.samples[i];
-    const PendingSample& p = pending[i];
-    switch (sample.kind) {
-      case MetricKind::kCounter:
-        sample.value = p.counter_fn
-                           ? static_cast<double>(p.counter_fn())
-                           : static_cast<double>(p.counter->Value());
-        break;
-      case MetricKind::kGauge:
-        sample.value = p.gauge_fn ? p.gauge_fn()
-                                  : static_cast<double>(p.gauge->Value());
-        break;
-      case MetricKind::kHistogram:
-        sample.hist =
-            p.histogram_fn ? p.histogram_fn() : p.histogram->Snapshot();
-        sample.value = static_cast<double>(sample.hist.count());
-        break;
-    }
+    pending[i].Evaluate(&snap.samples[i]);
   }
   if (!providers.empty()) {
-    for (const auto& provider : providers) provider(&snap.samples);
+    for (const auto& provider : providers) provider.list(&snap.samples);
     // Providers append out of order; restore the sorted-by-name contract.
-    std::sort(snap.samples.begin(), snap.samples.end(),
-              [](const MetricSample& a, const MetricSample& b) {
-                return a.name < b.name;
-              });
+    // The stable sort keeps an own entry ahead of a provider sample of the
+    // same name, so dropping later duplicates lets the own entry shadow it.
+    std::stable_sort(snap.samples.begin(), snap.samples.end(),
+                     [](const MetricSample& a, const MetricSample& b) {
+                       return a.name < b.name;
+                     });
+    snap.samples.erase(
+        std::unique(snap.samples.begin(), snap.samples.end(),
+                    [](const MetricSample& a, const MetricSample& b) {
+                      return a.name == b.name;
+                    }),
+        snap.samples.end());
   }
   return snap;
+}
+
+bool MetricsRegistry::Read(const std::string& name,
+                           MetricSample* sample) const {
+  std::vector<Provider> providers;
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    auto it = entries_.find(name);
+    if (it != entries_.end()) {
+      const Reading reading(it->second);
+      sample->name = name;
+      sample->kind = it->second.kind;
+      lock.unlock();
+      reading.Evaluate(sample);
+      return true;
+    }
+    providers = providers_;
+  }
+  for (const auto& provider : providers) {
+    if (provider.read(name, sample)) return true;
+  }
+  return false;
 }
 
 size_t MetricsRegistry::NumMetrics() const {

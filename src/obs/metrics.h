@@ -13,6 +13,10 @@
 //     SsdModel, PmPool) and computed gauges (q_flush, level sizes) without
 //     duplicating state.
 //
+// Read() evaluates one metric by name; the engines' numeric properties
+// (DB::GetProperty(uint64_t*)) are Read() calls, so the registry is the only
+// code that computes a property's value.
+//
 // Naming convention: dot-separated lowercase paths under the "pmblade."
 // root, e.g. "pmblade.reads.memtable", "pmblade.compaction.internal.count",
 // "pmblade.io.q_flush". The Prometheus exporter maps '.' and '-' to '_'.
@@ -118,18 +122,28 @@ class MetricsRegistry {
                                  std::function<Histogram()> fn);
 
   /// Bulk contributor evaluated at Snapshot() time, after the registry's
-  /// own entries: appends arbitrarily many samples in one call. Used by
-  /// ShardedDB to splice every shard's registry (prefixed per shard) plus
-  /// cross-shard aggregates into the facade registry's snapshots without
-  /// registering thousands of forwarding callbacks. Runs WITHOUT the
+  /// own entries: `list` appends arbitrarily many samples in one call, and
+  /// `read` evaluates one of those names for Read(), returning false for a
+  /// name it does not produce. Used by ShardedDB to splice every shard's
+  /// registry (prefixed per shard) plus cross-shard aggregates into the
+  /// facade registry without registering thousands of forwarding callbacks.
+  /// A name the registry holds itself shadows a provider sample of the same
+  /// name, in Snapshot() and Read() alike. Both functions run WITHOUT the
   /// registry lock held, same contract as the per-metric callbacks.
-  void RegisterSnapshotProvider(
-      std::function<void(std::vector<MetricSample>*)> fn);
+  using ListFn = std::function<void(std::vector<MetricSample>*)>;
+  using ReadFn = std::function<bool(const std::string&, MetricSample*)>;
+  void RegisterSnapshotProvider(ListFn list, ReadFn read);
 
   /// Consistent, name-sorted copy of every metric. Callback evaluation
   /// happens after the registry lock is released, so callbacks may take
   /// unrelated mutexes (e.g. the DB mutex) whose holders call GetCounter().
   MetricsSnapshot Snapshot(uint64_t now_nanos = 0) const;
+
+  /// Evaluates the one metric `name` — the same sample Snapshot() would
+  /// hold for it (a histogram's `value` is its count) — without evaluating
+  /// the rest. Returns false when no entry or provider produces `name`.
+  /// Same locking contract as Snapshot(); callbacks may call Read().
+  bool Read(const std::string& name, MetricSample* sample) const;
 
   size_t NumMetrics() const;
 
@@ -146,9 +160,17 @@ class MetricsRegistry {
     std::function<Histogram()> histogram_fn;
   };
 
+  struct Provider {
+    ListFn list;
+    ReadFn read;
+  };
+  /// An entry's instrument pointers and callback copies, taken under mu_
+  /// and evaluated after releasing it.
+  struct Reading;
+
   mutable std::mutex mu_;
   std::map<std::string, Entry> entries_;  // sorted by name
-  std::vector<std::function<void(std::vector<MetricSample>*)>> providers_;
+  std::vector<Provider> providers_;
 };
 
 }  // namespace obs

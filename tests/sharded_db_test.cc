@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <map>
@@ -21,8 +22,10 @@
 #include "core/db.h"
 #include "core/sharded_db.h"
 #include "env/env.h"
+#include "env/ssd_model.h"
 #include "net/commands.h"
 #include "net/resp.h"
+#include "obs/metrics.h"
 #include "util/random.h"
 
 namespace pmblade {
@@ -306,6 +309,63 @@ TEST_F(ShardedDBTest, PropertiesAggregateAndBreakOutPerShard) {
   ASSERT_TRUE(db_->GetProperty("pmblade.stats.json", &json));
   EXPECT_NE(json.find("pmblade.shard.0."), std::string::npos);
   EXPECT_NE(json.find("pmblade.flush.count"), std::string::npos);
+}
+
+// Non-additive metrics fold by their own rule instead of summing: a value
+// every shard shares counts once, a ratio is the ratio of the cross-shard
+// sums, and a depth is the deepest shard's.
+class ShardedSharedSsdTest : public ShardedDBTest {
+ protected:
+  SsdModel model_{[] {
+    SsdModelOptions mopts;
+    mopts.inject_latency = false;
+    return mopts;
+  }()};
+};
+
+TEST_F(ShardedSharedSsdTest, FacadeFoldsNonAdditiveMetrics) {
+  options_.compaction_policy = "tiered";
+  options_.ssd_model = &model_;  // one device behind all four shards
+  Open();
+  WriteOptions synced;
+  synced.sync = true;
+  const std::string value(100, 'v');
+  for (int i = 0; i < 400; ++i) {
+    ASSERT_TRUE(db_->Put(synced, "fold" + std::to_string(i), value).ok());
+  }
+  ASSERT_TRUE(db_->FlushMemTable().ok());
+  ASSERT_TRUE(db_->CompactToLevel1(false).ok());
+
+  const obs::MetricsSnapshot snap = db_->metrics_registry()->Snapshot();
+  auto metric = [&snap](const std::string& name) {
+    const obs::MetricSample* sample = snap.Find(name);
+    EXPECT_NE(sample, nullptr) << name;
+    return sample != nullptr ? sample->value : -1.0;
+  };
+  auto shard_metric = [&metric](uint32_t shard, const std::string& suffix) {
+    return metric("pmblade.shard." + std::to_string(shard) + "." + suffix);
+  };
+
+  double syncs = 0, group_writes = 0, deepest = 0;
+  for (uint32_t i = 0; i < kShards; ++i) {
+    EXPECT_EQ(shard_metric(i, "policy"), 1.0);  // CompactionPolicyKind::kTiered
+    syncs += shard_metric(i, "wal.syncs");
+    group_writes += shard_metric(i, "write.group_writes");
+    deepest = std::max(deepest, shard_metric(i, "lsm.max_ssd_level"));
+  }
+  EXPECT_EQ(metric("pmblade.policy"), 1.0);
+  ASSERT_GT(syncs, 0.0);
+  EXPECT_DOUBLE_EQ(metric("pmblade.write.writes_per_sync"),
+                   group_writes / syncs);
+  ASSERT_GE(deepest, 1.0);
+  EXPECT_EQ(metric("pmblade.lsm.max_ssd_level"), deepest);
+  uint64_t property = 0;
+  ASSERT_TRUE(db_->GetProperty("pmblade.max-ssd-level", &property));
+  EXPECT_EQ(static_cast<double>(property), deepest);
+  // q_flush and the device counters come from the one shared model.
+  EXPECT_EQ(metric("pmblade.io.q_flush"), shard_metric(0, "io.q_flush"));
+  EXPECT_EQ(metric("pmblade.ssd.bytes_written"),
+            shard_metric(0, "ssd.bytes_written"));
 }
 
 // ---------------------------------------------------------------------------

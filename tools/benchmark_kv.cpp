@@ -30,10 +30,6 @@
 //   write_scaling concurrent-writer sweep (1..--writers threads of random
 //                puts, sync per --sync_writes); reopens the engine fresh per
 //                point and emits BENCH_write_scaling.json
-//   compaction_stall A/B of inline vs backgrounded major compaction: one
-//                fresh engine per mode, tiny memtable + tight L0 budget to
-//                force continuous flush->compaction cycles, reports write
-//                p99/max and stall counters; emits BENCH_compaction_stall.json
 //   compaction_parallel sweep of the parallel compaction pipeline: fresh
 //                engine per point with compaction_workers =
 //                max_subcompactions = 1, 2, 4 (.. --compaction_workers),
@@ -226,129 +222,15 @@ void RunWriteScaling(Context* ctx) {
   }
 }
 
-// A/B measurement of what backgrounding major compaction buys the write
-// path. Two points, each on a fresh engine: background_compaction=false
-// (the historical behaviour — the flush thread blocks until Algorithm-1
-// drains, so a full memtable stalls every writer for the compaction's
-// duration) and background_compaction=true (flush hands the check to the
-// scheduler and returns). Memtable and level-0 budget are shrunk for the
-// run so the write stream forces continuous flush->compaction cycles;
-// the original options are restored (and the engine reopened with them)
-// afterwards. Emits BENCH_compaction_stall.json.
-void RunCompactionStall(Context* ctx) {
-  const BenchEnvOptions saved = *ctx->env->mutable_options();
-  BenchEnvOptions* opts = ctx->env->mutable_options();
-  // Rotate the memtable every ~32 puts regardless of --value_size so the
-  // flush/compaction pipeline is saturated and the inline mode's stall is
-  // visible even on short runs.
-  const size_t pressure = 32 * (ctx->value_size + 32);
-  if (opts->memtable_bytes > pressure) opts->memtable_bytes = pressure;
-  opts->l0_budget_large = opts->memtable_bytes * 8;
-
-  struct Mode {
-    const char* name;
-    bool background;
-  };
-  const Mode modes[] = {{"inline", false}, {"background", true}};
-
-  TablePrinter table({"compaction", "ops/sec", "p99(us)", "max(us)",
-                      "stalls", "stall_ms", "compactions"});
-  std::string json = "[\n";
-
-  for (size_t mi = 0; mi < 2 && !InterruptRequested(); ++mi) {
-    opts->background_compaction = modes[mi].background;
-    KvEngine* engine = nullptr;
-    Status s = ctx->env->OpenEngine(ctx->env->config(), &engine);
-    if (!s.ok()) {
-      fprintf(stderr, "compaction_stall reopen: %s\n", s.ToString().c_str());
-      exit(1);
-    }
-    ctx->engine = engine;
-    DB* db = ctx->env->pmblade_db();
-    if (db == nullptr) {
-      fprintf(stderr,
-              "compaction_stall needs a pmblade engine "
-              "(--engine=pmblade|pmblade-pm|pmblade-ssd)\n");
-      exit(1);
-    }
-
-    KeySpec spec;
-    spec.num_keys = ctx->num;
-    KeyGenerator keys(spec);
-    ValueGenerator values(ctx->value_size);
-    Random rng(301);
-
-    Histogram latency;
-    const uint64_t start = ctx->clock->NowNanos();
-    for (uint64_t i = 0; i < ctx->num && !InterruptRequested(); ++i) {
-      uint64_t k = rng.Uniform(ctx->num);
-      uint64_t t0 = ctx->clock->NowNanos();
-      RUN_OP(db->Put(WriteOptions(), keys.KeyAt(k), values.For(k)));
-      latency.Add(ctx->clock->NowNanos() - t0);
-    }
-    const uint64_t nanos = ctx->clock->NowNanos() - start;
-
-    const double ops_per_sec = nanos > 0 ? ctx->num * 1e9 / nanos : 0;
-    const double p99_us = latency.Percentile(99) / 1000.0;
-    const double max_us = latency.max() / 1000.0;
-    uint64_t stalls = 0, stall_nanos = 0, compactions = 0;
-    db->GetProperty("pmblade.write-stalls", &stalls);
-    db->GetProperty("pmblade.write-stall-nanos", &stall_nanos);
-    db->GetProperty("pmblade.compactions-completed", &compactions);
-
-    Report(modes[mi].name, ctx->num, nanos, latency);
-    table.AddRow({modes[mi].name, TablePrinter::Fmt(ops_per_sec, 0),
-                  TablePrinter::Fmt(p99_us, 1), TablePrinter::Fmt(max_us, 1),
-                  std::to_string(stalls),
-                  TablePrinter::Fmt(stall_nanos / 1e6, 1),
-                  std::to_string(compactions)});
-
-    char point[256];
-    snprintf(point, sizeof(point),
-             "  {\"mode\": \"%s\", \"ops\": %llu, \"ops_per_sec\": %.0f, "
-             "\"p99_us\": %.2f, \"max_us\": %.2f, \"write_stalls\": %llu, "
-             "\"stall_ms\": %.2f, \"compactions\": %llu}%s\n",
-             modes[mi].name, static_cast<unsigned long long>(ctx->num),
-             ops_per_sec, p99_us, max_us,
-             static_cast<unsigned long long>(stalls), stall_nanos / 1e6,
-             static_cast<unsigned long long>(compactions),
-             mi + 1 < 2 ? "," : "");
-    json += point;
-  }
-  if (json.size() >= 2 && json[json.size() - 2] == ',') {
-    json.erase(json.size() - 2, 1);
-  }
-  json += "]\n";
-
-  table.Print("compaction_stall (memtable=" +
-              std::to_string(opts->memtable_bytes) + "B)");
-  FILE* out = fopen("BENCH_compaction_stall.json", "w");
-  if (out != nullptr) {
-    fputs(json.c_str(), out);
-    fclose(out);
-    printf("wrote BENCH_compaction_stall.json\n");
-  }
-
-  // Put the engine back the way the rest of the benchmark list expects it.
-  *ctx->env->mutable_options() = saved;
-  KvEngine* engine = nullptr;
-  Status s = ctx->env->OpenEngine(ctx->env->config(), &engine);
-  if (!s.ok()) {
-    fprintf(stderr, "compaction_stall restore: %s\n", s.ToString().c_str());
-    exit(1);
-  }
-  ctx->engine = engine;
-}
-
 // Parallel-compaction sweep: the same randomized write stream is pushed
 // through fresh engines with compaction_workers = max_subcompactions = 1,
 // 2, 4, ... — the compactor's merge pool is widened to match (see
 // BenchEnv::OpenEngine), so the sweep scales the whole pipeline width:
 // scheduler workers, key-range slices per victim, and merge threads. The
-// memtable is shrunk (compaction_stall's pressure trick) so level-0 piles
-// up multi-table runs, and the level-0 budget is raised out of reach so no
-// BACKGROUND major fires: every point reaches the timed section with the
-// identical level-0 state, and the measured quantity is the wall time of
+// memtable is shrunk so level-0 piles up multi-table runs, and the level-0
+// budget is raised out of reach so no BACKGROUND major fires: every point
+// reaches the timed section with the identical level-0 state, and the
+// measured quantity is the wall time of
 // two forced major compactions (sorted-run-only first, then sorted+level-1
 // after a second fill — the stitched level-1 from round one feeds round
 // two's split rule). The fill phase (4 producer threads) is reported too,
@@ -1380,9 +1262,6 @@ void RunBenchmark(Context* ctx, const std::string& name) {
     }
   } else if (name == "write_scaling") {
     RunWriteScaling(ctx);
-    return;
-  } else if (name == "compaction_stall") {
-    RunCompactionStall(ctx);
     return;
   } else if (name == "compaction_parallel") {
     RunCompactionParallel(ctx);
