@@ -1,6 +1,7 @@
 #include "core/db_impl.h"
 
 #include <algorithm>
+#include <thread>
 
 #include "compaction/merging_iterator.h"
 #include "core/properties.h"
@@ -930,6 +931,8 @@ Status DBImpl::WriteInternal(const WriteOptions& options, WriterState& w) {
   }
   if (w.done) {
     // A leader committed this write as part of its group.
+    lock.unlock();
+    AwaitWakePins(w);
     return w.status;
   }
 
@@ -955,7 +958,7 @@ Status DBImpl::WriteInternal(const WriteOptions& options, WriterState& w) {
     last_sequence += group->Count();
 
     MemTable* mem = mem_;
-    bool sync_error = false;
+    bool wal_error = false;
     {
       // WAL append, ONE fsync for the whole group, Eq. 2 probes and the
       // memtable insert all run outside mu_: readers and queueing writers
@@ -974,9 +977,7 @@ Status DBImpl::WriteInternal(const WriteOptions& options, WriterState& w) {
         if (status.ok() && group_sync) {
           const uint64_t sync_start = clock_->NowNanos();
           status = wal_file_->Sync();
-          if (!status.ok()) {
-            sync_error = true;
-          } else {
+          if (status.ok()) {
             wal_sync_counter_->Inc();
             wal_synced_ticket_.store(append_ticket,
                                      std::memory_order_relaxed);
@@ -992,6 +993,7 @@ Status DBImpl::WriteInternal(const WriteOptions& options, WriterState& w) {
             }
           }
         }
+        wal_error = !status.ok();
       }
       if (status.ok()) {
         NoteGroupWrites(*group, mem);
@@ -999,9 +1001,10 @@ Status DBImpl::WriteInternal(const WriteOptions& options, WriterState& w) {
       }
       lock.lock();
     }
-    if (sync_error) {
-      // The durability state of the WAL tail is unknown; fail every
-      // subsequent write rather than acknowledge on a broken log.
+    if (wal_error) {
+      // A failed append leaves the log's framing unknown, a failed sync its
+      // durability: either way fail every subsequent write rather than
+      // acknowledge on a broken log.
       bg_error_ = status;
     }
     if (status.ok()) {
@@ -1019,20 +1022,47 @@ Status DBImpl::WriteInternal(const WriteOptions& options, WriterState& w) {
   }
 
   // Wake everyone the group covered (they return with the group status) and
-  // promote the next queued writer to leader.
+  // promote the next queued writer to leader. The signals go out after mu_
+  // is released: a woken writer that preempts this thread then finds mu_
+  // free, instead of blocking on it while the preempted holder waits for a
+  // CPU, which stalled every write on the DB for up to a scheduler tick.
+  WriterState* wake = nullptr;
+  WriterState** wake_tail = &wake;
+  auto enlist = [&wake_tail](WriterState* x) {
+    x->wake_pins.fetch_add(1, std::memory_order_relaxed);
+    x->next_wake = nullptr;
+    *wake_tail = x;
+    wake_tail = &x->next_wake;
+  };
   while (true) {
     WriterState* ready = writers_.front();
     writers_.pop_front();
     if (ready != &w) {
       if (!ready->own_status) ready->status = status;
       ready->done = true;
-      ready->cv.notify_one();
+      enlist(ready);
     }
     if (ready == last_writer) break;
   }
-  if (!writers_.empty()) writers_.front()->cv.notify_one();
+  if (!writers_.empty()) enlist(writers_.front());
+  lock.unlock();
+  while (wake != nullptr) {
+    WriterState* x = wake;
+    wake = x->next_wake;  // read before the unpin: x may then be destroyed
+    x->cv.notify_one();
+    x->wake_pins.fetch_sub(1, std::memory_order_release);
+  }
 
+  AwaitWakePins(w);
   return status;
+}
+
+void DBImpl::AwaitWakePins(const WriterState& w) {
+  // Only a leader preempted between its notify and its unpin keeps a pin
+  // for long; the common case is one load.
+  while (w.wake_pins.load(std::memory_order_acquire) != 0) {
+    std::this_thread::yield();
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -1171,24 +1201,29 @@ Status DBImpl::TxnGroupWriteLocked(std::unique_lock<std::mutex>& lock,
 
   Status status;
   if (!staged.empty()) {
-    bool sync_error = false;
+    bool wal_error = false;
     lock.unlock();
     {
       ScopedExternalIo wal_io(track_client_io_ ? model_ : nullptr,
                               IoClass::kClient);
-      for (Staged& s : staged) {
-        if (status.ok()) status = wal_->AddRecord(s.record);
-        s.ticket =
-            wal_append_ticket_.fetch_add(1, std::memory_order_relaxed) + 1;
-        if (status.ok() && s.w->kind == WriteKind::kTxnCommit) {
+      // The whole staged run is one device write; each record still gets
+      // its own durability ticket.
+      std::vector<Slice> records;
+      records.reserve(staged.size());
+      for (const Staged& s : staged) records.emplace_back(s.record);
+      status = wal_->AddRecords(records.data(), records.size());
+      const uint64_t first_ticket =
+          wal_append_ticket_.fetch_add(staged.size(),
+                                       std::memory_order_relaxed) + 1;
+      for (size_t i = 0; i < staged.size(); ++i) {
+        staged[i].ticket = first_ticket + i;
+        if (status.ok() && staged[i].w->kind == WriteKind::kTxnCommit) {
           PMBLADE_SYNC_POINT("DBImpl::CommitTxn:AfterAppend");
         }
       }
       if (status.ok() && group_sync) {
         status = wal_file_->Sync();
-        if (!status.ok()) {
-          sync_error = true;
-        } else {
+        if (status.ok()) {
           wal_sync_counter_->Inc();
           wal_synced_ticket_.store(staged.back().ticket,
                                    std::memory_order_relaxed);
@@ -1199,6 +1234,7 @@ Status DBImpl::TxnGroupWriteLocked(std::unique_lock<std::mutex>& lock,
           }
         }
       }
+      wal_error = !status.ok();
     }
     if (status.ok()) {
       for (Staged& s : staged) {
@@ -1226,9 +1262,10 @@ Status DBImpl::TxnGroupWriteLocked(std::unique_lock<std::mutex>& lock,
       }
     }
     lock.lock();
-    if (sync_error) {
-      // Same poison rule as the batch path: the WAL tail's durability is
-      // unknown, so no later write may be acknowledged on this log.
+    if (wal_error) {
+      // Same poison rule as the batch path: the WAL tail's framing or
+      // durability is unknown, so no later write may be acknowledged on
+      // this log.
       bg_error_ = status;
     }
   }

@@ -194,10 +194,18 @@ class DBImpl final : public DB {
     bool own_status = false;
     Status status;
     std::condition_variable cv;
+    /// Leaders signal `cv` after releasing mu_ (see WriteInternal). Each
+    /// pending signal holds a pin, and the owner returns (destroying this
+    /// state) only once the pins are gone.
+    std::atomic<int> wake_pins{0};
+    WriterState* next_wake = nullptr;  // the waking leader's list
   };
 
   /// Shared queue-join + leader dispatch behind Write and the txn ops.
   Status WriteInternal(const WriteOptions& options, WriterState& w);
+  /// Waits until no leader is still signalling `w`; called before `w`'s
+  /// owner returns.
+  static void AwaitWakePins(const WriterState& w);
   /// Leader-only: executes the leader's txn op plus every txn op queued
   /// directly behind it as ONE commit group — a single WAL append run and
   /// at most one shared fsync (the txn mirror of BuildBatchGroup). Enters
@@ -394,7 +402,8 @@ class DBImpl final : public DB {
   std::set<uint64_t> replay_committed_;
   std::set<uint64_t> replay_rolled_back_;
   uint64_t max_seen_txn_id_ = 0;
-  /// WAL durability tickets: every AddRecord bumps the append ticket; every
+  /// WAL durability tickets: every appended record bumps the append ticket
+  /// (a txn group's one AddRecords call bumps it once per record); every
   /// successful fsync publishes the append ticket it covered (appends and
   /// syncs are leader-serialized, so "covered" is just the value at sync
   /// time). A txn marker is durable iff its ticket <= the synced ticket.

@@ -16,21 +16,45 @@ Writer::Writer(WritableFile* dest, uint64_t dest_length)
   }
 }
 
-Status Writer::AddRecord(const Slice& record) {
+namespace {
+// A call's buffer above this size is released after the Append, so one
+// large group does not pin its capacity for the life of the log.
+constexpr size_t kMaxRetainedBuffer = 2 * kBlockSize;
+}  // namespace
+
+Status Writer::AddRecord(const Slice& record) { return AddRecords(&record, 1); }
+
+Status Writer::AddRecords(const Slice* records, size_t n) {
+  size_t bytes = 0;
+  for (size_t i = 0; i < n; ++i) bytes += records[i].size();
+  buf_.clear();
+  // Payload plus, per fragment, a header and at most a header's worth of
+  // block-tail padding.
+  buf_.reserve(bytes + (n + bytes / kBlockSize + 1) * 2 * kHeaderSize);
+
+  const size_t start_offset = block_offset_;
+  for (size_t i = 0; i < n; ++i) EncodeRecord(records[i]);
+
+  Status s = dest_->Append(Slice(buf_));
+  if (s.ok()) {
+    s = dest_->Flush();
+  } else {
+    // The file did not take the bytes; keep the framing where the file is.
+    block_offset_ = start_offset;
+  }
+  if (buf_.capacity() > kMaxRetainedBuffer) std::string().swap(buf_);
+  return s;
+}
+
+void Writer::EncodeRecord(const Slice& record) {
   const char* ptr = record.data();
   size_t left = record.size();
-
-  Status s;
   bool begin = true;
   do {
     const size_t leftover = kBlockSize - block_offset_;
     if (leftover < kHeaderSize) {
       // Pad the block trailer with zeroes and move to a new block.
-      if (leftover > 0) {
-        static const char kZeroes[kHeaderSize] = {0};
-        s = dest_->Append(Slice(kZeroes, leftover));
-        if (!s.ok()) return s;
-      }
+      buf_.append(leftover, '\0');
       block_offset_ = 0;
     }
 
@@ -44,16 +68,14 @@ Status Writer::AddRecord(const Slice& record) {
     else if (end) type = kLastType;
     else type = kMiddleType;
 
-    s = EmitPhysicalRecord(type, ptr, fragment_length);
+    EncodeFragment(type, ptr, fragment_length);
     ptr += fragment_length;
     left -= fragment_length;
     begin = false;
-  } while (s.ok() && left > 0);
-  return s;
+  } while (left > 0);
 }
 
-Status Writer::EmitPhysicalRecord(RecordType type, const char* ptr,
-                                  size_t length) {
+void Writer::EncodeFragment(RecordType type, const char* ptr, size_t length) {
   char header[kHeaderSize];
   header[4] = static_cast<char>(length & 0xff);
   header[5] = static_cast<char>(length >> 8);
@@ -62,13 +84,9 @@ Status Writer::EmitPhysicalRecord(RecordType type, const char* ptr,
   uint32_t crc = crc32c::Extend(type_crc_[type], ptr, length);
   EncodeFixed32(header, crc32c::Mask(crc));
 
-  Status s = dest_->Append(Slice(header, kHeaderSize));
-  if (s.ok()) {
-    s = dest_->Append(Slice(ptr, length));
-    if (s.ok()) s = dest_->Flush();
-  }
+  buf_.append(header, kHeaderSize);
+  buf_.append(ptr, length);
   block_offset_ += kHeaderSize + length;
-  return s;
 }
 
 Reader::Reader(SequentialFile* file, Reporter* reporter, bool checksum)

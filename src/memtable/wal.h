@@ -1,7 +1,8 @@
 // Write-ahead log in the LevelDB record format: the file is a sequence of
 // 32 KiB blocks; each record carries crc32c, length and a type marking it as
 // a full record or the first/middle/last fragment of a spanning record.
-// The same reader/writer pair also backs the manifest.
+// The manifest does not use this format: it is one CRC'd file rewritten
+// whole (core/manifest.cc).
 
 #ifndef PMBLADE_MEMTABLE_WAL_H_
 #define PMBLADE_MEMTABLE_WAL_H_
@@ -36,14 +37,23 @@ class Writer {
   /// pass `dest_length` = current size to append).
   explicit Writer(WritableFile* dest, uint64_t dest_length = 0);
 
+  /// Frames `record` (every fragment, plus any zero padding at a block
+  /// tail) into one buffer and hands it to the file with exactly one Append
+  /// and one Flush: one device write per record.
   Status AddRecord(const Slice& record);
 
+  /// Appends `n` records with one Append and one Flush. The bytes written
+  /// are identical to `n` AddRecord calls.
+  Status AddRecords(const Slice* records, size_t n);
+
  private:
-  Status EmitPhysicalRecord(RecordType type, const char* ptr, size_t length);
+  void EncodeRecord(const Slice& record);
+  void EncodeFragment(RecordType type, const char* ptr, size_t length);
 
   WritableFile* dest_;
   size_t block_offset_;
   uint32_t type_crc_[kMaxRecordType + 1];
+  std::string buf_;  // framed bytes of the call in progress; reused
 };
 
 class Reader {

@@ -41,6 +41,7 @@ struct TableBuilder::Rep {
   BlockHandle pending_handle;
 
   std::string compressed_output;
+  std::string block_output;  // block + trailer, handed to the file at once
 };
 
 TableBuilder::TableBuilder(const TableBuilderOptions& options,
@@ -133,18 +134,16 @@ void TableBuilder::WriteRawBlock(const Slice& block_contents,
   Rep* r = rep_.get();
   handle->set_offset(r->offset);
   handle->set_size(block_contents.size());
-  r->status = r->file->Append(block_contents);
-  if (r->status.ok()) {
-    char trailer[kBlockTrailerSize];
-    trailer[0] = static_cast<char>(type);
-    uint32_t crc = crc32c::Value(block_contents.data(), block_contents.size());
-    crc = crc32c::Extend(crc, trailer, 1);
-    EncodeFixed32(trailer + 1, crc32c::Mask(crc));
-    r->status = r->file->Append(Slice(trailer, kBlockTrailerSize));
-    if (r->status.ok()) {
-      r->offset += block_contents.size() + kBlockTrailerSize;
-    }
-  }
+  char trailer[kBlockTrailerSize];
+  trailer[0] = static_cast<char>(type);
+  uint32_t crc = crc32c::Value(block_contents.data(), block_contents.size());
+  crc = crc32c::Extend(crc, trailer, 1);
+  EncodeFixed32(trailer + 1, crc32c::Mask(crc));
+  // One Append per block: the block and its trailer are one device write.
+  r->block_output.assign(block_contents.data(), block_contents.size());
+  r->block_output.append(trailer, kBlockTrailerSize);
+  r->status = r->file->Append(Slice(r->block_output));
+  if (r->status.ok()) r->offset += r->block_output.size();
 }
 
 Status TableBuilder::Finish() {

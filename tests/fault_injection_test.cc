@@ -5,9 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/db.h"
 #include "core/manifest.h"
+#include "core/sharded_db.h"
 #include "memtable/wal.h"
+#include "memtable/write_batch.h"
 #include "pm/pm_pool.h"
 #include "pmtable/pm_table.h"
 #include "pmtable/pm_table_builder.h"
@@ -54,6 +59,76 @@ TEST_F(FaultInjectionTest, WalWriteFailureSurfacesToPut) {
   // Earlier acknowledged data still readable.
   std::string value;
   EXPECT_TRUE(db_->Get(ReadOptions(), "before", &value).ok());
+}
+
+// A failed WAL append poisons the DB like a failed sync: the log's framing
+// past the failure is unknown, so no later write may be acknowledged on it.
+// Every write that was acknowledged must survive a reopen.
+TEST_F(FaultInjectionTest, FailedWalAppendLosesNoAcknowledgedWrite) {
+  options_.memtable_bytes = 8 << 20;  // no rotation: replay is the WAL
+  ASSERT_TRUE(DB::Open(options_, dbname_, &db_).ok());
+  ASSERT_TRUE(db_->Put(WriteOptions(), "before", "v").ok());
+  env_->fail_writes = true;
+  EXPECT_TRUE(db_->Put(WriteOptions(), "failed", "v").IsIOError());
+  env_->fail_writes = false;
+
+  const std::string value(200, 'v');
+  std::vector<std::string> acked;
+  for (int i = 0; i < 2000; ++i) {
+    std::string key = "after" + std::to_string(i);
+    if (db_->Put(WriteOptions(), key, value).ok()) acked.push_back(key);
+  }
+  EXPECT_TRUE(acked.empty()) << acked.size() << " writes acknowledged on a "
+                             << "log with a failed append";
+  db_.reset();
+
+  ASSERT_TRUE(DB::Open(options_, dbname_, &db_).ok());
+  std::string got;
+  EXPECT_TRUE(db_->Get(ReadOptions(), "before", &got).ok());
+  size_t missing = 0;
+  for (const std::string& key : acked) {
+    if (!db_->Get(ReadOptions(), key, &got).ok()) ++missing;
+  }
+  EXPECT_EQ(missing, 0u) << "of " << acked.size() << " acknowledged writes";
+  // The reopened DB accepts writes again.
+  EXPECT_TRUE(db_->Put(WriteOptions(), "reopened", "v").ok());
+}
+
+// The txn path follows the same rule: a cross-shard batch whose prepare
+// append failed poisons every participant, and reopen keeps the batch
+// all-or-nothing.
+TEST_F(FaultInjectionTest, FailedTxnAppendPoisonsEveryParticipant) {
+  options_.num_shards = 2;
+  options_.memtable_bytes = 8 << 20;
+  ASSERT_TRUE(DB::Open(options_, dbname_, &db_).ok());
+  std::string keys[2];
+  for (uint32_t shard = 0; shard < 2; ++shard) {
+    for (int i = 0; keys[shard].empty(); ++i) {
+      std::string key = "k" + std::to_string(i);
+      if (ShardedDB::ShardOfKey(key, 2) == shard) keys[shard] = key;
+    }
+  }
+  WriteBatch batch;
+  batch.Put(keys[0], "txn");
+  batch.Put(keys[1], "txn");
+  env_->fail_writes = true;
+  EXPECT_FALSE(db_->Write(WriteOptions(), &batch).ok());
+  env_->fail_writes = false;
+  for (const std::string& key : keys) {
+    EXPECT_FALSE(db_->Put(WriteOptions(), key, "after").ok()) << key;
+  }
+  db_.reset();
+
+  ASSERT_TRUE(DB::Open(options_, dbname_, &db_).ok());
+  std::string got[2];
+  const bool found0 = db_->Get(ReadOptions(), keys[0], &got[0]).ok();
+  const bool found1 = db_->Get(ReadOptions(), keys[1], &got[1]).ok();
+  EXPECT_EQ(found0, found1) << "torn cross-shard batch";
+  if (found0 && found1) {
+    EXPECT_EQ(got[0], "txn");
+    EXPECT_EQ(got[1], "txn");
+  }
+  EXPECT_TRUE(db_->Put(WriteOptions(), keys[0], "reopened").ok());
 }
 
 TEST_F(FaultInjectionTest, SyncFailureSurfacesOnSyncedWrite) {

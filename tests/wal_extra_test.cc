@@ -1,13 +1,25 @@
 // Additional WAL and edge-case coverage: appending to an existing log
-// (writer resumed mid-block), records exactly at block boundaries, and
-// PM-table geometry extremes.
+// (writer resumed mid-block), records exactly at block boundaries, the
+// writer's one-Append-per-call contract and its byte framing, the device
+// writes one commit costs, and PM-table geometry extremes.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <vector>
+
+#include "core/db.h"
+#include "core/sharded_db.h"
 #include "env/env.h"
+#include "env/sim_env.h"
+#include "env/ssd_model.h"
 #include "memtable/wal.h"
+#include "memtable/write_batch.h"
 #include "pm/pm_pool.h"
 #include "pmtable/pm_table_builder.h"
+#include "util/coding.h"
+#include "util/crc32c.h"
 
 namespace pmblade {
 namespace {
@@ -68,6 +80,252 @@ TEST_F(WalExtraTest, ZeroAndOneBytePayloads) {
   ASSERT_EQ(records.size(), 1000u);
   for (int i = 0; i < 1000; ++i) {
     EXPECT_EQ(records[i], i % 2 == 0 ? "" : "x");
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Writer: one Append + one Flush per call, bytes in the documented framing
+// ---------------------------------------------------------------------------
+
+// Keeps every Append in memory and counts Appends and Flushes. A failing
+// Append takes no bytes.
+class CountingFile final : public WritableFile {
+ public:
+  Status Append(const Slice& data) override {
+    if (fail_appends) return Status::IOError("injected append fault");
+    appends.emplace_back(data.data(), data.size());
+    contents.append(data.data(), data.size());
+    return Status::OK();
+  }
+  Status Flush() override {
+    ++flushes;
+    return Status::OK();
+  }
+  Status Sync() override { return Status::OK(); }
+  Status Close() override { return Status::OK(); }
+
+  bool fail_appends = false;
+  std::vector<std::string> appends;
+  int flushes = 0;
+  std::string contents;
+};
+
+// Reads a log image from memory.
+class StringSource final : public SequentialFile {
+ public:
+  explicit StringSource(std::string contents)
+      : contents_(std::move(contents)) {}
+  Status Read(size_t n, Slice* result, char* scratch) override {
+    n = std::min(n, contents_.size() - pos_);
+    std::memcpy(scratch, contents_.data() + pos_, n);
+    pos_ += n;
+    *result = Slice(scratch, n);
+    return Status::OK();
+  }
+  Status Skip(uint64_t n) override {
+    pos_ += std::min<size_t>(n, contents_.size() - pos_);
+    return Status::OK();
+  }
+
+ private:
+  std::string contents_;
+  size_t pos_ = 0;
+};
+
+// One physical record as the format documents it: masked crc32c over the
+// type byte and the payload (4 bytes, little-endian), the payload length
+// (2 bytes, little-endian), the type (1 byte), then the payload.
+std::string Frame(wal::RecordType type, const std::string& payload) {
+  std::string typed(1, static_cast<char>(type));
+  typed += payload;
+  std::string out;
+  PutFixed32(&out, crc32c::Mask(crc32c::Value(typed.data(), typed.size())));
+  out.push_back(static_cast<char>(payload.size() & 0xff));
+  out.push_back(static_cast<char>(payload.size() >> 8));
+  out += typed;
+  return out;
+}
+
+std::vector<std::string> ReplayImage(const std::string& image) {
+  StringSource source(image);
+  wal::Reader reader(&source, nullptr);
+  std::vector<std::string> records;
+  Slice record;
+  std::string scratch;
+  while (reader.ReadRecord(&record, &scratch)) {
+    records.push_back(record.ToString());
+  }
+  return records;
+}
+
+std::string Filler(size_t n, char seed) {
+  std::string s(n, '\0');
+  for (size_t i = 0; i < n; ++i) s[i] = static_cast<char>(seed + i % 61);
+  return s;
+}
+
+TEST(WalWriterTest, SmallRecordIsOneFramedAppend) {
+  CountingFile file;
+  wal::Writer writer(&file);
+  ASSERT_TRUE(writer.AddRecord("abc").ok());
+  ASSERT_EQ(file.appends.size(), 1u);
+  EXPECT_EQ(file.flushes, 1);
+  EXPECT_EQ(file.contents, Frame(wal::kFullType, "abc"));
+  // Header layout spelled out byte by byte: length 3, type kFullType.
+  ASSERT_EQ(file.contents.size(), wal::kHeaderSize + 3);
+  EXPECT_EQ(file.contents[4], 3);
+  EXPECT_EQ(file.contents[5], 0);
+  EXPECT_EQ(file.contents[6], wal::kFullType);
+  EXPECT_EQ(ReplayImage(file.contents), std::vector<std::string>{"abc"});
+}
+
+TEST(WalWriterTest, RecordSpanningBlockBoundaryIsOneAppend) {
+  CountingFile file;
+  wal::Writer writer(&file);
+  const std::string record = Filler(wal::kBlockSize + 100, 'a');
+  ASSERT_TRUE(writer.AddRecord(record).ok());
+  ASSERT_EQ(file.appends.size(), 1u);
+  EXPECT_EQ(file.flushes, 1);
+
+  const size_t first = wal::kBlockSize - wal::kHeaderSize;
+  EXPECT_EQ(file.contents, Frame(wal::kFirstType, record.substr(0, first)) +
+                               Frame(wal::kLastType, record.substr(first)));
+  EXPECT_EQ(ReplayImage(file.contents), std::vector<std::string>{record});
+}
+
+TEST(WalWriterTest, BlockTailPaddingLandsInTheSameAppend) {
+  CountingFile file;
+  wal::Writer writer(&file);
+  // Leaves 3 bytes in the block: too few for a header.
+  const std::string first = Filler(wal::kBlockSize - wal::kHeaderSize - 3, 'p');
+  ASSERT_TRUE(writer.AddRecord(first).ok());
+  ASSERT_TRUE(writer.AddRecord("tail").ok());
+  ASSERT_EQ(file.appends.size(), 2u);
+  EXPECT_EQ(file.flushes, 2);
+  EXPECT_EQ(file.appends[1],
+            std::string(3, '\0') + Frame(wal::kFullType, "tail"));
+  EXPECT_EQ(file.contents.size(), wal::kBlockSize + wal::kHeaderSize + 4);
+  EXPECT_EQ(ReplayImage(file.contents),
+            (std::vector<std::string>{first, "tail"}));
+}
+
+TEST(WalWriterTest, AddRecordsIsOneAppendWithAddRecordBytes) {
+  // x ends at block offset 20007; y spans first, middle and last fragments
+  // and ends at 20028 of the third block; "" ends at 20035; z leaves 3
+  // bytes, so "last" follows zero padding.
+  const std::vector<std::string> records = {
+      Filler(20000, 'x'), Filler(2 * wal::kBlockSize, 'y'), "",
+      Filler(wal::kBlockSize - 20035 - wal::kHeaderSize - 3, 'z'), "last"};
+  std::vector<Slice> slices(records.begin(), records.end());
+
+  CountingFile batched;
+  wal::Writer batched_writer(&batched);
+  ASSERT_TRUE(batched_writer.AddRecords(slices.data(), slices.size()).ok());
+  ASSERT_EQ(batched.appends.size(), 1u);
+  EXPECT_EQ(batched.flushes, 1);
+
+  CountingFile single;
+  wal::Writer single_writer(&single);
+  for (const std::string& r : records) {
+    ASSERT_TRUE(single_writer.AddRecord(r).ok());
+  }
+  EXPECT_EQ(single.appends.size(), records.size());
+  EXPECT_EQ(single.appends.back(),
+            std::string(3, '\0') + Frame(wal::kFullType, "last"));
+  EXPECT_EQ(batched.contents, single.contents);
+  EXPECT_EQ(ReplayImage(batched.contents), records);
+
+  // Both writers ended at the same block offset: the next record frames
+  // identically.
+  ASSERT_TRUE(batched_writer.AddRecord("next").ok());
+  ASSERT_TRUE(single_writer.AddRecord("next").ok());
+  EXPECT_EQ(batched.contents, single.contents);
+  EXPECT_EQ(batched.appends.size(), 2u);
+}
+
+TEST(WalWriterTest, FailedAppendKeepsTheFraming) {
+  CountingFile file;
+  wal::Writer writer(&file);
+  ASSERT_TRUE(writer.AddRecord(Filler(wal::kBlockSize - 100, 'f')).ok());
+  file.fail_appends = true;
+  EXPECT_TRUE(writer.AddRecord(Filler(500, 'g')).IsIOError());
+  EXPECT_EQ(file.flushes, 1);  // no Flush after a failed Append
+  file.fail_appends = false;
+  ASSERT_TRUE(writer.AddRecord(Filler(500, 'h')).ok());
+  EXPECT_EQ(ReplayImage(file.contents),
+            (std::vector<std::string>{Filler(wal::kBlockSize - 100, 'f'),
+                                      Filler(500, 'h')}));
+}
+
+// ---------------------------------------------------------------------------
+// Device writes per commit, counted by the SSD model (no wall clock)
+// ---------------------------------------------------------------------------
+
+class WalDeviceWriteTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dbname_ = ::testing::TempDir() + "pmblade_wal_device_writes";
+    SsdModelOptions mopts;
+    mopts.inject_latency = false;
+    model_.reset(new SsdModel(mopts));
+    env_.reset(new SimEnv(PosixEnv(), model_.get()));
+    options_.env = env_.get();
+    options_.ssd_model = model_.get();
+    options_.memtable_bytes = 8 << 20;  // nothing rotates or flushes
+    options_.pm_pool_capacity = 8 << 20;
+    options_.pm_latency.inject_latency = false;
+    DestroyDB(options_, dbname_);
+  }
+  void TearDown() override {
+    db_.reset();
+    DestroyDB(options_, dbname_);
+  }
+  void Open() { ASSERT_TRUE(DB::Open(options_, dbname_, &db_).ok()); }
+
+  std::string dbname_;
+  std::unique_ptr<SsdModel> model_;
+  std::unique_ptr<SimEnv> env_;
+  Options options_;
+  std::unique_ptr<DB> db_;
+};
+
+TEST_F(WalDeviceWriteTest, PutAndBatchAreOneDeviceWriteEach) {
+  Open();
+  for (int i = 0; i < 10; ++i) {
+    const uint64_t before = model_->writes();
+    ASSERT_TRUE(
+        db_->Put(WriteOptions(), "k" + std::to_string(i), "v").ok());
+    EXPECT_EQ(model_->writes() - before, 1u) << "put " << i;
+  }
+  // A batch larger than a WAL block still lands as one device write.
+  WriteBatch batch;
+  for (int i = 0; i < 200; ++i) {
+    batch.Put("b" + std::to_string(i), std::string(300, 'v'));
+  }
+  const uint64_t before = model_->writes();
+  ASSERT_TRUE(db_->Write(WriteOptions(), &batch).ok());
+  EXPECT_EQ(model_->writes() - before, 1u);
+}
+
+TEST_F(WalDeviceWriteTest, CrossShardBatchIsOneWritePerParticipantPerPhase) {
+  options_.num_shards = 2;
+  Open();
+  for (int round = 0; round < 5; ++round) {
+    WriteBatch batch;
+    for (uint32_t shard = 0; shard < 2; ++shard) {
+      for (int i = 0;; ++i) {
+        std::string key = "r" + std::to_string(round) + "-" +
+                          std::to_string(i);
+        if (ShardedDB::ShardOfKey(key, 2) == shard) {
+          batch.Put(key, "v");
+          break;
+        }
+      }
+    }
+    const uint64_t before = model_->writes();
+    ASSERT_TRUE(db_->Write(WriteOptions(), &batch).ok());
+    // Per participant: one prepare append and one commit append.
+    EXPECT_EQ(model_->writes() - before, 2u * 2u) << "round " << round;
   }
 }
 
