@@ -177,6 +177,14 @@ DBImpl::~DBImpl() {
   // open re-evaluates.
   if (compaction_scheduler_ != nullptr) compaction_scheduler_->Shutdown();
   std::lock_guard<std::mutex> lock(mu_);
+  if (!pending_markers_.empty() && bg_error_.ok()) {
+    // Unsynced, as every marker is: a clean reopen then replays the
+    // commits instead of resolving them. Failure only leaves the txns in
+    // doubt, and they resolve to commit.
+    std::vector<PendingMarker> landed;
+    uint64_t ticket = 0;
+    AppendToWal(nullptr, 0, &landed, &ticket);
+  }
   if (wal_file_ != nullptr) wal_file_->Close();
   if (mem_ != nullptr) mem_->Unref();
   if (imm_ != nullptr) imm_->Unref();
@@ -838,7 +846,9 @@ Status DBImpl::CarryTxnRecordsLocked() {
   // fences (siblings' recovery may still need the commit evidence). The
   // copies in the rotated-out logs die when their flush commits, so the new
   // WAL must hold these durably first — hence the fsync when anything was
-  // carried.
+  // carried. Every committed fence gets its kCommit record here, so the
+  // markers still waiting for an append are carried too.
+  pending_markers_.clear();
   if (txns_.empty()) return Status::OK();
   std::string record;
   for (auto& entry : txns_) {
@@ -959,6 +969,7 @@ Status DBImpl::WriteInternal(const WriteOptions& options, WriterState& w) {
 
     MemTable* mem = mem_;
     bool wal_error = false;
+    std::vector<PendingMarker> landed;  // commit markers this append carried
     {
       // WAL append, ONE fsync for the whole group, Eq. 2 probes and the
       // memtable insert all run outside mu_: readers and queueing writers
@@ -970,9 +981,9 @@ Status DBImpl::WriteInternal(const WriteOptions& options, WriterState& w) {
         // (no-op when the SimEnv already classifies this I/O).
         ScopedExternalIo wal_io(track_client_io_ ? model_ : nullptr,
                                 IoClass::kClient);
-        status = wal_->AddRecord(group->rep());
-        const uint64_t append_ticket =
-            wal_append_ticket_.fetch_add(1, std::memory_order_relaxed) + 1;
+        const Slice rep(group->rep());
+        uint64_t append_ticket = 0;
+        status = AppendToWal(&rep, 1, &landed, &append_ticket);
         PMBLADE_SYNC_POINT("DBImpl::Write:AfterWalAppend");
         if (status.ok() && group_sync) {
           const uint64_t sync_start = clock_->NowNanos();
@@ -1006,6 +1017,8 @@ Status DBImpl::WriteInternal(const WriteOptions& options, WriterState& w) {
       // durability: either way fail every subsequent write rather than
       // acknowledge on a broken log.
       bg_error_ = status;
+    } else {
+      NoteMarkersLandedLocked(landed);
     }
     if (status.ok()) {
       // Publish the group's sequences only now that every entry is in the
@@ -1062,6 +1075,40 @@ void DBImpl::AwaitWakePins(const WriterState& w) {
   // for long; the common case is one load.
   while (w.wake_pins.load(std::memory_order_acquire) != 0) {
     std::this_thread::yield();
+  }
+}
+
+Status DBImpl::AppendToWal(const Slice* records, size_t n,
+                           std::vector<PendingMarker>* landed,
+                           uint64_t* first_ticket) {
+  if (pending_markers_.empty()) {
+    Status s = wal_->AddRecords(records, n);
+    *first_ticket =
+        wal_append_ticket_.fetch_add(n, std::memory_order_relaxed) + 1;
+    return s;
+  }
+  landed->swap(pending_markers_);
+  std::vector<Slice> run;
+  run.reserve(landed->size() + n);
+  for (const PendingMarker& m : *landed) run.emplace_back(m.record);
+  run.insert(run.end(), records, records + n);
+  Status s = wal_->AddRecords(run.data(), run.size());
+  const uint64_t first =
+      wal_append_ticket_.fetch_add(run.size(), std::memory_order_relaxed) + 1;
+  for (size_t i = 0; i < landed->size(); ++i) {
+    (*landed)[i].ticket = first + i;
+    if (s.ok()) PMBLADE_SYNC_POINT("DBImpl::CommitTxn:AfterAppend");
+  }
+  *first_ticket = first + landed->size();
+  return s;
+}
+
+void DBImpl::NoteMarkersLandedLocked(
+    const std::vector<PendingMarker>& landed) {
+  for (const PendingMarker& m : landed) {
+    // A fence stays until its marker is durable, so it is still here.
+    auto it = txns_.find(m.txn_id);
+    if (it != txns_.end()) it->second.marker_ticket = m.ticket;
   }
 }
 
@@ -1198,12 +1245,21 @@ Status DBImpl::TxnGroupWriteLocked(std::unique_lock<std::mutex>& lock,
     }
   }
   const bool leader_validated_out = leader.own_status;
+  // A group of nothing but unsynced commits is memory-only: no device
+  // write, no fsync. Its markers join pending_markers_ and go out with the
+  // next append. Any other group appends every staged record in group
+  // order, after the pending markers.
+  bool memory_only = true;
+  for (const Staged& s : staged) {
+    if (s.w->kind != WriteKind::kTxnCommit || s.w->sync) memory_only = false;
+  }
 
   Status status;
+  std::vector<PendingMarker> landed;  // older markers this append carried
   if (!staged.empty()) {
     bool wal_error = false;
     lock.unlock();
-    {
+    if (!memory_only) {
       ScopedExternalIo wal_io(track_client_io_ ? model_ : nullptr,
                               IoClass::kClient);
       // The whole staged run is one device write; each record still gets
@@ -1211,10 +1267,9 @@ Status DBImpl::TxnGroupWriteLocked(std::unique_lock<std::mutex>& lock,
       std::vector<Slice> records;
       records.reserve(staged.size());
       for (const Staged& s : staged) records.emplace_back(s.record);
-      status = wal_->AddRecords(records.data(), records.size());
-      const uint64_t first_ticket =
-          wal_append_ticket_.fetch_add(staged.size(),
-                                       std::memory_order_relaxed) + 1;
+      uint64_t first_ticket = 0;
+      status = AppendToWal(records.data(), records.size(), &landed,
+                           &first_ticket);
       for (size_t i = 0; i < staged.size(); ++i) {
         staged[i].ticket = first_ticket + i;
         if (status.ok() && staged[i].w->kind == WriteKind::kTxnCommit) {
@@ -1244,6 +1299,12 @@ Status DBImpl::TxnGroupWriteLocked(std::unique_lock<std::mutex>& lock,
         if (!status.ok()) break;
       }
     }
+    if (status.ok() && memory_only) {
+      for (Staged& s : staged) {
+        pending_markers_.push_back({s.w->txn_id, std::move(s.record)});
+        s.ticket = kMarkerPending;
+      }
+    }
     if (status.ok() && events_.active()) {
       for (Staged& s : staged) {
         obs::EventType type = s.w->kind == WriteKind::kTxnPrepare
@@ -1267,6 +1328,8 @@ Status DBImpl::TxnGroupWriteLocked(std::unique_lock<std::mutex>& lock,
       // durability is unknown, so no later write may be acknowledged on
       // this log.
       bg_error_ = status;
+    } else {
+      NoteMarkersLandedLocked(landed);
     }
   }
 
@@ -1296,6 +1359,9 @@ Status DBImpl::TxnGroupWriteLocked(std::unique_lock<std::mutex>& lock,
             it->second.base_seq = s.base_seq;
             it->second.marker_ticket = s.ticket;
           }
+          // The user's bytes count once, when they become visible; the
+          // prepare is not a second write.
+          stats_.AddUserBytes(s.payload.ApproximateSize());
           txn_committed_counter_->Inc();
           break;
         }
@@ -2363,7 +2429,7 @@ Status DBImpl::Get(const ReadOptions& options, const Slice& key,
     // probe everything lock-free. A flush or group commit in flight never
     // blocks a reader past this block.
     std::lock_guard<std::mutex> lock(mu_);
-    snapshot = options.snapshot != 0 ? options.snapshot : last_sequence_;
+    snapshot = ReadSequenceLocked(options.snapshot);
     mem = mem_;
     mem->Ref();
     if (imm_ != nullptr) {
@@ -2514,13 +2580,18 @@ std::vector<Iterator*> DBImpl::CollectInternalIterators() {
 uint64_t DBImpl::GetSnapshot() {
   std::lock_guard<std::mutex> lock(mu_);
   live_snapshots_.insert(last_sequence_);
-  return last_sequence_;
+  return last_sequence_ == 0 ? kEmptySnapshot : last_sequence_;
 }
 
 void DBImpl::ReleaseSnapshot(uint64_t snapshot) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = live_snapshots_.find(snapshot);
+  auto it = live_snapshots_.find(snapshot == kEmptySnapshot ? 0 : snapshot);
   if (it != live_snapshots_.end()) live_snapshots_.erase(it);
+}
+
+SequenceNumber DBImpl::ReadSequenceLocked(uint64_t snapshot) const {
+  if (snapshot == 0) return last_sequence_;
+  return snapshot == kEmptySnapshot ? 0 : snapshot;
 }
 
 // ---------------------------------------------------------------------------

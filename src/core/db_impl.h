@@ -100,11 +100,13 @@ class DBImpl final : public DB {
   // ---- cross-shard two-phase commit (driven by ShardedDB) ----
   // A cross-shard batch is split into per-shard sub-batches; each
   // participating shard gets a kPrepare WAL record (always fsynced) holding
-  // its sub-batch, then a tiny kCommit marker that assigns sequences and
-  // inserts the buffered payload into the memtable. Prepares consume no
-  // sequence numbers and are invisible to readers until committed. Recovery
-  // buffers replayed prepares; the facade resolves in-doubt transactions
-  // across shards at open (see ShardedDB::ResolveInDoubtTxns).
+  // its sub-batch, then a commit that assigns sequences and inserts the
+  // buffered payload into the memtable. An unsynced commit is memory-only:
+  // its tiny kCommit marker goes out with the shard's next WAL append (or
+  // the next rotation, or close). Prepares consume no sequence numbers and
+  // are invisible to readers until committed. Recovery buffers replayed
+  // prepares; the facade resolves in-doubt transactions across shards at
+  // open (see ShardedDB::ResolveInDoubtTxns).
 
   /// What this shard knows about a transaction, for sibling resolution.
   enum class TxnPeerState { kUnknown, kPrepared, kCommitted, kRolledBack };
@@ -118,9 +120,10 @@ class DBImpl final : public DB {
   Status PrepareTxn(const WriteOptions& options, uint64_t txn_id,
                     const std::vector<uint32_t>& participants,
                     WriteBatch* batch);
-  /// Phase 2: append a kCommit marker (fsynced only when options.sync),
-  /// assign sequences, insert the buffered sub-batch into the memtable and
-  /// publish. The entry is retained as a committed fence until ForgetTxn.
+  /// Phase 2: assign sequences, insert the buffered sub-batch into the
+  /// memtable and publish. With options.sync the kCommit marker is appended
+  /// and fsynced at once; otherwise it waits for the next WAL append. The
+  /// entry is retained as a committed fence until ForgetTxn.
   Status CommitTxn(const WriteOptions& options, uint64_t txn_id);
   /// Appends a kRollback marker (fsynced only when options.sync) and drops
   /// the buffered sub-batch. Harmless if the txn was never prepared here.
@@ -129,8 +132,8 @@ class DBImpl final : public DB {
   /// marker replayed).
   std::vector<InDoubtTxn> GetInDoubtTxns();
   TxnPeerState QueryTxn(uint64_t txn_id);
-  /// True once the txn's commit marker is covered by a WAL fsync (or the
-  /// txn is unknown, i.e. already forgotten).
+  /// True once the txn's commit marker is in the WAL and covered by an
+  /// fsync (or the txn is unknown, i.e. already forgotten).
   bool TxnMarkerDurable(uint64_t txn_id);
   /// Drops the committed fence / recovery evidence for `txn_id`. Only safe
   /// once every participant's commit marker is durable.
@@ -206,9 +209,27 @@ class DBImpl final : public DB {
   /// Waits until no leader is still signalling `w`; called before `w`'s
   /// owner returns.
   static void AwaitWakePins(const WriterState& w);
+
+  /// An unsynced commit's kCommit record waiting for the next WAL append.
+  struct PendingMarker {
+    uint64_t txn_id;
+    std::string record;
+    uint64_t ticket = 0;  // set once the marker is appended
+  };
+  /// Leader-only. Appends the pending commit markers and then `records[0,
+  /// n)` with ONE AddRecords call (a single device write), so log order
+  /// stays sequence order. The markers move into *landed with their
+  /// tickets; *first_ticket is the ticket of records[0]. With no marker
+  /// pending this is exactly one plain AddRecords call.
+  Status AppendToWal(const Slice* records, size_t n,
+                     std::vector<PendingMarker>* landed,
+                     uint64_t* first_ticket);
+  /// mu_ held. Gives each landed marker's fence its WAL ticket.
+  void NoteMarkersLandedLocked(const std::vector<PendingMarker>& landed);
   /// Leader-only: executes the leader's txn op plus every txn op queued
   /// directly behind it as ONE commit group — a single WAL append run and
-  /// at most one shared fsync (the txn mirror of BuildBatchGroup). Enters
+  /// at most one shared fsync, or no device write at all when every member
+  /// is an unsynced commit (the txn mirror of BuildBatchGroup). Enters
   /// and leaves with `lock` held; the WAL append / fsync / memtable inserts
   /// run unlocked, like the batch path. Advances `*last_writer` to the last
   /// coalesced member so the caller's wake loop covers the whole group.
@@ -319,6 +340,13 @@ class DBImpl final : public DB {
   LevelShape LevelShapeLocked(uint32_t level) const;
 
   // ---- read path ----
+  /// GetSnapshot's handle for a snapshot at sequence 0 (nothing written
+  /// yet): ReadOptions::snapshot == 0 already means "latest", and no real
+  /// sequence exceeds kMaxSequenceNumber.
+  static constexpr uint64_t kEmptySnapshot = kMaxSequenceNumber + 1;
+  /// mu_ held. The sequence a read at `snapshot` (a GetSnapshot handle, or
+  /// 0 for latest) sees.
+  SequenceNumber ReadSequenceLocked(uint64_t snapshot) const;
   Partition* FindPartition(const Slice& user_key);
   SequenceNumber OldestLiveSnapshot() const;
 
@@ -394,6 +422,9 @@ class DBImpl final : public DB {
     SequenceNumber base_seq = 0;
     uint64_t marker_ticket = 0;  // WAL append ticket of the newest record
   };
+  /// TxnEntry::marker_ticket of a commit whose marker is still in
+  /// pending_markers_: no fsync covers it.
+  static constexpr uint64_t kMarkerPending = ~uint64_t{0};
   std::map<uint64_t, TxnEntry> txns_;
   /// Replay evidence for transactions whose marker survived but whose
   /// buffered payload did not need retention (marker-only commits /
@@ -492,6 +523,15 @@ class DBImpl final : public DB {
   obs::Counter* bloom_check_counter_ = nullptr;
   obs::Counter* bloom_negative_counter_ = nullptr;
   obs::Counter* bloom_fp_counter_ = nullptr;
+
+  /// Encoded markers of unsynced commits (2PC state above), oldest first,
+  /// not yet in the WAL. Leader-only like wal_ (no mu_): the next append
+  /// writes them ahead of its own records, WAL rotation carries them with
+  /// every committed fence, and ~DBImpl appends the rest. Declared last,
+  /// so no other member moves: beside txns_, single-shard ingest_churn
+  /// read 2-4% slower, and so did a build with an unused member there
+  /// (EXPERIMENTS.md).
+  std::vector<PendingMarker> pending_markers_;
 };
 
 }  // namespace pmblade

@@ -204,8 +204,7 @@ Iterator* NewUserIterator(Iterator* internal,
 
 Iterator* DBImpl::NewIterator(const ReadOptions& options) {
   std::lock_guard<std::mutex> lock(mu_);
-  SequenceNumber snapshot =
-      options.snapshot != 0 ? options.snapshot : last_sequence_;
+  const SequenceNumber snapshot = ReadSequenceLocked(options.snapshot);
   Iterator* merged =
       NewMergingIterator(&icmp_, CollectInternalIterators());
   return new DBUserIteratorImpl(merged, &icmp_, snapshot);

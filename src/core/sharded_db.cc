@@ -1,10 +1,12 @@
 #include "core/sharded_db.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 
 #include <condition_variable>
 #include <set>
+#include <thread>
 
 #include "compaction/merging_iterator.h"
 #include "core/properties.h"
@@ -382,11 +384,21 @@ bool ShardedDB::ReadShardMetric(const std::string& name,
 
 Status ShardedDB::Put(const WriteOptions& options, const Slice& key,
                       const Slice& value) {
-  return shards_[Route(key)]->Put(options, key, value);
+  Status s = shards_[Route(key)]->Put(options, key, value);
+  DrainAfterSyncWrite(options);
+  return s;
 }
 
 Status ShardedDB::Delete(const WriteOptions& options, const Slice& key) {
-  return shards_[Route(key)]->Delete(options, key);
+  Status s = shards_[Route(key)]->Delete(options, key);
+  DrainAfterSyncWrite(options);
+  return s;
+}
+
+void ShardedDB::DrainAfterSyncWrite(const WriteOptions& options) {
+  // A synced append carries its shard's pending commit markers and makes
+  // them durable, which may be the last thing a fence waits for.
+  if (options.sync || options_.sync_wal) DrainForgettableTxns();
 }
 
 Status ShardedDB::Write(const WriteOptions& options, WriteBatch* batch) {
@@ -406,7 +418,9 @@ Status ShardedDB::Write(const WriteOptions& options, WriteBatch* batch) {
     // Marker-free fast path: one shard's normal group commit is already
     // atomic + durable on its own, identical to num_shards=1.
     const uint32_t only = participants.front();
-    return shards_[only]->Write(options, &subs[only]);
+    Status s = shards_[only]->Write(options, &subs[only]);
+    DrainAfterSyncWrite(options);
+    return s;
   }
   if (!options_.atomic_cross_shard_batches) {
     return WriteLegacy(options, subs, participants);
@@ -424,19 +438,32 @@ void ShardedDB::RunOnShards(const std::vector<uint32_t>& ids,
   std::mutex mu;
   std::condition_variable cv;
   size_t remaining = ids.size() - 1;
+  // The last task signals after releasing mu, so the woken caller never
+  // blocks on a lock its waker still holds. The caller owns the stack
+  // these live on: the pin, taken under mu before the count reaches zero,
+  // keeps it from returning until the notify is done.
+  std::atomic<int> wake_pin{0};
   for (size_t i = 0; i + 1 < ids.size(); ++i) {
     const uint32_t id = ids[i];
-    fanout_pool_->Submit([&mu, &cv, &remaining, &fn, id] {
+    fanout_pool_->Submit([&mu, &cv, &remaining, &wake_pin, &fn, id] {
       fn(id);
-      // Decrement + notify under the lock: the waiter owns the stack these
-      // live on and must not unblock before the notify completes.
-      std::lock_guard<std::mutex> lock(mu);
-      if (--remaining == 0) cv.notify_one();
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        if (--remaining != 0) return;
+        wake_pin.store(1, std::memory_order_relaxed);
+      }
+      cv.notify_one();
+      wake_pin.store(0, std::memory_order_release);
     });
   }
   fn(ids.back());
-  std::unique_lock<std::mutex> lock(mu);
-  cv.wait(lock, [&remaining] { return remaining == 0; });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&remaining] { return remaining == 0; });
+  }
+  while (wake_pin.load(std::memory_order_acquire) != 0) {
+    std::this_thread::yield();
+  }
 }
 
 Status ShardedDB::WriteLegacy(const WriteOptions& options,
@@ -490,17 +517,19 @@ Status ShardedDB::WriteAtomic(const WriteOptions& options,
     return prepare_status;
   }
 
-  // Phase 2: tiny commit markers, sequence assignment + publish — also in
+  // Phase 2: sequence assignment, memtable insert + publish — also in
   // parallel. No rollback from here on: with every prepare durable the txn
-  // is decided, and a shard that failed its marker will be resolved
+  // is decided, and a shard that failed its commit will be resolved
   // COMMITTED from its still-buffered prepare at the next open.
   //
-  // The markers are deliberately NOT fsynced even for sync writes: the
-  // durable prepares on every participant already decide the txn (a crash
-  // that loses every marker still resolves to commit), so a second fsync
-  // wave here would double the sync cost of a cross-shard batch for no
-  // durability gain. Markers become durable on the next natural sync —
-  // group-commit fsync, WAL rotation — which only delays fence retirement.
+  // The commits are deliberately unsynced even for sync writes, which
+  // makes them memory-only: each shard's kCommit marker goes out with its
+  // next WAL append (or rotation, or close). The durable prepares on every
+  // participant already decide the txn (a crash that loses every marker
+  // still resolves to commit), so neither a marker write nor a second
+  // fsync wave buys durability here. Markers become durable on the next
+  // natural sync — a later prepare, a sync write, WAL rotation — which
+  // only delays fence retirement.
   WriteOptions commit_options = options;
   commit_options.sync = false;
   RunOnShards(participants, [&](uint32_t shard) {

@@ -18,8 +18,9 @@
 //       phase 1  every participant appends + fsyncs a kPrepare record
 //                (global txn id + its sub-batch) — all shards in PARALLEL,
 //                so the batch pays max(shard fsync), not the sum;
-//       phase 2  every participant appends a tiny kCommit marker, assigns
-//                sequences and publishes (fsynced only for sync writes).
+//       phase 2  every participant assigns sequences and publishes in
+//                memory; its tiny kCommit marker goes out with the shard's
+//                next WAL append (or rotation, or close).
 //     Crash recovery buffers replayed prepares instead of applying them;
 //     the facade then resolves every in-doubt txn across the shard WALs
 //     (commit evidence anywhere, or all prepares durable => COMMIT;
@@ -145,8 +146,9 @@ class ShardedDB final : public DB {
   void RunOnShards(const std::vector<uint32_t>& ids,
                    const std::function<void(uint32_t)>& fn);
   /// Two-phase commit of a multi-shard batch: parallel prepare wave
-  /// (always fsynced), then parallel commit markers. On a prepare failure
-  /// every participant gets a rollback marker and the first error returns.
+  /// (always fsynced), then parallel memory-only commits. On a prepare
+  /// failure every participant gets a rollback marker and the first error
+  /// returns.
   Status WriteAtomic(const WriteOptions& options,
                      std::vector<WriteBatch>& subs,
                      const std::vector<uint32_t>& participants);
@@ -164,6 +166,8 @@ class ShardedDB final : public DB {
   /// participant (until then, WAL rotation keeps carrying the evidence a
   /// sibling's recovery might need). Called opportunistically.
   void DrainForgettableTxns();
+  /// DrainForgettableTxns after a single-shard write that was synced.
+  void DrainAfterSyncWrite(const WriteOptions& options);
 
   /// Translates a facade snapshot handle into per-shard ReadOptions for
   /// shard `shard`. Unknown handles return NotFound.

@@ -44,6 +44,12 @@ class DbStatistics {
     writes_.fetch_add(1, std::memory_order_relaxed);
     put_latency_.Add(latency_nanos);
   }
+  /// User bytes that reach the engine without a Write call of their own
+  /// (a cross-shard batch's sub-batch at commit): no write count, no
+  /// latency sample.
+  void AddUserBytes(uint64_t bytes) {
+    user_bytes_written_.fetch_add(bytes, std::memory_order_relaxed);
+  }
   void RecordScan(uint64_t entries, uint64_t latency_nanos) {
     scans_.fetch_add(1, std::memory_order_relaxed);
     scan_entries_.fetch_add(entries, std::memory_order_relaxed);

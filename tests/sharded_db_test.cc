@@ -226,6 +226,72 @@ TEST_F(ShardedDBTest, SnapshotHandleGivesPerShardStableReads) {
   EXPECT_FALSE(bad->status().ok());
 }
 
+TEST_F(ShardedDBTest, SnapshotOfEmptyDbSeesNoLaterWrite) {
+  // A snapshot taken before the first write is a snapshot at sequence 0,
+  // which must not read as "latest" once writes land, on a plain engine
+  // and on a sharded one whose shards are all still empty.
+  for (uint32_t shards : {1u, 2u}) {
+    SCOPED_TRACE("num_shards=" + std::to_string(shards));
+    db_.reset();
+    DestroyDB(options_, dbname_);
+    options_.num_shards = shards;
+    Open();
+    const uint64_t snap = db_->GetSnapshot();
+    ASSERT_TRUE(db_->Put(WriteOptions(), "k", "v").ok());
+
+    ReadOptions at_snap;
+    at_snap.snapshot = snap;
+    std::string value;
+    EXPECT_TRUE(db_->Get(at_snap, "k", &value).IsNotFound()) << value;
+    std::unique_ptr<Iterator> it(db_->NewIterator(at_snap));
+    it->SeekToFirst();
+    EXPECT_FALSE(it->Valid());
+    EXPECT_TRUE(it->status().ok());
+    it.reset();
+    db_->ReleaseSnapshot(snap);
+    EXPECT_EQ(Get("k"), "v");
+  }
+}
+
+TEST_F(ShardedDBTest, CrossShardBatchCountsItsUserBytes) {
+  options_.num_shards = 2;
+  Open();
+  auto user_bytes = [this] {
+    uint64_t bytes = 0;
+    EXPECT_TRUE(db_->GetProperty("pmblade.ssd-user-bytes-written", &bytes));
+    return bytes;
+  };
+  auto key_for = [](uint32_t shard, int salt) {
+    for (int i = 0;; ++i) {
+      std::string key = "u" + std::to_string(salt) + "-" + std::to_string(i);
+      if (ShardedDB::ShardOfKey(key, 2) == shard) return key;
+    }
+  };
+
+  // One cross-shard batch (two sub-batches, each with its own header)...
+  WriteBatch cross;
+  cross.Put(key_for(0, 1), std::string(100, 'a'));
+  cross.Put(key_for(1, 1), std::string(200, 'b'));
+  const uint64_t before_cross = user_bytes();
+  ASSERT_TRUE(db_->Write(WriteOptions(), &cross).ok());
+  const uint64_t cross_bytes = user_bytes() - before_cross;
+
+  // ...counts what the same keys and values cost as single-shard batches.
+  uint64_t single_bytes = 0;
+  for (uint32_t shard = 0; shard < 2; ++shard) {
+    WriteBatch single;
+    single.Put(key_for(shard, 1), std::string(100 * (shard + 1), 'c'));
+    const uint64_t before = user_bytes();
+    ASSERT_TRUE(db_->Write(WriteOptions(), &single).ok());
+    single_bytes += user_bytes() - before;
+  }
+  EXPECT_GT(single_bytes, 300u);
+  EXPECT_EQ(cross_bytes, single_bytes);
+  // The bytes come without a write count: only the two single-shard
+  // batches went through the write path's RecordWrite.
+  EXPECT_EQ(db_->statistics().writes(), 2u);
+}
+
 TEST_F(ShardedDBTest, ReopenRecoversEveryShardsWal) {
   Open();
   std::map<std::string, std::string> model;

@@ -1,7 +1,9 @@
 // Additional WAL and edge-case coverage: appending to an existing log
 // (writer resumed mid-block), records exactly at block boundaries, the
 // writer's one-Append-per-call contract and its byte framing, the device
-// writes one commit costs, and PM-table geometry extremes.
+// writes one commit costs, where a cross-shard commit's marker lands in
+// the WAL (and what a power cut before it lands leaves), and PM-table
+// geometry extremes.
 
 #include <gtest/gtest.h>
 
@@ -11,9 +13,11 @@
 
 #include "core/db.h"
 #include "core/sharded_db.h"
+#include "env/crash_env.h"
 #include "env/env.h"
 #include "env/sim_env.h"
 #include "env/ssd_model.h"
+#include "memtable/txn_record.h"
 #include "memtable/wal.h"
 #include "memtable/write_batch.h"
 #include "pm/pm_pool.h"
@@ -307,9 +311,10 @@ TEST_F(WalDeviceWriteTest, PutAndBatchAreOneDeviceWriteEach) {
   EXPECT_EQ(model_->writes() - before, 1u);
 }
 
-TEST_F(WalDeviceWriteTest, CrossShardBatchIsOneWritePerParticipantPerPhase) {
+TEST_F(WalDeviceWriteTest, CrossShardBatchIsOneWritePerParticipant) {
   options_.num_shards = 2;
   Open();
+  std::string shard0_key;
   for (int round = 0; round < 5; ++round) {
     WriteBatch batch;
     for (uint32_t shard = 0; shard < 2; ++shard) {
@@ -318,15 +323,166 @@ TEST_F(WalDeviceWriteTest, CrossShardBatchIsOneWritePerParticipantPerPhase) {
                           std::to_string(i);
         if (ShardedDB::ShardOfKey(key, 2) == shard) {
           batch.Put(key, "v");
+          if (shard == 0) shard0_key = key;
           break;
         }
       }
     }
     const uint64_t before = model_->writes();
     ASSERT_TRUE(db_->Write(WriteOptions(), &batch).ok());
-    // Per participant: one prepare append and one commit append.
-    EXPECT_EQ(model_->writes() - before, 2u * 2u) << "round " << round;
+    // Per participant: one prepare append, which also carries the previous
+    // round's commit marker. The commit itself writes nothing.
+    EXPECT_EQ(model_->writes() - before, 2u) << "round " << round;
   }
+  // The next write on a participant carries the last marker in its own
+  // append.
+  const uint64_t before = model_->writes();
+  ASSERT_TRUE(db_->Put(WriteOptions(), shard0_key, "w").ok());
+  EXPECT_EQ(model_->writes() - before, 1u);
+}
+
+/// Two shards over a CrashEnv: where a cross-shard commit's kCommit marker
+/// lands, and what a power cut before it lands leaves behind.
+class CommitMarkerTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dbname_ = ::testing::TempDir() + "pmblade_commit_marker";
+    options_.env = &env_;
+    options_.raw_env = &env_;
+    options_.num_shards = 2;
+    options_.memtable_bytes = 8 << 20;  // nothing rotates or flushes
+    options_.pm_pool_capacity = 8 << 20;
+    options_.pm_latency.inject_latency = false;
+    DestroyDB(options_, dbname_);
+  }
+  void TearDown() override {
+    db_.reset();
+    env_.ResetState();
+    DestroyDB(options_, dbname_);
+  }
+  void Open() {
+    db_.reset();
+    Status s = DB::Open(options_, dbname_, &db_);
+    ASSERT_TRUE(s.ok()) << s.ToString();
+  }
+
+  static std::string KeyForShard(uint32_t shard, int salt) {
+    for (int i = 0;; ++i) {
+      std::string key = "m" + std::to_string(salt) + "-" + std::to_string(i);
+      if (ShardedDB::ShardOfKey(key, 2) == shard) return key;
+    }
+  }
+  /// A batch with one key on each shard, all set to `value`.
+  static WriteBatch CrossShardBatch(int salt, const std::string& value) {
+    WriteBatch batch;
+    for (uint32_t shard = 0; shard < 2; ++shard) {
+      batch.Put(KeyForShard(shard, salt), value);
+    }
+    return batch;
+  }
+
+  /// Every record in `shard`'s WAL files, in file-name (= creation) order.
+  std::vector<std::string> WalRecords(uint32_t shard) {
+    const std::string dir = ShardedDB::ShardDirName(dbname_, shard);
+    std::vector<std::string> children;
+    EXPECT_TRUE(PosixEnv()->GetChildren(dir, &children).ok());
+    std::sort(children.begin(), children.end());
+    std::vector<std::string> records;
+    for (const std::string& child : children) {
+      if (child.compare(0, 4, "wal-") != 0) continue;
+      std::unique_ptr<SequentialFile> file;
+      EXPECT_TRUE(PosixEnv()->NewSequentialFile(dir + "/" + child, &file).ok());
+      wal::Reader reader(file.get(), nullptr);
+      Slice record;
+      std::string scratch;
+      while (reader.ReadRecord(&record, &scratch)) {
+        records.push_back(record.ToString());
+      }
+    }
+    return records;
+  }
+
+  uint64_t Property(const std::string& name) {
+    uint64_t value = 0;
+    EXPECT_TRUE(db_->GetProperty(name, &value)) << name;
+    return value;
+  }
+
+  std::string Get(const std::string& key) {
+    std::string value;
+    Status s = db_->Get(ReadOptions(), key, &value);
+    return s.ok() ? value : s.ToString();
+  }
+
+  CrashEnv env_{PosixEnv()};
+  std::string dbname_;
+  Options options_;
+  std::unique_ptr<DB> db_;
+};
+
+TEST_F(CommitMarkerTest, MarkerGoesOutRightBeforeTheShardsNextWrite) {
+  Open();
+  WriteBatch batch = CrossShardBatch(1, "txn");
+  ASSERT_TRUE(db_->Write(WriteOptions(), &batch).ok());
+  const std::string key0 = KeyForShard(0, 1);
+  ASSERT_TRUE(db_->Put(WriteOptions(), key0, "after").ok());
+
+  // Shard 0: prepare, then the marker, then the Put's batch.
+  std::vector<std::string> records = WalRecords(0);
+  ASSERT_EQ(records.size(), 3u);
+  TxnRecord txn;
+  ASSERT_TRUE(DecodeTxnRecord(records[0], &txn).ok());
+  EXPECT_EQ(txn.type, TxnRecordType::kPrepare);
+  ASSERT_TRUE(DecodeTxnRecord(records[1], &txn).ok());
+  EXPECT_EQ(txn.type, TxnRecordType::kCommit);
+  ASSERT_FALSE(IsTxnRecord(records[2]));
+  WriteBatch put;
+  put.SetContentsFrom(records[2]);
+  EXPECT_EQ(put.Sequence(), txn.base_seq + 1);  // log order = sequence order
+
+  // Shard 1 wrote nothing since its prepare; close appends its marker.
+  EXPECT_EQ(WalRecords(1).size(), 1u);
+  db_.reset();
+  records = WalRecords(1);
+  ASSERT_EQ(records.size(), 2u);
+  ASSERT_TRUE(DecodeTxnRecord(records[1], &txn).ok());
+  EXPECT_EQ(txn.type, TxnRecordType::kCommit);
+
+  // A clean reopen replays both commits; nothing is in doubt.
+  Open();
+  EXPECT_EQ(Get(key0), "after");
+  EXPECT_EQ(Get(KeyForShard(1, 1)), "txn");
+  EXPECT_EQ(Property("pmblade.txn-in-doubt"), 0u);
+}
+
+TEST_F(CommitMarkerTest, PowerCutBeforeTheMarkerLandsStillCommits) {
+  Open();
+  WriteBatch batch = CrossShardBatch(2, "kept");
+  ASSERT_TRUE(db_->Write(WriteOptions(), &batch).ok());  // acknowledged
+  env_.PowerCut();  // before any other write: both markers are lost
+  db_.reset();
+  env_.ResetState();
+
+  Open();
+  EXPECT_EQ(Get(KeyForShard(0, 2)), "kept");
+  EXPECT_EQ(Get(KeyForShard(1, 2)), "kept");
+  EXPECT_EQ(Property("pmblade.txn-in-doubt"), 1u);
+  EXPECT_EQ(Property("pmblade.txn-resolved-commit"), 1u);
+}
+
+TEST_F(CommitMarkerTest, FencesRetireOnceEveryMarkerIsSynced) {
+  Open();
+  WriteBatch batch = CrossShardBatch(3, "v");
+  ASSERT_TRUE(db_->Write(WriteOptions(), &batch).ok());
+  // One committed fence per participant, held until its marker is durable.
+  EXPECT_EQ(Property("pmblade.txn-retained"), 2u);
+
+  WriteOptions sync;
+  sync.sync = true;
+  ASSERT_TRUE(db_->Put(sync, KeyForShard(0, 4), "s").ok());
+  EXPECT_EQ(Property("pmblade.txn-retained"), 2u);  // shard 1 still pending
+  ASSERT_TRUE(db_->Put(sync, KeyForShard(1, 4), "s").ok());
+  EXPECT_EQ(Property("pmblade.txn-retained"), 0u);
 }
 
 TEST(PmTableGeometryTest, ExtremeGroupAndPrefixSettings) {
