@@ -18,6 +18,11 @@ namespace pmblade {
 
 namespace {
 
+/// Cross-shard batches of at most this many entries run the commit wave
+/// inline (see WriteAtomic). An MSET sits far below it, a 1000-key bulk
+/// batch far above.
+constexpr size_t kInlineCommitMaxEntries = 64;
+
 /// Splits one WriteBatch into per-shard sub-batches, preserving op order
 /// within each shard (order across shards is immaterial: keyspaces are
 /// disjoint under hash routing).
@@ -517,10 +522,10 @@ Status ShardedDB::WriteAtomic(const WriteOptions& options,
     return prepare_status;
   }
 
-  // Phase 2: sequence assignment, memtable insert + publish — also in
-  // parallel. No rollback from here on: with every prepare durable the txn
-  // is decided, and a shard that failed its commit will be resolved
-  // COMMITTED from its still-buffered prepare at the next open.
+  // Phase 2: sequence assignment, memtable insert + publish. No rollback
+  // from here on: with every prepare durable the txn is decided, and a
+  // shard that failed its commit will be resolved COMMITTED from its
+  // still-buffered prepare at the next open.
   //
   // The commits are deliberately unsynced even for sync writes, which
   // makes them memory-only: each shard's kCommit marker goes out with its
@@ -530,11 +535,23 @@ Status ShardedDB::WriteAtomic(const WriteOptions& options,
   // fsync wave buys durability here. Markers become durable on the next
   // natural sync — a later prepare, a sync write, WAL rotation — which
   // only delays fence retirement.
+  //
+  // Publishing a few keys costs less than the hop to a fan-out thread, so
+  // a small batch commits inline, one participant after another. A large
+  // one (a bulk load) keeps the parallel wave, so its memtable inserts
+  // overlap.
   WriteOptions commit_options = options;
   commit_options.sync = false;
-  RunOnShards(participants, [&](uint32_t shard) {
+  auto commit = [&](uint32_t shard) {
     statuses[shard] = shards_[shard]->CommitTxn(commit_options, txn_id);
-  });
+  };
+  size_t entries = 0;
+  for (uint32_t shard : participants) entries += subs[shard].Count();
+  if (entries <= kInlineCommitMaxEntries) {
+    for (uint32_t shard : participants) commit(shard);
+  } else {
+    RunOnShards(participants, commit);
+  }
   Status result;
   for (uint32_t shard : participants) {
     if (result.ok() && !statuses[shard].ok()) result = statuses[shard];

@@ -51,6 +51,10 @@ void ServerMetrics::Register(obs::MetricsRegistry* registry) {
   read_pauses = registry->GetCounter("pmblade.server.read_pauses");
   output_backlog = registry->GetGauge("pmblade.server.output_backlog_bytes");
   command_nanos = registry->GetHistogram("pmblade.server.command_nanos");
+  poll_nanos = registry->GetCounter("pmblade.server.poll_nanos");
+  poll_hits = registry->GetCounter("pmblade.server.poll_hits");
+  poll_misses = registry->GetCounter("pmblade.server.poll_misses");
+  poll_backoffs = registry->GetCounter("pmblade.server.poll_backoffs");
   per_command.resize(static_cast<size_t>(CommandId::kUnknown) + 1);
   for (size_t i = 0; i < per_command.size(); ++i) {
     per_command[i] = registry->GetCounter(

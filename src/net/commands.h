@@ -72,6 +72,11 @@ struct ServerMetrics {
   obs::Counter* read_pauses = nullptr;    // output-cap backpressure events
   obs::Gauge* output_backlog = nullptr;   // bytes queued to clients
   obs::HistogramMetric* command_nanos = nullptr;
+  // Workers' pre-block polls (see server.h "Threading model").
+  obs::Counter* poll_nanos = nullptr;     // wall time spent polling
+  obs::Counter* poll_hits = nullptr;      // polls that found an event
+  obs::Counter* poll_misses = nullptr;    // polls that timed out empty
+  obs::Counter* poll_backoffs = nullptr;  // polls that were preempted
 
   // Per-command counters, indexed by CommandId.
   std::vector<obs::Counter*> per_command;

@@ -5,9 +5,11 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <sched.h>
 #include <string.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -29,6 +31,27 @@ Status Errno(const std::string& what) {
 void SetNonBlocking(int fd) {
   int flags = fcntl(fd, F_GETFL, 0);
   if (flags >= 0) fcntl(fd, F_SETFL, flags | O_NONBLOCK);
+}
+
+// Pre-block poll (see server.h "Threading model"): how long a worker that
+// just served a request polls before it blocks, and how long it holds off
+// after the scheduler took the CPU away from a poll.
+constexpr uint64_t kPollWindowNanos = 25'000;
+constexpr uint64_t kPollBackoffNanos = 2'000'000;
+
+/// Whether the calling thread may run on more than one CPU.
+bool MayUseSeveralCpus() {
+  cpu_set_t cpus;
+  CPU_ZERO(&cpus);
+  if (sched_getaffinity(0, sizeof(cpus), &cpus) != 0) return true;
+  return CPU_COUNT(&cpus) > 1;
+}
+
+/// Times the calling thread was preempted (involuntary context switches).
+long InvoluntarySwitches() {
+  rusage usage;
+  if (getrusage(RUSAGE_THREAD, &usage) != 0) return 0;
+  return usage.ru_nivcsw;
 }
 
 }  // namespace
@@ -111,12 +134,18 @@ class Server::Worker {
     const uint64_t drain_deadline_slack =
         server_->options_.drain_timeout_millis * 1000000ull;
     uint64_t drain_deadline = 0;
+    // Confined to one CPU, a worker never polls: the client that sends the
+    // next request may be waiting for that same CPU, and a poll that misses
+    // would hold it for a whole window.
+    const bool may_poll = MayUseSeveralCpus();
 
     while (true) {
       const bool draining = draining_.load(std::memory_order_acquire);
-      int timeout_ms = draining ? 20 : -1;
-      int n = epoll_wait(epoll_fd_, events, 64, timeout_ms);
+      int n = 0;
+      if (poll_armed_ && !draining) n = PollBeforeBlocking(events, 64);
+      if (n == 0) n = epoll_wait(epoll_fd_, events, 64, draining ? 20 : -1);
       if (n < 0 && errno != EINTR) break;
+      served_ = false;
 
       for (int i = 0; i < n; ++i) {
         const int fd = events[i].data.fd;
@@ -152,6 +181,7 @@ class Server::Worker {
       }
       for (int fd : adopted) Adopt(fd);
       ReapClosed();
+      poll_armed_ = served_ && may_poll;
 
       if (draining) {
         if (drain_deadline == 0) {
@@ -189,6 +219,33 @@ class Server::Worker {
       if (conn.fd >= 0) Close(conn);
     }
     ReapClosed();
+  }
+
+  /// Polls the epoll set without blocking for up to one window, so the
+  /// next request of a busy connection is picked up without the wake-up
+  /// cost of a blocked epoll_wait. Returns the ready count; 0 on a miss, or
+  /// without polling while backing off after a preempted poll.
+  int PollBeforeBlocking(epoll_event* events, int max_events) {
+    Clock* clock = SystemClock();  // real time even under a test clock
+    const uint64_t start = clock->NowNanos();
+    if (start < backoff_until_) return 0;
+    const long preempted_before = InvoluntarySwitches();
+    int n = 0;
+    uint64_t now = start;
+    do {
+      n = epoll_wait(epoll_fd_, events, max_events, 0);
+      now = clock->NowNanos();
+    } while (n == 0 && now - start < kPollWindowNanos);
+    ServerMetrics& m = server_->metrics_;
+    m.poll_nanos->Inc(now - start);
+    (n > 0 ? m.poll_hits : m.poll_misses)->Inc();
+    // Another thread wanted this CPU while we spun: let it have the CPU
+    // for a while rather than compete with it.
+    if (InvoluntarySwitches() != preempted_before) {
+      m.poll_backoffs->Inc();
+      backoff_until_ = now + kPollBackoffNanos;
+    }
+    return n;
   }
 
   void Adopt(int fd) {
@@ -321,6 +378,7 @@ class Server::Worker {
       const size_t before = conn.out.size();
       CommandHandler::Result res =
           server_->handler_->Execute(value, &conn.session, &conn.out);
+      served_ = true;
       server_->metrics_.output_backlog->Add(
           static_cast<int64_t>(conn.out.size() - before));
       if (res.shutdown_server) server_->RequestShutdown();
@@ -394,6 +452,11 @@ class Server::Worker {
 
   std::unordered_map<int, Connection> conns_;
   std::vector<int> dead_;  // closed this cycle, awaiting ReapClosed()
+
+  // Pre-block poll state; worker thread only.
+  bool served_ = false;       // this loop pass executed a command
+  bool poll_armed_ = false;   // the last pass served: poll before blocking
+  uint64_t backoff_until_ = 0;  // SystemClock nanos; no polls before it
 };
 
 Server::Server(const ServerOptions& options, DB* db)

@@ -8,6 +8,18 @@
 //     naturally — every complete frame in the buffer is dispatched before
 //     the next epoll_wait) -> CommandHandler -> buffered write. Replies to
 //     one connection are therefore strictly ordered by request order.
+//   * Pre-block poll: after a loop pass that served a command, the worker
+//     polls epoll_wait(..., 0) for up to 25 us before it blocks, since the
+//     wake-up of a blocked epoll_wait is most of a small request's server
+//     cost and a busy connection's next request usually lands within that
+//     window. A poll that finds nothing disarms polling until the next
+//     served command, so an idle server never spins. If the thread was
+//     preempted during a poll (its involuntary context switches rose),
+//     another thread wanted the CPU, and polling holds off for 2 ms. A
+//     worker whose affinity allows one CPU only never polls. The rule uses
+//     only what the worker itself observes; there is no knob.
+//     "pmblade.server.poll_{nanos,hits,misses,backoffs}" show the CPU it
+//     burns and how often it pays.
 //   * Engine calls run ON the worker thread and may block (group commit
 //     sleeps in slowdown/stall). That is deliberate — the engine's
 //     backpressure must reach the client — but bounded: admission control

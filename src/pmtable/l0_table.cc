@@ -38,6 +38,30 @@ void L0Table::BuildFilter(const BloomFilterPolicy* policy) {
   InstallFilter(policy, std::move(filter));
 }
 
+Status L0Table::Get(const InternalKeyComparator& icmp, const LookupKey& lkey,
+                    std::string* value, GetResult* result) const {
+  *result = GetResult::kAbsent;
+  std::unique_ptr<Iterator> it(NewIterator());
+  it->Seek(lkey.internal_key());
+  if (!it->Valid()) return it->status();
+
+  ParsedInternalKey parsed;
+  if (!ParseInternalKey(it->key(), &parsed)) {
+    return Status::Corruption("l0 table: malformed internal key");
+  }
+  if (icmp.user_comparator()->Compare(parsed.user_key, lkey.user_key()) !=
+      0) {
+    return it->status();  // different user key: not present here
+  }
+  if (parsed.type == kTypeDeletion) {
+    *result = GetResult::kDeletion;
+  } else {
+    *result = GetResult::kValue;
+    value->assign(it->value().data(), it->value().size());
+  }
+  return it->status();
+}
+
 Status L0TableGet(const L0Table& table, const InternalKeyComparator& icmp,
                   const LookupKey& lkey, std::string* value, bool* found,
                   Status* result_status, ReadProbeStats* probe) {
@@ -53,37 +77,28 @@ Status L0TableGet(const L0Table& table, const InternalKeyComparator& icmp,
 
   // Bloom rejection before any PM scan or SSD block read.
   const bool filtered = table.HasFilter();
-  if (filtered) {
-    if (probe != nullptr) ++probe->bloom_checks;
-    if (!table.MayContain(lkey)) {
+  if (filtered && probe != nullptr) ++probe->bloom_checks;
+  L0Table::GetResult result = L0Table::GetResult::kFiltered;
+  Status s;
+  if (table.MayContain(lkey)) s = table.Get(icmp, lkey, value, &result);
+
+  switch (result) {
+    case L0Table::GetResult::kFiltered:
       if (probe != nullptr) ++probe->bloom_negatives;
-      return Status::OK();
-    }
+      break;
+    case L0Table::GetResult::kAbsent:
+      if (filtered && probe != nullptr) ++probe->bloom_false_positives;
+      break;
+    case L0Table::GetResult::kValue:
+      *found = true;
+      *result_status = Status::OK();
+      break;
+    case L0Table::GetResult::kDeletion:
+      *found = true;
+      *result_status = Status::NotFound();
+      break;
   }
-
-  std::unique_ptr<Iterator> it(table.NewIterator());
-  it->Seek(lkey.internal_key());
-  if (!it->Valid()) {
-    if (filtered && probe != nullptr) ++probe->bloom_false_positives;
-    return it->status();
-  }
-
-  ParsedInternalKey parsed;
-  if (!ParseInternalKey(it->key(), &parsed)) {
-    return Status::Corruption("l0 table: malformed internal key");
-  }
-  if (ucmp->Compare(parsed.user_key, lkey.user_key()) != 0) {
-    if (filtered && probe != nullptr) ++probe->bloom_false_positives;
-    return it->status();  // different user key: not present here
-  }
-  *found = true;
-  if (parsed.type == kTypeDeletion) {
-    *result_status = Status::NotFound();
-  } else {
-    value->assign(it->value().data(), it->value().size());
-    *result_status = Status::OK();
-  }
-  return it->status();
+  return s;
 }
 
 }  // namespace pmblade

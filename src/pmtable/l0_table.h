@@ -16,8 +16,9 @@
 // L0TableGet before any PM scan or SSD block read. PM layouts hold a
 // DRAM-resident whole-table filter (built at flush/compaction time by the
 // L0TableFactory, rebuilt by a table scan on recovery — the PM media format
-// is unchanged); SsdL0Table overrides MayContain with the SSTable's own
-// per-block filter. One BloomFilterPolicy implementation serves both.
+// is unchanged); SsdL0Table probes the SSTable's own per-block filter inside
+// its point lookup, on the same index seek that finds the data block. One
+// BloomFilterPolicy implementation serves both.
 
 #ifndef PMBLADE_PMTABLE_L0_TABLE_H_
 #define PMBLADE_PMTABLE_L0_TABLE_H_
@@ -63,6 +64,24 @@ class L0Table {
   /// means newer data and must be consulted first.
   virtual uint64_t id() const = 0;
 
+  /// How a point lookup ended.
+  enum class GetResult {
+    kFiltered,  // the table's own filter ruled the key out
+    kAbsent,    // no version of the key at or below the snapshot
+    kValue,     // newest visible version is a value, copied to *value
+    kDeletion,  // newest visible version is a tombstone
+  };
+
+  /// Point lookup of `lkey`'s user key at its snapshot: the first entry at
+  /// or after lkey.internal_key(), if it has the same user key. L0TableGet
+  /// calls it after the key-range and DRAM-filter checks. The default seeks
+  /// a NewIterator(); PmTable walks one group's entry headers without an
+  /// iterator, and SsdL0Table folds its per-block filter probe into the
+  /// index seek (so only it answers kFiltered). *value is written only on
+  /// kValue.
+  virtual Status Get(const InternalKeyComparator& icmp, const LookupKey& lkey,
+                     std::string* value, GetResult* result) const;
+
   /// Marks the underlying storage (PM object or SSD file) for release.
   /// Called once, when the table leaves the version. The actual free is
   /// deferred to the destructor, i.e. until the last L0TableRef drops, so
@@ -72,14 +91,14 @@ class L0Table {
 
   // ---- bloom filter (read-path acceleration) ----
 
-  /// Whether a filter is attached; when false, MayContain is vacuously true
-  /// and probes should not be counted as bloom checks.
+  /// Whether a filter is attached (the DRAM one, or for SSTables the one
+  /// Get probes); when false, probes are not counted as bloom checks.
   virtual bool HasFilter() const { return !filter_.empty(); }
 
-  /// Probes the filter with `lkey`'s user key. May return false positives,
-  /// never false negatives for keys in the table. Filterless tables return
-  /// true.
-  virtual bool MayContain(const LookupKey& lkey) const;
+  /// Probes the DRAM-resident filter with `lkey`'s user key. May return
+  /// false positives, never false negatives for keys in the table. Tables
+  /// without a DRAM filter (SSTables included) return true.
+  bool MayContain(const LookupKey& lkey) const;
 
   /// Attaches a DRAM-resident whole-table filter produced by
   /// `policy->CreateFilter` over the table's user keys. Must be called
@@ -119,12 +138,13 @@ struct ReadProbeStats {
   }
 };
 
-/// Generic point lookup over any L0Table. Searches for `lkey`'s user key at
-/// its snapshot; on a value hit fills *value and returns found=true/OK; on a
+/// Point lookup over any L0Table. Searches for `lkey`'s user key at its
+/// snapshot; on a value hit fills *value and returns found=true/OK; on a
 /// tombstone returns found=true and NotFound status via *result_status.
-/// Consults the table's bloom filter (if any) after the range rejection and
-/// before opening an iterator; `probe` (optional) accumulates the filter
-/// accounting.
+/// Rejects on the cached key range, then on the DRAM filter, then calls the
+/// table's virtual Get (which may consult a filter of its own); `probe`
+/// (optional) accumulates the filter accounting, identical whichever of the
+/// two filters answered.
 Status L0TableGet(const L0Table& table, const InternalKeyComparator& icmp,
                   const LookupKey& lkey, std::string* value, bool* found,
                   Status* result_status, ReadProbeStats* probe = nullptr);

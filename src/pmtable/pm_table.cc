@@ -125,6 +125,141 @@ Status PmTable::Validate() {
   return Status::OK();
 }
 
+namespace {
+
+// Internal-key order over the bytewise user keys PM tables hold: user key
+// ascending, tag descending.
+int CompareInternal(const Slice& a, const Slice& b) {
+  int r = ExtractUserKey(a).compare(ExtractUserKey(b));
+  if (r != 0) return r;
+  uint64_t atag = ExtractTag(a), btag = ExtractTag(b);
+  if (atag > btag) return -1;
+  if (atag < btag) return +1;
+  return 0;
+}
+
+}  // namespace
+
+bool PmTable::DecodeGroupFirstKey(uint32_t g, std::string* out) const {
+  const char* ge = group_index_ + uint64_t{g} * kGroupIndexEntrySize;
+  uint32_t entry_off = DecodeFixed32(ge);
+  uint32_t meta_id = DecodeFixed32(ge + 8);
+  uint32_t common_len = DecodeFixed32(ge + 12);
+  const char* slot = prefix_layer_ + uint64_t{g} * prefix_width_;
+  Slice meta = metas_[meta_id];
+
+  const char* p = entry_layer_ + entry_off;
+  uint32_t suffix_len = 0, value_len = 0;
+  p = GetVarint32Ptr(p, limit_, &suffix_len);
+  if (p == nullptr) return false;
+  p = GetVarint32Ptr(p, limit_, &value_len);
+  if (p == nullptr || p + suffix_len > limit_) return false;
+  out->clear();
+  out->append(meta.data(), meta.size());
+  out->append(slot, common_len);
+  out->append(p, suffix_len);
+  return out->size() >= 8;  // an internal key ends in its 8-byte tag
+}
+
+bool PmTable::FindGroup(const Slice& target, std::string* scratch,
+                        uint32_t* group) const {
+  // Full-key comparison keeps internal-key order exact regardless of slot
+  // truncation ties. Upper bound: first group whose first key > target.
+  uint32_t probes = 0;
+  uint32_t lo = 0, hi = num_groups_;
+  while (lo < hi) {
+    uint32_t mid = (lo + hi) / 2;
+    ++probes;
+    if (!DecodeGroupFirstKey(mid, scratch)) return false;
+    if (CompareInternal(Slice(*scratch), target) > 0) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  pool_->InjectRead(probes * (prefix_width_ + 16), probes);
+  *group = (lo > 0) ? lo - 1 : 0;
+  return true;
+}
+
+Status PmTable::Get(const InternalKeyComparator& /*icmp*/,
+                    const LookupKey& lkey, std::string* value,
+                    GetResult* result) const {
+  *result = GetResult::kAbsent;
+  if (num_groups_ == 0) return Status::OK();
+  // One reconstruction buffer per thread: after the first few lookups it
+  // has the capacity of the longest key, and nothing here allocates.
+  thread_local std::string key;
+  const Slice target = lkey.internal_key();
+  uint32_t g = 0;
+  if (!FindGroup(target, &key, &g)) {
+    return Status::Corruption("pm table: bad entry encoding");
+  }
+  // The first key >= target is in group g, or is group g+1's first key when
+  // every entry of g sorts before it (one key's versions straddling the
+  // boundary); the loop runs at most twice.
+  for (; g < num_groups_; ++g) {
+    const char* ge = group_index_ + uint64_t{g} * kGroupIndexEntrySize;
+    uint32_t entry_off = DecodeFixed32(ge);
+    uint32_t count = DecodeFixed32(ge + 4);
+    uint32_t meta_id = DecodeFixed32(ge + 8);
+    uint32_t common_len = DecodeFixed32(ge + 12);
+    const char* slot = prefix_layer_ + uint64_t{g} * prefix_width_;
+    Slice meta = metas_[meta_id];
+    key.assign(meta.data(), meta.size());
+    key.append(slot, common_len);
+    const size_t shared = key.size();
+
+    // Bytes of the headers and suffixes walked so far; values of entries
+    // walked past are skipped, not read.
+    size_t walked = 0;
+    const char* p = entry_layer_ + entry_off;
+    for (uint32_t i = 0; i < count; ++i) {
+      const char* entry = p;
+      uint32_t suffix_len = 0, value_len = 0;
+      p = GetVarint32Ptr(p, limit_, &suffix_len);
+      if (p == nullptr) {
+        return Status::Corruption("pm table: bad entry encoding");
+      }
+      p = GetVarint32Ptr(p, limit_, &value_len);
+      if (p == nullptr || p + suffix_len + value_len > limit_) {
+        return Status::Corruption("pm table: bad entry encoding");
+      }
+      key.resize(shared);
+      key.append(p, suffix_len);
+      p += suffix_len;
+      walked += static_cast<size_t>(p - entry);
+      if (key.size() < 8) {
+        pool_->InjectRead(walked, 1);
+        return Status::Corruption("pm table: bad entry encoding");
+      }
+      if (CompareInternal(Slice(key), target) < 0) {
+        p += value_len;
+        continue;
+      }
+      ParsedInternalKey parsed;
+      if (!ParseInternalKey(Slice(key), &parsed)) {
+        pool_->InjectRead(walked, 1);
+        return Status::Corruption("pm table: malformed internal key");
+      }
+      if (parsed.user_key != lkey.user_key()) {
+        pool_->InjectRead(walked, 1);
+        return Status::OK();
+      }
+      pool_->InjectRead(walked + value_len, 1);
+      if (parsed.type == kTypeDeletion) {
+        *result = GetResult::kDeletion;
+      } else {
+        *result = GetResult::kValue;
+        value->assign(p, value_len);
+      }
+      return Status::OK();
+    }
+    pool_->InjectRead(walked, 1);
+  }
+  return Status::OK();
+}
+
 // ---------------------------------------------------------------------------
 // Iterator
 // ---------------------------------------------------------------------------
@@ -144,8 +279,7 @@ class PmTableIter final : public Iterator {
       group_ = t_->num_groups_;
       return;
     }
-    LoadGroup(0);
-    PositionAt(0);
+    if (LoadGroup(0)) PositionAt(0);
   }
 
   void SeekToLast() override {
@@ -153,40 +287,24 @@ class PmTableIter final : public Iterator {
       group_ = t_->num_groups_;
       return;
     }
-    LoadGroup(t_->num_groups_ - 1);
-    PositionAt(static_cast<int>(entry_count_) - 1);
+    if (LoadGroup(t_->num_groups_ - 1)) {
+      PositionAt(static_cast<int>(entry_count_) - 1);
+    }
   }
 
   void Seek(const Slice& target) override {
-    // Binary search on group first keys. Each probe reconstructs one first
-    // key from the prefix slot + the group's first entry header — a single
-    // dependent PM access (the prefix layer's selling point: one access per
-    // probe vs two for the array layout). Full-key comparison keeps
-    // internal-key order exact regardless of slot truncation ties.
     if (t_->num_groups_ == 0) {
       group_ = t_->num_groups_;
       return;
     }
-    uint32_t probes = 0;
-    std::string first_key;
-    // Upper bound: first group whose first key > target.
-    uint32_t lo = 0, hi = t_->num_groups_;
-    while (lo < hi) {
-      uint32_t mid = (lo + hi) / 2;
-      ++probes;
-      if (!DecodeGroupFirstKey(mid, &first_key)) return;
-      if (Compare(Slice(first_key), target) > 0) {
-        hi = mid;
-      } else {
-        lo = mid + 1;
-      }
+    uint32_t candidate = 0;
+    if (!t_->FindGroup(target, &key_buf_, &candidate)) {
+      Corrupt();
+      return;
     }
-    t_->pool_->InjectRead(probes * (t_->prefix_width_ + 16), probes);
-
-    uint32_t candidate = (lo > 0) ? lo - 1 : 0;
-    LoadGroup(candidate);
+    if (!LoadGroup(candidate)) return;
     for (size_t i = 0; i < entry_count_; ++i) {
-      if (Compare(EntryKey(i), target) >= 0) {
+      if (CompareInternal(EntryKey(i), target) >= 0) {
         PositionAt(static_cast<int>(i));
         return;
       }
@@ -194,8 +312,7 @@ class PmTableIter final : public Iterator {
     // Every entry of the candidate group < target: the answer is the first
     // entry of the next group (its first key > target by the search above).
     if (candidate + 1 < t_->num_groups_) {
-      LoadGroup(candidate + 1);
-      PositionAt(0);
+      if (LoadGroup(candidate + 1)) PositionAt(0);
     } else {
       group_ = t_->num_groups_;
     }
@@ -210,8 +327,7 @@ class PmTableIter final : public Iterator {
       group_ = t_->num_groups_;
       return;
     }
-    LoadGroup(group_ + 1);
-    PositionAt(0);
+    if (LoadGroup(group_ + 1)) PositionAt(0);
   }
 
   void Prev() override {
@@ -223,8 +339,9 @@ class PmTableIter final : public Iterator {
       group_ = t_->num_groups_;
       return;
     }
-    LoadGroup(group_ - 1);
-    PositionAt(static_cast<int>(entry_count_) - 1);
+    if (LoadGroup(group_ - 1)) {
+      PositionAt(static_cast<int>(entry_count_) - 1);
+    }
   }
 
  private:
@@ -242,49 +359,13 @@ class PmTableIter final : public Iterator {
                  entries_[i].key_len);
   }
 
-  int Compare(const Slice& a, const Slice& b) const {
-    // Internal-key order: user key ascending, tag descending.
-    int r = ExtractUserKey(a).compare(ExtractUserKey(b));
-    if (r != 0) return r;
-    uint64_t atag = ExtractTag(a), btag = ExtractTag(b);
-    if (atag > btag) return -1;
-    if (atag < btag) return +1;
-    return 0;
-  }
-
-  /// Reconstructs group `g`'s first full key without decoding the whole
-  /// group: meta ++ slot[0:common_len] ++ first entry's suffix.
-  bool DecodeGroupFirstKey(uint32_t g, std::string* out) {
-    const char* ge = t_->group_index_ + uint64_t{g} * 16;
-    uint32_t entry_off = DecodeFixed32(ge);
-    uint32_t meta_id = DecodeFixed32(ge + 8);
-    uint32_t common_len = DecodeFixed32(ge + 12);
-    const char* slot = t_->prefix_layer_ + uint64_t{g} * t_->prefix_width_;
-    Slice meta = t_->metas_[meta_id];
-
-    const char* p = t_->entry_layer_ + entry_off;
-    uint32_t suffix_len = 0, value_len = 0;
-    p = GetVarint32Ptr(p, t_->limit_, &suffix_len);
-    if (p == nullptr) { Corrupt(); return false; }
-    p = GetVarint32Ptr(p, t_->limit_, &value_len);
-    if (p == nullptr || p + suffix_len > t_->limit_) {
-      Corrupt();
-      return false;
-    }
-    out->clear();
-    out->reserve(meta.size() + common_len + suffix_len);
-    out->append(meta.data(), meta.size());
-    out->append(slot, common_len);
-    out->append(p, suffix_len);
-    return true;
-  }
-
   /// Decodes all entries of group `g` into the flat key buffer + entry
   /// refs. Allocation-free once the buffers are warm. Injects the PM read
-  /// cost of the group scan.
-  void LoadGroup(uint32_t g) {
+  /// cost of the group scan. False (and the iterator invalid with a
+  /// Corruption status) on a malformed entry.
+  bool LoadGroup(uint32_t g) {
     group_ = g;
-    const char* ge = t_->group_index_ + uint64_t{g} * 16;
+    const char* ge = t_->group_index_ + uint64_t{g} * kGroupIndexEntrySize;
     uint32_t entry_off = DecodeFixed32(ge);
     uint32_t count = DecodeFixed32(ge + 4);
     uint32_t meta_id = DecodeFixed32(ge + 8);
@@ -301,11 +382,10 @@ class PmTableIter final : public Iterator {
     for (uint32_t i = 0; i < count; ++i) {
       uint32_t suffix_len = 0, value_len = 0;
       p = GetVarint32Ptr(p, t_->limit_, &suffix_len);
-      if (p == nullptr) { Corrupt(); return; }
+      if (p == nullptr) return Corrupt();
       p = GetVarint32Ptr(p, t_->limit_, &value_len);
       if (p == nullptr || p + suffix_len + value_len > t_->limit_) {
-        Corrupt();
-        return;
+        return Corrupt();
       }
       EntryRef& e = entries_[i];
       e.key_offset = static_cast<uint32_t>(key_buf_.size());
@@ -319,6 +399,7 @@ class PmTableIter final : public Iterator {
     }
     // One sequential PM access covering the group's bytes.
     t_->pool_->InjectRead(static_cast<size_t>(p - start), 1);
+    return true;
   }
 
   void PositionAt(int i) {
@@ -327,10 +408,11 @@ class PmTableIter final : public Iterator {
     value_ = entries_[i].value;
   }
 
-  void Corrupt() {
+  bool Corrupt() {
     status_ = Status::Corruption("pm table: bad entry encoding");
     group_ = t_->num_groups_;
     entry_count_ = 0;
+    return false;
   }
 
   std::shared_ptr<const PmTable> t_;

@@ -18,9 +18,12 @@
 // Groups hold up to `group_size` entries (8 or 16) and never straddle a meta
 // boundary, so slot order within one meta range equals full-key order.
 //
-// Point lookup (the paper's read path): binary-search the metas, then the
-// prefix slots of that meta's group range (one PM access per probe — the
-// array layout needs two), then sequentially scan <= group_size entries.
+// Point lookup (the paper's read path): binary-search the group first keys
+// (prefix slot + first entry header: one PM access per probe — the array
+// layout needs two), then walk the candidate group's entry headers and
+// suffixes, skipping values, until the first key >= the target; only that
+// entry's value is read. Get does this without an iterator; Seek shares the
+// same group search but decodes the whole group for stepping.
 
 #ifndef PMBLADE_PMTABLE_PM_TABLE_H_
 #define PMBLADE_PMTABLE_PM_TABLE_H_
@@ -49,6 +52,12 @@ class PmTable : public L0Table,
                      std::shared_ptr<PmTable>* table);
 
   Iterator* NewIterator() const override;
+  /// Iterator-free point lookup (see the file comment). Charges the PM pool
+  /// probes*(prefix_width+16) bytes for the group search, then one access
+  /// for the walked headers and suffixes plus the matched value. Allocates
+  /// nothing once the calling thread's key buffer is warm.
+  Status Get(const InternalKeyComparator& icmp, const LookupKey& lkey,
+             std::string* value, GetResult* result) const override;
   uint64_t num_entries() const override { return num_entries_; }
   uint64_t size_bytes() const override { return size_bytes_; }
   Slice smallest() const override { return smallest_; }
@@ -70,6 +79,19 @@ class PmTable : public L0Table,
   PmTable() = default;
 
   Status Validate();
+
+  /// Reconstructs group `g`'s first full key into *out without decoding the
+  /// rest of the group: meta ++ slot[0:common_len] ++ first entry's suffix.
+  /// False on a malformed entry header.
+  bool DecodeGroupFirstKey(uint32_t g, std::string* out) const;
+
+  /// Binary search on the group first keys for the last group whose first
+  /// key <= target (group 0 when target precedes them all); the first entry
+  /// >= target is in that group or is the next group's first. Charges the
+  /// probes' PM reads. `scratch` holds the probed keys. False on a malformed
+  /// entry header.
+  bool FindGroup(const Slice& target, std::string* scratch,
+                 uint32_t* group) const;
 
   // Decoded layout pointers (into the pool mapping).
   const char* base_ = nullptr;

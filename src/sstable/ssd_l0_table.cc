@@ -67,8 +67,45 @@ Iterator* SsdL0Table::NewIterator() const {
 
 bool SsdL0Table::HasFilter() const { return reader_->has_filter(); }
 
-bool SsdL0Table::MayContain(const LookupKey& lkey) const {
-  return reader_->KeyMayMatch(lkey.internal_key());
+namespace {
+struct GetState {
+  const Comparator* ucmp;
+  Slice user_key;
+  std::string* value;
+  L0Table::GetResult result;
+  bool malformed;
+};
+
+void SaveResult(void* arg, const Slice& ikey, const Slice& v) {
+  auto* state = static_cast<GetState*>(arg);
+  ParsedInternalKey parsed;
+  if (!ParseInternalKey(ikey, &parsed)) {
+    state->malformed = true;
+    return;
+  }
+  if (state->ucmp->Compare(parsed.user_key, state->user_key) != 0) return;
+  if (parsed.type == kTypeDeletion) {
+    state->result = L0Table::GetResult::kDeletion;
+  } else {
+    state->result = L0Table::GetResult::kValue;
+    state->value->assign(v.data(), v.size());
+  }
+}
+}  // namespace
+
+Status SsdL0Table::Get(const InternalKeyComparator& icmp,
+                       const LookupKey& lkey, std::string* value,
+                       GetResult* result) const {
+  GetState state{icmp.user_comparator(), lkey.user_key(), value,
+                 GetResult::kAbsent, false};
+  bool filter_rejected = false;
+  Status s = reader_->InternalGet(lkey.internal_key(), &state, &SaveResult,
+                                  &filter_rejected);
+  *result = filter_rejected ? GetResult::kFiltered : state.result;
+  if (s.ok() && state.malformed) {
+    return Status::Corruption("l0 table: malformed internal key");
+  }
+  return s;
 }
 
 Status SsdL0Table::Destroy() {

@@ -30,11 +30,12 @@ class SsdL0Table : public L0Table,
   Slice smallest() const override { return smallest_; }
   Slice largest() const override { return largest_; }
   uint64_t id() const override { return id_; }
-  /// SSTables carry their own per-block filter; probe it through the
-  /// DRAM-resident index instead of a whole-table filter (no data-block
-  /// read, no SSD I/O).
+  /// SSTables carry their own per-block filter instead of a whole-table
+  /// one; Get probes it on the same index seek that finds the data block
+  /// (TableReader::InternalGet), so a rejection costs no data-block read.
   bool HasFilter() const override;
-  bool MayContain(const LookupKey& lkey) const override;
+  Status Get(const InternalKeyComparator& icmp, const LookupKey& lkey,
+             std::string* value, GetResult* result) const override;
   Status Destroy() override;
   ~SsdL0Table() override;
 

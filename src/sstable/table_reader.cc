@@ -307,8 +307,10 @@ Iterator* TableReader::NewIterator() const {
 
 Status TableReader::InternalGet(const Slice& key, void* arg,
                                 void (*handle_result)(void*, const Slice&,
-                                                      const Slice&)) {
+                                                      const Slice&),
+                                bool* filter_rejected) const {
   Rep* r = rep_.get();
+  if (filter_rejected != nullptr) *filter_rejected = false;
   std::unique_ptr<Iterator> index_iter(
       r->index_block->NewIterator(r->options.comparator));
   index_iter->Seek(key);
@@ -320,6 +322,7 @@ Status TableReader::InternalGet(const Slice& key, void* arg,
       // The filter indexes user keys (snapshot-independent).
       if (handle.DecodeFrom(&hv).ok() &&
           !r->filter->KeyMayMatch(handle.offset(), ExtractUserKey(key))) {
+        if (filter_rejected != nullptr) *filter_rejected = true;
         return Status::OK();  // definitively absent
       }
     }
@@ -331,20 +334,6 @@ Status TableReader::InternalGet(const Slice& key, void* arg,
     PMBLADE_RETURN_IF_ERROR(block_iter->status());
   }
   return index_iter->status();
-}
-
-bool TableReader::KeyMayMatch(const Slice& internal_key) const {
-  Rep* r = rep_.get();
-  if (r->filter == nullptr) return true;
-  std::unique_ptr<Iterator> index_iter(
-      r->index_block->NewIterator(r->options.comparator));
-  index_iter->Seek(internal_key);
-  if (!index_iter->Valid()) return true;  // boundary case: stay conservative
-  Slice hv = index_iter->value();
-  BlockHandle handle;
-  if (!handle.DecodeFrom(&hv).ok()) return true;
-  // The filter indexes user keys (snapshot-independent).
-  return r->filter->KeyMayMatch(handle.offset(), ExtractUserKey(internal_key));
 }
 
 bool TableReader::has_filter() const { return rep_->filter != nullptr; }

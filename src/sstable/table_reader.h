@@ -41,17 +41,16 @@ class TableReader {
   /// Iterator over (internal key, value) entries.
   Iterator* NewIterator() const;
 
-  /// Point lookup: finds the first entry with key >= `key` in the candidate
-  /// block (after the bloom filter check) and calls `handle_result` on it.
+  /// Point lookup: one seek of the DRAM-resident index finds the candidate
+  /// block; its filter is asked about the user key, and only if it may
+  /// match is the block read and `handle_result` called on the first entry
+  /// with key >= `key` in it. `filter_rejected` (optional) reports whether
+  /// the filter ruled the key out.
   Status InternalGet(const Slice& key, void* arg,
                      void (*handle_result)(void* arg, const Slice& k,
-                                           const Slice& v));
+                                           const Slice& v),
+                     bool* filter_rejected = nullptr) const;
 
-  /// Bloom-only probe: locates `internal_key`'s candidate block through the
-  /// DRAM-resident index and asks its filter about the user key, without
-  /// reading any data block. False when the key is definitively absent;
-  /// true otherwise (including tables without a filter block).
-  bool KeyMayMatch(const Slice& internal_key) const;
   bool has_filter() const;
 
   uint64_t ApproximateOffsetOf(const Slice& key) const;

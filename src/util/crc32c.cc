@@ -1,6 +1,11 @@
 #include "util/crc32c.h"
 
-#include <array>
+#include <cstring>
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#include <nmmintrin.h>
+#define PMBLADE_CRC32C_SSE42 1
+#endif
 
 namespace pmblade {
 namespace crc32c {
@@ -8,7 +13,7 @@ namespace {
 
 // Table-driven CRC32C with the Castagnoli polynomial (reflected: 0x82f63b78),
 // generated at startup. Slicing-by-4 keeps throughput reasonable without
-// hardware intrinsics.
+// hardware support.
 struct Tables {
   uint32_t t[4][256];
   Tables() {
@@ -32,9 +37,51 @@ const Tables& tables() {
   return kTables;
 }
 
+#ifdef PMBLADE_CRC32C_SSE42
+// Compiled for SSE4.2 on this one function only, so the binary still runs on
+// CPUs without it; Extend calls it only after checking the CPU.
+__attribute__((target("sse4.2"))) uint32_t ExtendSse42(uint32_t init_crc,
+                                                       const char* data,
+                                                       size_t n) {
+  const auto* p = reinterpret_cast<const unsigned char*>(data);
+  uint64_t crc = init_crc ^ 0xffffffffu;
+  while (n > 0 && (reinterpret_cast<uintptr_t>(p) & 7) != 0) {
+    crc = _mm_crc32_u8(static_cast<uint32_t>(crc), *p++);
+    --n;
+  }
+  while (n >= 8) {
+    uint64_t word;
+    memcpy(&word, p, sizeof(word));
+    crc = _mm_crc32_u64(crc, word);
+    p += 8;
+    n -= 8;
+  }
+  while (n > 0) {
+    crc = _mm_crc32_u8(static_cast<uint32_t>(crc), *p++);
+    --n;
+  }
+  return static_cast<uint32_t>(crc) ^ 0xffffffffu;
+}
+#endif
+
+using ExtendFn = uint32_t (*)(uint32_t, const char*, size_t);
+
+ExtendFn ChooseExtend() {
+#ifdef PMBLADE_CRC32C_SSE42
+  __builtin_cpu_init();  // may run before the runtime's own init
+  if (__builtin_cpu_supports("sse4.2")) return &ExtendSse42;
+#endif
+  return &ExtendPortable;
+}
+
 }  // namespace
 
 uint32_t Extend(uint32_t init_crc, const char* data, size_t n) {
+  static const ExtendFn kExtend = ChooseExtend();
+  return kExtend(init_crc, data, n);
+}
+
+uint32_t ExtendPortable(uint32_t init_crc, const char* data, size_t n) {
   const Tables& tb = tables();
   const auto* p = reinterpret_cast<const unsigned char*>(data);
   uint32_t crc = init_crc ^ 0xffffffffu;

@@ -1,5 +1,7 @@
-// CRC32C (Castagnoli) checksums, software table implementation. Used to
-// validate WAL records, SSTable blocks and PM table images.
+// CRC32C (Castagnoli) checksums. Used to validate WAL records, SSTable
+// blocks and PM table images. Extend runs the SSE4.2 crc32 instruction when
+// the CPU has it (chosen once at runtime, no build flag needed) and a
+// slicing-by-4 table otherwise; both give the same value.
 
 #ifndef PMBLADE_UTIL_CRC32C_H_
 #define PMBLADE_UTIL_CRC32C_H_
@@ -13,6 +15,10 @@ namespace crc32c {
 /// Returns the CRC32C of data[0..n-1], continuing from `init_crc` (the CRC of
 /// some preceding byte string).
 uint32_t Extend(uint32_t init_crc, const char* data, size_t n);
+
+/// The table-driven kernel Extend falls back to; same contract. Exposed as
+/// the oracle for the hardware kernel.
+uint32_t ExtendPortable(uint32_t init_crc, const char* data, size_t n);
 
 /// CRC32C of data[0..n-1].
 inline uint32_t Value(const char* data, size_t n) { return Extend(0, data, n); }

@@ -7,12 +7,14 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <sched.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -729,6 +731,77 @@ TEST_F(ServerTest, InfoAndExportersRoundTrip) {
   ASSERT_TRUE(db_->GetProperty("pmblade.stats.prometheus", &prom));
   EXPECT_NE(prom.find("pmblade_server_commands"), std::string::npos);
   EXPECT_NE(prom.find("pmblade_server_connections"), std::string::npos);
+}
+
+TEST_F(ServerTest, PrePollStopsWhenIdleAndIsExported) {
+  StartServer();
+  RespTestClient client;
+  ASSERT_TRUE(client.Connect(server_->port()));
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_EQ(client.Command({"SET", "k" + std::to_string(i), "v"}).str,
+              "OK");
+  }
+  const ServerMetrics& m = server_->metrics();
+  // A served command arms a poll (the first one cannot be backing off),
+  // unless the workers are confined to one CPU.
+  cpu_set_t cpus;
+  CPU_ZERO(&cpus);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(cpus), &cpus), 0);
+  if (CPU_COUNT(&cpus) > 1) {
+    EXPECT_GT(m.poll_hits->Value() + m.poll_misses->Value(), 0u);
+  }
+
+  // Once the poll after the last reply has run out, an idle server does not
+  // poll: at most one 25 us window per worker may still land.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const uint64_t before = m.poll_nanos->Value();
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  EXPECT_LE(m.poll_nanos->Value() - before,
+            static_cast<uint64_t>(server_options_.num_workers) * 25000u);
+
+  const char* names[] = {"poll_nanos", "poll_hits", "poll_misses",
+                         "poll_backoffs"};
+  RespValue info = client.Command({"INFO"});
+  ASSERT_EQ(info.type, RespValue::Type::kBulkString);
+  std::string json, prom;
+  ASSERT_TRUE(db_->GetProperty("pmblade.stats.json", &json));
+  ASSERT_TRUE(db_->GetProperty("pmblade.stats.prometheus", &prom));
+  for (const char* name : names) {
+    EXPECT_NE(info.str.find(std::string("pmblade.server.") + name + ":"),
+              std::string::npos)
+        << name;
+    EXPECT_NE(json.find(std::string("pmblade.server.") + name),
+              std::string::npos)
+        << name;
+    EXPECT_NE(prom.find(std::string("pmblade_server_") + name),
+              std::string::npos)
+        << name;
+  }
+}
+
+TEST_F(ServerTest, NoPrePollWhenConfinedToOneCpu) {
+  // Workers inherit the affinity of the thread that starts them.
+  cpu_set_t saved, one;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  CPU_ZERO(&one);
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (CPU_ISSET(cpu, &saved)) {
+      CPU_SET(cpu, &one);
+      break;
+    }
+  }
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  StartServer();
+  RespTestClient client;
+  ASSERT_TRUE(client.Connect(server_->port()));
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_EQ(client.Command({"SET", "k" + std::to_string(i), "v"}).str,
+              "OK");
+  }
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  const ServerMetrics& m = server_->metrics();
+  EXPECT_EQ(m.poll_hits->Value() + m.poll_misses->Value(), 0u);
+  EXPECT_EQ(m.poll_nanos->Value(), 0u);
 }
 
 TEST_F(ServerTest, AdmissionShedOverSocket) {

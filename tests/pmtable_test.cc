@@ -7,7 +7,9 @@
 
 #include <map>
 #include <memory>
+#include <set>
 
+#include "compress/prefix.h"
 #include "memtable/internal_key.h"
 #include "pm/pm_pool.h"
 #include "pmtable/array_table.h"
@@ -15,6 +17,7 @@
 #include "pmtable/pm_table.h"
 #include "pmtable/pm_table_builder.h"
 #include "pmtable/snappy_table.h"
+#include "util/coding.h"
 #include "util/random.h"
 
 namespace pmblade {
@@ -266,6 +269,201 @@ TEST_F(PmTableEnv, PmReadTrafficIsAccounted) {
   std::unique_ptr<Iterator> it(table->NewIterator());
   it->Seek(IKey("t|key00250", kMaxSequenceNumber));
   EXPECT_GT(pool_->stats().read_accesses(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// PmTable::Get, the iterator-free point lookup
+// ---------------------------------------------------------------------------
+
+class PmTableGetTest : public PmTableEnv,
+                       public ::testing::WithParamInterface<uint32_t> {};
+
+TEST_P(PmTableGetTest, MatchesIteratorSeek) {
+  const InternalKeyComparator icmp(BytewiseComparator());
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    Random r(seed);
+    // User keys under a few metas; each has 1-4 versions, and every tenth
+    // one a run longer than a group, so versions straddle group boundaries.
+    std::set<std::string> user_keys;
+    const char* metas[] = {"orders|", "users|", "k"};
+    while (user_keys.size() < 300) {
+      std::string key = metas[r.Uniform(3)];
+      std::string suffix;
+      r.RandomString(1 + r.Uniform(12), &suffix);
+      user_keys.insert(key + suffix);
+    }
+    PmTableBuilder builder(pool_.get(),
+                           PmTableOptions{.group_size = GetParam()});
+    std::vector<std::pair<std::string, SequenceNumber>> probes;
+    for (const std::string& user_key : user_keys) {
+      const int versions =
+          r.OneIn(10) ? static_cast<int>(GetParam()) + 3
+                      : 1 + static_cast<int>(r.Uniform(4));
+      SequenceNumber seq = 1000 + r.Uniform(1000);
+      for (int v = 0; v < versions; ++v) {
+        const ValueType type = r.OneIn(4) ? kTypeDeletion : kTypeValue;
+        std::string value;
+        if (type == kTypeValue) r.RandomBytes(r.Uniform(80), &value);
+        builder.Add(IKey(user_key, seq, type), value);
+        // Snapshots at, just above and just below this version.
+        probes.emplace_back(user_key, seq);
+        probes.emplace_back(user_key, seq + 1);
+        probes.emplace_back(user_key, seq - 1);
+        seq -= 1 + r.Uniform(20);
+      }
+      probes.emplace_back(user_key, kMaxSequenceNumber);
+      probes.emplace_back(user_key, 0);  // older than every version
+      probes.emplace_back(user_key + "\x01", kMaxSequenceNumber);  // absent
+    }
+    // Keys outside the table's range on both sides.
+    probes.emplace_back("", kMaxSequenceNumber);
+    probes.emplace_back("a", 5);
+    probes.emplace_back("zzzz", kMaxSequenceNumber);
+    std::shared_ptr<PmTable> table;
+    ASSERT_TRUE(builder.Finish(&table).ok());
+
+    int hits = 0;
+    for (const auto& [user_key, snapshot] : probes) {
+      LookupKey lkey(user_key, snapshot);
+      std::string want_value, got_value;
+      L0Table::GetResult want, got;
+      // The base class's lookup, an iterator Seek, is the oracle.
+      Status want_status =
+          table->L0Table::Get(icmp, lkey, &want_value, &want);
+      Status got_status = table->Get(icmp, lkey, &got_value, &got);
+      ASSERT_TRUE(want_status.ok());
+      ASSERT_TRUE(got_status.ok()) << got_status.ToString();
+      ASSERT_EQ(static_cast<int>(got), static_cast<int>(want))
+          << user_key << " @" << snapshot << " seed " << seed;
+      if (want == L0Table::GetResult::kValue) {
+        ASSERT_EQ(got_value, want_value) << user_key << " @" << snapshot;
+        ++hits;
+      }
+    }
+    EXPECT_GT(hits, 100);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(GroupSizes, PmTableGetTest,
+                         ::testing::Values(8u, 16u));
+
+TEST_F(PmTableEnv, GetChargesOnlyWalkedHeadersAndMatchedValue) {
+  // One meta, so groups are exactly 16 consecutive entries.
+  const PmTableOptions opts;  // group_size 16, prefix_width 8
+  std::vector<std::string> keys;
+  PmTableBuilder builder(pool_.get(), opts);
+  for (int i = 0; i < 500; ++i) {
+    char key[32];
+    snprintf(key, sizeof(key), "t|key%05d", i);
+    keys.push_back(IKey(key, 5));
+    builder.Add(keys.back(), std::string(64, 'v'));
+  }
+  std::shared_ptr<PmTable> table;
+  ASSERT_TRUE(builder.Finish(&table).ok());
+  const uint32_t groups = table->num_groups();
+  ASSERT_EQ(groups, 32u);
+  const InternalKeyComparator icmp(BytewiseComparator());
+
+  // The group's common prefix over key remainders (key minus its "t|"
+  // meta), clamped to the slot width.
+  const size_t meta = 2;
+  auto common_of = [&](uint32_t g) {
+    std::vector<Slice> remainders;
+    for (uint32_t i = g * 16; i < std::min<uint32_t>(g * 16 + 16, 500); ++i) {
+      remainders.emplace_back(keys[i].data() + meta, keys[i].size() - meta);
+    }
+    return std::min<size_t>(prefix::CommonPrefixLengthAll(remainders), 8);
+  };
+  for (int j : {0, 15, 16, 250, 255, 256, 499}) {
+    LookupKey lkey(ExtractUserKey(keys[j]), kMaxSequenceNumber);
+    const Slice target = lkey.internal_key();
+    // The group search: an upper bound over the group first keys.
+    uint32_t probes = 0, lo = 0, hi = groups;
+    while (lo < hi) {
+      const uint32_t mid = (lo + hi) / 2;
+      ++probes;
+      if (icmp.Compare(keys[mid * 16], target) > 0) {
+        hi = mid;
+      } else {
+        lo = mid + 1;
+      }
+    }
+    // The walk runs from the candidate group to the match: a header (two
+    // 1-byte varints) and a suffix per entry, one access per group. A
+    // lookup at the newest snapshot sorts before its key's entry, so when
+    // that entry opens a group the candidate is the group before it.
+    const uint32_t candidate = lo > 0 ? lo - 1 : 0;
+    uint64_t walked = 0;
+    for (uint32_t i = candidate * 16; i <= static_cast<uint32_t>(j); ++i) {
+      walked += 2 + keys[i].size() - meta - common_of(i / 16);
+    }
+    const uint32_t groups_walked = j / 16 - candidate + 1;
+
+    pool_->stats().Reset();
+    std::string value;
+    L0Table::GetResult result;
+    ASSERT_TRUE(table->Get(icmp, lkey, &value, &result).ok());
+    ASSERT_EQ(result, L0Table::GetResult::kValue);
+    EXPECT_EQ(value, std::string(64, 'v'));
+    EXPECT_EQ(pool_->stats().bytes_read(),
+              probes * (opts.prefix_width + 16) + walked + 64)
+        << "key " << j;
+    EXPECT_EQ(pool_->stats().read_accesses(), probes + groups_walked)
+        << "key " << j;
+  }
+}
+
+TEST_F(PmTableEnv, TruncatedEntryHeaderIsCorruption) {
+  PmTableBuilder builder(pool_.get(), PmTableOptions{});
+  std::vector<std::string> keys;
+  for (int i = 0; i < 100; ++i) {
+    char key[32];
+    snprintf(key, sizeof(key), "t|key%05d", i);
+    keys.push_back(IKey(key, 5));
+    builder.Add(keys.back(), std::string(20, 'v'));
+  }
+  std::shared_ptr<PmTable> table;
+  ASSERT_TRUE(builder.Finish(&table).ok());
+  const InternalKeyComparator icmp(BytewiseComparator());
+  char* base = pool_->DataFor(table->id());
+  const uint32_t gindex_off = DecodeFixed32(base + 32);
+  const uint32_t entry_off = DecodeFixed32(base + 36);
+  const uint32_t total = DecodeFixed32(base + 40);
+
+  auto expect_corruption = [&](int j) {
+    LookupKey lkey(ExtractUserKey(keys[j]), kMaxSequenceNumber);
+    std::string value;
+    L0Table::GetResult result;
+    EXPECT_TRUE(table->Get(icmp, lkey, &value, &result).IsCorruption());
+    bool found = false;
+    Status result_status;
+    EXPECT_TRUE(L0TableGet(*table, icmp, lkey, &value, &found,
+                           &result_status)
+                    .IsCorruption());
+    EXPECT_FALSE(found);
+    std::unique_ptr<Iterator> it(table->NewIterator());
+    it->Seek(lkey.internal_key());
+    EXPECT_FALSE(it->Valid());
+    EXPECT_TRUE(it->status().IsCorruption());
+  };
+
+  // The walk: the second entry's header becomes an over-long varint.
+  {
+    const char* p = base + entry_off;
+    uint32_t suffix_len = 0, value_len = 0;
+    p = GetVarint32Ptr(p, base + total, &suffix_len);
+    p = GetVarint32Ptr(p, base + total, &value_len);
+    memset(const_cast<char*>(p) + suffix_len + value_len, 0xff, 5);
+    expect_corruption(1);
+  }
+  // The group search: the last group's first header starts on the image's
+  // final byte, a varint continuation that runs into the end of the table.
+  {
+    const uint32_t last = table->num_groups() - 1;
+    EncodeFixed32(base + gindex_off + last * 16, total - entry_off - 1);
+    base[total - 1] = static_cast<char>(0x80);
+    expect_corruption(99);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -170,6 +170,33 @@ TEST(Crc32cTest, ExtendEqualsWholeBuffer) {
   }
 }
 
+TEST(Crc32cTest, ExtendMatchesTableKernel) {
+  // Whichever kernel Extend picked must agree with the table kernel on
+  // every length a block or record can take, from unaligned starts, and
+  // when chained across a split.
+  Random rnd(301);
+  std::string buf;
+  rnd.RandomBytes(4100 + 8, &buf);
+  for (size_t len = 0; len <= 4100; ++len) {
+    for (size_t start : {size_t{0}, size_t{1}, size_t{3}, size_t{7}}) {
+      const char* p = buf.data() + start;
+      const uint32_t want = crc32c::ExtendPortable(0, p, len);
+      ASSERT_EQ(crc32c::Extend(0, p, len), want)
+          << "len " << len << " start " << start;
+      const size_t split = len * start / 8;
+      ASSERT_EQ(crc32c::Extend(crc32c::Extend(0, p, split), p + split,
+                               len - split),
+                want)
+          << "len " << len << " split " << split;
+      ASSERT_EQ(crc32c::Extend(0x12345678u, p, len),
+                crc32c::ExtendPortable(0x12345678u, p, len));
+    }
+  }
+  // The known vectors hold for the table kernel too.
+  char zeros[32] = {0};
+  EXPECT_EQ(crc32c::ExtendPortable(0, zeros, sizeof(zeros)), 0x8a9136aau);
+}
+
 TEST(Crc32cTest, MaskUnmaskRoundTrip) {
   for (uint32_t crc : {0u, 1u, 0xdeadbeefu, UINT32_MAX}) {
     EXPECT_EQ(crc32c::Unmask(crc32c::Mask(crc)), crc);
