@@ -45,6 +45,7 @@ int main(int argc, char** argv) {
     options.memtable_bytes = 128 << 10;
     options.pm_pool_capacity = 128ull << 20;
     options.pm_latency = tier.latency;
+    options.wal_in_pm = false;  // the tier under test holds level-0 only
     options.cost.tau_m = 1ull << 40;  // stay in level-0: isolate the tier
 
     std::unique_ptr<DB> db;

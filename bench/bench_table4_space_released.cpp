@@ -34,6 +34,7 @@ int main(int argc, char** argv) {
     options.memtable_bytes = 256 << 10;
     options.pm_pool_capacity = 256ull << 20;
     options.pm_latency.inject_latency = false;
+    options.wal_in_pm = false;  // the paper's engine logs to the SSD
     // Hold everything in level-0: no automatic compaction of any kind.
     options.enable_internal_compaction = false;
     options.enable_cost_model = false;

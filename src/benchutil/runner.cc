@@ -54,6 +54,7 @@ Status BenchEnv::OpenEngine(EngineConfig config, KvEngine** engine) {
       Options opts;
       opts.env = sim_env_.get();
       opts.ssd_model = model_.get();
+      opts.wal_in_pm = options_.wal_in_pm;
       opts.memtable_bytes = options_.memtable_bytes;
       opts.pm_pool_capacity = options_.pm_pool_capacity;
       opts.pm_latency.inject_latency = options_.inject_pm_latency;

@@ -237,7 +237,9 @@ Status DBImpl::Init() {
   popts.capacity = options_.pm_pool_capacity;
   popts.latency = options_.pm_latency;
   popts.clock = clock_;
+  popts.crash_sim = options_.pm_crash_sim;
   PMBLADE_RETURN_IF_ERROR(PmPool::Open(pool_path, popts, &pool_));
+  wal_env_.reset(new PmLogEnv(pool_.get(), env_, options_.wal_in_pm));
 
   // Factories. Level-1 is always SSTables; level-0 layout is configurable.
   L0FactoryOptions l1opts;
@@ -289,6 +291,10 @@ Status DBImpl::Init() {
   eq2_trigger_counter_ = metrics_.GetCounter("pmblade.cost.eq2_triggered");
   keep_set_counter_ = metrics_.GetCounter("pmblade.cost.keep_set_selections");
   wal_sync_counter_ = metrics_.GetCounter("pmblade.wal.syncs");
+  wal_append_hist_ = metrics_.GetHistogram("pmblade.wal.append_nanos");
+  metrics_.RegisterGaugeCallback("pmblade.wal.pm_bytes", [this] {
+    return static_cast<double>(wal_env_->SegmentBytes());
+  });
   // Write-pipeline instruments: group-commit amortization and backpressure.
   group_counter_ = metrics_.GetCounter("pmblade.write.groups");
   group_write_counter_ = metrics_.GetCounter("pmblade.write.group_writes");
@@ -513,6 +519,7 @@ Status DBImpl::Init() {
   {
     SimEnv* sim = dynamic_cast<SimEnv*>(env_);
     track_client_io_ = (sim == nullptr || sim->model() != model_);
+    track_wal_io_ = track_client_io_ && !options_.wal_in_pm;
   }
 
   // Recover or bootstrap.
@@ -536,12 +543,11 @@ Status DBImpl::Init() {
     }
     partitions_.push_back(std::make_unique<Partition>(
         next_partition_id_++, prev, std::string(), clock_));
-    // No manifest means nothing on disk is referenced: a directory that
-    // still holds pool objects or .sst files (a crash before the very first
-    // manifest commit) is all garbage. WAL data replays into the memtable
-    // regardless.
+    // No manifest means no table is referenced: pool tables or .sst files
+    // left by a crash before the very first manifest commit are garbage.
+    // Logs are not: their data replays into the memtable.
     for (const auto& info : pool_->ListObjects()) {
-      pool_->Free(info.id);
+      if (info.kind != kPmLogObject) pool_->Free(info.id);
     }
     std::vector<std::string> children;
     if (env_->GetChildren(dbname_, &children).ok()) {
@@ -552,6 +558,7 @@ Status DBImpl::Init() {
         }
       }
     }
+    PMBLADE_RETURN_IF_ERROR(ReplayWals(0));
   } else {
     return s;
   }
@@ -674,8 +681,10 @@ Status DBImpl::RecoverPartitions(const ManifestState& state) {
   }
 
   // Garbage-collect pool objects an interrupted compaction left behind.
+  // Log segments are never referenced by the manifest; ReplayWals keeps
+  // the logs at or above the replay floor and frees the rest.
   for (const auto& info : pool_->ListObjects()) {
-    if (referenced_pm_ids.count(info.id) == 0) {
+    if (info.kind != kPmLogObject && referenced_pm_ids.count(info.id) == 0) {
       pool_->Free(info.id);
     }
   }
@@ -704,13 +713,13 @@ Status DBImpl::ReplayWals(uint64_t floor) {
   // garbage-collected here.
   std::vector<uint64_t> numbers;
   std::vector<std::string> children;
-  PMBLADE_RETURN_IF_ERROR(env_->GetChildren(dbname_, &children));
+  PMBLADE_RETURN_IF_ERROR(wal_env_->GetChildren(dbname_, &children));
   for (const auto& child : children) {
     if (child.size() > 8 && child.compare(0, 4, "wal-") == 0 &&
         child.compare(child.size() - 4, 4, ".log") == 0) {
       uint64_t number = strtoull(child.c_str() + 4, nullptr, 10);
       if (number < floor) {
-        env_->RemoveFile(dbname_ + "/" + child);
+        wal_env_->RemoveFile(dbname_ + "/" + child);
       } else {
         numbers.push_back(number);
       }
@@ -739,7 +748,7 @@ Status DBImpl::ReplayWals(uint64_t floor) {
   for (uint64_t number : numbers) {
     std::unique_ptr<SequentialFile> file;
     PMBLADE_RETURN_IF_ERROR(
-        env_->NewSequentialFile(WalFileName(dbname_, number), &file));
+        wal_env_->NewSequentialFile(WalFileName(dbname_, number), &file));
     wal::Reader reader(file.get(), &reporter);
     Slice record;
     std::string scratch;
@@ -822,7 +831,7 @@ Status DBImpl::NewWal() {
   uint64_t new_number = l1_factory_->NextFileNumber();
   std::unique_ptr<WritableFile> file;
   PMBLADE_RETURN_IF_ERROR(
-      env_->NewWritableFile(WalFileName(dbname_, new_number), &file));
+      wal_env_->NewWritableFile(WalFileName(dbname_, new_number), &file));
   if (wal_file_ != nullptr) {
     // Sync the rotated-out log before abandoning it. Sync writes only ever
     // fsync the CURRENT wal, yet a sync ack promises durability for the
@@ -976,10 +985,10 @@ Status DBImpl::WriteInternal(const WriteOptions& options, WriterState& w) {
       // proceed concurrently.
       lock.unlock();
       {
-        // The WAL append/fsync lands on the SSD: register one client op so
-        // the io-gate's q_cli gauge sees live foreground write pressure
-        // (no-op when the SimEnv already classifies this I/O).
-        ScopedExternalIo wal_io(track_client_io_ ? model_ : nullptr,
+        // An SSD WAL append/fsync registers one client op so the
+        // io-gate's q_cli gauge sees live foreground write pressure (no-op
+        // when the SimEnv already classifies this I/O).
+        ScopedExternalIo wal_io(track_wal_io_ ? model_ : nullptr,
                                 IoClass::kClient);
         const Slice rep(group->rep());
         uint64_t append_ticket = 0;
@@ -1013,10 +1022,7 @@ Status DBImpl::WriteInternal(const WriteOptions& options, WriterState& w) {
       lock.lock();
     }
     if (wal_error) {
-      // A failed append leaves the log's framing unknown, a failed sync its
-      // durability: either way fail every subsequent write rather than
-      // acknowledge on a broken log.
-      bg_error_ = status;
+      HandleWalErrorLocked(status);
     } else {
       NoteMarkersLandedLocked(landed);
     }
@@ -1081,10 +1087,12 @@ void DBImpl::AwaitWakePins(const WriterState& w) {
 Status DBImpl::AppendToWal(const Slice* records, size_t n,
                            std::vector<PendingMarker>* landed,
                            uint64_t* first_ticket) {
+  const uint64_t start = clock_->NowNanos();
   if (pending_markers_.empty()) {
     Status s = wal_->AddRecords(records, n);
     *first_ticket =
         wal_append_ticket_.fetch_add(n, std::memory_order_relaxed) + 1;
+    wal_append_hist_->Observe(clock_->NowNanos() - start);
     return s;
   }
   landed->swap(pending_markers_);
@@ -1095,12 +1103,31 @@ Status DBImpl::AppendToWal(const Slice* records, size_t n,
   Status s = wal_->AddRecords(run.data(), run.size());
   const uint64_t first =
       wal_append_ticket_.fetch_add(run.size(), std::memory_order_relaxed) + 1;
+  wal_append_hist_->Observe(clock_->NowNanos() - start);
+  if (!s.ok()) {
+    // The markers did not land: they wait for the next append.
+    pending_markers_.swap(*landed);
+    landed->clear();
+    *first_ticket = first;
+    return s;
+  }
   for (size_t i = 0; i < landed->size(); ++i) {
     (*landed)[i].ticket = first + i;
-    if (s.ok()) PMBLADE_SYNC_POINT("DBImpl::CommitTxn:AfterAppend");
+    PMBLADE_SYNC_POINT("DBImpl::CommitTxn:AfterAppend");
   }
   *first_ticket = first + landed->size();
   return s;
+}
+
+void DBImpl::HandleWalErrorLocked(const Status& s) {
+  if (!s.IsBusy()) {
+    bg_error_ = s;
+    return;
+  }
+  if (imm_ == nullptr && mem_->num_entries() > 0) {
+    Status rs = SwitchMemTableLocked();
+    if (!rs.ok() && !rs.IsBusy()) bg_error_ = rs;
+  }
 }
 
 void DBImpl::NoteMarkersLandedLocked(
@@ -1260,7 +1287,7 @@ Status DBImpl::TxnGroupWriteLocked(std::unique_lock<std::mutex>& lock,
     bool wal_error = false;
     lock.unlock();
     if (!memory_only) {
-      ScopedExternalIo wal_io(track_client_io_ ? model_ : nullptr,
+      ScopedExternalIo wal_io(track_wal_io_ ? model_ : nullptr,
                               IoClass::kClient);
       // The whole staged run is one device write; each record still gets
       // its own durability ticket.
@@ -1324,10 +1351,7 @@ Status DBImpl::TxnGroupWriteLocked(std::unique_lock<std::mutex>& lock,
     }
     lock.lock();
     if (wal_error) {
-      // Same poison rule as the batch path: the WAL tail's framing or
-      // durability is unknown, so no later write may be acknowledged on
-      // this log.
-      bg_error_ = status;
+      HandleWalErrorLocked(status);
     } else {
       NoteMarkersLandedLocked(landed);
     }
@@ -1641,8 +1665,8 @@ void DBImpl::BackgroundFlush() {
     if (s.ok()) {
       for (uint64_t number : flushed) {
         const std::string path = WalFileName(dbname_, number);
-        Status rs = env_->RemoveFile(path);
-        if (!rs.ok() && env_->FileExists(path)) {
+        Status rs = wal_env_->RemoveFile(path);
+        if (!rs.ok() && wal_env_->FileExists(path)) {
           // A WAL that survives its delete is re-replayed on the next open —
           // harmless for correctness (its data is already durable in L0 and
           // replay is idempotent) but it costs startup time and disk. Keep
@@ -1687,9 +1711,9 @@ void DBImpl::RetryPendingFileGcLocked() {
   if (pending_file_gc_.empty()) return;
   std::vector<std::string> still_pending;
   for (const std::string& path : pending_file_gc_) {
-    if (!env_->FileExists(path)) continue;  // a later attempt got it
-    Status rs = env_->RemoveFile(path);
-    if (!rs.ok() && env_->FileExists(path)) still_pending.push_back(path);
+    if (!wal_env_->FileExists(path)) continue;  // a later attempt got it
+    Status rs = wal_env_->RemoveFile(path);
+    if (!rs.ok() && wal_env_->FileExists(path)) still_pending.push_back(path);
   }
   pending_file_gc_ = std::move(still_pending);
 }

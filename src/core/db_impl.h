@@ -65,6 +65,7 @@
 #include "memtable/wal.h"
 #include "obs/event.h"
 #include "obs/metrics.h"
+#include "pm/pm_log.h"
 #include "sstable/block_cache.h"
 #include "util/bloom.h"
 #include "util/thread_pool.h"
@@ -226,6 +227,12 @@ class DBImpl final : public DB {
                      uint64_t* first_ticket);
   /// mu_ held. Gives each landed marker's fence its WAL ticket.
   void NoteMarkersLandedLocked(const std::vector<PendingMarker>& landed);
+  /// mu_ held, leader-only, after a failed WAL append or sync. Busy means
+  /// the PM log found no pool space and wrote nothing: the DB stays
+  /// writable, and the memtable rotates so the flush that frees the log
+  /// starts now. Any other failure leaves the log's framing or durability
+  /// unknown, so it fails every later write.
+  void HandleWalErrorLocked(const Status& s);
   /// Leader-only: executes the leader's txn op plus every txn op queued
   /// directly behind it as ONE commit group — a single WAL append run and
   /// at most one shared fsync, or no device write at all when every member
@@ -369,6 +376,9 @@ class DBImpl final : public DB {
   BlockCache* block_cache_ = nullptr;
   std::unique_ptr<BlockCache> owned_block_cache_;
   std::unique_ptr<PmPool> pool_;
+  /// Where the write-ahead logs live: created in pool_ (Options::wal_in_pm)
+  /// or on env_, and found on both. Declared after pool_, which it uses.
+  std::unique_ptr<PmLogEnv> wal_env_;
   std::unique_ptr<L0TableFactory> l0_factory_;     // level-0 layout
   std::unique_ptr<L0TableFactory> l1_factory_;     // SSTables for level-1
   std::unique_ptr<CostModel> cost_model_;
@@ -466,6 +476,9 @@ class DBImpl final : public DB {
   /// per-class inflight gauges (q_cli): set at Init unless env_ is a SimEnv
   /// sharing model_, whose file wrappers already classify client I/O.
   bool track_client_io_ = false;
+  /// track_client_io_ for WAL appends, which touch the SSD only when the
+  /// log is on env_.
+  bool track_wal_io_ = false;
 
   // ---- memory arbitration ----
   /// The live memtable rotation threshold. Seeded from
@@ -500,6 +513,7 @@ class DBImpl final : public DB {
   obs::Counter* eq2_trigger_counter_ = nullptr;
   obs::Counter* keep_set_counter_ = nullptr;       // Eq. 3 selections
   obs::Counter* wal_sync_counter_ = nullptr;
+  obs::HistogramMetric* wal_append_hist_ = nullptr;  // nanos per append
   // Write-pipeline instruments.
   obs::Counter* group_counter_ = nullptr;          // commit groups
   obs::Counter* group_write_counter_ = nullptr;    // writes committed in them

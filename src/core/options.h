@@ -51,6 +51,12 @@ struct Options {
 
   // ---- write path ----
   size_t memtable_bytes = 4 << 20;
+  /// Keep the write-ahead log in the PM pool (pm/pm_log.h): an append is
+  /// persisted when it returns, costs PM writes instead of an SSD write,
+  /// and its segments count in the pool's used bytes. false keeps the log
+  /// as wal-<n>.log files on `env`. Either setting replays and retires the
+  /// logs a DB opened with the other setting left behind.
+  bool wal_in_pm = true;
   /// Sync the WAL on every write (same effect as WriteOptions::sync on each
   /// write). Group-commit durability semantics: writers are committed in
   /// leader-coalesced groups, and a group containing ANY synced write (this

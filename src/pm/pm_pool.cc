@@ -233,7 +233,15 @@ void PmPool::FreeExtent(uint64_t offset, uint64_t size) {
 
 Status PmPool::Allocate(uint64_t size, uint32_t kind, ObjectInfo* info,
                         char** data) {
+  return Allocate(size, kind, Slice(), info, data);
+}
+
+Status PmPool::Allocate(uint64_t size, uint32_t kind, const Slice& prefix,
+                        ObjectInfo* info, char** data) {
   if (size == 0) return Status::InvalidArgument("pm pool: zero-size object");
+  if (prefix.size() > size) {
+    return Status::InvalidArgument("pm pool: prefix larger than object");
+  }
   if (dead_.load(std::memory_order_acquire)) {
     return Status::IOError("pm pool: simulated crash");
   }
@@ -255,6 +263,12 @@ Status PmPool::Allocate(uint64_t size, uint32_t kind, ObjectInfo* info,
   if (slot == dir_slots_) {
     FreeExtent(offset, aligned);
     return Status::Busy("pm pool: directory full");
+  }
+
+  if (!prefix.empty()) {
+    char* dst = base_ + data_start_ + offset;
+    memcpy(dst, prefix.data(), prefix.size());
+    Persist(dst, prefix.size());
   }
 
   uint64_t id = next_id_++;
@@ -298,6 +312,16 @@ Status PmPool::Free(uint64_t id) {
   slot_of_id_.erase(id);
   objects_.erase(it);
   return Status::OK();
+}
+
+void PmPool::ReleasePages(const char* addr, size_t len) {
+  const uintptr_t begin =
+      (reinterpret_cast<uintptr_t>(addr) + 4095) & ~uintptr_t{4095};
+  const uintptr_t end = (reinterpret_cast<uintptr_t>(addr) + len) &
+                        ~uintptr_t{4095};
+  if (end > begin) {
+    ::madvise(reinterpret_cast<void*>(begin), end - begin, MADV_DONTNEED);
+  }
 }
 
 char* PmPool::DataFor(uint64_t id) const {

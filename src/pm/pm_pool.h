@@ -27,6 +27,7 @@
 
 #include "pm/pm_stats.h"
 #include "util/clock.h"
+#include "util/slice.h"
 #include "util/status.h"
 
 namespace pmblade {
@@ -110,8 +111,21 @@ class PmPool {
   /// fills the bytes and calls Persist on them.
   Status Allocate(uint64_t size, uint32_t kind, ObjectInfo* info, char** data);
 
+  /// Allocate, but first copies `prefix` to the start of the object and
+  /// persists it, so the object never becomes crash-visible with bytes left
+  /// over from a freed object in that range.
+  Status Allocate(uint64_t size, uint32_t kind, const Slice& prefix,
+                  ObjectInfo* info, char** data);
+
   /// Frees a live object; its space returns to the extent map.
   Status Free(uint64_t id);
+
+  /// Drops the pages wholly inside [addr, addr+len) from the process's
+  /// resident memory. Their bytes do not change: the next access reads them
+  /// back from the pool file, so in crash_sim mode only persisted bytes may
+  /// be released. Meant for space just freed, so the resident footprint
+  /// follows the live objects.
+  void ReleasePages(const char* addr, size_t len);
 
   /// Pointer to a live object's bytes (nullptr if unknown id).
   char* DataFor(uint64_t id) const;

@@ -35,7 +35,8 @@ namespace pmblade {
 
 class BloomFilterPolicy;
 
-/// Object kinds registered in the PM pool directory.
+/// Object kinds registered in the PM pool directory. Kind 5 is
+/// kPmLogObject, a write-ahead log segment (pm/pm_log.h).
 enum PmObjectKind : uint32_t {
   kPmTableObject = 1,
   kArrayTableObject = 2,

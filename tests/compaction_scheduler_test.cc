@@ -896,6 +896,7 @@ TEST_F(CompactionSchedulingTest, CompactionFailureDoesNotPoisonWrites) {
 // successful manifest commit instead of silently leaking the file forever.
 TEST_F(CompactionSchedulingTest, FailedWalDeletionIsRetried) {
   options_.env = &faulty_;
+  options_.wal_in_pm = false;  // the Env fails the log deletions
   options_.l0_table_trigger = 100;  // no compactions in this test
   Open();
 

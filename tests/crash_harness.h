@@ -42,9 +42,12 @@ struct CrashHarnessOptions {
   uint64_t seed = 0xb1adeu;   // fixed default: CI failures replay exactly
   int cycles = 100;
   L0Layout l0_layout = L0Layout::kPmTable;
-  /// PM persist-granularity faults (Options::pm_crash_sim). Only meaningful
-  /// with a PM level-0 layout.
+  /// PM persist-granularity faults (Options::pm_crash_sim). Always on with
+  /// a PM WAL: without it a power cut would leave the pool, and so the
+  /// log, running.
   bool pm_crash_sim = false;
+  /// WAL device under test (Options::wal_in_pm).
+  bool wal_in_pm = true;
   int max_ops_per_cycle = 120;
   /// Parallel compaction pipeline under test: pool width and key-range
   /// slices per victim (1/1 = the historical single-worker pipeline).
@@ -79,7 +82,9 @@ struct CrashHarnessResult {
 class CrashHarness {
  public:
   explicit CrashHarness(const CrashHarnessOptions& opts)
-      : opts_(opts), rnd_(opts.seed), crash_env_(PosixEnv(), opts.seed) {}
+      : opts_(opts), rnd_(opts.seed), crash_env_(PosixEnv(), opts.seed) {
+    if (opts_.wal_in_pm) opts_.pm_crash_sim = true;
+  }
 
   CrashHarnessResult Run() {
     CrashHarnessResult result;
@@ -173,6 +178,7 @@ class CrashHarness {
     options.pm_pool_capacity = 64 << 20;
     options.pm_latency.inject_latency = false;
     options.l0_layout = opts_.l0_layout;
+    options.wal_in_pm = opts_.wal_in_pm;
     options.pm_crash_sim = opts_.pm_crash_sim;
     options.partition_boundaries = {Key(kKeyspace / 3),
                                     Key(2 * kKeyspace / 3)};

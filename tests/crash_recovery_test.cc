@@ -5,8 +5,9 @@
 // write path, flush, manifest commit and compaction, reopen, and verify the
 // recovered state against a reference model: every acknowledged-durable key
 // must survive and the visible state must sit on a write-batch boundary (no
-// torn groups). Defaults: fixed seed, 700 crash/reopen cycles across the
-// five configurations. Override with PMBLADE_CRASH_SEED /
+// torn groups). Defaults: fixed seed, 900 crash/reopen cycles across the
+// seven configurations, each run once with the WAL in PM (under PM crash
+// simulation) and once on the SSD. Override with PMBLADE_CRASH_SEED /
 // PMBLADE_CRASH_CYCLES (the latter scales each test's cycle count).
 //
 // The final test deliberately reintroduces a classic recovery bug —
@@ -38,44 +39,52 @@ int CyclesFromEnv(int default_cycles) {
   return v > 0 ? static_cast<int>(v) : default_cycles;
 }
 
-void RunHarness(const std::string& name, L0Layout layout, bool pm_crash_sim,
-                int default_cycles, int compaction_workers = 1,
-                int max_subcompactions = 1,
+// Every sweep runs on both WAL devices: the PM WAL (which always runs with
+// PM crash simulation) and the SSD WAL.
+void RunHarness(const std::string& name_prefix, L0Layout layout,
+                bool pm_crash_sim, int default_cycles,
+                int compaction_workers = 1, int max_subcompactions = 1,
                 const std::string& compaction_policy = "leveled") {
 #ifndef PMBLADE_SYNC_POINTS
   GTEST_SKIP() << "built without PMBLADE_SYNC_POINTS";
 #endif
-  CrashHarnessOptions opts;
-  opts.dbname = ::testing::TempDir() + "pmblade_crash_" + name;
-  opts.seed = SeedFromEnv();
-  opts.cycles = CyclesFromEnv(default_cycles);
-  opts.l0_layout = layout;
-  opts.pm_crash_sim = pm_crash_sim;
-  opts.compaction_workers = compaction_workers;
-  opts.max_subcompactions = max_subcompactions;
-  opts.compaction_policy = compaction_policy;
-  fprintf(stderr, "[crash harness] %s: seed=%llu cycles=%d\n", name.c_str(),
-          static_cast<unsigned long long>(opts.seed), opts.cycles);
+  for (bool wal_in_pm : {true, false}) {
+    const std::string name =
+        name_prefix + (wal_in_pm ? "_pmwal" : "_ssdwal");
+    CrashHarnessOptions opts;
+    opts.dbname = ::testing::TempDir() + "pmblade_crash_" + name;
+    opts.wal_in_pm = wal_in_pm;
+    opts.seed = SeedFromEnv();
+    opts.cycles = CyclesFromEnv(default_cycles);
+    opts.l0_layout = layout;
+    opts.pm_crash_sim = pm_crash_sim;
+    opts.compaction_workers = compaction_workers;
+    opts.max_subcompactions = max_subcompactions;
+    opts.compaction_policy = compaction_policy;
+    fprintf(stderr, "[crash harness] %s: seed=%llu cycles=%d\n",
+            name.c_str(), static_cast<unsigned long long>(opts.seed),
+            opts.cycles);
 
-  CrashHarness harness(opts);
-  CrashHarnessResult result = harness.Run();
-  EXPECT_TRUE(result.ok())
-      << "cycle " << result.failed_cycle << ": " << result.failure
-      << "\nreplay: PMBLADE_CRASH_SEED=" << opts.seed
-      << " PMBLADE_CRASH_CYCLES=" << opts.cycles;
-  EXPECT_EQ(result.cycles_run, opts.cycles);
-  // The plan mix must actually exercise both crash styles.
-  EXPECT_GT(result.syncpoint_crashes, 0);
-  EXPECT_GT(result.between_op_crashes, 0);
-  fprintf(stderr,
-          "[crash harness] %s: %d cycles (%d syncpoint, %d between-op), "
-          "%lld ops\n",
-          name.c_str(), result.cycles_run, result.syncpoint_crashes,
-          result.between_op_crashes, result.ops_issued);
+    CrashHarness harness(opts);
+    CrashHarnessResult result = harness.Run();
+    EXPECT_TRUE(result.ok())
+        << name << " cycle " << result.failed_cycle << ": " << result.failure
+        << "\nreplay: PMBLADE_CRASH_SEED=" << opts.seed
+        << " PMBLADE_CRASH_CYCLES=" << opts.cycles;
+    EXPECT_EQ(result.cycles_run, opts.cycles);
+    // The plan mix must actually exercise both crash styles.
+    EXPECT_GT(result.syncpoint_crashes, 0);
+    EXPECT_GT(result.between_op_crashes, 0);
+    fprintf(stderr,
+            "[crash harness] %s: %d cycles (%d syncpoint, %d between-op), "
+            "%lld ops\n",
+            name.c_str(), result.cycles_run, result.syncpoint_crashes,
+            result.between_op_crashes, result.ops_issued);
+  }
 }
 
 // 300 + 120 + 100 + 120 + 60 + 100 + 100 = 900 crash/reopen cycles by
-// default.
+// default, per WAL device.
 
 TEST(CrashRecoveryTest, PmLayoutRandomizedCycles) {
   RunHarness("pm", L0Layout::kPmTable, false, 300);
@@ -124,15 +133,19 @@ TEST(CrashRecoveryTest, LazyLevelingPolicyRandomizedCycles) {
 // ---------------------------------------------------------------------------
 // Sharded engine: cross-shard WriteBatch atomicity under power cuts landed
 // between the 2PC phases (tests/sharded_crash_harness.h). 500 + 200
-// sharded cycles by default; every remembered batch must recover
-// all-or-nothing, and acked cross-shard batches must recover whole.
+// sharded cycles by default, on each WAL device; every remembered batch
+// must recover all-or-nothing, and acked cross-shard batches must recover
+// whole.
 // ---------------------------------------------------------------------------
 
-ShardedCrashHarnessResult RunShardedHarness(const std::string& name,
+ShardedCrashHarnessResult RunShardedHarness(const std::string& name_prefix,
                                             uint32_t num_shards, bool atomic,
-                                            int default_cycles) {
+                                            int default_cycles,
+                                            bool wal_in_pm) {
+  const std::string name = name_prefix + (wal_in_pm ? "_pmwal" : "_ssdwal");
   ShardedCrashHarnessOptions opts;
   opts.dbname = ::testing::TempDir() + "pmblade_crash_" + name;
+  opts.wal_in_pm = wal_in_pm;
   opts.seed = SeedFromEnv();
   opts.cycles = CyclesFromEnv(default_cycles);
   opts.num_shards = num_shards;
@@ -156,15 +169,18 @@ TEST(ShardedCrashRecoveryTest, CrossShardAtomicityRandomizedCycles) {
 #ifndef PMBLADE_SYNC_POINTS
   GTEST_SKIP() << "built without PMBLADE_SYNC_POINTS";
 #endif
-  ShardedCrashHarnessResult result =
-      RunShardedHarness("sharded_2pc", /*num_shards=*/4, /*atomic=*/true,
-                        /*default_cycles=*/500);
-  EXPECT_TRUE(result.ok())
-      << "cycle " << result.failed_cycle << ": " << result.failure
-      << "\nreplay: PMBLADE_CRASH_SEED=" << SeedFromEnv();
-  EXPECT_GT(result.syncpoint_crashes, 0);
-  EXPECT_GT(result.between_op_crashes, 0);
-  EXPECT_GT(result.cross_shard_batches, 0);
+  for (bool wal_in_pm : {true, false}) {
+    SCOPED_TRACE(wal_in_pm ? "pm wal" : "ssd wal");
+    ShardedCrashHarnessResult result =
+        RunShardedHarness("sharded_2pc", /*num_shards=*/4, /*atomic=*/true,
+                          /*default_cycles=*/500, wal_in_pm);
+    EXPECT_TRUE(result.ok())
+        << "cycle " << result.failed_cycle << ": " << result.failure
+        << "\nreplay: PMBLADE_CRASH_SEED=" << SeedFromEnv();
+    EXPECT_GT(result.syncpoint_crashes, 0);
+    EXPECT_GT(result.between_op_crashes, 0);
+    EXPECT_GT(result.cross_shard_batches, 0);
+  }
 }
 
 TEST(ShardedCrashRecoveryTest, TwoShardAtomicityRandomizedCycles) {
@@ -173,13 +189,16 @@ TEST(ShardedCrashRecoveryTest, TwoShardAtomicityRandomizedCycles) {
 #endif
   // Two shards is the tightest topology: every cross-shard batch has
   // exactly one sibling to leave in doubt.
-  ShardedCrashHarnessResult result =
-      RunShardedHarness("sharded_2pc_2", /*num_shards=*/2, /*atomic=*/true,
-                        /*default_cycles=*/200);
-  EXPECT_TRUE(result.ok())
-      << "cycle " << result.failed_cycle << ": " << result.failure
-      << "\nreplay: PMBLADE_CRASH_SEED=" << SeedFromEnv();
-  EXPECT_GT(result.cross_shard_batches, 0);
+  for (bool wal_in_pm : {true, false}) {
+    SCOPED_TRACE(wal_in_pm ? "pm wal" : "ssd wal");
+    ShardedCrashHarnessResult result =
+        RunShardedHarness("sharded_2pc_2", /*num_shards=*/2, /*atomic=*/true,
+                          /*default_cycles=*/200, wal_in_pm);
+    EXPECT_TRUE(result.ok())
+        << "cycle " << result.failed_cycle << ": " << result.failure
+        << "\nreplay: PMBLADE_CRASH_SEED=" << SeedFromEnv();
+    EXPECT_GT(result.cross_shard_batches, 0);
+  }
 }
 
 // Meta-test: with 2PC disabled (the legacy independent commits) the same
@@ -191,9 +210,14 @@ TEST(ShardedCrashRecoveryTest, HarnessCatchesLegacyNonAtomicBatches) {
 #ifndef PMBLADE_SYNC_POINTS
   GTEST_SKIP() << "built without PMBLADE_SYNC_POINTS";
 #endif
+  // On the SSD WAL: the checker is the same for both devices, and a PM WAL
+  // persists each shard's sub-batch when its append returns, so the legacy
+  // mode there tears only when a cut lands between two shards' appends, a
+  // window too narrow to hit reliably in a fixed number of cycles.
   ShardedCrashHarnessResult result =
       RunShardedHarness("sharded_legacy", /*num_shards=*/4,
-                        /*atomic=*/false, /*default_cycles=*/250);
+                        /*atomic=*/false, /*default_cycles=*/250,
+                        /*wal_in_pm=*/false);
   EXPECT_FALSE(result.ok())
       << "legacy non-atomic cross-shard writes survived every power cut — "
          "the sharded checker has no teeth";
@@ -216,6 +240,7 @@ TEST(CrashRecoveryTest, HarnessCatchesEarlyWalDelete) {
   options.memtable_bytes = 16 << 10;
   options.pm_pool_capacity = 32 << 20;
   options.pm_latency.inject_latency = false;
+  options.wal_in_pm = false;  // the injected bug deletes the log files
   DestroyDB(options, dbname);
 
   std::unique_ptr<DB> db;

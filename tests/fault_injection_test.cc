@@ -31,6 +31,8 @@ class FaultInjectionTest : public ::testing::Test {
     env_.reset(new FaultyEnv(PosixEnv()));
     options_ = Options();
     options_.env = env_.get();
+    // The faults are injected through the Env, so the WAL stays on it.
+    options_.wal_in_pm = false;
     options_.memtable_bytes = 32 << 10;
     options_.pm_pool_capacity = 32 << 20;
     options_.pm_latency.inject_latency = false;

@@ -178,5 +178,40 @@ TEST_F(PmPoolTest, ZeroSizeAllocationRejected) {
   EXPECT_TRUE(pool_->Allocate(0, 1, &info, &p).IsInvalidArgument());
 }
 
+TEST_F(PmPoolTest, AllocatePersistsThePrefixBeforeTheObjectIsLive) {
+  PmPool::ObjectInfo info;
+  char* data = nullptr;
+  ASSERT_TRUE(pool_->Allocate(256, 5, &info, &data).ok());
+  memset(data, 'x', 256);
+  pool_->Persist(data, 256);
+  ASSERT_TRUE(pool_->Free(info.id).ok());
+  const uint64_t persists = pool_->stats().persists();
+  ASSERT_TRUE(pool_->Allocate(256, 5, Slice("header"), &info, &data).ok());
+  EXPECT_EQ(memcmp(data, "header", 6), 0);
+  EXPECT_EQ(data[6], 'x');  // only the prefix is written
+  // The prefix, then the directory entry and its live state.
+  EXPECT_EQ(pool_->stats().persists() - persists, 3u);
+  EXPECT_TRUE(pool_->Allocate(4, 5, Slice("too long"), &info, &data)
+                  .IsInvalidArgument());
+}
+
+TEST_F(PmPoolTest, ReleasedPagesKeepTheirBytes) {
+  for (bool crash_sim : {false, true}) {
+    pool_.reset();
+    ::remove(path_.c_str());
+    opts_.crash_sim = crash_sim;
+    ASSERT_TRUE(PmPool::Open(path_, opts_, &pool_).ok());
+    PmPool::ObjectInfo info;
+    char* data = nullptr;
+    ASSERT_TRUE(pool_->Allocate(64 << 10, 5, &info, &data).ok());
+    for (int i = 0; i < (64 << 10); ++i) data[i] = static_cast<char>(i * 7);
+    pool_->Persist(data, 64 << 10);
+    pool_->ReleasePages(data, 64 << 10);
+    for (int i = 0; i < (64 << 10); ++i) {
+      ASSERT_EQ(data[i], static_cast<char>(i * 7)) << i << " " << crash_sim;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace pmblade

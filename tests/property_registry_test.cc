@@ -124,6 +124,8 @@ const NameKind kEngineMetrics[] = {
     {"pmblade.txn.prepared", "counter"},
     {"pmblade.txn.retained", "gauge"},
     {"pmblade.txn.rolled_back", "counter"},
+    {"pmblade.wal.append_nanos", "histogram"},
+    {"pmblade.wal.pm_bytes", "gauge"},
     {"pmblade.wal.syncs", "counter"},
     {"pmblade.write.group_size", "histogram"},
     {"pmblade.write.group_writes", "counter"},

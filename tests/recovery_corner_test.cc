@@ -51,6 +51,7 @@ TEST(RecoveryCornerTest, TruncatedFinalWalRecordDropsOnlyThatRecord) {
   const std::string dbname =
       ::testing::TempDir() + "pmblade_corner_truncated_wal";
   Options options = BaseOptions();
+  options.wal_in_pm = false;  // the test truncates the log file
   DestroyDB(options, dbname);
 
   std::unique_ptr<DB> db;
@@ -92,6 +93,7 @@ TEST(RecoveryCornerTest, TruncatedFinalWalRecordDropsOnlyThatRecord) {
 TEST(RecoveryCornerTest, ManifestPointingAtDeletedWalStillOpens) {
   const std::string dbname = ::testing::TempDir() + "pmblade_corner_no_wal";
   Options options = BaseOptions();
+  options.wal_in_pm = false;  // the test deletes the log files
   DestroyDB(options, dbname);
 
   std::unique_ptr<DB> db;

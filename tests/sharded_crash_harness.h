@@ -23,9 +23,9 @@
 // Unlike tests/crash_harness.h there is no global-prefix write model: each
 // shard's WAL tears independently, so "visible state is a prefix of the
 // issued writes" does not hold across shards — all-or-nothing per batch is
-// the sharded contract. PM persist-granularity simulation is also out of
-// scope (it needs per-shard pool handles; the single-shard harness covers
-// that axis).
+// the sharded contract. With the WAL in PM (the default) every shard's
+// pool runs in crash-simulation mode and dies with the power cut, so a
+// shard's log loses exactly what was never persisted.
 
 #ifndef PMBLADE_TESTS_SHARDED_CRASH_HARNESS_H_
 #define PMBLADE_TESTS_SHARDED_CRASH_HARNESS_H_
@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "core/db.h"
+#include "core/db_impl.h"
 #include "core/sharded_db.h"
 #include "env/crash_env.h"
 #include "memtable/write_batch.h"
@@ -62,6 +63,9 @@ struct ShardedCrashHarnessOptions {
   bool atomic_cross_shard_batches = true;
   /// SSD compaction shape for every shard (Options::compaction_policy).
   std::string compaction_policy = "leveled";
+  /// WAL device under test (Options::wal_in_pm). A PM WAL turns on
+  /// Options::pm_crash_sim.
+  bool wal_in_pm = true;
   bool verbose = false;
   std::function<bool()> stop_requested;
 };
@@ -165,6 +169,8 @@ class ShardedCrashHarness {
     options.pm_pool_capacity = 16 << 20;  // per shard
     options.pm_latency.inject_latency = false;
     options.compaction_policy = opts_.compaction_policy;
+    options.wal_in_pm = opts_.wal_in_pm;
+    options.pm_crash_sim = opts_.wal_in_pm;
     return options;
   }
 
@@ -249,9 +255,24 @@ class ShardedCrashHarness {
     const CrashSite* site = nullptr;
     std::atomic<int> countdown{0};
     std::atomic<bool> crash_fired{false};
+    // Drawn only for a PM WAL, so an SSD-WAL seed replays its old plans.
+    const uint64_t pm_seed = opts_.wal_in_pm ? rnd_.Next() : 0;
+    const double pm_survival =
+        opts_.wal_in_pm ? rnd_.Uniform(3) * 0.5 : 0.0;  // 0, .5 or 1
+    std::vector<PmPool*> pools;
+    if (auto* sharded = dynamic_cast<ShardedDB*>(db.get())) {
+      for (uint32_t i = 0; i < sharded->num_shards(); ++i) {
+        pools.push_back(sharded->shard(i)->pm_pool());
+      }
+    } else {
+      pools.push_back(static_cast<DBImpl*>(db.get())->pm_pool());
+    }
     auto fire = [&] {
       if (crash_fired.exchange(true)) return;
       crash_env_.PowerCut(cut);
+      for (size_t i = 0; i < pools.size(); ++i) {
+        pools[i]->SimulateCrash(pm_seed + i, pm_survival);  // crash_sim only
+      }
     };
 #ifdef PMBLADE_SYNC_POINTS
     if (use_syncpoint) {

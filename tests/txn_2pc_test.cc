@@ -28,6 +28,8 @@
 #include "memtable/txn_record.h"
 #include "memtable/wal.h"
 #include "memtable/write_batch.h"
+#include "pm/pm_log.h"
+#include "pm/pm_pool.h"
 
 namespace pmblade {
 namespace {
@@ -91,11 +93,13 @@ TEST(TxnRecordTest, BatchRepsAreNeverMistakenForTxnRecords) {
 // WAL inspection fixture
 // ---------------------------------------------------------------------------
 
-class Txn2pcTest : public ::testing::Test {
+/// Parameter: Options::wal_in_pm — every case runs on both WAL devices.
+class Txn2pcTest : public ::testing::TestWithParam<bool> {
  protected:
   void SetUp() override {
     dbname_ = ::testing::TempDir() + "pmblade_txn_2pc_test";
     options_ = Options();
+    options_.wal_in_pm = GetParam();
     options_.num_shards = kShards;
     options_.pm_pool_capacity = 8 << 20;
     options_.pm_latency.inject_latency = false;
@@ -124,9 +128,17 @@ class Txn2pcTest : public ::testing::Test {
     }
   }
 
-  /// Every logical record in every "wal-*.log" under `dir`.
+  /// Every logical record in every "wal-*.log" of the (closed) engine in
+  /// `dir`, on either WAL device.
   std::vector<std::string> WalRecords(const std::string& dir) {
-    Env* env = PosixEnv();
+    PmPoolOptions popts;
+    popts.capacity = options_.pm_pool_capacity;
+    popts.latency.inject_latency = false;
+    std::unique_ptr<PmPool> pool;
+    EXPECT_TRUE(PmPool::Open(dir + "/pool.pm", popts, &pool).ok()) << dir;
+    if (pool == nullptr) return {};
+    PmLogEnv log_env(pool.get(), PosixEnv(), /*create_in_pm=*/false);
+    Env* env = &log_env;
     std::vector<std::string> children;
     EXPECT_TRUE(env->GetChildren(dir, &children).ok()) << dir;
     std::vector<std::string> records;
@@ -186,7 +198,7 @@ class Txn2pcTest : public ::testing::Test {
 // Fast-path exemption, verified by reading the WAL bytes back
 // ---------------------------------------------------------------------------
 
-TEST_F(Txn2pcTest, SingleShardEngineWritesNoTxnRecords) {
+TEST_P(Txn2pcTest, SingleShardEngineWritesNoTxnRecords) {
   options_.num_shards = 1;
   Open();
   for (int i = 0; i < 32; ++i) {
@@ -207,7 +219,7 @@ TEST_F(Txn2pcTest, SingleShardEngineWritesNoTxnRecords) {
   EXPECT_GT(plain, 0) << "expected the batches in the WAL";
 }
 
-TEST_F(Txn2pcTest, SingleParticipantBatchesSkip2pcOnShardedEngine) {
+TEST_P(Txn2pcTest, SingleParticipantBatchesSkip2pcOnShardedEngine) {
   Open();
   // Every batch lands wholly on one shard: the facade must route it down
   // the plain group-commit path, leaving zero txn records anywhere.
@@ -229,7 +241,7 @@ TEST_F(Txn2pcTest, SingleParticipantBatchesSkip2pcOnShardedEngine) {
   }
 }
 
-TEST_F(Txn2pcTest, CrossShardBatchWritesPrepareAndCommitEverywhere) {
+TEST_P(Txn2pcTest, CrossShardBatchWritesPrepareAndCommitEverywhere) {
   Open();
   WriteBatch batch;
   for (uint32_t shard = 0; shard < kShards; ++shard) {
@@ -255,7 +267,7 @@ TEST_F(Txn2pcTest, CrossShardBatchWritesPrepareAndCommitEverywhere) {
   }
 }
 
-TEST_F(Txn2pcTest, LegacyModeWritesNoTxnRecords) {
+TEST_P(Txn2pcTest, LegacyModeWritesNoTxnRecords) {
   options_.atomic_cross_shard_batches = false;
   Open();
   WriteBatch batch;
@@ -274,7 +286,7 @@ TEST_F(Txn2pcTest, LegacyModeWritesNoTxnRecords) {
 // Clean-reopen correctness and recovery resolution
 // ---------------------------------------------------------------------------
 
-TEST_F(Txn2pcTest, CrossShardBatchesSurviveReopenIntact) {
+TEST_P(Txn2pcTest, CrossShardBatchesSurviveReopenIntact) {
   Open();
   std::map<std::string, std::string> model;
   for (int round = 0; round < 30; ++round) {
@@ -296,7 +308,7 @@ TEST_F(Txn2pcTest, CrossShardBatchesSurviveReopenIntact) {
   }
 }
 
-TEST_F(Txn2pcTest, AllPreparesDurableResolvesToCommitOnReopen) {
+TEST_P(Txn2pcTest, AllPreparesDurableResolvesToCommitOnReopen) {
   Open();
   // Simulate a crash between phase 1 and phase 2: every participant holds
   // a durable prepare, none holds a commit marker. Resolution must COMMIT.
@@ -326,7 +338,7 @@ TEST_F(Txn2pcTest, AllPreparesDurableResolvesToCommitOnReopen) {
   EXPECT_GE(resolved, 1u);
 }
 
-TEST_F(Txn2pcTest, MissingPrepareResolvesToRollbackOnReopen) {
+TEST_P(Txn2pcTest, MissingPrepareResolvesToRollbackOnReopen) {
   Open();
   // Crash mid-phase-1: shard 0 prepared, shard 1 (a named participant)
   // never did. Resolution must ROLL BACK — neither half may surface.
@@ -363,7 +375,7 @@ TEST_F(Txn2pcTest, MissingPrepareResolvesToRollbackOnReopen) {
 // Metrics
 // ---------------------------------------------------------------------------
 
-TEST_F(Txn2pcTest, TxnMetricsMove) {
+TEST_P(Txn2pcTest, TxnMetricsMove) {
   Open();
   uint64_t prepared = 0, committed = 0;
   ASSERT_TRUE(db_->GetProperty("pmblade.txn-prepared", &prepared));
@@ -388,6 +400,11 @@ TEST_F(Txn2pcTest, TxnMetricsMove) {
   ASSERT_TRUE(db_->GetProperty("pmblade.txn-prepared", &prepared_after));
   EXPECT_EQ(prepared_after, prepared);
 }
+
+INSTANTIATE_TEST_SUITE_P(WalDevice, Txn2pcTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "PmWal" : "SsdWal";
+                         });
 
 }  // namespace
 }  // namespace pmblade

@@ -2,16 +2,22 @@
 // (writer resumed mid-block), records exactly at block boundaries, the
 // writer's one-Append-per-call contract and its byte framing, the device
 // writes one commit costs, where a cross-shard commit's marker lands in
-// the WAL (and what a power cut before it lands leaves), and PM-table
+// the WAL (and what a power cut before it lands leaves), the PM WAL's
+// recovery sweeps, extent reuse and full-pool behaviour, and PM-table
 // geometry extremes.
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <chrono>
 #include <cstring>
+#include <thread>
 #include <vector>
 
 #include "core/db.h"
+#include "core/db_impl.h"
 #include "core/sharded_db.h"
 #include "env/crash_env.h"
 #include "env/env.h"
@@ -20,10 +26,12 @@
 #include "memtable/txn_record.h"
 #include "memtable/wal.h"
 #include "memtable/write_batch.h"
+#include "pm/pm_log.h"
 #include "pm/pm_pool.h"
 #include "pmtable/pm_table_builder.h"
 #include "util/coding.h"
 #include "util/crc32c.h"
+#include "util/sync_point.h"
 
 namespace pmblade {
 namespace {
@@ -275,6 +283,7 @@ class WalDeviceWriteTest : public ::testing::Test {
     env_.reset(new SimEnv(PosixEnv(), model_.get()));
     options_.env = env_.get();
     options_.ssd_model = model_.get();
+    options_.wal_in_pm = false;  // the PmWal cases below turn it on
     options_.memtable_bytes = 8 << 20;  // nothing rotates or flushes
     options_.pm_pool_capacity = 8 << 20;
     options_.pm_latency.inject_latency = false;
@@ -285,6 +294,21 @@ class WalDeviceWriteTest : public ::testing::Test {
     DestroyDB(options_, dbname_);
   }
   void Open() { ASSERT_TRUE(DB::Open(options_, dbname_, &db_).ok()); }
+
+  uint64_t PmPersists() {
+    uint64_t persists = 0;
+    EXPECT_TRUE(db_->GetProperty("pmblade.pm.persists", &persists));
+    return persists;
+  }
+
+  /// A key of `round` that routes to `shard` of two.
+  static std::string KeyForShard(int round, uint32_t shard) {
+    for (int i = 0;; ++i) {
+      std::string key =
+          "r" + std::to_string(round) + "-" + std::to_string(i);
+      if (ShardedDB::ShardOfKey(key, 2) == shard) return key;
+    }
+  }
 
   std::string dbname_;
   std::unique_ptr<SsdModel> model_;
@@ -341,6 +365,64 @@ TEST_F(WalDeviceWriteTest, CrossShardBatchIsOneWritePerParticipant) {
   EXPECT_EQ(model_->writes() - before, 1u);
 }
 
+// With the WAL in PM an acknowledged write touches the SSD not at all; it
+// costs two PM persists (the record's bytes, then the segment's valid
+// length), plus three when it opens a new log segment.
+TEST_F(WalDeviceWriteTest, PmWalPutIsTwoPersistsAndNoDeviceWrite) {
+  options_.wal_in_pm = true;
+  Open();
+  const uint64_t opened_writes = model_->writes();  // Open's manifest
+  ASSERT_TRUE(db_->Put(WriteOptions(), "warm", "v").ok());  // first segment
+  for (int i = 0; i < 10; ++i) {
+    const uint64_t writes = model_->writes();
+    const uint64_t persists = PmPersists();
+    ASSERT_TRUE(
+        db_->Put(WriteOptions(), "k" + std::to_string(i), "v").ok());
+    EXPECT_EQ(model_->writes() - writes, 0u) << "put " << i;
+    EXPECT_EQ(PmPersists() - persists, 2u) << "put " << i;
+  }
+  // A sync write adds nothing: the append is durable when it returns.
+  WriteOptions sync;
+  sync.sync = true;
+  const uint64_t persists = PmPersists();
+  ASSERT_TRUE(db_->Put(sync, "synced", "v").ok());
+  EXPECT_EQ(PmPersists() - persists, 2u);
+
+  // A batch spanning log segments: a data and a length persist for each
+  // segment it touches (the open one plus each new one), and three more
+  // for each segment it opens.
+  WriteBatch batch;
+  for (int i = 0; i < 400; ++i) {
+    batch.Put("b" + std::to_string(i), std::string(300, 'v'));
+  }
+  uint64_t log_bytes = 0, log_bytes_after = 0;
+  ASSERT_TRUE(db_->GetProperty("pmblade.wal.pm_bytes", &log_bytes));
+  const uint64_t before = PmPersists();
+  ASSERT_TRUE(db_->Write(WriteOptions(), &batch).ok());
+  ASSERT_TRUE(db_->GetProperty("pmblade.wal.pm_bytes", &log_bytes_after));
+  const uint64_t opened = (log_bytes_after - log_bytes) / kPmLogSegmentBytes;
+  EXPECT_GE(opened, 1u);
+  EXPECT_EQ(PmPersists() - before, 2 * (opened + 1) + 3 * opened);
+  EXPECT_EQ(model_->writes(), opened_writes);
+}
+
+TEST_F(WalDeviceWriteTest, PmWalCrossShardBatchWritesNothingToSsd) {
+  options_.wal_in_pm = true;
+  options_.num_shards = 2;
+  Open();
+  // The always-synced prepares included: nothing after Open's manifests.
+  const uint64_t opened_bytes = model_->bytes_written();
+  for (int round = 0; round < 5; ++round) {
+    WriteBatch batch;
+    batch.Put(KeyForShard(round, 0), "v");
+    batch.Put(KeyForShard(round, 1), "v");
+    const uint64_t before = model_->writes();
+    ASSERT_TRUE(db_->Write(WriteOptions(), &batch).ok());
+    EXPECT_EQ(model_->writes() - before, 0u) << "round " << round;
+  }
+  EXPECT_EQ(model_->bytes_written(), opened_bytes);
+}
+
 /// Two shards over a CrashEnv: where a cross-shard commit's kCommit marker
 /// lands, and what a power cut before it lands leaves behind.
 class CommitMarkerTest : public ::testing::Test {
@@ -349,6 +431,8 @@ class CommitMarkerTest : public ::testing::Test {
     dbname_ = ::testing::TempDir() + "pmblade_commit_marker";
     options_.env = &env_;
     options_.raw_env = &env_;
+    // The test reads the log files and cuts power through the Env.
+    options_.wal_in_pm = false;
     options_.num_shards = 2;
     options_.memtable_bytes = 8 << 20;  // nothing rotates or flushes
     options_.pm_pool_capacity = 8 << 20;
@@ -566,6 +650,270 @@ TEST(PmTableGeometryTest, LargeValuesAndEmptyValues) {
   EXPECT_EQ(it->value().ToString(), huge);
   pool.reset();
   ::remove(path.c_str());
+}
+
+
+// ---------------------------------------------------------------------------
+// The PM WAL (pm/pm_log.h): recovery sweeps, extent reuse, a full pool
+// ---------------------------------------------------------------------------
+
+class PmWalTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dbname_ = ::testing::TempDir() + "pmblade_pm_wal";
+    options_.wal_in_pm = true;
+    options_.pm_crash_sim = true;
+    options_.memtable_bytes = 8 << 20;  // nothing rotates by size
+    options_.pm_pool_capacity = 8 << 20;
+    options_.pm_latency.inject_latency = false;
+    DestroyDB(options_, dbname_);
+  }
+  void TearDown() override {
+    db_.reset();
+    DestroyDB(options_, dbname_);
+  }
+  void Open() {
+    db_.reset();
+    Status s = DB::Open(options_, dbname_, &db_);
+    ASSERT_TRUE(s.ok()) << s.ToString();
+  }
+  /// Power cut: every word the pool never persisted reverts.
+  void Crash() {
+    static_cast<DBImpl*>(db_.get())->pm_pool()->SimulateCrash(7, 0.0);
+    db_.reset();
+  }
+  std::string Get(const std::string& key) {
+    std::string value;
+    Status s = db_->Get(ReadOptions(), key, &value);
+    return s.ok() ? value : s.ToString();
+  }
+  uint64_t LogBytes() {
+    uint64_t bytes = 0;
+    EXPECT_TRUE(db_->GetProperty("pmblade.wal.pm_bytes", &bytes));
+    return bytes;
+  }
+
+  std::string dbname_;
+  Options options_;
+  std::unique_ptr<DB> db_;
+};
+
+// The orphan sweep after a manifest read frees every pool object the
+// manifest does not name. Log segments are never named there, so before
+// the sweep skipped them a crash before the first flush lost every write.
+TEST_F(PmWalTest, CrashBeforeAnyFlushKeepsEveryAckedWrite) {
+  Open();
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(db_->Put(WriteOptions(), "k" + std::to_string(i),
+                         "v" + std::to_string(i))
+                    .ok());
+  }
+  Crash();
+  Open();
+  // A second life, so a log the sweep freed (its extent now reused by the
+  // new log) cannot pass for one it kept.
+  for (int i = 200; i < 300; ++i) {
+    ASSERT_TRUE(db_->Put(WriteOptions(), "k" + std::to_string(i),
+                         "v" + std::to_string(i))
+                    .ok());
+  }
+  Crash();
+  Open();
+  for (int i = 0; i < 300; ++i) {
+    EXPECT_EQ(Get("k" + std::to_string(i)), "v" + std::to_string(i)) << i;
+  }
+}
+
+// The image a crash leaves before the first manifest commit lands: logs in
+// the pool, no manifest. The fresh-DB path frees the pool's tables but
+// replays its logs.
+TEST_F(PmWalTest, CrashBeforeFirstManifestCommitKeepsEveryAckedWrite) {
+  Open();
+  for (int i = 0; i < 50; ++i) {
+    ASSERT_TRUE(db_->Put(WriteOptions(), "k" + std::to_string(i), "v").ok());
+  }
+  Crash();
+  ASSERT_TRUE(PosixEnv()->RemoveFile(dbname_ + "/MANIFEST").ok());
+  Open();
+  for (int i = 50; i < 100; ++i) {
+    ASSERT_TRUE(db_->Put(WriteOptions(), "k" + std::to_string(i), "v").ok());
+  }
+  Crash();
+  Open();
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(Get("k" + std::to_string(i)), "v") << i;
+  }
+  // The replayed logs are retired by the next flush like any other.
+  ASSERT_TRUE(db_->FlushMemTable().ok());
+  EXPECT_EQ(LogBytes(), 0u);
+  Crash();
+  Open();
+  EXPECT_EQ(Get("k49"), "v");
+}
+
+TEST_F(PmWalTest, FlushFreesItsLog) {
+  Open();
+  ASSERT_TRUE(db_->Put(WriteOptions(), "a", "1").ok());
+  EXPECT_EQ(LogBytes(), kPmLogSegmentBytes);
+  ASSERT_TRUE(db_->FlushMemTable().ok());
+  EXPECT_EQ(LogBytes(), 0u);  // the next log has no segment yet
+  ASSERT_TRUE(db_->Put(WriteOptions(), "b", "2").ok());
+  db_.reset();
+  Open();
+  EXPECT_EQ(LogBytes(), kPmLogSegmentBytes);  // only the live log
+  EXPECT_EQ(Get("a"), "1");
+  EXPECT_EQ(Get("b"), "2");
+}
+
+#ifdef PMBLADE_SYNC_POINTS
+// A crash between the flush's manifest commit and its log delete leaves a
+// log below the replay floor; the next open frees it without replaying it.
+TEST_F(PmWalTest, ReplayFreesLogsBelowTheFloor) {
+  Open();
+  ASSERT_TRUE(db_->Put(WriteOptions(), "a", "1").ok());
+  PmPool* pool = static_cast<DBImpl*>(db_.get())->pm_pool();
+  SyncPoint::GetInstance()->SetCallBack(
+      "DBImpl::BackgroundFlush:ManifestCommitted",
+      [pool](void*) { pool->SimulateCrash(3, 0.0); });
+  SyncPoint::GetInstance()->EnableProcessing();
+  db_->FlushMemTable();  // the log delete dies with the pool
+  SyncPoint::GetInstance()->DisableProcessing();
+  db_.reset();
+  SyncPoint::GetInstance()->Reset();
+
+  PmPoolOptions popts;
+  popts.capacity = options_.pm_pool_capacity;
+  popts.latency.inject_latency = false;
+  {
+    std::unique_ptr<PmPool> image;
+    ASSERT_TRUE(PmPool::Open(dbname_ + "/pool.pm", popts, &image).ok());
+    PmLogEnv logs(image.get(), PosixEnv(), /*create_in_pm=*/false);
+    EXPECT_EQ(logs.SegmentBytes(), kPmLogSegmentBytes) << "log not left";
+  }
+  Open();
+  EXPECT_EQ(LogBytes(), 0u);
+  EXPECT_EQ(Get("a"), "1");  // from the flushed table
+}
+#endif  // PMBLADE_SYNC_POINTS
+
+// Logs are created on the configured device but found on both, so a DB
+// reopened with the other setting replays, then retires, every log.
+TEST_F(PmWalTest, ReopenOnTheOtherWalDeviceReplaysEveryLog) {
+  options_.pm_crash_sim = false;
+  options_.wal_in_pm = false;
+  Open();
+  ASSERT_TRUE(db_->Put(WriteOptions(), "a", "on-ssd").ok());
+  options_.wal_in_pm = true;
+  Open();
+  EXPECT_EQ(Get("a"), "on-ssd");
+  ASSERT_TRUE(db_->Put(WriteOptions(), "b", "in-pm").ok());
+  EXPECT_GT(LogBytes(), 0u);
+  options_.wal_in_pm = false;
+  Open();
+  EXPECT_EQ(Get("a"), "on-ssd");
+  EXPECT_EQ(Get("b"), "in-pm");
+  ASSERT_TRUE(db_->FlushMemTable().ok());
+  EXPECT_EQ(LogBytes(), 0u);  // the PM log is retired
+  std::vector<std::string> children;
+  ASSERT_TRUE(PosixEnv()->GetChildren(dbname_, &children).ok());
+  size_t ssd_logs = 0;
+  for (const std::string& child : children) {
+    if (child.compare(0, 4, "wal-") == 0) ++ssd_logs;
+  }
+  EXPECT_EQ(ssd_logs, 1u);  // only the active log
+  Open();
+  EXPECT_EQ(Get("b"), "in-pm");
+}
+
+// A segment that reuses a freed log's extent still holds that log's
+// records past its own valid length. Under a power cut that keeps every
+// unpersisted word, replay must still see only the new log's records.
+TEST(PmLogEnvTest, ReusedExtentNeverReplaysTheFreedLogsRecords) {
+  const std::string path = ::testing::TempDir() + "pmblade_pm_log_reuse.pm";
+  ::unlink(path.c_str());
+  PmPoolOptions popts;
+  popts.capacity = 1 << 20;
+  popts.latency.inject_latency = false;
+  popts.crash_sim = true;
+  std::unique_ptr<PmPool> pool;
+  ASSERT_TRUE(PmPool::Open(path, popts, &pool).ok());
+  uint64_t old_offset = 0;
+  {
+    PmLogEnv env(pool.get(), PosixEnv(), /*create_in_pm=*/true);
+    std::unique_ptr<WritableFile> file;
+    ASSERT_TRUE(env.NewWritableFile("db/wal-000001.log", &file).ok());
+    wal::Writer writer(file.get());
+    for (int i = 0; i < 100; ++i) {
+      ASSERT_TRUE(writer.AddRecord("old-record-" + std::to_string(i)).ok());
+    }
+    old_offset = pool->ListObjects().at(0).offset;
+    file.reset();
+    ASSERT_TRUE(env.RemoveFile("db/wal-000001.log").ok());
+
+    ASSERT_TRUE(env.NewWritableFile("db/wal-000002.log", &file).ok());
+    wal::Writer fresh(file.get());
+    ASSERT_TRUE(fresh.AddRecord("new-record").ok());
+    ASSERT_EQ(pool->ListObjects().size(), 1u);
+    ASSERT_EQ(pool->ListObjects().at(0).offset, old_offset)
+        << "the new log did not reuse the freed extent";
+  }
+  pool->SimulateCrash(11, /*unpersisted_survival_prob=*/1.0);
+  pool.reset();
+
+  ASSERT_TRUE(PmPool::Open(path, popts, &pool).ok());
+  PmLogEnv env(pool.get(), PosixEnv(), /*create_in_pm=*/true);
+  EXPECT_FALSE(env.FileExists("db/wal-000001.log"));
+  std::unique_ptr<SequentialFile> file;
+  ASSERT_TRUE(env.NewSequentialFile("db/wal-000002.log", &file).ok());
+  wal::Reader reader(file.get(), nullptr);
+  std::vector<std::string> records;
+  Slice record;
+  std::string scratch;
+  while (reader.ReadRecord(&record, &scratch)) {
+    records.push_back(record.ToString());
+  }
+  EXPECT_EQ(records, std::vector<std::string>{"new-record"});
+  pool.reset();
+  ::unlink(path.c_str());
+}
+
+// A full pool fails the append cleanly: Busy, nothing written, no sticky
+// error. The failed write rotates the memtable, and once that flush frees
+// the log, writes go through again.
+TEST_F(PmWalTest, FullPoolIsBusyAndWritesResumeAfterTheFlush) {
+  options_.pm_crash_sim = false;
+  options_.pm_pool_capacity = 1 << 20;  // room for 16 log segments
+  options_.l0_layout = L0Layout::kSstable;  // the flush needs no PM
+  Open();
+  const std::string value(1000, 'x');
+  int acked = 0;
+  Status s;
+  for (; acked < 4000; ++acked) {
+    s = db_->Put(WriteOptions(), "k" + std::to_string(acked), value);
+    if (!s.ok()) break;
+  }
+  ASSERT_TRUE(s.IsBusy()) << s.ToString();
+  ASSERT_GT(acked, 100);
+
+  // Writes resume without any call but the retry.
+  bool resumed = false;
+  for (int attempt = 0; attempt < 500 && !resumed; ++attempt) {
+    s = db_->Put(WriteOptions(), "after", "a");
+    resumed = s.ok();
+    if (!resumed) {
+      ASSERT_TRUE(s.IsBusy()) << s.ToString();
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  }
+  ASSERT_TRUE(resumed);
+  for (int i = 0; i < acked; i += 97) {
+    EXPECT_EQ(Get("k" + std::to_string(i)), value) << i;
+  }
+  EXPECT_TRUE(Get("k" + std::to_string(acked)).find("NotFound") == 0);
+  db_.reset();
+  Open();
+  EXPECT_EQ(Get("after"), "a");
+  EXPECT_EQ(Get("k" + std::to_string(acked - 1)), value);
 }
 
 }  // namespace

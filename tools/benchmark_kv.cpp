@@ -28,8 +28,9 @@
 //   indexquery   secondary-index queries (scan + verify + point reads)
 //   mixed        50/50 zipfian read/update
 //   write_scaling concurrent-writer sweep (1..--writers threads of random
-//                puts, sync per --sync_writes); reopens the engine fresh per
-//                point and emits BENCH_write_scaling.json
+//                puts, sync per --sync_writes), each point with the SSD WAL
+//                and the PM WAL; reopens the engine fresh per run and emits
+//                BENCH_write_scaling.json
 //   compaction_parallel sweep of the parallel compaction pipeline: fresh
 //                engine per point with compaction_workers =
 //                max_subcompactions = 1, 2, 4 (.. --compaction_workers),
@@ -115,97 +116,114 @@ void Report(const char* name, uint64_t ops, uint64_t nanos,
   } while (0)
 
 // Concurrent-writer sweep: 1, 2, 4, ... up to --writers threads of random
-// puts (sync per --sync_writes). Each point reopens the engine fresh so the
-// points are independent, then reads the group-commit counters to report
+// puts (sync per --sync_writes), each point once with the WAL on the SSD
+// and once in PM (Options::wal_in_pm). Each run reopens the engine fresh so
+// the runs are independent, then reads the group-commit counters to report
 // how well the WAL syncs amortized. Emits BENCH_write_scaling.json.
 void RunWriteScaling(Context* ctx) {
   std::vector<int> points;
   for (int t = 1; t < ctx->writers; t *= 2) points.push_back(t);
   if (ctx->writers >= 1) points.push_back(ctx->writers);
 
-  TablePrinter table({"writers", "ops/sec", "p99(us)", "groups",
-                      "writes/group", "fsyncs", "fsyncs/write"});
+  const BenchEnvOptions saved = *ctx->env->mutable_options();
+  // "syncs" counts the sync barriers the groups asked for: fsyncs with the
+  // SSD WAL, free with the PM WAL, whose appends are durable on return.
+  TablePrinter table({"writers", "wal", "ops/sec", "p99(us)", "groups",
+                      "writes/group", "syncs", "ssd writes/put"});
   std::string json = "[\n";
 
   for (size_t pi = 0; pi < points.size(); ++pi) {
     if (InterruptRequested()) break;  // partial JSON still written below
     const int threads = points[pi];
-    KvEngine* engine = nullptr;
-    Status s = ctx->env->OpenEngine(ctx->env->config(), &engine);
-    if (!s.ok()) {
-      fprintf(stderr, "write_scaling reopen: %s\n", s.ToString().c_str());
-      exit(1);
-    }
-    ctx->engine = engine;
-    DB* db = ctx->env->pmblade_db();
+    std::string row_json = "  {\"writers\": " + std::to_string(threads);
+    for (const bool wal_in_pm : {false, true}) {
+      const char* wal = wal_in_pm ? "pm" : "ssd";
+      ctx->env->mutable_options()->wal_in_pm = wal_in_pm;
+      KvEngine* engine = nullptr;
+      Status s = ctx->env->OpenEngine(ctx->env->config(), &engine);
+      if (!s.ok()) {
+        fprintf(stderr, "write_scaling reopen: %s\n", s.ToString().c_str());
+        exit(1);
+      }
+      ctx->engine = engine;
+      DB* db = ctx->env->pmblade_db();
+      const uint64_t ssd_writes_before = ctx->env->ssd_model()->writes();
 
-    KeySpec spec;
-    spec.num_keys = ctx->num;
-    KeyGenerator keys(spec);
-    ValueGenerator values(ctx->value_size);
-    const uint64_t per_thread = ctx->num / threads;
+      KeySpec spec;
+      spec.num_keys = ctx->num;
+      KeyGenerator keys(spec);
+      ValueGenerator values(ctx->value_size);
+      const uint64_t per_thread = ctx->num / threads;
 
-    Histogram latency;
-    std::mutex merge_mu;
-    const uint64_t start = ctx->clock->NowNanos();
-    std::vector<std::thread> workers;
-    for (int t = 0; t < threads; ++t) {
-      workers.emplace_back([&, t] {
-        Random rng(301 + t);
-        Histogram local;
-        WriteOptions wopts;
-        wopts.sync = ctx->sync_writes;
-        for (uint64_t i = 0; i < per_thread && !InterruptRequested(); ++i) {
-          uint64_t k = rng.Uniform(ctx->num);
-          uint64_t t0 = ctx->clock->NowNanos();
-          if (db != nullptr) {
-            RUN_OP(db->Put(wopts, keys.KeyAt(k), values.For(k)));
-          } else {
-            RUN_OP(ctx->engine->Put(keys.KeyAt(k), values.For(k)));
+      Histogram latency;
+      std::mutex merge_mu;
+      const uint64_t start = ctx->clock->NowNanos();
+      std::vector<std::thread> workers;
+      for (int t = 0; t < threads; ++t) {
+        workers.emplace_back([&, t] {
+          Random rng(301 + t);
+          Histogram local;
+          WriteOptions wopts;
+          wopts.sync = ctx->sync_writes;
+          for (uint64_t i = 0; i < per_thread && !InterruptRequested(); ++i) {
+            uint64_t k = rng.Uniform(ctx->num);
+            uint64_t t0 = ctx->clock->NowNanos();
+            if (db != nullptr) {
+              RUN_OP(db->Put(wopts, keys.KeyAt(k), values.For(k)));
+            } else {
+              RUN_OP(ctx->engine->Put(keys.KeyAt(k), values.For(k)));
+            }
+            local.Add(ctx->clock->NowNanos() - t0);
           }
-          local.Add(ctx->clock->NowNanos() - t0);
-        }
-        std::lock_guard<std::mutex> lock(merge_mu);
-        latency.Merge(local);
-      });
+          std::lock_guard<std::mutex> lock(merge_mu);
+          latency.Merge(local);
+        });
+      }
+      for (auto& w : workers) w.join();
+      const uint64_t nanos = ctx->clock->NowNanos() - start;
+
+      const uint64_t ops = per_thread * threads;
+      const double ops_per_sec = nanos > 0 ? ops * 1e9 / nanos : 0;
+      const double p99_us = latency.Percentile(99) / 1000.0;
+      uint64_t syncs = 0, groups = 0, group_writes = 0;
+      if (db != nullptr) {
+        db->GetProperty("pmblade.wal-syncs", &syncs);
+        db->GetProperty("pmblade.write-groups", &groups);
+        db->GetProperty("pmblade.write-group-writes", &group_writes);
+      }
+      const double writes_per_group =
+          groups > 0 ? static_cast<double>(group_writes) / groups : 0;
+      // Flushes and compactions write the SSD too, so this is an upper
+      // bound on the WAL's share: 1 per put (ungrouped) with the SSD WAL.
+      const double ssd_writes_per_put =
+          ops > 0 ? static_cast<double>(ctx->env->ssd_model()->writes() -
+                                        ssd_writes_before) /
+                        ops
+                  : 0;
+
+      char row[96];
+      snprintf(row, sizeof(row), "%d writers, %s wal", threads, wal);
+      Report(row, ops, nanos, latency);
+      table.AddRow({std::to_string(threads), wal,
+                    TablePrinter::Fmt(ops_per_sec, 0),
+                    TablePrinter::Fmt(p99_us, 1), std::to_string(groups),
+                    TablePrinter::Fmt(writes_per_group, 2),
+                    std::to_string(syncs),
+                    TablePrinter::Fmt(ssd_writes_per_put, 3)});
+
+      char point[320];
+      snprintf(point, sizeof(point),
+               ", \"%s\": {\"ops\": %llu, \"ops_per_sec\": %.0f, "
+               "\"p99_us\": %.2f, \"groups\": %llu, \"writes_per_group\": "
+               "%.2f, \"syncs\": %llu, \"ssd_writes_per_put\": %.4f}",
+               wal, static_cast<unsigned long long>(ops), ops_per_sec, p99_us,
+               static_cast<unsigned long long>(groups), writes_per_group,
+               static_cast<unsigned long long>(syncs), ssd_writes_per_put);
+      row_json += point;
     }
-    for (auto& w : workers) w.join();
-    const uint64_t nanos = ctx->clock->NowNanos() - start;
-
-    const uint64_t ops = per_thread * threads;
-    const double ops_per_sec = nanos > 0 ? ops * 1e9 / nanos : 0;
-    const double p99_us = latency.Percentile(99) / 1000.0;
-    uint64_t syncs = 0, groups = 0, group_writes = 0;
-    if (db != nullptr) {
-      db->GetProperty("pmblade.wal-syncs", &syncs);
-      db->GetProperty("pmblade.write-groups", &groups);
-      db->GetProperty("pmblade.write-group-writes", &group_writes);
-    }
-    const double writes_per_group =
-        groups > 0 ? static_cast<double>(group_writes) / groups : 0;
-    const double fsyncs_per_write =
-        ops > 0 ? static_cast<double>(syncs) / ops : 0;
-
-    char row[96];
-    snprintf(row, sizeof(row), "%d writers", threads);
-    Report(row, ops, nanos, latency);
-    table.AddRow({std::to_string(threads), TablePrinter::Fmt(ops_per_sec, 0),
-                  TablePrinter::Fmt(p99_us, 1), std::to_string(groups),
-                  TablePrinter::Fmt(writes_per_group, 2),
-                  std::to_string(syncs),
-                  TablePrinter::Fmt(fsyncs_per_write, 3)});
-
-    char point[256];
-    snprintf(point, sizeof(point),
-             "  {\"writers\": %d, \"ops\": %llu, \"ops_per_sec\": %.0f, "
-             "\"p99_us\": %.2f, \"groups\": %llu, \"writes_per_group\": "
-             "%.2f, \"fsyncs\": %llu, \"fsyncs_per_write\": %.4f}%s\n",
-             threads, static_cast<unsigned long long>(ops), ops_per_sec,
-             p99_us, static_cast<unsigned long long>(groups),
-             writes_per_group, static_cast<unsigned long long>(syncs),
-             fsyncs_per_write, pi + 1 < points.size() ? "," : "");
-    json += point;
+    json += row_json + "}" + (pi + 1 < points.size() ? ",\n" : "\n");
   }
+  *ctx->env->mutable_options() = saved;
   // An interrupted run stops after a point that still wrote its separator.
   if (json.size() >= 2 && json[json.size() - 2] == ',') {
     json.erase(json.size() - 2, 1);

@@ -6,6 +6,10 @@
 //
 //   crash_stress --seed=<printed seed> --cycles=<N> [--layout=...] ...
 //
+// --wal=pm (the default) keeps the WAL in the PM pool and always runs with
+// PM crash simulation: a power cut kills the pool with the SSD. --wal=ssd
+// keeps it as files on the crash Env.
+//
 // SIGINT/SIGTERM stop the run at the next cycle boundary: the harness still
 // performs its final-reopen invariant check, the partial results are printed
 // and written to --json (default crash_stress_summary.json), and the exit
@@ -41,7 +45,9 @@ void Usage() {
           "  --layout=pm|ssd   level-0 layout (default pm)\n"
           "  --policy=NAME     SSD compaction policy: leveled (default),\n"
           "                    tiered or lazy_leveling\n"
-          "  --pm-crash-sim    enable PM persist-granularity faults\n"
+          "  --pm-crash-sim    enable PM persist-granularity faults (always\n"
+          "                    on with --wal=pm)\n"
+          "  --wal=pm|ssd      WAL device (default pm)\n"
           "  --all-layouts     run pm, ssd and pm+crash-sim configurations\n"
           "  --shards=N        drive an N-shard ShardedDB instead: random\n"
           "                    cross-shard batches, power cuts between 2PC\n"
@@ -96,7 +102,7 @@ int main(int argc, char** argv) {
   bench::Flags flags(argc, argv);
   std::vector<std::string> unknown = flags.Unknown(
       {"cycles", "seed", "layout", "policy", "pm-crash-sim", "all-layouts",
-       "max-ops", "dir", "json", "verbose", "shards"});
+       "max-ops", "dir", "json", "verbose", "shards", "wal"});
   if (!unknown.empty() || !flags.positional().empty()) {
     for (const auto& f : unknown) {
       fprintf(stderr, "unknown flag --%s\n", f.c_str());
@@ -123,6 +129,12 @@ int main(int argc, char** argv) {
     return 2;
   }
   const bool pm_crash_sim = flags.Bool("pm-crash-sim", false);
+  const std::string wal = flags.Str("wal", "pm");
+  if (wal != "pm" && wal != "ssd") {
+    fprintf(stderr, "unknown --wal '%s' (want pm|ssd)\n", wal.c_str());
+    return 2;
+  }
+  const bool wal_in_pm = wal == "pm";
   const bool all_layouts = flags.Bool("all-layouts", false);
   long max_ops = static_cast<long>(flags.Int("max-ops", 120));
   std::string dir = flags.Str("dir", "/tmp");
@@ -141,9 +153,10 @@ int main(int argc, char** argv) {
 
   // The seed goes out first so a dead CI job still shows how to replay.
   printf("crash_stress: seed=%llu cycles=%ld (replay: crash_stress "
-         "--seed=%llu --cycles=%ld%s)\n",
+         "--seed=%llu --cycles=%ld%s --wal=%s)\n",
          seed, cycles, seed, cycles,
-         shards > 0 ? (" --shards=" + std::to_string(shards)).c_str() : "");
+         shards > 0 ? (" --shards=" + std::to_string(shards)).c_str() : "",
+         wal.c_str());
   fflush(stdout);
 
   if (shards > 0) {
@@ -159,10 +172,12 @@ int main(int argc, char** argv) {
     opts.num_shards = static_cast<uint32_t>(shards);
     opts.max_ops_per_cycle = static_cast<int>(max_ops);
     opts.compaction_policy = policy;
+    opts.wal_in_pm = wal_in_pm;
     opts.verbose = verbose;
     opts.stop_requested = [] { return bench::InterruptRequested(); };
 
-    printf("== sharded x%ld: %ld cycles ==\n", shards, cycles);
+    printf("== sharded x%ld, %s wal: %ld cycles ==\n", shards, wal.c_str(),
+           cycles);
     fflush(stdout);
     pmblade::test::ShardedCrashHarness harness(opts);
     pmblade::test::ShardedCrashHarnessResult result = harness.Run();
@@ -175,9 +190,9 @@ int main(int argc, char** argv) {
              result.cross_shard_batches);
     } else {
       printf("   FAIL at cycle %d: %s\n   replay: crash_stress --seed=%llu "
-             "--cycles=%ld --shards=%ld\n",
+             "--cycles=%ld --shards=%ld --wal=%s\n",
              result.failed_cycle, result.failure.c_str(), seed, cycles,
-             shards);
+             shards, wal.c_str());
     }
     fflush(stdout);
     if (!json_path.empty()) {
@@ -186,14 +201,15 @@ int main(int argc, char** argv) {
         fprintf(out,
                 "{\n  \"seed\": %llu,\n  \"cycles_requested\": %ld,\n"
                 "  \"interrupted\": %s,\n  \"configs\": [\n"
-                "    {\"name\": \"sharded-x%ld\", \"ok\": %s, "
+                "    {\"name\": \"sharded-x%ld-%s-wal\", \"ok\": %s, "
                 "\"cycles_run\": %d, \"syncpoint_crashes\": %d, "
                 "\"between_op_crashes\": %d, \"batches\": %lld, "
                 "\"cross_shard_batches\": %lld, \"failed_cycle\": %d}\n"
                 "  ]\n}\n",
                 seed, cycles,
                 bench::InterruptRequested() ? "true" : "false", shards,
-                result.ok() ? "true" : "false", result.cycles_run,
+                wal.c_str(), result.ok() ? "true" : "false",
+                result.cycles_run,
                 result.syncpoint_crashes, result.between_op_crashes,
                 result.batches_issued, result.cross_shard_batches,
                 result.failed_cycle);
@@ -234,16 +250,18 @@ int main(int argc, char** argv) {
     opts.cycles = static_cast<int>(cycles);
     opts.l0_layout = config.layout;
     opts.pm_crash_sim = config.pm_crash_sim;
+    opts.wal_in_pm = wal_in_pm;
     opts.max_ops_per_cycle = static_cast<int>(max_ops);
     opts.compaction_policy = policy;
     opts.verbose = verbose;
     opts.stop_requested = [] { return bench::InterruptRequested(); };
 
-    printf("== %s: %ld cycles ==\n", config.name, cycles);
+    printf("== %s, %s wal: %ld cycles ==\n", config.name, wal.c_str(),
+           cycles);
     fflush(stdout);
     CrashHarness harness(opts);
     CrashHarnessResult result = harness.Run();
-    results.push_back({config.name, result});
+    results.push_back({std::string(config.name) + "-" + wal + "-wal", result});
     if (result.ok()) {
       printf("   %s: %d cycles (%d syncpoint / %d between-op crashes), "
              "%lld ops\n",
@@ -252,8 +270,9 @@ int main(int argc, char** argv) {
              result.between_op_crashes, result.ops_issued);
     } else {
       printf("   FAIL at cycle %d: %s\n   replay: crash_stress --seed=%llu "
-             "--cycles=%ld --layout=%s%s%s\n",
+             "--cycles=%ld --wal=%s --layout=%s%s%s\n",
              result.failed_cycle, result.failure.c_str(), seed, cycles,
+             wal.c_str(),
              config.layout == pmblade::L0Layout::kSstable ? "ssd" : "pm",
              config.pm_crash_sim ? " --pm-crash-sim" : "",
              policy == "leveled" ? ""
