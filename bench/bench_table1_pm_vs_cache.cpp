@@ -15,6 +15,7 @@
 #include "benchutil/reporter.h"
 #include "benchutil/workload.h"
 #include "compaction/minor_compaction.h"
+#include "env/filename.h"
 #include "env/sim_env.h"
 #include "memtable/internal_key.h"
 #include "pm/pm_pool.h"
@@ -149,10 +150,7 @@ int main(int argc, char** argv) {
 
       // SSTable file for both cached and SSD variants.
       uint64_t file_number = sst_factory.NextFileNumber();
-      char name[64];
-      snprintf(name, sizeof(name), "/%06llu.sst",
-               static_cast<unsigned long long>(file_number));
-      std::string path = setup.dir + name;
+      std::string path = SstFileName(setup.dir, file_number);
       std::unique_ptr<WritableFile> file;
       PosixEnv()->NewWritableFile(path, &file);
       TableBuilderOptions topts;

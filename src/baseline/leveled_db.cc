@@ -2,18 +2,10 @@
 
 #include "compaction/merging_iterator.h"
 #include "core/version.h"
+#include "env/filename.h"
 #include "memtable/write_batch.h"
 
 namespace pmblade {
-
-namespace {
-std::string WalName(const std::string& dbname, uint64_t number) {
-  char buf[64];
-  snprintf(buf, sizeof(buf), "/wal-%06llu.log",
-           static_cast<unsigned long long>(number));
-  return dbname + buf;
-}
-}  // namespace
 
 Status LeveledDb::Open(const LeveledDbOptions& options,
                        const std::string& dbname,
@@ -59,7 +51,7 @@ Status LeveledDb::Init() {
 
   wal_number_ = factory_->NextFileNumber();
   PMBLADE_RETURN_IF_ERROR(
-      env_->NewWritableFile(WalName(dbname_, wal_number_), &wal_file_));
+      env_->NewWritableFile(WalFileName(dbname_, wal_number_), &wal_file_));
   wal_.reset(new wal::Writer(wal_file_.get()));
   return Status::OK();
 }
@@ -198,11 +190,11 @@ Status LeveledDb::FlushLocked() {
   wal_number_ = factory_->NextFileNumber();
   std::unique_ptr<WritableFile> file;
   PMBLADE_RETURN_IF_ERROR(
-      env_->NewWritableFile(WalName(dbname_, wal_number_), &file));
+      env_->NewWritableFile(WalFileName(dbname_, wal_number_), &file));
   wal_file_->Close();
   wal_file_ = std::move(file);
   wal_.reset(new wal::Writer(wal_file_.get()));
-  env_->RemoveFile(WalName(dbname_, old));
+  env_->RemoveFile(WalFileName(dbname_, old));
 
   if (l0_.size() >= options_.l0_compaction_trigger) {
     PMBLADE_RETURN_IF_ERROR(CompactL0Locked());

@@ -2,18 +2,10 @@
 
 #include "compaction/merging_iterator.h"
 #include "core/version.h"
+#include "env/filename.h"
 #include "memtable/write_batch.h"
 
 namespace pmblade {
-
-namespace {
-std::string WalName(const std::string& dbname, uint64_t number) {
-  char buf[64];
-  snprintf(buf, sizeof(buf), "/wal-%06llu.log",
-           static_cast<unsigned long long>(number));
-  return dbname + buf;
-}
-}  // namespace
 
 Status MatrixKvDb::Open(const MatrixKvOptions& options,
                         const std::string& dbname,
@@ -73,7 +65,7 @@ Status MatrixKvDb::Init() {
 
   wal_number_ = sst_factory_->NextFileNumber();
   PMBLADE_RETURN_IF_ERROR(
-      env_->NewWritableFile(WalName(dbname_, wal_number_), &wal_file_));
+      env_->NewWritableFile(WalFileName(dbname_, wal_number_), &wal_file_));
   wal_.reset(new wal::Writer(wal_file_.get()));
   return Status::OK();
 }
@@ -213,11 +205,11 @@ Status MatrixKvDb::FlushLocked() {
   wal_number_ = sst_factory_->NextFileNumber();
   std::unique_ptr<WritableFile> file;
   PMBLADE_RETURN_IF_ERROR(
-      env_->NewWritableFile(WalName(dbname_, wal_number_), &file));
+      env_->NewWritableFile(WalFileName(dbname_, wal_number_), &file));
   wal_file_->Close();
   wal_file_ = std::move(file);
   wal_.reset(new wal::Writer(wal_file_.get()));
-  env_->RemoveFile(WalName(dbname_, old));
+  env_->RemoveFile(WalFileName(dbname_, old));
 
   // Column compaction whenever the container exceeds the PM budget.
   while (matrix_bytes() > options_.pm_budget_bytes && !rows_.empty()) {

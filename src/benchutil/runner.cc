@@ -75,7 +75,6 @@ Status BenchEnv::OpenEngine(EngineConfig config, KvEngine** engine) {
         opts.major.worker_threads = options_.max_subcompactions;
       }
       opts.num_shards = options_.num_shards;
-      opts.atomic_cross_shard_batches = options_.atomic_cross_shard_batches;
       opts.compaction_policy = options_.compaction_policy;
       opts.compaction_size_ratio = options_.compaction_size_ratio;
       opts.max_ssd_levels = options_.max_ssd_levels;

@@ -84,9 +84,6 @@ struct BenchEnvOptions {
   /// pm_pool_capacity, the cost budgets) apply to EACH shard. Ignored by
   /// the baseline engines.
   uint32_t num_shards = 1;
-  /// Cross-shard WriteBatch atomicity (two-phase commit through the shard
-  /// WALs). Benches flip it off to measure the legacy non-atomic fan-out.
-  bool atomic_cross_shard_batches = true;
   /// WAL device for the PM-Blade configs (Options::wal_in_pm). Off: the
   /// paper's engines log to the SSD, and the figures reproduce that.
   bool wal_in_pm = false;

@@ -10,6 +10,7 @@
 #include "coro/io_gate.h"
 #include "coro/scheduler.h"
 #include "coro/task.h"
+#include "env/filename.h"
 #include "sstable/table_builder.h"
 
 namespace pmblade {
@@ -303,10 +304,7 @@ Status MajorCompactor::Run(
     st.meta.subtask_index = i;
 
     st.meta.file_number = factory_->NextFileNumber();
-    char name[64];
-    snprintf(name, sizeof(name), "/%06llu.sst",
-             static_cast<unsigned long long>(st.meta.file_number));
-    st.meta.path = fopts.ssd_dir + name;
+    st.meta.path = SstFileName(fopts.ssd_dir, st.meta.file_number);
     Status open_status = raw_env_->NewWritableFile(st.meta.path, &st.raw_file);
     if (!open_status.ok()) {
       CleanupFailedRun(states, outputs);

@@ -1,5 +1,6 @@
 #include "compaction/minor_compaction.h"
 
+#include "env/filename.h"
 #include "pmtable/array_table.h"
 #include "pmtable/pm_table_builder.h"
 #include "pmtable/snappy_table.h"
@@ -45,6 +46,17 @@ class FilterCollector {
   const BloomFilterPolicy* policy_;
   std::vector<std::string> keys_;
 };
+
+/// Reopens pool object `id` as a `Table` and rebuilds its DRAM filter.
+template <typename Table>
+Status OpenAs(PmPool* pool, uint64_t id, const BloomFilterPolicy* filter,
+              L0TableRef* table) {
+  std::shared_ptr<Table> t;
+  PMBLADE_RETURN_IF_ERROR(Table::Open(pool, id, &t));
+  if (filter != nullptr) t->BuildFilter(filter);
+  *table = std::move(t);
+  return Status::OK();
+}
 
 }  // namespace
 
@@ -109,10 +121,7 @@ Status L0TableFactory::BuildFrom(Iterator* input, L0TableRef* table) {
 
     case L0Layout::kSstable: {
       uint64_t file_number = NextFileNumber();
-      char name[64];
-      snprintf(name, sizeof(name), "/%06llu.sst",
-               static_cast<unsigned long long>(file_number));
-      std::string path = options_.ssd_dir + name;
+      std::string path = SstFileName(options_.ssd_dir, file_number);
 
       std::unique_ptr<WritableFile> file;
       PMBLADE_RETURN_IF_ERROR(ssd_env_->NewWritableFile(path, &file));
@@ -134,20 +143,40 @@ Status L0TableFactory::BuildFrom(Iterator* input, L0TableRef* table) {
       PMBLADE_RETURN_IF_ERROR(builder.Finish());
       PMBLADE_RETURN_IF_ERROR(file->Sync());
       PMBLADE_RETURN_IF_ERROR(file->Close());
-
-      TableReaderOptions ropts;
-      ropts.comparator = options_.icmp;
-      ropts.filter_policy = options_.filter_policy;
-      ropts.block_cache = options_.block_cache;
-      ropts.file_number = file_number;
-      std::shared_ptr<SsdL0Table> t;
-      PMBLADE_RETURN_IF_ERROR(
-          SsdL0Table::Open(ssd_env_, path, file_number, ropts, &t));
-      *table = std::move(t);
-      return Status::OK();
+      return OpenSstable(file_number, table);
     }
   }
   return Status::NotSupported("unknown L0 layout");
+}
+
+Status L0TableFactory::OpenPmTable(uint64_t id, uint32_t kind,
+                                   L0TableRef* table) {
+  const BloomFilterPolicy* filter = options_.filter_policy;
+  switch (kind) {
+    case kPmTableObject:
+      return OpenAs<PmTable>(pool_, id, filter, table);
+    case kArrayTableObject:
+      return OpenAs<ArrayTable>(pool_, id, filter, table);
+    case kSnappyTableObject:
+    case kSnappyGroupTableObject:
+      return OpenAs<SnappyTable>(pool_, id, filter, table);
+  }
+  return Status::Corruption("no level-0 table in pm object " +
+                            std::to_string(id));
+}
+
+Status L0TableFactory::OpenSstable(uint64_t file_number, L0TableRef* table) {
+  TableReaderOptions ropts;
+  ropts.comparator = options_.icmp;
+  ropts.filter_policy = options_.filter_policy;
+  ropts.block_cache = options_.block_cache;
+  ropts.file_number = file_number;
+  std::shared_ptr<SsdL0Table> t;
+  PMBLADE_RETURN_IF_ERROR(SsdL0Table::Open(
+      ssd_env_, SstFileName(options_.ssd_dir, file_number), file_number, ropts,
+      &t));
+  *table = std::move(t);
+  return Status::OK();
 }
 
 }  // namespace pmblade

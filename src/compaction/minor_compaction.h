@@ -56,6 +56,12 @@ class L0TableFactory {
   /// order; consumed until !Valid()). Returns the opened table. An empty
   /// input yields *table == nullptr and OK.
   Status BuildFrom(Iterator* input, L0TableRef* table);
+  /// Reopens the table in pool object `id`, whose PmPool kind (`kind`)
+  /// names its layout, and rebuilds the DRAM bloom BuildFrom would have
+  /// installed: the filter is not part of the PM media format.
+  Status OpenPmTable(uint64_t id, uint32_t kind, L0TableRef* table);
+  /// Opens SSTable `file_number` in options().ssd_dir.
+  Status OpenSstable(uint64_t file_number, L0TableRef* table);
 
   const L0FactoryOptions& options() const { return options_; }
   PmPool* pool() const { return pool_; }

@@ -152,10 +152,7 @@ class DBImpl final : public DB {
   // Exposed for tests/benches.
   PmPool* pm_pool() { return pool_.get(); }
   SsdModel* ssd_model() { return model_; }
-  const Options& options() const { return options_; }
   obs::MetricsRegistry* metrics() { return &metrics_; }
-  obs::EventBus* event_bus() { return &events_; }
-  obs::TraceRecorder* trace() { return trace_.get(); }
 
   // ---- hooks for an external arbiter (ShardedDB's shared MemoryArbiter;
   // also exercised directly by tests) ----
@@ -170,8 +167,6 @@ class DBImpl final : public DB {
 
  private:
   friend class DBUserIterator;
-
-  struct RecordedRead;
 
   /// What a queued writer asks the leader to do. Txn ops form their own
   /// single-member commit groups (BuildBatchGroup never coalesces across

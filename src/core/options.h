@@ -91,18 +91,10 @@ struct Options {
   /// compaction scheduler) routed by hash(user key) % N. Per-shard options
   /// (memtable_bytes, pm_pool_capacity, the cost budgets) apply to EACH
   /// shard; block_cache_bytes and memory_budget_bytes stay process-wide
-  /// (one shared cache, one arbiter over every shard's quotas).
+  /// (one shared cache, one arbiter over every shard's quotas). A
+  /// WriteBatch spanning several shards commits through two-phase commit
+  /// woven into the per-shard WALs, so reopen is always all-or-nothing.
   uint32_t num_shards = 1;
-  /// Cross-shard batch atomicity (num_shards > 1 only). true (default): a
-  /// WriteBatch spanning several shards commits through a two-phase
-  /// protocol woven into the per-shard WALs — parallel prepare wave (one
-  /// fsync per shard, concurrently), then commit markers — and recovery
-  /// resolves in-doubt transactions so reopen is always all-or-nothing.
-  /// false: the legacy behavior — sub-batches commit independently (still
-  /// fanned out in parallel) and a crash between shard commits can leave a
-  /// batch half-applied. Single-shard batches always take the marker-free
-  /// fast path regardless of this flag.
-  bool atomic_cross_shard_batches = true;
   /// Internal (set by ShardedDB): a process-wide block cache this engine
   /// must use instead of creating its own from block_cache_bytes. Not
   /// owned; must outlive the DB.

@@ -427,9 +427,6 @@ Status ShardedDB::Write(const WriteOptions& options, WriteBatch* batch) {
     DrainAfterSyncWrite(options);
     return s;
   }
-  if (!options_.atomic_cross_shard_batches) {
-    return WriteLegacy(options, subs, participants);
-  }
   return WriteAtomic(options, subs, participants);
 }
 
@@ -469,24 +466,6 @@ void ShardedDB::RunOnShards(const std::vector<uint32_t>& ids,
   while (wake_pin.load(std::memory_order_acquire) != 0) {
     std::this_thread::yield();
   }
-}
-
-Status ShardedDB::WriteLegacy(const WriteOptions& options,
-                              std::vector<WriteBatch>& subs,
-                              const std::vector<uint32_t>& participants) {
-  // Independent per-shard commits: no atomicity across shards (a crash
-  // between shard syncs can surface a torn batch), but every sub-batch is
-  // applied even after a failure, and the whole fan-out pays one parallel
-  // WAL wave instead of N sequential ones.
-  std::vector<Status> statuses(shards_.size());
-  RunOnShards(participants, [&](uint32_t shard) {
-    statuses[shard] = shards_[shard]->Write(options, &subs[shard]);
-  });
-  Status result;
-  for (uint32_t shard : participants) {
-    if (result.ok() && !statuses[shard].ok()) result = statuses[shard];
-  }
-  return result;
 }
 
 Status ShardedDB::WriteAtomic(const WriteOptions& options,
@@ -656,9 +635,12 @@ Status ShardedDB::ResolveInDoubtTxns() {
         continue;
       }
       // Resolution markers are always fsynced: the verdict must not flip
-      // across a second crash.
-      Status s = commit ? shards_[shard]->CommitTxn(sync_opts, txn_id)
-                        : shards_[shard]->RollbackTxn(sync_opts, txn_id);
+      // across a second crash. The hook lets a test split the verdict.
+      bool apply_commit = commit;
+      PMBLADE_SYNC_POINT_ARG("ShardedDB::ResolveInDoubtTxns:Apply",
+                             &apply_commit);
+      Status s = apply_commit ? shards_[shard]->CommitTxn(sync_opts, txn_id)
+                              : shards_[shard]->RollbackTxn(sync_opts, txn_id);
       if (result.ok() && !s.ok()) result = s;
     }
     (commit ? txn_resolved_commit_counter_ : txn_resolved_rollback_counter_)

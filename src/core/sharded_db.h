@@ -33,8 +33,7 @@
 //     COMMITTED at reopen (the standard 2PC indeterminate window).
 //     Note the guarantee is crash atomicity, not isolation: a concurrent
 //     reader (or snapshot) can still observe shard A's half briefly before
-//     shard B publishes. Options::atomic_cross_shard_batches=false restores
-//     the legacy independent commits (still fanned out in parallel).
+//     shard B publishes.
 //   * Iterators/SCAN: an N-way merge of per-shard user-key iterators.
 //     Hash routing makes shard keyspaces disjoint, so a bytewise merge of
 //     the per-shard sorted views IS the global sorted view. Without an
@@ -150,11 +149,6 @@ class ShardedDB final : public DB {
   /// failure every participant gets a rollback marker and the first error
   /// returns.
   Status WriteAtomic(const WriteOptions& options,
-                     std::vector<WriteBatch>& subs,
-                     const std::vector<uint32_t>& participants);
-  /// Legacy independent per-shard commits (atomic_cross_shard_batches =
-  /// false), fanned out in parallel.
-  Status WriteLegacy(const WriteOptions& options,
                      std::vector<WriteBatch>& subs,
                      const std::vector<uint32_t>& participants);
   /// Recovery resolution pass (Init, after every shard opened): collects

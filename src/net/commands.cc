@@ -95,6 +95,9 @@ void CommandHandler::WrongArity(const std::string& name, std::string* out) {
 void CommandHandler::ReplyStatus(const Status& status, std::string* out) {
   if (status.ok()) {
     EncodeSimpleString("OK", out);
+  } else if (status.IsBusy()) {
+    // E.g. no PM left for the log: retryable, like an admission shed.
+    ReplyError("BUSY " + status.message() + "; retry later", out);
   } else {
     ReplyError("ERR " + status.ToString(), out);
   }
@@ -243,7 +246,7 @@ CommandHandler::Result CommandHandler::DoExecute(
       if (s.ok()) {
         EncodeInteger(removed, out);
       } else {
-        ReplyError("ERR " + s.ToString(), out);
+        ReplyStatus(s, out);
       }
       return result;
     }

@@ -203,6 +203,7 @@ class CommandHandler {
   bool AdmitWrite(const std::vector<const std::string*>& keys,
                   std::string* out);
   void WrongArity(const std::string& name, std::string* out);
+  /// +OK; -BUSY for an engine Busy; -ERR for any other failure.
   void ReplyStatus(const Status& status, std::string* out);
   /// The single funnel for "-..." replies: bumps error_replies exactly
   /// once, then encodes. Every error path — engine errors, arity, syntax,

@@ -16,6 +16,7 @@
 
 #include "core/compaction_scheduler.h"
 #include "core/db.h"
+#include "env/filename.h"
 #include "obs/metrics.h"
 #include "tests/fault_env.h"
 #include "util/sync_point.h"
@@ -38,11 +39,9 @@ uint64_t Prop(DB* db, const std::string& name) {
 std::vector<std::string> SstFiles(const std::string& dbname) {
   std::vector<std::string> children, ssts;
   if (!PosixEnv()->GetChildren(dbname, &children).ok()) return ssts;
+  uint64_t number = 0;
   for (const auto& child : children) {
-    if (child.size() > 4 &&
-        child.compare(child.size() - 4, 4, ".sst") == 0) {
-      ssts.push_back(child);
-    }
+    if (ParseSstFileName(child, &number)) ssts.push_back(child);
   }
   return ssts;
 }

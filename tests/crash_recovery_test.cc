@@ -138,10 +138,9 @@ TEST(CrashRecoveryTest, LazyLevelingPolicyRandomizedCycles) {
 // whole.
 // ---------------------------------------------------------------------------
 
-ShardedCrashHarnessResult RunShardedHarness(const std::string& name_prefix,
-                                            uint32_t num_shards, bool atomic,
-                                            int default_cycles,
-                                            bool wal_in_pm) {
+ShardedCrashHarnessResult RunShardedHarness(
+    const std::string& name_prefix, uint32_t num_shards, int default_cycles,
+    bool wal_in_pm, std::function<void()> before_open = nullptr) {
   const std::string name = name_prefix + (wal_in_pm ? "_pmwal" : "_ssdwal");
   ShardedCrashHarnessOptions opts;
   opts.dbname = ::testing::TempDir() + "pmblade_crash_" + name;
@@ -149,7 +148,7 @@ ShardedCrashHarnessResult RunShardedHarness(const std::string& name_prefix,
   opts.seed = SeedFromEnv();
   opts.cycles = CyclesFromEnv(default_cycles);
   opts.num_shards = num_shards;
-  opts.atomic_cross_shard_batches = atomic;
+  opts.before_open = std::move(before_open);
   opts.verbose = getenv("PMBLADE_CRASH_VERBOSE") != nullptr;
   fprintf(stderr, "[sharded crash harness] %s: seed=%llu cycles=%d\n",
           name.c_str(), static_cast<unsigned long long>(opts.seed),
@@ -172,7 +171,7 @@ TEST(ShardedCrashRecoveryTest, CrossShardAtomicityRandomizedCycles) {
   for (bool wal_in_pm : {true, false}) {
     SCOPED_TRACE(wal_in_pm ? "pm wal" : "ssd wal");
     ShardedCrashHarnessResult result =
-        RunShardedHarness("sharded_2pc", /*num_shards=*/4, /*atomic=*/true,
+        RunShardedHarness("sharded_2pc", /*num_shards=*/4,
                           /*default_cycles=*/500, wal_in_pm);
     EXPECT_TRUE(result.ok())
         << "cycle " << result.failed_cycle << ": " << result.failure
@@ -192,7 +191,7 @@ TEST(ShardedCrashRecoveryTest, TwoShardAtomicityRandomizedCycles) {
   for (bool wal_in_pm : {true, false}) {
     SCOPED_TRACE(wal_in_pm ? "pm wal" : "ssd wal");
     ShardedCrashHarnessResult result =
-        RunShardedHarness("sharded_2pc_2", /*num_shards=*/2, /*atomic=*/true,
+        RunShardedHarness("sharded_2pc_2", /*num_shards=*/2,
                           /*default_cycles=*/200, wal_in_pm);
     EXPECT_TRUE(result.ok())
         << "cycle " << result.failed_cycle << ": " << result.failure
@@ -201,26 +200,39 @@ TEST(ShardedCrashRecoveryTest, TwoShardAtomicityRandomizedCycles) {
   }
 }
 
-// Meta-test: with 2PC disabled (the legacy independent commits) the same
-// harness must CATCH the atomicity violation — a power cut between two
-// shards' WAL appends leaves a torn batch, or drops an acked cross-shard
-// batch whose durability the legacy path never upgraded. If the legacy run
-// survives every cycle, the checker has no teeth.
-TEST(ShardedCrashRecoveryTest, HarnessCatchesLegacyNonAtomicBatches) {
+// Meta-test: recovery that splits one in-doubt txn's verdict — the first
+// participant it resolves gets the opposite of the txn's decision — must be
+// CAUGHT on either WAL device: that participant's keys and its siblings'
+// disagree, which is a torn batch. If the run survives every cycle, the
+// checker has no teeth.
+TEST(ShardedCrashRecoveryTest, HarnessCatchesSplitResolutionVerdict) {
 #ifndef PMBLADE_SYNC_POINTS
   GTEST_SKIP() << "built without PMBLADE_SYNC_POINTS";
+#else
+  for (bool wal_in_pm : {true, false}) {
+    SCOPED_TRACE(wal_in_pm ? "pm wal" : "ssd wal");
+    bool flipped = false;
+    ShardedCrashHarnessResult result = RunShardedHarness(
+        "sharded_split_verdict", /*num_shards=*/4, /*default_cycles=*/250,
+        wal_in_pm, [&flipped] {
+          flipped = false;
+          SyncPoint::GetInstance()->SetCallBack(
+              "ShardedDB::ResolveInDoubtTxns:Apply", [&flipped](void* arg) {
+                bool* commit = static_cast<bool*>(arg);
+                if (!flipped) *commit = !*commit;
+                flipped = true;
+              });
+          SyncPoint::GetInstance()->EnableProcessing();
+        });
+    SyncPoint::GetInstance()->DisableProcessing();
+    SyncPoint::GetInstance()->Reset();
+    EXPECT_FALSE(result.ok())
+        << "a split resolution verdict survived every power cut — the "
+           "sharded checker has no teeth";
+    EXPECT_NE(result.failure.find("TORN"), std::string::npos)
+        << result.failure;
+  }
 #endif
-  // On the SSD WAL: the checker is the same for both devices, and a PM WAL
-  // persists each shard's sub-batch when its append returns, so the legacy
-  // mode there tears only when a cut lands between two shards' appends, a
-  // window too narrow to hit reliably in a fixed number of cycles.
-  ShardedCrashHarnessResult result =
-      RunShardedHarness("sharded_legacy", /*num_shards=*/4,
-                        /*atomic=*/false, /*default_cycles=*/250,
-                        /*wal_in_pm=*/false);
-  EXPECT_FALSE(result.ok())
-      << "legacy non-atomic cross-shard writes survived every power cut — "
-         "the sharded checker has no teeth";
 }
 
 // ---------------------------------------------------------------------------

@@ -293,45 +293,62 @@ TEST_F(PartitionConcatTest, EmptySnapshotListIsEmptyIterator) {
 // ---------------------------------------------------------------------------
 
 TEST(DbRecoveryGcTest, OrphanPoolObjectsAndFilesCollected) {
-  std::string dbname = ::testing::TempDir() + "pmblade_gc_test";
-  Options options;
-  DestroyDB(options, dbname);
-  options.memtable_bytes = 32 << 10;
-  options.pm_pool_capacity = 32 << 20;
-  options.pm_latency.inject_latency = false;
+  // On each WAL device: a reopen after a flush, and a reopen with no
+  // manifest (a crash before its first commit), where the keys are in the
+  // log only.
+  for (bool wal_in_pm : {true, false}) {
+    for (bool remove_manifest : {false, true}) {
+      SCOPED_TRACE(std::string(wal_in_pm ? "pm wal" : "ssd wal") +
+                   (remove_manifest ? ", no manifest" : ", flushed"));
+      std::string dbname = ::testing::TempDir() + "pmblade_gc_test";
+      Options options;
+      DestroyDB(options, dbname);
+      options.memtable_bytes = 32 << 10;
+      options.pm_pool_capacity = 32 << 20;
+      options.pm_latency.inject_latency = false;
+      options.wal_in_pm = wal_in_pm;
 
-  uint64_t orphan_pool_id;
-  {
-    std::unique_ptr<DB> db;
-    ASSERT_TRUE(DB::Open(options, dbname, &db).ok());
-    for (int i = 0; i < 100; ++i) {
-      ASSERT_TRUE(
-          db->Put(WriteOptions(), "key" + std::to_string(i), "v").ok());
+      uint64_t orphan_pool_id;
+      {
+        std::unique_ptr<DB> db;
+        ASSERT_TRUE(DB::Open(options, dbname, &db).ok());
+        for (int i = 0; i < 100; ++i) {
+          ASSERT_TRUE(
+              db->Put(WriteOptions(), "key" + std::to_string(i), "v").ok());
+        }
+        if (!remove_manifest) ASSERT_TRUE(db->FlushMemTable().ok());
+
+        // Simulate an interrupted compaction: an allocated-but-unreferenced
+        // pool object and an orphan .sst file.
+        PmPool* pool = static_cast<DBImpl*>(db.get())->pm_pool();
+        PmPool::ObjectInfo info;
+        char* data;
+        ASSERT_TRUE(pool->Allocate(4096, kPmTableObject, &info, &data).ok());
+        orphan_pool_id = info.id;
+        ASSERT_TRUE(
+            WriteStringToFile(PosixEnv(), "junk", dbname + "/999999.sst")
+                .ok());
+      }
+      if (remove_manifest) {
+        ASSERT_TRUE(PosixEnv()->RemoveFile(dbname + "/MANIFEST").ok());
+      }
+
+      std::unique_ptr<DB> db;
+      ASSERT_TRUE(DB::Open(options, dbname, &db).ok());
+      auto* impl = static_cast<DBImpl*>(db.get());
+      // Orphan pool object freed, orphan file removed, data intact.
+      EXPECT_EQ(impl->pm_pool()->DataFor(orphan_pool_id), nullptr);
+      EXPECT_FALSE(PosixEnv()->FileExists(dbname + "/999999.sst"));
+      for (int i = 0; i < 100; ++i) {
+        std::string value;
+        EXPECT_TRUE(
+            db->Get(ReadOptions(), "key" + std::to_string(i), &value).ok())
+            << i;
+      }
+      db.reset();
+      DestroyDB(options, dbname);
     }
-    ASSERT_TRUE(db->FlushMemTable().ok());
-
-    // Simulate an interrupted compaction: an allocated-but-unreferenced
-    // pool object and an orphan .sst file.
-    auto* impl = static_cast<DBImpl*>(db.get());
-    PmPool::ObjectInfo info;
-    char* data;
-    ASSERT_TRUE(
-        impl->pm_pool()->Allocate(4096, kPmTableObject, &info, &data).ok());
-    orphan_pool_id = info.id;
-    ASSERT_TRUE(
-        WriteStringToFile(PosixEnv(), "junk", dbname + "/999999.sst").ok());
   }
-
-  std::unique_ptr<DB> db;
-  ASSERT_TRUE(DB::Open(options, dbname, &db).ok());
-  auto* impl = static_cast<DBImpl*>(db.get());
-  // Orphan pool object freed, orphan file removed, data intact.
-  EXPECT_EQ(impl->pm_pool()->DataFor(orphan_pool_id), nullptr);
-  EXPECT_FALSE(PosixEnv()->FileExists(dbname + "/999999.sst"));
-  std::string value;
-  EXPECT_TRUE(db->Get(ReadOptions(), "key50", &value).ok());
-  db.reset();
-  DestroyDB(options, dbname);
 }
 
 TEST(DbRetentionTest, HotPartitionStaysInPmAfterMajorCompaction) {

@@ -192,8 +192,14 @@ class CommandTest : public ::testing::Test {
   void SetUp() override {
     dbname_ = ::testing::TempDir() + "pmblade_net_command_test";
     options_ = Options();
-    DestroyDB(options_, dbname_);
     options_.pm_latency.inject_latency = false;
+    OpenFresh();
+  }
+  /// Opens an empty DB with options_ behind a handler with handler_options_.
+  void OpenFresh() {
+    handler_.reset();
+    db_.reset();
+    DestroyDB(options_, dbname_);
     std::unique_ptr<DB> db;
     ASSERT_TRUE(DB::Open(options_, dbname_, &db).ok());
     db_ = std::move(db);
@@ -378,6 +384,28 @@ TEST_F(CommandTest, AdmissionShedsWritesUnderStall) {
   // Reads are never shed.
   EXPECT_EQ(Call({"PING"}).str, "PONG");
   EXPECT_EQ(Call({"GET", "a"}).type, RespValue::Type::kNull);
+}
+
+// An engine Busy (here a PM log append that found no pool space) is as
+// retryable as a shed, and the reply says so the same way.
+TEST_F(CommandTest, EngineBusyRepliesBusy) {
+  options_.wal_in_pm = true;
+  options_.pm_pool_capacity = 1 << 20;      // room for 16 log segments
+  options_.l0_layout = L0Layout::kSstable;  // the flush needs no PM
+  // Admit every write, so the reply comes from the engine.
+  handler_options_.pressure_probe = [](const Slice&) {
+    return WritePressure::kNone;
+  };
+  OpenFresh();
+  const std::string value(1000, 'x');
+  RespValue reply;
+  for (int i = 0; i < 4000; ++i) {
+    reply = Call({"SET", "k" + std::to_string(i), value});
+    if (reply.type != RespValue::Type::kSimpleString) break;
+  }
+  ASSERT_EQ(reply.type, RespValue::Type::kError);
+  EXPECT_EQ(reply.str.compare(0, 5, "BUSY "), 0) << reply.str;
+  EXPECT_NE(reply.str.find("; retry later"), std::string::npos) << reply.str;
 }
 
 TEST_F(CommandTest, SlowdownShedsOnlyWhenConfigured) {

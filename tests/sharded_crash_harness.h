@@ -13,8 +13,8 @@
 // The invariants, checked against the recovered state after every reopen:
 //   * NO batch may ever be partially present — a cross-shard batch whose
 //     keys straddle shard WALs must recover either whole or not at all
-//     (this is the property 2PC exists to provide; the legacy independent
-//     commits fail it at the first cut between two shards' appends);
+//     (this is the property 2PC exists to provide; a recovery that applies
+//     different verdicts to one txn's participants fails it);
 //   * an ACKNOWLEDGED cross-shard batch must be fully present: phase-1
 //     prepares are always fsynced, so the ack implies durability even for
 //     sync=false writes (upgraded durability);
@@ -57,10 +57,9 @@ struct ShardedCrashHarnessOptions {
   /// Start from a fresh DB every this many cycles so the model (and the
   /// per-reopen check cost) stays bounded.
   int fresh_db_period = 20;
-  /// Exercise the legacy non-atomic path instead (expected to FAIL the
-  /// all-or-nothing check under cross-shard cuts — used by the meta-test
-  /// that proves the checker has teeth).
-  bool atomic_cross_shard_batches = true;
+  /// Called before every reopen, when no SyncPoint callback is installed:
+  /// where the meta-test proving the checker has teeth installs its fault.
+  std::function<void()> before_open;
   /// SSD compaction shape for every shard (Options::compaction_policy).
   std::string compaction_policy = "leveled";
   /// WAL device under test (Options::wal_in_pm). A PM WAL turns on
@@ -108,6 +107,7 @@ class ShardedCrashHarness {
     }
     // Final reopen: the last crash's image must also check out.
     crash_env_.ResetState();
+    if (opts_.before_open) opts_.before_open();
     std::unique_ptr<DB> db;
     Status s = DB::Open(options, opts_.dbname, &db);
     if (!s.ok()) {
@@ -164,7 +164,6 @@ class ShardedCrashHarness {
     options.env = &crash_env_;
     options.raw_env = &crash_env_;
     options.num_shards = opts_.num_shards;
-    options.atomic_cross_shard_batches = opts_.atomic_cross_shard_batches;
     options.memtable_bytes = 16 << 10;  // rotate + flush often (per shard)
     options.pm_pool_capacity = 16 << 20;  // per shard
     options.pm_latency.inject_latency = false;
@@ -230,6 +229,7 @@ class ShardedCrashHarness {
   bool RunCycle(const Options& options, int cycle,
                 ShardedCrashHarnessResult* result) {
     crash_env_.ResetState();
+    if (opts_.before_open) opts_.before_open();
     std::unique_ptr<DB> db;
     Status s = DB::Open(options, opts_.dbname, &db);
     if (!s.ok()) {

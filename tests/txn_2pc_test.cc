@@ -1,5 +1,5 @@
 // Tests for cross-shard two-phase commit (src/core/sharded_db.cc,
-// src/core/db_impl.cc txn path, src/memtable/txn_record.h):
+// src/core/db_write.cc txn path, src/memtable/txn_record.h):
 //   * the txn record codec round-trips and rejects garbage,
 //   * the fast-path exemption, PROVEN BY WAL INSPECTION: a num_shards=1
 //     engine and single-shard batches on a sharded engine write zero txn
@@ -9,8 +9,6 @@
 //   * recovery resolution: all prepares durable and no commit marker =>
 //     COMMIT; a missing participant prepare => ROLL BACK — reopen is
 //     all-or-nothing either way,
-//   * the legacy escape hatch (atomic_cross_shard_batches = false) writes
-//     no txn records,
 //   * the pmblade.txn.* metrics move.
 
 #include <gtest/gtest.h>
@@ -25,6 +23,7 @@
 #include "core/db_impl.h"
 #include "core/sharded_db.h"
 #include "env/env.h"
+#include "env/filename.h"
 #include "memtable/txn_record.h"
 #include "memtable/wal.h"
 #include "memtable/write_batch.h"
@@ -143,10 +142,8 @@ class Txn2pcTest : public ::testing::TestWithParam<bool> {
     EXPECT_TRUE(env->GetChildren(dir, &children).ok()) << dir;
     std::vector<std::string> records;
     for (const std::string& child : children) {
-      if (child.size() <= 8 || child.compare(0, 4, "wal-") != 0 ||
-          child.compare(child.size() - 4, 4, ".log") != 0) {
-        continue;
-      }
+      uint64_t number = 0;
+      if (!ParseWalFileName(child, &number)) continue;
       std::unique_ptr<SequentialFile> file;
       if (!env->NewSequentialFile(dir + "/" + child, &file).ok()) {
         ADD_FAILURE() << "cannot open " << child;
@@ -264,21 +261,6 @@ TEST_P(Txn2pcTest, CrossShardBatchWritesPrepareAndCommitEverywhere) {
     ASSERT_TRUE(
         db_->Get(ReadOptions(), KeyForShard(shard, 7), &value).ok());
     EXPECT_EQ(value, "x" + std::to_string(shard));
-  }
-}
-
-TEST_P(Txn2pcTest, LegacyModeWritesNoTxnRecords) {
-  options_.atomic_cross_shard_batches = false;
-  Open();
-  WriteBatch batch;
-  for (uint32_t shard = 0; shard < kShards; ++shard) {
-    batch.Put(KeyForShard(shard, 9), "y");
-  }
-  ASSERT_TRUE(db_->Write(WriteOptions(), &batch).ok());
-  db_.reset();
-
-  for (uint32_t shard = 0; shard < kShards; ++shard) {
-    EXPECT_EQ(CountShardWalRecords(shard).total(), 0) << "shard " << shard;
   }
 }
 

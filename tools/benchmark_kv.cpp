@@ -1011,21 +1011,9 @@ void RunShardScaling(Context* ctx) {
   table.Print("shard_scaling (mixed 50/50, zipf=" +
               TablePrinter::Fmt(ctx->zipf, 2) + ")");
 
-  // MSET fan-out A/B at the acceptance configuration (4 shards, or the
-  // sweep maximum when smaller): per-batch latency of an all-shard durable
-  // MSET under three dispatch modes.
-  //   serial-pre2pc    the pre-parallel-dispatch behaviour, emulated by
-  //                    splitting the batch per shard and writing the
-  //                    sub-batches sequentially (each is single-participant,
-  //                    so no 2PC records — exactly the old serial wave)
-  //   legacy-parallel  one cross-shard Write with
-  //                    atomic_cross_shard_batches=false: parallel per-shard
-  //                    dispatch, no atomicity
-  //   2pc-atomic       the default: parallel prepare+fsync wave, then the
-  //                    commit wave
-  // All three run sync=true so durability is equal — 2PC fsyncs its
-  // prepares unconditionally, and comparing that against unsynced serial
-  // writes would be apples to oranges.
+  // MSET fan-out at the acceptance configuration (4 shards, or the sweep
+  // maximum when smaller): per-batch latency of an all-shard durable
+  // (sync=true) MSET through two-phase commit.
   const uint32_t fan_shards = max_shards < 4 ? max_shards : 4;
   const int fan_threads = 4;
   const uint64_t fan_per_thread = 500;
@@ -1038,114 +1026,85 @@ void RunShardScaling(Context* ctx) {
     }
   };
 
-  struct FanPoint {
-    const char* name;
-    bool atomic_engine;
-    bool serial_client;
-    double p50_us = 0, p95_us = 0, msets_per_sec = 0;
-    double fsyncs_per_mset = 0;
-  };
-  std::vector<FanPoint> fan_points = {{"serial-pre2pc", true, true},
-                                      {"legacy-parallel", false, false},
-                                      {"2pc-atomic", true, false}};
+  double fan_p50_us = -1, fan_p95_us = 0, msets_per_sec = 0;
+  double fsyncs_per_mset = 0;
+  opts->num_shards = fan_shards;
+  // Best-of-3 by p50, fresh engine per rep — the same neighbour-noise
+  // convention as the shard sweep above (this host's single runs swing
+  // ~2x under load).
+  for (int rep = 0; rep < kReps && !InterruptRequested(); ++rep) {
+    KvEngine* engine = nullptr;
+    Status s = ctx->env->OpenEngine(ctx->env->config(), &engine);
+    if (!s.ok()) {
+      fprintf(stderr, "shard_scaling mset reopen: %s\n",
+              s.ToString().c_str());
+      exit(1);
+    }
+    ctx->engine = engine;
+    DB* db = ctx->env->pmblade_db();
 
+    Histogram latency;
+    std::mutex merge_mu;
+    uint64_t syncs_before = 0;
+    db->GetProperty("pmblade.wal-syncs", &syncs_before);
+    const uint64_t start = ctx->clock->NowNanos();
+    std::vector<std::thread> workers;
+    for (int t = 0; t < fan_threads; ++t) {
+      workers.emplace_back([&, t] {
+        ValueGenerator values(ctx->value_size, 7 + t);
+        Histogram local;
+        WriteOptions wo;
+        wo.sync = true;
+        for (uint64_t i = 0; i < fan_per_thread && !InterruptRequested();
+             ++i) {
+          const uint64_t tag = (static_cast<uint64_t>(t) << 32) | i;
+          // Build the batch outside the timed section.
+          WriteBatch batch;
+          for (uint32_t shard = 0; shard < fan_shards; ++shard) {
+            batch.Put(key_for_shard(shard, tag), values.For(tag ^ shard));
+          }
+          uint64_t t0 = ctx->clock->NowNanos();
+          RUN_OP(db->Write(wo, &batch));
+          local.Add(ctx->clock->NowNanos() - t0);
+        }
+        std::lock_guard<std::mutex> lock(merge_mu);
+        latency.Merge(local);
+      });
+    }
+    for (auto& w : workers) w.join();
+    const uint64_t nanos = ctx->clock->NowNanos() - start;
+
+    const double p50_us = latency.Percentile(50) / 1000.0;
+    if (fan_p50_us < 0 || p50_us < fan_p50_us) {
+      fan_p50_us = p50_us;
+      fan_p95_us = latency.Percentile(95) / 1000.0;
+      const uint64_t msets = fan_per_thread * fan_threads;
+      msets_per_sec = nanos > 0 ? msets * 1e9 / nanos : 0;
+      uint64_t syncs_after = 0;
+      db->GetProperty("pmblade.wal-syncs", &syncs_after);
+      fsyncs_per_mset =
+          msets > 0 ? double(syncs_after - syncs_before) / msets : 0;
+    }
+  }
   TablePrinter fan_table(
       {"mode", "p50(us)", "p95(us)", "msets/sec", "fsyncs/mset"});
-  for (auto& fp : fan_points) {
-    if (InterruptRequested()) break;
-    opts->num_shards = fan_shards;
-    opts->atomic_cross_shard_batches = fp.atomic_engine;
-
-    // Best-of-3 by p50, fresh engine per rep — the same neighbour-noise
-    // convention as the shard sweep above (this host's single runs swing
-    // ~2x under load).
-    fp.p50_us = -1;
-    for (int rep = 0; rep < kReps && !InterruptRequested(); ++rep) {
-      KvEngine* engine = nullptr;
-      Status s = ctx->env->OpenEngine(ctx->env->config(), &engine);
-      if (!s.ok()) {
-        fprintf(stderr, "shard_scaling mset reopen: %s\n",
-                s.ToString().c_str());
-        exit(1);
-      }
-      ctx->engine = engine;
-      DB* db = ctx->env->pmblade_db();
-
-      Histogram latency;
-      std::mutex merge_mu;
-      uint64_t syncs_before = 0;
-      db->GetProperty("pmblade.wal-syncs", &syncs_before);
-      const uint64_t start = ctx->clock->NowNanos();
-      std::vector<std::thread> workers;
-      for (int t = 0; t < fan_threads; ++t) {
-        workers.emplace_back([&, t] {
-          ValueGenerator values(ctx->value_size, 7 + t);
-          Histogram local;
-          WriteOptions wo;
-          wo.sync = true;
-          for (uint64_t i = 0;
-               i < fan_per_thread && !InterruptRequested(); ++i) {
-            const uint64_t tag = (static_cast<uint64_t>(t) << 32) | i;
-            // Build the batch(es) outside the timed section: only the
-            // dispatch strategy under test should differ between modes.
-            std::vector<WriteBatch> subs(fp.serial_client ? fan_shards : 1);
-            for (uint32_t shard = 0; shard < fan_shards; ++shard) {
-              subs[fp.serial_client ? shard : 0].Put(
-                  key_for_shard(shard, tag), values.For(tag ^ shard));
-            }
-            uint64_t t0 = ctx->clock->NowNanos();
-            for (auto& sub : subs) {
-              RUN_OP(db->Write(wo, &sub));
-            }
-            local.Add(ctx->clock->NowNanos() - t0);
-          }
-          std::lock_guard<std::mutex> lock(merge_mu);
-          latency.Merge(local);
-        });
-      }
-      for (auto& w : workers) w.join();
-      const uint64_t nanos = ctx->clock->NowNanos() - start;
-
-      const double p50_us = latency.Percentile(50) / 1000.0;
-      if (fp.p50_us < 0 || p50_us < fp.p50_us) {
-        fp.p50_us = p50_us;
-        fp.p95_us = latency.Percentile(95) / 1000.0;
-        const uint64_t msets = fan_per_thread * fan_threads;
-        fp.msets_per_sec = nanos > 0 ? msets * 1e9 / nanos : 0;
-        uint64_t syncs_after = 0;
-        db->GetProperty("pmblade.wal-syncs", &syncs_after);
-        fp.fsyncs_per_mset =
-            msets > 0 ? double(syncs_after - syncs_before) / msets : 0;
-      }
-    }
-    fan_table.AddRow({fp.name, TablePrinter::Fmt(fp.p50_us, 1),
-                      TablePrinter::Fmt(fp.p95_us, 1),
-                      TablePrinter::Fmt(fp.msets_per_sec, 0),
-                      TablePrinter::Fmt(fp.fsyncs_per_mset, 2)});
-  }
+  fan_table.AddRow({"2pc-atomic", TablePrinter::Fmt(fan_p50_us, 1),
+                    TablePrinter::Fmt(fan_p95_us, 1),
+                    TablePrinter::Fmt(msets_per_sec, 0),
+                    TablePrinter::Fmt(fsyncs_per_mset, 2)});
   fan_table.Print("mset_fanout (" + std::to_string(fan_shards) +
                   "-shard durable MSET, " + std::to_string(fan_threads) +
                   " threads)");
 
-  std::string fan_json = "[\n";
-  for (size_t i = 0; i < fan_points.size(); ++i) {
-    const FanPoint& fp = fan_points[i];
-    char point[256];
-    snprintf(point, sizeof(point),
-             "  {\"mode\": \"%s\", \"shards\": %u, \"threads\": %d, "
-             "\"sync\": true, \"p50_us\": %.2f, \"p95_us\": %.2f, "
-             "\"msets_per_sec\": %.0f, \"fsyncs_per_mset\": %.2f}%s\n",
-             fp.name, fan_shards, fan_threads, fp.p50_us, fp.p95_us,
-             fp.msets_per_sec, fp.fsyncs_per_mset,
-             i + 1 < fan_points.size() ? "," : "");
-    fan_json += point;
-  }
-  fan_json += "]";
-
   FILE* out = fopen("BENCH_shard_scaling.json", "w");
   if (out != nullptr) {
-    fprintf(out, "{\n\"scaling\": %s,\n\"mset_fanout\": %s\n}\n",
-            json.c_str(), fan_json.c_str());
+    fprintf(out,
+            "{\n\"scaling\": %s,\n\"mset_fanout\": [\n  {\"mode\": "
+            "\"2pc-atomic\", \"shards\": %u, \"threads\": %d, \"sync\": "
+            "true, \"p50_us\": %.2f, \"p95_us\": %.2f, \"msets_per_sec\": "
+            "%.0f, \"fsyncs_per_mset\": %.2f}\n]\n}\n",
+            json.c_str(), fan_shards, fan_threads, fan_p50_us, fan_p95_us,
+            msets_per_sec, fsyncs_per_mset);
     fclose(out);
     printf("wrote BENCH_shard_scaling.json\n");
   }
