@@ -168,9 +168,9 @@ class DBImpl final : public DB {
  private:
   friend class DBUserIterator;
 
-  /// What a queued writer asks the leader to do. Txn ops form their own
-  /// single-member commit groups (BuildBatchGroup never coalesces across
-  /// them), keeping the WAL record <-> writer mapping one-to-one.
+  /// What a queued writer asks the leader to do. A run of txn ops queued
+  /// together forms one txn group (TxnGroupWriteLocked), a run of batches
+  /// one batch group (BuildBatchGroup); no group mixes the two.
   enum class WriteKind : uint8_t { kBatch, kTxnPrepare, kTxnCommit,
                                    kTxnRollback };
 
@@ -187,10 +187,6 @@ class DBImpl final : public DB {
     uint64_t txn_id = 0;
     const std::vector<uint32_t>* participants = nullptr;  // kTxnPrepare only
     bool done = false;
-    /// Set when the leader already decided this writer's individual status
-    /// (txn-group members, validation outcomes); the wake loop must not
-    /// overwrite it with the group status.
-    bool own_status = false;
     Status status;
     std::condition_variable cv;
     /// Leaders signal `cv` after releasing mu_ (see WriteInternal). Each
@@ -220,8 +216,25 @@ class DBImpl final : public DB {
   Status AppendToWal(const Slice* records, size_t n,
                      std::vector<PendingMarker>* landed,
                      uint64_t* first_ticket);
-  /// mu_ held. Gives each landed marker's fence its WAL ticket.
-  void NoteMarkersLandedLocked(const std::vector<PendingMarker>& landed);
+  /// Leader-only. Fsyncs the active log and publishes the synced ticket:
+  /// every record appended so far is then durable.
+  Status SyncWal();
+  /// Leader-only; enters and leaves with `lock` held. The one commit
+  /// sequence of batch and txn groups: releases mu_, appends `records[0, n)`
+  /// (log order; n == 0 is a memory-only group) through AppendToWal, fsyncs
+  /// when `sync`, inserts `payloads` (sequences assigned) into mem_, retakes
+  /// mu_, hands a WAL failure to HandleWalErrorLocked (or else gives each
+  /// commit marker the append carried its WAL ticket), and publishes
+  /// `publish_seq` if every step succeeded and a payload was inserted.
+  /// `members` is the writes the group covers (its kWalSync event);
+  /// *first_ticket is records[0]'s WAL ticket. The leader's kind picks the
+  /// sync points: a batch group hits DBImpl::Write:*, a txn group the
+  /// PrepareTxn/CommitTxn points once per record of that kind.
+  Status CommitGroupLocked(std::unique_lock<std::mutex>& lock,
+                           const Slice* records, size_t n,
+                           WriteBatch* const* payloads, size_t num_payloads,
+                           bool sync, SequenceNumber publish_seq,
+                           size_t members, uint64_t* first_ticket);
   /// mu_ held, leader-only, after a failed WAL append or sync. Busy means
   /// the PM log found no pool space and wrote nothing: the DB stays
   /// writable, and the memtable rotates so the flush that frees the log
@@ -232,15 +245,17 @@ class DBImpl final : public DB {
   /// directly behind it as ONE commit group — a single WAL append run and
   /// at most one shared fsync, or no device write at all when every member
   /// is an unsynced commit (the txn mirror of BuildBatchGroup). Enters
-  /// and leaves with `lock` held; the WAL append / fsync / memtable inserts
-  /// run unlocked, like the batch path. Advances `*last_writer` to the last
-  /// coalesced member so the caller's wake loop covers the whole group.
+  /// and leaves with `lock` held; validates and stages the members, runs
+  /// CommitGroupLocked, then records the outcome in txns_. Gives every
+  /// member its status and advances `*last_writer` to the last coalesced
+  /// member so the caller's wake loop covers the whole group.
   Status TxnGroupWriteLocked(std::unique_lock<std::mutex>& lock,
                              WriterState& leader, WriterState** last_writer);
   /// Re-appends buffered prepares (and commit markers for fences) into the
-  /// freshly rotated WAL, then fsyncs it if anything was carried: the old
-  /// copies die with their WAL at the next flush commit, so the new WAL
-  /// must hold the records durably BEFORE that deletion can happen.
+  /// freshly rotated WAL as one append run, then fsyncs it if anything was
+  /// carried: the old copies die with their WAL at the next flush commit,
+  /// so the new WAL must hold the records durably BEFORE that deletion can
+  /// happen.
   Status CarryTxnRecordsLocked();
 
   // ---- startup ----

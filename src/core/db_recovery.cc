@@ -61,7 +61,6 @@ Status DBImpl::Init() {
   popts.clock = clock_;
   popts.crash_sim = options_.pm_crash_sim;
   PMBLADE_RETURN_IF_ERROR(PmPool::Open(pool_path, popts, &pool_));
-  wal_env_.reset(new PmLogEnv(pool_.get(), env_, options_.wal_in_pm));
 
   // Factories. Level-1 is always SSTables; level-0 layout is configurable.
   L0FactoryOptions l1opts;
@@ -369,6 +368,10 @@ Status DBImpl::Init() {
   last_sequence_ = state.last_sequence;
   flushed_sequence_ = state.flushed_sequence;
   PMBLADE_RETURN_IF_ERROR(RecoverPartitions(state));
+  // The log env indexes the pool's log segments, so it is built only after
+  // the orphan sweep: a sweep that freed a log then shows as a lost log
+  // instead of a replay reading a freed extent.
+  wal_env_.reset(new PmLogEnv(pool_.get(), env_, options_.wal_in_pm));
   PMBLADE_RETURN_IF_ERROR(ReplayWals(state.wal_number));
 
   // The manifest's next_file_number can be STALE: logs rotated after the
@@ -501,6 +504,14 @@ Status DBImpl::ReplayWals(uint64_t floor) {
   // of it whenever the memtable holds acknowledged writes, and using that
   // as the floor drops committed payloads on a second recovery.
   const SequenceNumber flushed_floor = flushed_sequence_;
+  // Every replayed batch carries its sequences already; inserting it raises
+  // last_sequence_ past them.
+  auto apply = [this](WriteBatch& batch) {
+    PMBLADE_RETURN_IF_ERROR(batch.InsertInto(mem_));
+    const SequenceNumber end_seq = batch.Sequence() + batch.Count() - 1;
+    if (end_seq > last_sequence_) last_sequence_ = end_seq;
+    return Status::OK();
+  };
 
   for (uint64_t number : numbers) {
     std::unique_ptr<SequentialFile> file;
@@ -545,10 +556,7 @@ Status DBImpl::ReplayWals(uint64_t floor) {
               WriteBatch batch;
               batch.SetContentsFrom(Slice(it->second.payload));
               batch.SetSequence(txn.base_seq);
-              Status s = batch.InsertInto(mem_);
-              if (!s.ok()) return s;
-              SequenceNumber end_seq = txn.base_seq + batch.Count() - 1;
-              if (end_seq > last_sequence_) last_sequence_ = end_seq;
+              PMBLADE_RETURN_IF_ERROR(apply(batch));
             }
             it->second.committed = true;
             it->second.base_seq = txn.base_seq;
@@ -569,10 +577,7 @@ Status DBImpl::ReplayWals(uint64_t floor) {
       }
       WriteBatch batch;
       batch.SetContentsFrom(record);
-      Status s = batch.InsertInto(mem_);
-      if (!s.ok()) return s;
-      SequenceNumber end_seq = batch.Sequence() + batch.Count() - 1;
-      if (end_seq > last_sequence_) last_sequence_ = end_seq;
+      PMBLADE_RETURN_IF_ERROR(apply(batch));
     }
     // The replayed log stays live (and in the manifest's floor) until the
     // recovered memtable is flushed; deleting it before then would lose the
@@ -594,9 +599,7 @@ Status DBImpl::NewWal() {
     // fsync the CURRENT wal, yet a sync ack promises durability for the
     // whole write history — any unsynced tail left behind here would be
     // covered by that promise but dropped by a power cut.
-    PMBLADE_RETURN_IF_ERROR(wal_file_->Sync());
-    wal_synced_ticket_.store(wal_append_ticket_.load(std::memory_order_relaxed),
-                             std::memory_order_relaxed);
+    PMBLADE_RETURN_IF_ERROR(SyncWal());
     PMBLADE_SYNC_POINT("DBImpl::NewWal:OldWalSynced");
     wal_file_->Close();
   }
@@ -616,23 +619,27 @@ Status DBImpl::CarryTxnRecordsLocked() {
   // markers still waiting for an append are carried too.
   pending_markers_.clear();
   if (txns_.empty()) return Status::OK();
-  std::string record;
-  for (auto& entry : txns_) {
+  std::vector<std::string> encoded;
+  encoded.reserve(2 * txns_.size());
+  for (const auto& entry : txns_) {
+    encoded.emplace_back();
     EncodePrepareRecord(entry.first, entry.second.participants,
-                        Slice(entry.second.payload), &record);
-    PMBLADE_RETURN_IF_ERROR(wal_->AddRecord(record));
-    wal_append_ticket_.fetch_add(1, std::memory_order_relaxed);
+                        Slice(entry.second.payload), &encoded.back());
     if (entry.second.committed) {
-      EncodeCommitRecord(entry.first, entry.second.base_seq, &record);
-      PMBLADE_RETURN_IF_ERROR(wal_->AddRecord(record));
-      wal_append_ticket_.fetch_add(1, std::memory_order_relaxed);
+      encoded.emplace_back();
+      EncodeCommitRecord(entry.first, entry.second.base_seq, &encoded.back());
     }
-    entry.second.marker_ticket =
-        wal_append_ticket_.load(std::memory_order_relaxed);
   }
-  PMBLADE_RETURN_IF_ERROR(wal_file_->Sync());
-  wal_synced_ticket_.store(wal_append_ticket_.load(std::memory_order_relaxed),
-                           std::memory_order_relaxed);
+  const std::vector<Slice> records(encoded.begin(), encoded.end());
+  std::vector<PendingMarker> landed;  // stays empty: none is pending
+  uint64_t ticket = 0;
+  PMBLADE_RETURN_IF_ERROR(
+      AppendToWal(records.data(), records.size(), &landed, &ticket));
+  for (auto& entry : txns_) {
+    if (entry.second.committed) ++ticket;  // its commit follows the prepare
+    entry.second.marker_ticket = ticket++;
+  }
+  PMBLADE_RETURN_IF_ERROR(SyncWal());
   PMBLADE_SYNC_POINT("DBImpl::NewWal:TxnRecordsCarried");
   return Status::OK();
 }

@@ -81,8 +81,8 @@ Status DBImpl::WriteInternal(const WriteOptions& options, WriterState& w) {
   }
 
   // This thread is the group leader: it owns the WAL and the memtable until
-  // it pops itself off the queue, which is what makes the unlocked section
-  // below single-writer.
+  // it pops itself off the queue, which is what makes CommitGroupLocked's
+  // unlocked section single-writer.
   Status status;
   WriterState* last_writer = &w;
   if (w.kind != WriteKind::kBatch) {
@@ -91,78 +91,25 @@ Status DBImpl::WriteInternal(const WriteOptions& options, WriterState& w) {
     // coalesces a kBatch group into or past a txn op.
     status = TxnGroupWriteLocked(lock, w, &last_writer);
   } else {
-  status = MakeRoomForWrite(lock, /*force=*/w.batch == nullptr);
-  SequenceNumber last_sequence = last_sequence_;
-  if (status.ok() && w.batch != nullptr) {
-    bool group_sync = false;
-    size_t group_members = 0;
-    WriteBatch* group = BuildBatchGroup(&last_writer, &group_sync,
-                                        &group_members);
-    group->SetSequence(last_sequence + 1);
-    last_sequence += group->Count();
-
-    MemTable* mem = mem_;
-    bool wal_error = false;
-    std::vector<PendingMarker> landed;  // commit markers this append carried
-    {
-      // WAL append, ONE fsync for the whole group, Eq. 2 probes and the
-      // memtable insert all run outside mu_: readers and queueing writers
-      // proceed concurrently.
-      lock.unlock();
-      {
-        // An SSD WAL append/fsync registers one client op so the
-        // io-gate's q_cli gauge sees live foreground write pressure (no-op
-        // when the SimEnv already classifies this I/O).
-        ScopedExternalIo wal_io(track_wal_io_ ? model_ : nullptr,
-                                IoClass::kClient);
-        const Slice rep(group->rep());
-        uint64_t append_ticket = 0;
-        status = AppendToWal(&rep, 1, &landed, &append_ticket);
-        PMBLADE_SYNC_POINT("DBImpl::Write:AfterWalAppend");
-        if (status.ok() && group_sync) {
-          const uint64_t sync_start = clock_->NowNanos();
-          status = wal_file_->Sync();
-          if (status.ok()) {
-            wal_sync_counter_->Inc();
-            wal_synced_ticket_.store(append_ticket,
-                                     std::memory_order_relaxed);
-            PMBLADE_SYNC_POINT("DBImpl::Write:AfterWalSync");
-            if (events_.active()) {
-              events_.Emit(
-                  obs::Event(obs::EventType::kWalSync, clock_->NowNanos())
-                      .With("bytes", static_cast<double>(group->rep().size()))
-                      .With("writes", static_cast<double>(group_members))
-                      .With("duration_nanos",
-                            static_cast<double>(clock_->NowNanos() -
-                                                sync_start)));
-            }
-          }
-        }
-        wal_error = !status.ok();
-      }
+    status = MakeRoomForWrite(lock, /*force=*/w.batch == nullptr);
+    if (status.ok() && w.batch != nullptr) {
+      bool group_sync = false;
+      size_t group_members = 0;
+      WriteBatch* group = BuildBatchGroup(&last_writer, &group_sync,
+                                          &group_members);
+      group->SetSequence(last_sequence_ + 1);
+      const Slice rep(group->rep());
+      uint64_t ticket = 0;
+      status = CommitGroupLocked(lock, &rep, 1, &group, 1, group_sync,
+                                 last_sequence_ + group->Count(),
+                                 group_members, &ticket);
       if (status.ok()) {
-        NoteGroupWrites(*group, mem);
-        status = group->InsertInto(mem);
+        group_counter_->Inc();
+        group_write_counter_->Inc(group_members);
+        group_size_hist_->Observe(group_members);
       }
-      lock.lock();
+      if (group == &group_batch_) group_batch_.Clear();
     }
-    if (wal_error) {
-      HandleWalErrorLocked(status);
-    } else {
-      NoteMarkersLandedLocked(landed);
-    }
-    if (status.ok()) {
-      // Publish the group's sequences only now that every entry is in the
-      // memtable: a reader snapshotting last_sequence_ can never observe a
-      // torn group.
-      PMBLADE_SYNC_POINT("DBImpl::Write:BeforePublish");
-      last_sequence_ = last_sequence;
-      group_counter_->Inc();
-      group_write_counter_->Inc(group_members);
-      group_size_hist_->Observe(group_members);
-    }
-    if (group == &group_batch_) group_batch_.Clear();
-  }
   }
 
   // Wake everyone the group covered (they return with the group status) and
@@ -182,7 +129,9 @@ Status DBImpl::WriteInternal(const WriteOptions& options, WriterState& w) {
     WriterState* ready = writers_.front();
     writers_.pop_front();
     if (ready != &w) {
-      if (!ready->own_status) ready->status = status;
+      // A batch group's members share its status; a txn group's leader
+      // already gave each member its own.
+      if (w.kind == WriteKind::kBatch) ready->status = status;
       ready->done = true;
       enlist(ready);
     }
@@ -244,6 +193,104 @@ Status DBImpl::AppendToWal(const Slice* records, size_t n,
   return s;
 }
 
+Status DBImpl::SyncWal() {
+  Status s = wal_file_->Sync();
+  if (s.ok()) {
+    // Appends and syncs are leader-serialized: the fsync covers every
+    // ticket handed out so far.
+    wal_synced_ticket_.store(
+        wal_append_ticket_.load(std::memory_order_relaxed),
+        std::memory_order_relaxed);
+  }
+  return s;
+}
+
+Status DBImpl::CommitGroupLocked(std::unique_lock<std::mutex>& lock,
+                                 const Slice* records, size_t n,
+                                 WriteBatch* const* payloads,
+                                 size_t num_payloads, bool sync,
+                                 SequenceNumber publish_seq, size_t members,
+                                 uint64_t* first_ticket) {
+  const bool txn = writers_.front()->kind != WriteKind::kBatch;
+  MemTable* mem = mem_;
+  Status status;
+  bool wal_error = false;
+  std::vector<PendingMarker> landed;  // commit markers this append carried
+  // The WAL append, ONE fsync for the whole group, the Eq. 2 probes and the
+  // memtable inserts all run outside mu_: readers and queueing writers
+  // proceed concurrently.
+  lock.unlock();
+  if (n > 0) {
+    // An SSD WAL append/fsync registers one client op so the io-gate's
+    // q_cli gauge sees live foreground write pressure (no-op when the
+    // SimEnv already classifies this I/O).
+    ScopedExternalIo wal_io(track_wal_io_ ? model_ : nullptr,
+                            IoClass::kClient);
+    status = AppendToWal(records, n, &landed, first_ticket);
+    if (!txn) {
+      PMBLADE_SYNC_POINT("DBImpl::Write:AfterWalAppend");
+    }
+    for (size_t i = 0; txn && status.ok() && i < n; ++i) {
+      if (IsTxnRecordOfType(records[i], TxnRecordType::kCommit)) {
+        PMBLADE_SYNC_POINT("DBImpl::CommitTxn:AfterAppend");
+      }
+    }
+    if (status.ok() && sync) {
+      const uint64_t sync_start = clock_->NowNanos();
+      status = SyncWal();
+      if (status.ok()) {
+        wal_sync_counter_->Inc();
+        if (!txn) {
+          PMBLADE_SYNC_POINT("DBImpl::Write:AfterWalSync");
+        }
+        size_t bytes = 0;
+        for (size_t i = 0; i < n; ++i) {
+          bytes += records[i].size();
+          if (IsTxnRecordOfType(records[i], TxnRecordType::kPrepare)) {
+            PMBLADE_SYNC_POINT("DBImpl::PrepareTxn:AfterSync");
+          }
+        }
+        if (events_.active()) {
+          events_.Emit(
+              obs::Event(obs::EventType::kWalSync, clock_->NowNanos())
+                  .With("bytes", static_cast<double>(bytes))
+                  .With("writes", static_cast<double>(members))
+                  .With("duration_nanos",
+                        static_cast<double>(clock_->NowNanos() -
+                                            sync_start)));
+        }
+      }
+    }
+    wal_error = !status.ok();
+  }
+  for (size_t i = 0; status.ok() && i < num_payloads; ++i) {
+    NoteGroupWrites(*payloads[i], mem);
+    status = payloads[i]->InsertInto(mem);
+  }
+  lock.lock();
+  if (wal_error) {
+    HandleWalErrorLocked(status);
+  } else {
+    for (const PendingMarker& m : landed) {
+      // A fence stays until its marker is durable, so it is still here.
+      auto it = txns_.find(m.txn_id);
+      if (it != txns_.end()) it->second.marker_ticket = m.ticket;
+    }
+  }
+  if (status.ok() && num_payloads > 0) {
+    // Publish the group's sequences only now that every entry is in the
+    // memtable: a reader snapshotting last_sequence_ can never observe a
+    // torn group.
+    if (txn) {
+      PMBLADE_SYNC_POINT("DBImpl::CommitTxn:BeforePublish");
+    } else {
+      PMBLADE_SYNC_POINT("DBImpl::Write:BeforePublish");
+    }
+    last_sequence_ = publish_seq;
+  }
+  return status;
+}
+
 void DBImpl::HandleWalErrorLocked(const Status& s) {
   if (!s.IsBusy()) {
     bg_error_ = s;
@@ -252,15 +299,6 @@ void DBImpl::HandleWalErrorLocked(const Status& s) {
   if (imm_ == nullptr && mem_->num_entries() > 0) {
     Status rs = SwitchMemTableLocked();
     if (!rs.ok() && !rs.IsBusy()) bg_error_ = rs;
-  }
-}
-
-void DBImpl::NoteMarkersLandedLocked(
-    const std::vector<PendingMarker>& landed) {
-  for (const PendingMarker& m : landed) {
-    // A fence stays until its marker is durable, so it is still here.
-    auto it = txns_.find(m.txn_id);
-    if (it != txns_.end()) it->second.marker_ticket = m.ticket;
   }
 }
 
@@ -303,34 +341,25 @@ Status DBImpl::TxnGroupWriteLocked(std::unique_lock<std::mutex>& lock,
   // one WAL append run and at most ONE fsync; without this, N concurrent
   // cross-shard writers pay N sequential prepare fsyncs per shard and 2PC
   // loses the latency the parallel fan-out bought.
-  std::vector<WriterState*> group;
-  group.push_back(&leader);
-  for (auto it = writers_.begin() + 1; it != writers_.end(); ++it) {
-    if ((*it)->kind == WriteKind::kBatch) break;
-    group.push_back(*it);
-  }
+  auto run_end = [this] {
+    return std::find_if(writers_.begin(), writers_.end(), [](WriterState* x) {
+      return x->kind == WriteKind::kBatch;
+    });
+  };
+  const bool has_commit =
+      std::any_of(writers_.begin(), run_end(), [](WriterState* x) {
+        return x->kind == WriteKind::kTxnCommit;
+      });
+  // Commits insert buffered payloads into the memtable; make room the same
+  // way a batch group does (may rotate the WAL, which carries the pending
+  // prepares along, and may drop the lock, so collect the group after).
+  Status status =
+      has_commit ? MakeRoomForWrite(lock, /*force=*/false) : bg_error_;
+  std::vector<WriterState*> group(writers_.begin(), run_end());
   *last_writer = group.back();
-
-  bool has_commit = false;
-  for (WriterState* m : group) {
-    if (m->kind == WriteKind::kTxnCommit) has_commit = true;
-  }
-  if (has_commit) {
-    // Commits insert buffered payloads into the memtable; make room the
-    // same way a regular group does (may rotate the WAL, which carries the
-    // pending prepares along).
-    PMBLADE_RETURN_IF_ERROR(MakeRoomForWrite(lock, /*force=*/false));
-    // MakeRoomForWrite may have dropped the lock; scoop up txn ops that
-    // queued behind the group in the meantime.
-    group.clear();
-    group.push_back(&leader);
-    for (auto it = writers_.begin() + 1; it != writers_.end(); ++it) {
-      if ((*it)->kind == WriteKind::kBatch) break;
-      group.push_back(*it);
-    }
-    *last_writer = group.back();
-  } else if (!bg_error_.ok()) {
-    return bg_error_;
+  if (!status.ok()) {
+    for (WriterState* m : group) m->status = status;
+    return status;
   }
 
   // Stage every member's WAL record under the lock. Members whose op
@@ -339,199 +368,123 @@ Status DBImpl::TxnGroupWriteLocked(std::unique_lock<std::mutex>& lock,
   struct Staged {
     WriterState* w;
     std::string record;
-    WriteBatch payload;           // commit only
-    SequenceNumber base_seq = 0;  // commit only
-    uint64_t ticket = 0;
+    WriteBatch payload;  // commit only
   };
   std::vector<Staged> staged;
   staged.reserve(group.size());
   SequenceNumber next_seq = last_sequence_;  // running cursor for commits
   bool group_sync = false;
-  bool staged_commit = false;
-  MemTable* mem = mem_;
-  for (WriterState* m : group) {
-    switch (m->kind) {
-      case WriteKind::kTxnPrepare: {
-        staged.emplace_back();
-        Staged& s = staged.back();
-        s.w = m;
-        EncodePrepareRecord(m->txn_id, *m->participants, m->batch->rep(),
-                            &s.record);
-        group_sync = group_sync || m->sync;
-        break;
-      }
-      case WriteKind::kTxnCommit: {
-        auto it = txns_.find(m->txn_id);
-        if (it == txns_.end()) {
-          m->own_status = true;
-          m->status = Status::InvalidArgument("commit of unknown txn");
-          break;
-        }
-        if (it->second.committed) {  // idempotent
-          m->own_status = true;
-          m->status = Status::OK();
-          break;
-        }
-        staged.emplace_back();
-        Staged& s = staged.back();
-        s.w = m;
-        s.payload.SetContentsFrom(Slice(it->second.payload));
-        s.base_seq = next_seq + 1;
-        s.payload.SetSequence(s.base_seq);
-        next_seq += s.payload.Count();
-        EncodeCommitRecord(m->txn_id, s.base_seq, &s.record);
-        group_sync = group_sync || m->sync;
-        staged_commit = true;
-        break;
-      }
-      case WriteKind::kTxnRollback: {
-        staged.emplace_back();
-        Staged& s = staged.back();
-        s.w = m;
-        EncodeRollbackRecord(m->txn_id, &s.record);
-        group_sync = group_sync || m->sync;
-        break;
-      }
-      case WriteKind::kBatch:
-        break;  // unreachable: collection stops at the first kBatch
-    }
-  }
-  const bool leader_validated_out = leader.own_status;
   // A group of nothing but unsynced commits is memory-only: no device
   // write, no fsync. Its markers join pending_markers_ and go out with the
   // next append. Any other group appends every staged record in group
   // order, after the pending markers.
   bool memory_only = true;
-  for (const Staged& s : staged) {
-    if (s.w->kind != WriteKind::kTxnCommit || s.w->sync) memory_only = false;
+  for (WriterState* m : group) {
+    const TxnEntry* entry = nullptr;  // commit only
+    if (m->kind == WriteKind::kTxnCommit) {
+      auto it = txns_.find(m->txn_id);
+      if (it == txns_.end()) {
+        m->status = Status::InvalidArgument("commit of unknown txn");
+        continue;
+      }
+      if (it->second.committed) {  // idempotent
+        m->status = Status::OK();
+        continue;
+      }
+      entry = &it->second;
+    }
+    staged.emplace_back();
+    Staged& s = staged.back();
+    s.w = m;
+    switch (m->kind) {
+      case WriteKind::kTxnPrepare:
+        EncodePrepareRecord(m->txn_id, *m->participants, m->batch->rep(),
+                            &s.record);
+        break;
+      case WriteKind::kTxnCommit:
+        s.payload.SetContentsFrom(Slice(entry->payload));
+        s.payload.SetSequence(next_seq + 1);
+        EncodeCommitRecord(m->txn_id, next_seq + 1, &s.record);
+        next_seq += s.payload.Count();
+        break;
+      case WriteKind::kTxnRollback:
+        EncodeRollbackRecord(m->txn_id, &s.record);
+        break;
+      case WriteKind::kBatch:
+        break;  // unreachable: the group stops at the first kBatch
+    }
+    group_sync = group_sync || m->sync;
+    if (m->kind != WriteKind::kTxnCommit || m->sync) memory_only = false;
   }
+  if (staged.empty()) return leader.status;
 
-  Status status;
-  std::vector<PendingMarker> landed;  // older markers this append carried
-  if (!staged.empty()) {
-    bool wal_error = false;
-    lock.unlock();
-    if (!memory_only) {
-      ScopedExternalIo wal_io(track_wal_io_ ? model_ : nullptr,
-                              IoClass::kClient);
-      // The whole staged run is one device write; each record still gets
-      // its own durability ticket.
-      std::vector<Slice> records;
-      records.reserve(staged.size());
-      for (const Staged& s : staged) records.emplace_back(s.record);
-      uint64_t first_ticket = 0;
-      status = AppendToWal(records.data(), records.size(), &landed,
-                           &first_ticket);
-      for (size_t i = 0; i < staged.size(); ++i) {
-        staged[i].ticket = first_ticket + i;
-        if (status.ok() && staged[i].w->kind == WriteKind::kTxnCommit) {
-          PMBLADE_SYNC_POINT("DBImpl::CommitTxn:AfterAppend");
-        }
-      }
-      if (status.ok() && group_sync) {
-        status = wal_file_->Sync();
-        if (status.ok()) {
-          wal_sync_counter_->Inc();
-          wal_synced_ticket_.store(staged.back().ticket,
-                                   std::memory_order_relaxed);
-          for (Staged& s : staged) {
-            if (s.w->kind == WriteKind::kTxnPrepare) {
-              PMBLADE_SYNC_POINT("DBImpl::PrepareTxn:AfterSync");
-            }
-          }
-        }
-      }
-      wal_error = !status.ok();
-    }
-    if (status.ok()) {
-      for (Staged& s : staged) {
-        if (s.w->kind != WriteKind::kTxnCommit) continue;
-        NoteGroupWrites(s.payload, mem);
-        status = s.payload.InsertInto(mem);
-        if (!status.ok()) break;
-      }
-    }
-    if (status.ok() && memory_only) {
-      for (Staged& s : staged) {
-        pending_markers_.push_back({s.w->txn_id, std::move(s.record)});
-        s.ticket = kMarkerPending;
-      }
-    }
-    if (status.ok() && events_.active()) {
-      for (Staged& s : staged) {
-        obs::EventType type = s.w->kind == WriteKind::kTxnPrepare
-                                  ? obs::EventType::kTxnPrepare
-                                  : s.w->kind == WriteKind::kTxnCommit
-                                        ? obs::EventType::kTxnCommit
-                                        : obs::EventType::kTxnRollback;
-        obs::Event event(type, clock_->NowNanos());
-        event.With("txn_id", static_cast<double>(s.w->txn_id));
-        if (s.w->kind == WriteKind::kTxnPrepare) {
-          event.With("participants",
-                     static_cast<double>(s.w->participants->size()))
-              .With("bytes", static_cast<double>(s.w->batch->rep().size()));
-        }
-        events_.Emit(event);
-      }
-    }
-    lock.lock();
-    if (wal_error) {
-      HandleWalErrorLocked(status);
-    } else {
-      NoteMarkersLandedLocked(landed);
-    }
-  }
-
-  if (status.ok()) {
-    if (staged_commit) {
-      // Publish AFTER the memtable inserts, exactly like the batch path: a
-      // reader snapshotting last_sequence_ never observes a torn commit.
-      PMBLADE_SYNC_POINT("DBImpl::CommitTxn:BeforePublish");
-      last_sequence_ = next_seq;
-    }
-    for (Staged& s : staged) {
-      switch (s.w->kind) {
-        case WriteKind::kTxnPrepare: {
-          TxnEntry& entry = txns_[s.w->txn_id];
-          entry.participants = *s.w->participants;
-          entry.payload = s.w->batch->rep();
-          entry.committed = false;
-          entry.marker_ticket = s.ticket;
-          if (s.w->txn_id > max_seen_txn_id_) max_seen_txn_id_ = s.w->txn_id;
-          txn_prepared_counter_->Inc();
-          break;
-        }
-        case WriteKind::kTxnCommit: {
-          auto it = txns_.find(s.w->txn_id);  // re-find: mu_ was released
-          if (it != txns_.end()) {
-            it->second.committed = true;
-            it->second.base_seq = s.base_seq;
-            it->second.marker_ticket = s.ticket;
-          }
-          // The user's bytes count once, when they become visible; the
-          // prepare is not a second write.
-          stats_.AddUserBytes(s.payload.ApproximateSize());
-          txn_committed_counter_->Inc();
-          break;
-        }
-        case WriteKind::kTxnRollback:
-          txns_.erase(s.w->txn_id);
-          txn_rolled_back_counter_->Inc();
-          break;
-        case WriteKind::kBatch:
-          break;
-      }
-    }
-  }
-
-  // Stamp the group outcome on every member that went through the IO path
-  // so the caller's wake loop leaves validation outcomes untouched; the
-  // leader's own result is the return value.
+  // The whole staged run is one device write; each record still gets its
+  // own durability ticket.
+  std::vector<Slice> records;
+  std::vector<WriteBatch*> payloads;
   for (Staged& s : staged) {
-    s.w->own_status = true;
-    s.w->status = status;
+    if (!memory_only) records.emplace_back(s.record);
+    if (s.w->kind == WriteKind::kTxnCommit) payloads.push_back(&s.payload);
   }
-  return leader_validated_out ? leader.status : status;
+  uint64_t first_ticket = 0;
+  status = CommitGroupLocked(lock, records.data(), records.size(),
+                            payloads.data(), payloads.size(), group_sync,
+                            next_seq, staged.size(), &first_ticket);
+  for (size_t i = 0; status.ok() && i < staged.size(); ++i) {
+    Staged& s = staged[i];
+    const uint64_t ticket = memory_only ? kMarkerPending : first_ticket + i;
+    if (events_.active()) {
+      obs::EventType type = s.w->kind == WriteKind::kTxnPrepare
+                                ? obs::EventType::kTxnPrepare
+                                : s.w->kind == WriteKind::kTxnCommit
+                                      ? obs::EventType::kTxnCommit
+                                      : obs::EventType::kTxnRollback;
+      obs::Event event(type, clock_->NowNanos());
+      event.With("txn_id", static_cast<double>(s.w->txn_id));
+      if (s.w->kind == WriteKind::kTxnPrepare) {
+        event.With("participants",
+                   static_cast<double>(s.w->participants->size()))
+            .With("bytes", static_cast<double>(s.w->batch->rep().size()));
+      }
+      events_.Emit(event);
+    }
+    switch (s.w->kind) {
+      case WriteKind::kTxnPrepare: {
+        TxnEntry& entry = txns_[s.w->txn_id];
+        entry.participants = *s.w->participants;
+        entry.payload = s.w->batch->rep();
+        entry.committed = false;
+        entry.marker_ticket = ticket;
+        if (s.w->txn_id > max_seen_txn_id_) max_seen_txn_id_ = s.w->txn_id;
+        txn_prepared_counter_->Inc();
+        break;
+      }
+      case WriteKind::kTxnCommit: {
+        if (memory_only) {
+          pending_markers_.push_back({s.w->txn_id, std::move(s.record)});
+        }
+        auto it = txns_.find(s.w->txn_id);  // re-find: mu_ was released
+        if (it != txns_.end()) {
+          it->second.committed = true;
+          it->second.base_seq = s.payload.Sequence();
+          it->second.marker_ticket = ticket;
+        }
+        // The user's bytes count once, when they become visible; the
+        // prepare is not a second write.
+        stats_.AddUserBytes(s.payload.ApproximateSize());
+        txn_committed_counter_->Inc();
+        break;
+      }
+      case WriteKind::kTxnRollback:
+        txns_.erase(s.w->txn_id);
+        txn_rolled_back_counter_->Inc();
+        break;
+      case WriteKind::kBatch:
+        break;
+    }
+  }
+  for (Staged& s : staged) s.w->status = status;
+  return leader.status;
 }
 
 std::vector<DBImpl::InDoubtTxn> DBImpl::GetInDoubtTxns() {

@@ -16,6 +16,11 @@ bool IsTxnRecord(const Slice& record) {
          DecodeFixed64(record.data()) == kTxnRecordMagic;
 }
 
+bool IsTxnRecordOfType(const Slice& record, TxnRecordType type) {
+  return IsTxnRecord(record) &&
+         static_cast<uint8_t>(record[kTagOffset]) == static_cast<uint8_t>(type);
+}
+
 static void PutCommon(TxnRecordType type, uint64_t txn_id, std::string* out) {
   out->clear();
   PutFixed64(out, kTxnRecordMagic);

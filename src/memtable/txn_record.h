@@ -46,6 +46,8 @@ struct TxnRecord {
 
 // True iff `record` (a logical WAL record) is a txn record, not a batch rep.
 bool IsTxnRecord(const Slice& record);
+// True iff `record` is a txn record of kind `type`.
+bool IsTxnRecordOfType(const Slice& record, TxnRecordType type);
 
 void EncodePrepareRecord(uint64_t txn_id,
                          const std::vector<uint32_t>& participants,

@@ -2,8 +2,9 @@
 // (writer resumed mid-block), records exactly at block boundaries, the
 // writer's one-Append-per-call contract and its byte framing, the device
 // writes one commit costs, where a cross-shard commit's marker lands in
-// the WAL (and what a power cut before it lands leaves), the PM WAL's
-// recovery sweeps, extent reuse and full-pool behaviour, and PM-table
+// the WAL (and what a power cut before it lands leaves), the write-path
+// sync points' hit counts and the trace of each commit-group fsync, the PM
+// WAL's recovery sweeps, extent reuse and full-pool behaviour, and PM-table
 // geometry extremes.
 
 #include <gtest/gtest.h>
@@ -13,6 +14,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <map>
+#include <mutex>
+#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -422,6 +426,100 @@ TEST_F(WalDeviceWriteTest, PmWalCrossShardBatchWritesNothingToSsd) {
   }
   EXPECT_EQ(model_->bytes_written(), opened_bytes);
 }
+
+// Every commit-group fsync is traced, a participant's prepare fsync
+// included: one wal_sync event per shard, covering its one prepare.
+TEST_F(WalDeviceWriteTest, CrossShardPrepareFsyncIsTraced) {
+  options_.num_shards = 2;
+  Open();
+  WriteBatch batch;
+  batch.Put(KeyForShard(0, 0), "v");
+  batch.Put(KeyForShard(0, 1), "v");
+  WriteOptions sync;
+  sync.sync = true;
+  ASSERT_TRUE(db_->Write(sync, &batch).ok());
+
+  std::string dump;
+  ASSERT_TRUE(db_->GetProperty("pmblade.trace.json", &dump));
+  std::stringstream lines(dump);
+  std::string line;
+  int syncs = 0;
+  while (std::getline(lines, line)) {
+    if (line.find("\"type\":\"wal_sync\"") == std::string::npos) continue;
+    ++syncs;
+    EXPECT_NE(line.find("\"writes\":1"), std::string::npos) << line;
+    EXPECT_NE(line.find("\"bytes\":"), std::string::npos) << line;
+    EXPECT_EQ(line.find("\"bytes\":0"), std::string::npos) << line;
+    EXPECT_NE(line.find("\"duration_nanos\":"), std::string::npos) << line;
+  }
+  EXPECT_EQ(syncs, 2) << dump;
+}
+
+#ifdef PMBLADE_SYNC_POINTS
+// The crash harnesses arm their cuts by counting hits on these points, so
+// each one's hit count for a fixed sequence of operations is pinned here,
+// on both WAL devices.
+TEST_F(WalDeviceWriteTest, WritePathSyncPointCensus) {
+  static const char* const kPoints[] = {
+      "DBImpl::Write:AfterWalAppend",       "DBImpl::Write:AfterWalSync",
+      "DBImpl::Write:BeforePublish",        "DBImpl::PrepareTxn:AfterSync",
+      "DBImpl::CommitTxn:AfterAppend",      "DBImpl::CommitTxn:BeforePublish",
+      "DBImpl::NewWal:OldWalSynced",        "DBImpl::NewWal:TxnRecordsCarried",
+      "DBImpl::SwitchMemTable:AfterNewWal",
+  };
+  const std::map<std::string, int> expected = {
+      {"DBImpl::Write:AfterWalAppend", 2},
+      {"DBImpl::Write:AfterWalSync", 1},
+      {"DBImpl::Write:BeforePublish", 2},
+      {"DBImpl::PrepareTxn:AfterSync", 4},
+      {"DBImpl::CommitTxn:AfterAppend", 2},
+      {"DBImpl::CommitTxn:BeforePublish", 4},
+      {"DBImpl::NewWal:OldWalSynced", 2},
+      {"DBImpl::NewWal:TxnRecordsCarried", 2},
+      {"DBImpl::SwitchMemTable:AfterNewWal", 2},
+  };
+  options_.num_shards = 2;
+  for (bool wal_in_pm : {false, true}) {
+    SCOPED_TRACE(wal_in_pm ? "pm wal" : "ssd wal");
+    db_.reset();
+    DestroyDB(options_, dbname_);
+    options_.wal_in_pm = wal_in_pm;
+    Open();
+
+    std::mutex mu;
+    std::map<std::string, int> hits;
+    for (const char* point : kPoints) {
+      hits[point] = 0;
+      SyncPoint::GetInstance()->SetCallBack(point, [&mu, &hits, point](void*) {
+        std::lock_guard<std::mutex> lock(mu);
+        ++hits[point];
+      });
+    }
+    SyncPoint::GetInstance()->EnableProcessing();
+
+    WriteOptions sync;
+    sync.sync = true;
+    ASSERT_TRUE(db_->Put(WriteOptions(), KeyForShard(0, 0), "v").ok());
+    ASSERT_TRUE(db_->Put(sync, KeyForShard(1, 0), "v").ok());
+    for (int round = 2; round < 4; ++round) {
+      WriteBatch batch;
+      batch.Put(KeyForShard(round, 0), "v");
+      batch.Put(KeyForShard(round, 1), "v");
+      ASSERT_TRUE(
+          db_->Write(round == 2 ? WriteOptions() : sync, &batch).ok());
+    }
+    uint64_t retained = 0;
+    ASSERT_TRUE(db_->GetProperty("pmblade.txn-retained", &retained));
+    EXPECT_EQ(retained, 2u);  // the last batch's fences: carried at rotation
+    ASSERT_TRUE(db_->FlushMemTable().ok());
+
+    SyncPoint::GetInstance()->DisableProcessing();
+    SyncPoint::GetInstance()->Reset();
+    std::lock_guard<std::mutex> lock(mu);
+    EXPECT_EQ(hits, expected);
+  }
+}
+#endif  // PMBLADE_SYNC_POINTS
 
 /// Two shards over a CrashEnv: where a cross-shard commit's kCommit marker
 /// lands, and what a power cut before it lands leaves behind.
