@@ -86,11 +86,13 @@ int main(int argc, char** argv) {
     }
     uint64_t ssd_written =
         static_cast<DBImpl*>(db.get())->ssd_model()->bytes_written();
+    uint64_t flushes = 0;
+    db->GetProperty("pmblade.flush.count", &flushes);
 
     out.AddRow({tier.name,
                 TablePrinter::FmtNanos(gets ? double(get_nanos) / gets : 0),
                 TablePrinter::FmtNanos(puts ? double(put_nanos) / puts : 0),
-                std::to_string(db->statistics().flushes()),
+                std::to_string(flushes),
                 TablePrinter::FmtBytes(ssd_written)});
     db.reset();
     DestroyDB(options, dbname);

@@ -81,13 +81,13 @@ int main(int argc, char** argv) {
       }
     }
 
-    const DbStatistics* stats = env.statistics();
     out.AddRow({std::to_string(partitions),
                 TablePrinter::FmtNanos(gets ? double(get_nanos) / gets : 0),
                 TablePrinter::FmtNanos(scans ? double(scan_nanos) / scans
                                              : 0),
                 TablePrinter::Fmt(env.PmHitRatio() * 100, 1),
-                std::to_string(stats->major_compactions())});
+                std::to_string(
+                    env.Metric("pmblade.compaction.major.count"))});
   }
 
   out.Print("Ablation: partition count (partitioned LSM, Section III)");

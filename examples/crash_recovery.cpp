@@ -118,8 +118,8 @@ int main(int argc, char** argv) {
     printf("verified %zu point reads, %zu scanned entries — all intact\n",
            verified, scanned);
     uint64_t l0 = 0, l1 = 0;
-    db->GetProperty("pmblade.l0-bytes", &l0);
-    db->GetProperty("pmblade.l1-bytes", &l1);
+    db->GetProperty("pmblade.lsm.l0_bytes", &l0);
+    db->GetProperty("pmblade.lsm.l1_bytes", &l1);
     printf("recovered layout: %llu B in PM level-0, %llu B in SSD "
            "level-1\n",
            (unsigned long long)l0, (unsigned long long)l1);

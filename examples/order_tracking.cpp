@@ -128,12 +128,13 @@ int main(int argc, char** argv) {
   CHECK_OK(db->FlushMemTable());
   CHECK_OK(db->CompactToLevel1(/*respect_cost_model=*/true));
   uint64_t l0 = 0, l1 = 0;
-  db->GetProperty("pmblade.l0-bytes", &l0);
-  db->GetProperty("pmblade.l1-bytes", &l1);
+  db->GetProperty("pmblade.lsm.l0_bytes", &l0);
+  db->GetProperty("pmblade.lsm.l1_bytes", &l1);
   printf("\nafter cost-based major compaction: %llu B retained in PM "
          "level-0, %llu B on SSD\n",
          (unsigned long long)l0, (unsigned long long)l1);
-  printf("read sources so far: %s\n",
-         db->statistics().ToString().c_str());
+  std::string stats;
+  db->GetProperty("pmblade.stats", &stats);
+  printf("read sources so far: %s\n", stats.c_str());
   return 0;
 }

@@ -83,14 +83,16 @@ int main(int argc, char** argv) {
   CHECK_OK(db->CompactToLevel1(true)); // major compaction (Eq. 3 retention)
 
   uint64_t l0 = 0, l1 = 0, pm_used = 0;
-  db->GetProperty("pmblade.l0-bytes", &l0);
-  db->GetProperty("pmblade.l1-bytes", &l1);
-  db->GetProperty("pmblade.pm-used-bytes", &pm_used);
+  db->GetProperty("pmblade.lsm.l0_bytes", &l0);
+  db->GetProperty("pmblade.lsm.l1_bytes", &l1);
+  db->GetProperty("pmblade.pm.used_bytes", &pm_used);
   printf("level-0: %llu B on PM (%llu B pool used), level-1: %llu B on "
          "SSD\n",
          (unsigned long long)l0, (unsigned long long)pm_used,
          (unsigned long long)l1);
-  printf("stats:\n%s\n", db->statistics().ToString().c_str());
+  std::string stats;
+  db->GetProperty("pmblade.stats", &stats);
+  printf("stats:\n%s\n", stats.c_str());
 
   db.reset();
   printf("done; data persists at %s (reopen with the same Options)\n",

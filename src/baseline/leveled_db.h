@@ -50,8 +50,7 @@ class LeveledDb final : public KvEngine {
   /// Forces L0 down into the levels (bench convenience).
   Status CompactAll();
 
-  const DbStatistics& statistics() const { return stats_; }
-  DbStatistics& statistics() { return stats_; }
+  obs::MetricsRegistry* metrics_registry() override { return &metrics_; }
   uint64_t l0_files() const { return l0_.size(); }
   const LeveledStore& store() const { return *store_; }
 
@@ -79,7 +78,8 @@ class LeveledDb final : public KvEngine {
   SequenceNumber last_sequence_ = 0;
   std::vector<L0TableRef> l0_;  // newest first, mutually overlapping
 
-  DbStatistics stats_;
+  obs::MetricsRegistry metrics_;
+  DbStatistics stats_{&metrics_};
 };
 
 }  // namespace pmblade

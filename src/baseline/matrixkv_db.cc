@@ -43,6 +43,7 @@ Status MatrixKvDb::Init() {
   popts.latency = options_.pm_latency;
   popts.clock = clock_;
   PMBLADE_RETURN_IF_ERROR(PmPool::Open(pool_path, popts, &pool_));
+  pool_->RegisterMetrics(&metrics_);
 
   L0FactoryOptions row_opts;
   row_opts.layout = L0Layout::kArrayTable;

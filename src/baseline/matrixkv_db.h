@@ -72,9 +72,7 @@ class MatrixKvDb final : public KvEngine {
 
   Status CompactAll();
 
-  const DbStatistics& statistics() const { return stats_; }
-  DbStatistics& statistics() { return stats_; }
-  PmPool* pm_pool() { return pool_.get(); }
+  obs::MetricsRegistry* metrics_registry() override { return &metrics_; }
   uint64_t matrix_rows() const { return rows_.size(); }
   uint64_t matrix_bytes() const;
 
@@ -107,7 +105,9 @@ class MatrixKvDb final : public KvEngine {
   SequenceNumber last_sequence_ = 0;
   std::vector<L0TableRef> rows_;  // newest first
 
-  DbStatistics stats_;
+  // Declared last: the registry's callbacks capture the members above.
+  obs::MetricsRegistry metrics_;
+  DbStatistics stats_{&metrics_};
 };
 
 }  // namespace pmblade

@@ -1,5 +1,8 @@
 #include "benchutil/runner.h"
 
+#include "core/properties.h"
+#include "core/statistics.h"
+
 namespace pmblade {
 namespace bench {
 
@@ -164,32 +167,17 @@ Status BenchEnv::OpenEngine(EngineConfig config, KvEngine** engine) {
   return Status::OK();
 }
 
-uint64_t BenchEnv::PmBytesWritten() const {
-  if (db_ != nullptr) {
-    uint64_t v = 0;
-    return db_->GetProperty("pmblade.pm-bytes-written", &v) ? v : 0;
-  }
-  if (matrix_ != nullptr) {
-    return matrix_->pm_pool()->stats().bytes_written();
-  }
-  return 0;
-}
-
-uint64_t BenchEnv::UserBytesWritten() const {
-  const DbStatistics* stats = statistics();
-  return stats != nullptr ? stats->user_bytes_written() : 0;
-}
-
 double BenchEnv::PmHitRatio() const {
-  const DbStatistics* stats = statistics();
-  return stats != nullptr ? stats->PmHitRatio() : 0.0;
+  const obs::MetricsRegistry* registry = metrics_registry();
+  return registry != nullptr ? pmblade::PmHitRatio(*registry) : 0.0;
 }
 
-const DbStatistics* BenchEnv::statistics() const {
-  if (db_ != nullptr) return &db_->statistics();
-  if (matrix_ != nullptr) return &matrix_->statistics();
-  if (leveled_ != nullptr) return &leveled_->statistics();
-  return nullptr;
+uint64_t BenchEnv::Metric(const std::string& name) const {
+  const obs::MetricsRegistry* registry = metrics_registry();
+  uint64_t value = 0;
+  return registry != nullptr && ReadNumericProperty(*registry, name, &value)
+             ? value
+             : 0;
 }
 
 Status BenchEnv::FlushEngine() {

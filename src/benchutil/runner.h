@@ -103,11 +103,22 @@ class BenchEnv {
   /// Total bytes written to the simulated SSD since the engine opened.
   uint64_t SsdBytesWritten() const { return model_->bytes_written(); }
   /// Total bytes written to PM (0 for PM-less configs).
-  uint64_t PmBytesWritten() const;
+  uint64_t PmBytesWritten() const { return Metric("pmblade.pm.bytes_written"); }
   /// User payload bytes accepted by the engine.
-  uint64_t UserBytesWritten() const;
+  uint64_t UserBytesWritten() const {
+    return Metric("pmblade.write.user_bytes");
+  }
+  /// Successful reads served without the SSD, as a fraction of all
+  /// successful reads (see pmblade::PmHitRatio).
   double PmHitRatio() const;
-  const DbStatistics* statistics() const;
+  /// The open engine's metric `name` (core/properties.h naming); 0 when no
+  /// engine is open or the engine has no such metric. The three engine
+  /// families register their statistics under the same names.
+  uint64_t Metric(const std::string& name) const;
+  /// The open engine's metrics registry; nullptr when none is open.
+  const obs::MetricsRegistry* metrics_registry() const {
+    return engine_ != nullptr ? engine_->metrics_registry() : nullptr;
+  }
 
   SsdModel* ssd_model() { return model_.get(); }
   SimEnv* sim_env() { return sim_env_.get(); }

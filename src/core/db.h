@@ -22,10 +22,6 @@
 
 namespace pmblade {
 
-namespace obs {
-class MetricsRegistry;
-}  // namespace obs
-
 class DB : public KvEngine {
  public:
   /// Opens (creating or recovering) the database rooted at `dbname`.
@@ -60,17 +56,22 @@ class DB : public KvEngine {
   virtual Status CompactToLevel1(bool respect_cost_model) = 0;
 
   // ---- introspection ----
+  /// The engine's recording handle for read, write, flush and compaction
+  /// statistics (a sharded engine returns shard 0's). It holds no values:
+  /// read them from metrics_registry(), e.g. "pmblade.reads.pm_l0" or
+  /// "pmblade.writes". It stays in this interface only because DB
+  /// wrappers outside the engine (perfbench's TraceDB) override it.
   virtual const DbStatistics& statistics() const = 0;
   virtual DbStatistics& statistics() = 0;
-  /// Numeric properties, read from metrics_registry(): any registry metric
-  /// name, or a hyphenated alias listed in PropertyAliases()
-  /// (core/properties.h), e.g. "pmblade.l0-bytes" for
-  /// "pmblade.lsm.l0_bytes". On a sharded engine,
+  /// Numeric properties, read from metrics_registry() by metric name, e.g.
+  /// "pmblade.lsm.l0_bytes" or "pmblade.writes"; the four hyphenated
+  /// aliases in PropertyAliases() (core/properties.h) also resolve. On a
+  /// sharded engine the name reads the cross-shard total, and
   /// "pmblade.shard.<i>.<name>" reads one shard. False for unknown names.
   virtual bool GetProperty(const std::string& property, uint64_t* value) = 0;
   /// Instantaneous write-path backpressure state (see WritePressure).
   /// Cheap — one short mutex hold — so admission controllers may poll it
-  /// per request. Also exposed as the "pmblade.write-pressure" property.
+  /// per request. Also exposed as the "pmblade.write.pressure" property.
   /// On a sharded DB this is the MAX across shards (the box-level view);
   /// admission control should prefer the keyed overload below so one hot
   /// shard cannot shed traffic bound for idle shards.
@@ -91,17 +92,14 @@ class DB : public KvEngine {
     (void)shard;
     return GetWritePressure();
   }
-  /// The engine-wide metrics registry backing the stats exporters.
-  /// External subsystems (the RESP server) register their own
-  /// counters/gauges/histograms here so one snapshot covers the whole
-  /// process. Never nullptr after Open.
-  virtual obs::MetricsRegistry* metrics_registry() = 0;
   /// String-valued properties:
   ///   "pmblade.stats.json"       — full metrics snapshot + recent trace
-  ///                                events as one JSON document,
+  ///                                events as one JSON document (a sharded
+  ///                                engine lists every shard's events),
   ///   "pmblade.stats.prometheus" — the same metrics in Prometheus text
   ///                                exposition format,
-  ///   "pmblade.stats"            — human-readable DbStatistics summary,
+  ///   "pmblade.stats"            — human-readable summary of the read,
+  ///                                write, flush and compaction counters,
   ///   "pmblade.trace.json"       — recent engine events as JSON lines.
   virtual bool GetProperty(const std::string& property,
                            std::string* value) = 0;

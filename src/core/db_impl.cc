@@ -5,7 +5,6 @@
 #include "core/properties.h"
 #include "core/sharded_db.h"
 #include "core/version.h"
-#include "obs/exporter.h"
 
 namespace pmblade {
 
@@ -351,6 +350,10 @@ DBImpl::LevelShape DBImpl::LevelShapeLocked(uint32_t level) const {
   return shape;
 }
 
+std::vector<obs::Event> DBImpl::TraceEvents() const {
+  return trace_ != nullptr ? trace_->Snapshot() : std::vector<obs::Event>();
+}
+
 bool DBImpl::GetProperty(const std::string& property, std::string* value) {
   // Deliberately does NOT hold mu_: the registry snapshot evaluates gauge
   // callbacks that lock mu_ themselves.
@@ -358,19 +361,8 @@ bool DBImpl::GetProperty(const std::string& property, std::string* value) {
     *value = picker_->name();
     return true;
   }
-  if (property == "pmblade.stats.json") {
-    obs::MetricsSnapshot snapshot = metrics_.Snapshot(clock_->NowNanos());
-    std::vector<obs::Event> events;
-    if (trace_ != nullptr) events = trace_->Snapshot();
-    *value = obs::ExportJson(snapshot, events);
-    return true;
-  }
-  if (property == "pmblade.stats.prometheus") {
-    *value = obs::ExportPrometheus(metrics_.Snapshot(clock_->NowNanos()));
-    return true;
-  }
-  if (property == "pmblade.stats") {
-    *value = stats_.ToString();
+  if (RenderStatsProperty(metrics_, property, clock_->NowNanos(),
+                          [this] { return TraceEvents(); }, value)) {
     return true;
   }
   if (property == "pmblade.trace.json") {

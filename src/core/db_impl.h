@@ -153,6 +153,8 @@ class DBImpl final : public DB {
   PmPool* pm_pool() { return pool_.get(); }
   SsdModel* ssd_model() { return model_; }
   obs::MetricsRegistry* metrics() { return &metrics_; }
+  /// The trace ring's events, oldest first; empty when tracing is off.
+  std::vector<obs::Event> TraceEvents() const;
 
   // ---- hooks for an external arbiter (ShardedDB's shared MemoryArbiter;
   // also exercised directly by tests) ----
@@ -508,14 +510,15 @@ class DBImpl final : public DB {
 
   std::multiset<uint64_t> live_snapshots_;
 
-  DbStatistics stats_;
-
   // ---- observability ----
   // Declared after everything the registered callbacks capture; wired in
   // Init(). Cached counter pointers keep cost-model accounting off the
   // registry lock (important: compaction runs under mu_, and taking the
   // registry lock there would invert the Snapshot callback lock order).
   obs::MetricsRegistry metrics_;
+  /// Read, write, flush and compaction instruments, owned by metrics_
+  /// (so declared after it).
+  DbStatistics stats_{&metrics_};
   obs::EventBus events_;
   std::unique_ptr<obs::TraceRecorder> trace_;
   obs::Counter* decision_counter_ = nullptr;       // Eq. 1/2 evaluations

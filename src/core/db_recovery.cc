@@ -101,7 +101,6 @@ Status DBImpl::Init() {
     trace_.reset(new obs::TraceRecorder(options_.trace_ring_capacity));
     events_.Subscribe(trace_.get());
   }
-  stats_.RegisterWith(&metrics_);
   pool_->RegisterMetrics(&metrics_);
   model_->RegisterMetrics(&metrics_);
   model_->set_event_bus(&events_);

@@ -13,6 +13,10 @@
 
 namespace pmblade {
 
+namespace obs {
+class MetricsRegistry;
+}  // namespace obs
+
 class KvEngine {
  public:
   virtual ~KvEngine() = default;
@@ -28,6 +32,13 @@ class KvEngine {
   virtual Status Flush() = 0;
 
   virtual std::string Name() const = 0;
+
+  /// The engine-wide metrics registry: every statistic the engine keeps,
+  /// under the same names in every engine (e.g. "pmblade.write.user_bytes",
+  /// "pmblade.reads.ssd_l1"). External subsystems (the RESP server)
+  /// register their own counters/gauges/histograms here so one snapshot
+  /// covers the whole process. Never nullptr after Open.
+  virtual obs::MetricsRegistry* metrics_registry() = 0;
 };
 
 }  // namespace pmblade

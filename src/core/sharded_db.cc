@@ -10,7 +10,6 @@
 
 #include "compaction/merging_iterator.h"
 #include "core/properties.h"
-#include "obs/exporter.h"
 #include "util/comparator.h"
 #include "util/sync_point.h"
 
@@ -775,24 +774,6 @@ Status ShardedDB::CompactToLevel1(bool respect_cost_model) {
 // Introspection
 // ---------------------------------------------------------------------------
 
-void ShardedDB::RefreshAggregateStats() const {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  agg_stats_.Reset();
-  for (const auto& shard : shards_) {
-    agg_stats_.AddFrom(static_cast<const DBImpl&>(*shard).statistics());
-  }
-}
-
-const DbStatistics& ShardedDB::statistics() const {
-  RefreshAggregateStats();
-  return agg_stats_;
-}
-
-DbStatistics& ShardedDB::statistics() {
-  RefreshAggregateStats();
-  return agg_stats_;
-}
-
 WritePressure ShardedDB::GetWritePressure() {
   WritePressure worst = WritePressure::kNone;
   for (auto& shard : shards_) {
@@ -825,20 +806,18 @@ bool ShardedDB::GetProperty(const std::string& property, uint64_t* value) {
 }
 
 bool ShardedDB::GetProperty(const std::string& property, std::string* value) {
-  if (property == "pmblade.stats.json") {
-    obs::MetricsSnapshot snapshot =
-        metrics_.Snapshot(options_.clock->NowNanos());
-    *value = obs::ExportJson(snapshot, {});
-    return true;
-  }
-  if (property == "pmblade.stats.prometheus") {
-    *value = obs::ExportPrometheus(metrics_.Snapshot(options_.clock->NowNanos()));
-    return true;
-  }
-  if (property == "pmblade.stats") {
-    RefreshAggregateStats();
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    *value = agg_stats_.ToString();
+  // The events are every shard's, concatenated by shard as in
+  // pmblade.trace.json below.
+  auto events = [this] {
+    std::vector<obs::Event> all;
+    for (const auto& shard : shards_) {
+      std::vector<obs::Event> part = shard->TraceEvents();
+      all.insert(all.end(), part.begin(), part.end());
+    }
+    return all;
+  };
+  if (RenderStatsProperty(metrics_, property, options_.clock->NowNanos(),
+                          events, value)) {
     return true;
   }
   if (property == "pmblade.mem.json") {

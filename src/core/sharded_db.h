@@ -108,8 +108,11 @@ class ShardedDB final : public DB {
   Status FlushMemTable() override;
   Status CompactLevel0() override;
   Status CompactToLevel1(bool respect_cost_model) override;
-  const DbStatistics& statistics() const override;
-  DbStatistics& statistics() override;
+  /// Shard 0's recording handle (see DB::statistics).
+  const DbStatistics& statistics() const override {
+    return shards_[0]->statistics();
+  }
+  DbStatistics& statistics() override { return shards_[0]->statistics(); }
   bool GetProperty(const std::string& property, uint64_t* value) override;
   bool GetProperty(const std::string& property, std::string* value) override;
   WritePressure GetWritePressure() override;
@@ -168,9 +171,6 @@ class ShardedDB final : public DB {
   Status TranslateSnapshot(uint64_t handle, uint32_t shard,
                            uint64_t* shard_snapshot) const;
 
-  /// Re-derives agg_stats_ from the live shards (Reset + AddFrom each).
-  void RefreshAggregateStats() const;
-
   Options options_;
   std::string dbname_;
   Env* env_ = nullptr;
@@ -211,13 +211,6 @@ class ShardedDB final : public DB {
   obs::Counter* txn_in_doubt_counter_ = nullptr;   // found at open
   obs::Counter* txn_resolved_commit_counter_ = nullptr;
   obs::Counter* txn_resolved_rollback_counter_ = nullptr;
-
-  // Cross-shard aggregate statistics, refreshed on demand by statistics().
-  // The returned reference stays valid but its values only update on the
-  // next statistics() call — snapshot-style, good enough for the benches
-  // and examples that read it.
-  mutable std::mutex stats_mu_;
-  mutable DbStatistics agg_stats_;
 
   /// Facade registry: the server's counters, the shared arbiter's
   /// pmblade.mem.* metrics and the facade-owned metrics, plus a provider

@@ -2,101 +2,72 @@
 
 #include <cstdio>
 
-#include "obs/metrics.h"
-
 namespace pmblade {
 
-void DbStatistics::Reset() {
-  for (auto& counter : reads_by_source_) counter.store(0);
-  writes_.store(0);
-  scans_.store(0);
-  scan_entries_.store(0);
-  user_bytes_written_.store(0);
-  flushes_.store(0);
-  internal_compactions_.store(0);
-  internal_compaction_bytes_in_.store(0);
-  internal_compaction_bytes_out_.store(0);
-  major_compactions_.store(0);
-  major_compaction_bytes_.store(0);
-  get_latency_.Clear();
-  put_latency_.Clear();
-  scan_latency_.Clear();
+namespace {
+
+constexpr const char* kReadMetrics[kNumReadSources] = {
+    "pmblade.reads.memtable", "pmblade.reads.pm_l0", "pmblade.reads.ssd_l1",
+    "pmblade.reads.miss"};
+
+/// `name`'s value in `registry`, 0 when no engine registers it.
+unsigned long long Count(const obs::MetricsRegistry& registry,
+                         const char* name) {
+  obs::MetricSample sample;
+  return registry.Read(name, &sample)
+             ? static_cast<unsigned long long>(sample.value)
+             : 0;
 }
 
-void DbStatistics::AddFrom(const DbStatistics& other) {
+}  // namespace
+
+DbStatistics::DbStatistics(obs::MetricsRegistry* registry)
+    : writes_(registry->GetCounter("pmblade.writes")),
+      scans_(registry->GetCounter("pmblade.scans")),
+      scan_entries_(registry->GetCounter("pmblade.scan.entries")),
+      user_bytes_written_(registry->GetCounter("pmblade.write.user_bytes")),
+      flushes_(registry->GetCounter("pmblade.flush.count")),
+      internal_compactions_(
+          registry->GetCounter("pmblade.compaction.internal.count")),
+      internal_compaction_bytes_in_(
+          registry->GetCounter("pmblade.compaction.internal.bytes_in")),
+      internal_compaction_bytes_out_(
+          registry->GetCounter("pmblade.compaction.internal.bytes_out")),
+      major_compactions_(
+          registry->GetCounter("pmblade.compaction.major.count")),
+      major_compaction_bytes_(
+          registry->GetCounter("pmblade.compaction.major.bytes")),
+      get_latency_(registry->GetHistogram("pmblade.latency.get")),
+      put_latency_(registry->GetHistogram("pmblade.latency.put")),
+      scan_latency_(registry->GetHistogram("pmblade.latency.scan")) {
   for (int i = 0; i < kNumReadSources; ++i) {
-    reads_by_source_[i].fetch_add(other.reads_by_source_[i].load(),
-                                  std::memory_order_relaxed);
+    reads_[i] = registry->GetCounter(kReadMetrics[i]);
   }
-  writes_.fetch_add(other.writes_.load(), std::memory_order_relaxed);
-  scans_.fetch_add(other.scans_.load(), std::memory_order_relaxed);
-  scan_entries_.fetch_add(other.scan_entries_.load(),
-                          std::memory_order_relaxed);
-  user_bytes_written_.fetch_add(other.user_bytes_written_.load(),
-                                std::memory_order_relaxed);
-  flushes_.fetch_add(other.flushes_.load(), std::memory_order_relaxed);
-  internal_compactions_.fetch_add(other.internal_compactions_.load(),
-                                  std::memory_order_relaxed);
-  internal_compaction_bytes_in_.fetch_add(
-      other.internal_compaction_bytes_in_.load(), std::memory_order_relaxed);
-  internal_compaction_bytes_out_.fetch_add(
-      other.internal_compaction_bytes_out_.load(), std::memory_order_relaxed);
-  major_compactions_.fetch_add(other.major_compactions_.load(),
-                               std::memory_order_relaxed);
-  major_compaction_bytes_.fetch_add(other.major_compaction_bytes_.load(),
-                                    std::memory_order_relaxed);
-  get_latency_.MergeIn(other.get_latency_.Merged());
-  put_latency_.MergeIn(other.put_latency_.Merged());
-  scan_latency_.MergeIn(other.scan_latency_.Merged());
 }
 
-void DbStatistics::RegisterWith(obs::MetricsRegistry* registry) {
-  auto counter = [registry](const std::string& name,
-                            const std::atomic<uint64_t>* src) {
-    registry->RegisterCounterCallback(name, [src] { return src->load(); });
-  };
-  counter("pmblade.reads.memtable", &reads_by_source_[0]);
-  counter("pmblade.reads.pm_l0", &reads_by_source_[1]);
-  counter("pmblade.reads.ssd_l1", &reads_by_source_[2]);
-  counter("pmblade.reads.miss", &reads_by_source_[3]);
-  counter("pmblade.writes", &writes_);
-  counter("pmblade.write.user_bytes", &user_bytes_written_);
-  counter("pmblade.scans", &scans_);
-  counter("pmblade.scan.entries", &scan_entries_);
-  counter("pmblade.flush.count", &flushes_);
-  counter("pmblade.compaction.internal.count", &internal_compactions_);
-  counter("pmblade.compaction.internal.bytes_in",
-          &internal_compaction_bytes_in_);
-  counter("pmblade.compaction.internal.bytes_out",
-          &internal_compaction_bytes_out_);
-  counter("pmblade.compaction.major.count", &major_compactions_);
-  counter("pmblade.compaction.major.bytes", &major_compaction_bytes_);
-
-  registry->RegisterHistogramCallback(
-      "pmblade.latency.get", [this] { return get_latency_.Merged(); });
-  registry->RegisterHistogramCallback(
-      "pmblade.latency.put", [this] { return put_latency_.Merged(); });
-  registry->RegisterHistogramCallback(
-      "pmblade.latency.scan", [this] { return scan_latency_.Merged(); });
+double PmHitRatio(const obs::MetricsRegistry& registry) {
+  const double fast = Count(registry, "pmblade.reads.memtable") +
+                      Count(registry, "pmblade.reads.pm_l0");
+  const double total = fast + Count(registry, "pmblade.reads.ssd_l1");
+  return total == 0 ? 0.0 : fast / total;
 }
 
-std::string DbStatistics::ToString() const {
+std::string StatsSummary(const obs::MetricsRegistry& registry) {
   char buf[512];
   snprintf(buf, sizeof(buf),
            "reads: mem=%llu pm=%llu ssd=%llu miss=%llu (pm-hit %.1f%%)\n"
            "writes=%llu (%llu B) scans=%llu\n"
            "flushes=%llu internal-compactions=%llu major-compactions=%llu",
-           static_cast<unsigned long long>(reads(ReadSource::kMemtable)),
-           static_cast<unsigned long long>(reads(ReadSource::kPmLevel0)),
-           static_cast<unsigned long long>(reads(ReadSource::kSsdLevel1)),
-           static_cast<unsigned long long>(reads(ReadSource::kNotFound)),
-           PmHitRatio() * 100.0,
-           static_cast<unsigned long long>(writes()),
-           static_cast<unsigned long long>(user_bytes_written()),
-           static_cast<unsigned long long>(scans()),
-           static_cast<unsigned long long>(flushes()),
-           static_cast<unsigned long long>(internal_compactions()),
-           static_cast<unsigned long long>(major_compactions()));
+           Count(registry, "pmblade.reads.memtable"),
+           Count(registry, "pmblade.reads.pm_l0"),
+           Count(registry, "pmblade.reads.ssd_l1"),
+           Count(registry, "pmblade.reads.miss"),
+           PmHitRatio(registry) * 100.0, Count(registry, "pmblade.writes"),
+           Count(registry, "pmblade.write.user_bytes"),
+           Count(registry, "pmblade.scans"),
+           Count(registry, "pmblade.flush.count"),
+           Count(registry, "pmblade.compaction.internal.count"),
+           Count(registry, "pmblade.compaction.major.count"));
   return buf;
 }
 

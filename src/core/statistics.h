@@ -2,26 +2,24 @@
 // from (memtable / PM level-0 / SSD), latency histograms, and the traffic
 // totals the write-amplification experiments report.
 //
-// Hot-path discipline: counters are relaxed atomics and the latency
-// histograms are sharded per thread (ShardedHistogram), so concurrent
-// readers/writers never serialize on a single statistics mutex. The whole
-// set registers into an obs::MetricsRegistry (RegisterWith) so the
-// observability exporters see these counters without duplicated state.
+// DbStatistics is a recording handle and holds no values: every counter and
+// histogram is an instrument owned by the engine's obs::MetricsRegistry,
+// bound at construction. So the registry is the one place these values are
+// read (snapshots, the exporters, numeric properties, PmHitRatio and
+// StatsSummary below), and a sharded engine sums them across shards by the
+// same fold as every other metric. Hot-path discipline: counters are relaxed
+// atomics and the latency histograms are sharded per thread, so concurrent
+// readers and writers never serialize on a statistics mutex.
 
 #ifndef PMBLADE_CORE_STATISTICS_H_
 #define PMBLADE_CORE_STATISTICS_H_
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 
-#include "util/histogram.h"
+#include "obs/metrics.h"
 
 namespace pmblade {
-
-namespace obs {
-class MetricsRegistry;
-}  // namespace obs
 
 /// Which layer answered a read.
 enum class ReadSource {
@@ -34,107 +32,71 @@ constexpr int kNumReadSources = 4;
 
 class DbStatistics {
  public:
+  /// Creates (or looks up) the instruments in `registry`, which must outlive
+  /// this handle. Metric names live under "pmblade.reads.*",
+  /// "pmblade.writes", "pmblade.write.user_bytes", "pmblade.scan*",
+  /// "pmblade.flush.count", "pmblade.compaction.{internal,major}.*" and
+  /// "pmblade.latency.*".
+  explicit DbStatistics(obs::MetricsRegistry* registry);
+
   void RecordRead(ReadSource source, uint64_t latency_nanos) {
-    reads_by_source_[static_cast<int>(source)].fetch_add(
-        1, std::memory_order_relaxed);
-    get_latency_.Add(latency_nanos);
+    reads_[static_cast<int>(source)]->Inc();
+    get_latency_->Observe(latency_nanos);
   }
   void RecordWrite(uint64_t bytes, uint64_t latency_nanos) {
-    user_bytes_written_.fetch_add(bytes, std::memory_order_relaxed);
-    writes_.fetch_add(1, std::memory_order_relaxed);
-    put_latency_.Add(latency_nanos);
+    user_bytes_written_->Inc(bytes);
+    writes_->Inc();
+    put_latency_->Observe(latency_nanos);
   }
   /// User bytes that reach the engine without a Write call of their own
   /// (a cross-shard batch's sub-batch at commit): no write count, no
   /// latency sample.
-  void AddUserBytes(uint64_t bytes) {
-    user_bytes_written_.fetch_add(bytes, std::memory_order_relaxed);
-  }
+  void AddUserBytes(uint64_t bytes) { user_bytes_written_->Inc(bytes); }
   void RecordScan(uint64_t entries, uint64_t latency_nanos) {
-    scans_.fetch_add(1, std::memory_order_relaxed);
-    scan_entries_.fetch_add(entries, std::memory_order_relaxed);
-    scan_latency_.Add(latency_nanos);
+    scans_->Inc();
+    scan_entries_->Inc(entries);
+    scan_latency_->Observe(latency_nanos);
   }
 
-  void AddFlush() { flushes_.fetch_add(1, std::memory_order_relaxed); }
+  void AddFlush() { flushes_->Inc(); }
   void AddInternalCompaction(uint64_t bytes_in, uint64_t bytes_out) {
-    internal_compactions_.fetch_add(1, std::memory_order_relaxed);
-    internal_compaction_bytes_in_.fetch_add(bytes_in,
-                                            std::memory_order_relaxed);
-    internal_compaction_bytes_out_.fetch_add(bytes_out,
-                                             std::memory_order_relaxed);
+    internal_compactions_->Inc();
+    internal_compaction_bytes_in_->Inc(bytes_in);
+    internal_compaction_bytes_out_->Inc(bytes_out);
   }
-  void AddMajorCompaction(uint64_t bytes_written) {
-    major_compactions_.fetch_add(1, std::memory_order_relaxed);
-    major_compaction_bytes_.fetch_add(bytes_written,
-                                      std::memory_order_relaxed);
-  }
-
-  uint64_t reads(ReadSource source) const {
-    return reads_by_source_[static_cast<int>(source)].load();
-  }
-  uint64_t total_reads() const {
-    uint64_t total = 0;
-    for (const auto& counter : reads_by_source_) total += counter.load();
-    return total;
-  }
-  /// Fraction of successful reads answered without touching the SSD.
-  double PmHitRatio() const {
-    uint64_t fast = reads(ReadSource::kMemtable) + reads(ReadSource::kPmLevel0);
-    uint64_t slow = reads(ReadSource::kSsdLevel1);
-    uint64_t total = fast + slow;
-    return total == 0 ? 0.0 : static_cast<double>(fast) / total;
-  }
-
-  uint64_t writes() const { return writes_.load(); }
-  uint64_t user_bytes_written() const { return user_bytes_written_.load(); }
-  uint64_t flushes() const { return flushes_.load(); }
-  uint64_t internal_compactions() const { return internal_compactions_.load(); }
-  uint64_t major_compactions() const { return major_compactions_.load(); }
-  /// Cumulative SSD bytes written by major compactions — the numerator of
-  /// the write-amplification experiments (user_bytes_written() is the
+  /// `bytes_written` is the SSD bytes the compaction wrote: the numerator
+  /// of the write-amplification experiments (user bytes are the
   /// denominator).
-  uint64_t major_compaction_bytes() const {
-    return major_compaction_bytes_.load();
+  void AddMajorCompaction(uint64_t bytes_written) {
+    major_compactions_->Inc();
+    major_compaction_bytes_->Inc(bytes_written);
   }
-  uint64_t scans() const { return scans_.load(); }
-
-  Histogram GetLatencyHistogram() const { return get_latency_.Merged(); }
-  Histogram PutLatencyHistogram() const { return put_latency_.Merged(); }
-  Histogram ScanLatencyHistogram() const { return scan_latency_.Merged(); }
-
-  /// Registers every counter and histogram with `registry` (pull
-  /// callbacks; no state is duplicated). Metric names live under
-  /// "pmblade.reads.*", "pmblade.writes", "pmblade.flush.*",
-  /// "pmblade.compaction.*" and "pmblade.latency.*".
-  void RegisterWith(obs::MetricsRegistry* registry);
-
-  /// Adds `other`'s counters and latency samples into this object
-  /// (ShardedDB's cross-shard aggregation: Reset() then AddFrom each
-  /// shard). Reads `other` with relaxed atomics — the result is a
-  /// statistically consistent snapshot, not a linearizable one.
-  void AddFrom(const DbStatistics& other);
-
-  void Reset();
-  std::string ToString() const;
 
  private:
-  std::atomic<uint64_t> reads_by_source_[kNumReadSources] = {};
-  std::atomic<uint64_t> writes_{0};
-  std::atomic<uint64_t> scans_{0};
-  std::atomic<uint64_t> scan_entries_{0};
-  std::atomic<uint64_t> user_bytes_written_{0};
-  std::atomic<uint64_t> flushes_{0};
-  std::atomic<uint64_t> internal_compactions_{0};
-  std::atomic<uint64_t> internal_compaction_bytes_in_{0};
-  std::atomic<uint64_t> internal_compaction_bytes_out_{0};
-  std::atomic<uint64_t> major_compactions_{0};
-  std::atomic<uint64_t> major_compaction_bytes_{0};
-
-  ShardedHistogram get_latency_;
-  ShardedHistogram put_latency_;
-  ShardedHistogram scan_latency_;
+  obs::Counter* reads_[kNumReadSources];
+  obs::Counter* writes_;
+  obs::Counter* scans_;
+  obs::Counter* scan_entries_;
+  obs::Counter* user_bytes_written_;
+  obs::Counter* flushes_;
+  obs::Counter* internal_compactions_;
+  obs::Counter* internal_compaction_bytes_in_;
+  obs::Counter* internal_compaction_bytes_out_;
+  obs::Counter* major_compactions_;
+  obs::Counter* major_compaction_bytes_;
+  obs::HistogramMetric* get_latency_;
+  obs::HistogramMetric* put_latency_;
+  obs::HistogramMetric* scan_latency_;
 };
+
+/// Fraction of successful reads answered without touching the SSD, from
+/// `registry`'s "pmblade.reads.*" counters; 0 before any such read.
+double PmHitRatio(const obs::MetricsRegistry& registry);
+
+/// The human-readable "pmblade.stats" summary of `registry`: reads by
+/// source with the PM hit ratio, writes, user bytes and scans, flushes and
+/// compactions.
+std::string StatsSummary(const obs::MetricsRegistry& registry);
 
 }  // namespace pmblade
 

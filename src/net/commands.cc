@@ -554,7 +554,7 @@ void CommandHandler::Info(const std::vector<const std::string*>& args,
       body += "compaction_policy:" + policy + "\r\n";
     }
     uint64_t deepest = 0;
-    db_->GetProperty("pmblade.max-ssd-level", &deepest);
+    db_->GetProperty("pmblade.lsm.max_ssd_level", &deepest);
     // Level 0 is the PM side; SSD levels follow up to the deepest occupied.
     for (uint64_t level = 0; level <= deepest; ++level) {
       const std::string prefix =
@@ -568,10 +568,10 @@ void CommandHandler::Info(const std::vector<const std::string*>& args,
               ",bytes=" + std::to_string(bytes) + "\r\n";
     }
     uint64_t v = 0;
-    if (db_->GetProperty("pmblade.ssd-user-bytes-written", &v)) {
+    if (db_->GetProperty("pmblade.write.user_bytes", &v)) {
       body += "ssd_user_bytes_written:" + std::to_string(v) + "\r\n";
     }
-    if (db_->GetProperty("pmblade.ssd-bytes-written", &v)) {
+    if (db_->GetProperty("pmblade.compaction.major.bytes", &v)) {
       body += "ssd_bytes_written:" + std::to_string(v) + "\r\n";
     }
   }

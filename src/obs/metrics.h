@@ -9,9 +9,13 @@
 //     up) an instrument owned by the registry; callers cache the returned
 //     pointer and update it lock-free.
 //   * Pull callbacks — Register*Callback attach a function evaluated at
-//     Snapshot() time, used to surface pre-existing counters (DbStatistics,
-//     SsdModel, PmPool) and computed gauges (q_flush, level sizes) without
+//     Snapshot() time, used to surface pre-existing counters (SsdModel,
+//     PmPool) and computed gauges (q_flush, level sizes) without
 //     duplicating state.
+// The engine statistics (reads by source, writes, flushes, compactions,
+// get/put/scan latencies) are owned instruments, recorded through
+// DbStatistics (core/statistics.h). Counters are monotonic: a caller that
+// measures a phase reads the counter before and after it.
 //
 // Read() evaluates one metric by name; the engines' numeric properties
 // (DB::GetProperty(uint64_t*)) are Read() calls, so the registry is the only
@@ -44,7 +48,6 @@ class Counter {
     value_.fetch_add(delta, std::memory_order_relaxed);
   }
   uint64_t Value() const { return value_.load(std::memory_order_relaxed); }
-  void Reset() { value_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<uint64_t> value_{0};

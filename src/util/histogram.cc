@@ -148,12 +148,6 @@ void ShardedHistogram::Add(uint64_t value) {
   shard.hist.Add(value);
 }
 
-void ShardedHistogram::MergeIn(const Histogram& other) {
-  Shard& shard = shards_[0];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  shard.hist.Merge(other);
-}
-
 Histogram ShardedHistogram::Merged() const {
   Histogram merged;
   for (int i = 0; i < num_shards_; ++i) {
@@ -161,13 +155,6 @@ Histogram ShardedHistogram::Merged() const {
     merged.Merge(shards_[i].hist);
   }
   return merged;
-}
-
-void ShardedHistogram::Clear() {
-  for (int i = 0; i < num_shards_; ++i) {
-    std::lock_guard<std::mutex> lock(shards_[i].mu);
-    shards_[i].hist.Clear();
-  }
 }
 
 }  // namespace pmblade

@@ -74,12 +74,8 @@ class ShardedHistogram {
 
   /// Thread-safe; takes only the calling thread's shard lock.
   void Add(uint64_t value);
-  /// Bulk-merges an already-built histogram into this one (ShardedDB
-  /// statistics aggregation). Thread-safe; takes one shard lock.
-  void MergeIn(const Histogram& other);
   /// Point-in-time merge of every shard.
   Histogram Merged() const;
-  void Clear();
 
   int num_shards() const { return num_shards_; }
 

@@ -9,6 +9,7 @@
 #include "baseline/matrixkv_db.h"
 #include "env/sim_env.h"
 #include "env/ssd_model.h"
+#include "obs/metrics.h"
 #include "util/random.h"
 
 namespace pmblade {
@@ -131,7 +132,10 @@ TEST_F(LeveledDbTest, WriteAmplificationExceedsUserBytes) {
     ASSERT_TRUE(db->Put("key" + std::to_string(rnd.Uniform(500)), value).ok());
   }
   ASSERT_TRUE(db->CompactAll().ok());
-  uint64_t user = db->statistics().user_bytes_written();
+  obs::MetricSample user_bytes;
+  ASSERT_TRUE(
+      db->metrics_registry()->Read("pmblade.write.user_bytes", &user_bytes));
+  const uint64_t user = static_cast<uint64_t>(user_bytes.value);
   uint64_t device = model.bytes_written();
   EXPECT_GT(device, user);  // WAL + flush + multi-level rewrites
   db.reset();
@@ -188,7 +192,9 @@ TEST_F(MatrixKvTest, RowsAccumulateInPm) {
     ASSERT_TRUE(db_->Flush().ok());
   }
   EXPECT_EQ(db_->matrix_rows(), 3u);
-  EXPECT_GT(db_->pm_pool()->UsedBytes(), 0u);
+  obs::MetricSample pm_used;
+  ASSERT_TRUE(db_->metrics_registry()->Read("pmblade.pm.used_bytes", &pm_used));
+  EXPECT_GT(pm_used.value, 0.0);
   EXPECT_EQ(Get("f1-5"), "v");
 }
 

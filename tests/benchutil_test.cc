@@ -123,6 +123,38 @@ TEST_F(EngineFixture, RunnerOpensEveryConfig) {
   }
 }
 
+// The three engine families record under the same metric names, so
+// BenchEnv reads the PM hit ratio, user bytes and PM bytes the same way for
+// each: from the open engine's registry.
+TEST_F(EngineFixture, StatisticsReadTheEngineRegistry) {
+  struct Case {
+    EngineConfig config;
+    double hit_ratio_after_flush;  // 1.0 when the flush lands on PM
+    bool has_pm;
+  };
+  for (const Case& c : {Case{EngineConfig::kPmBlade, 1.0, true},
+                        Case{EngineConfig::kRocksStyle, 0.5, false},
+                        Case{EngineConfig::kMatrixKvSmall, 1.0, true}}) {
+    KvEngine* engine = nullptr;
+    ASSERT_TRUE(env_->OpenEngine(c.config, &engine).ok());
+    const char* name = EngineConfigName(c.config);
+    EXPECT_EQ(env_->PmHitRatio(), 0.0) << name;  // no reads yet
+    ASSERT_TRUE(engine->Put("k", "v").ok());
+    EXPECT_GT(env_->UserBytesWritten(), 0u) << name;
+    std::string value;
+    ASSERT_TRUE(engine->Get("k", &value).ok());  // the memtable answers
+    // A miss is not an answered read: it leaves the ratio alone.
+    ASSERT_TRUE(engine->Get("absent", &value).IsNotFound());
+    EXPECT_DOUBLE_EQ(env_->PmHitRatio(), 1.0) << name;
+    EXPECT_EQ(env_->Metric("pmblade.reads.miss"), 1u) << name;
+
+    ASSERT_TRUE(env_->FlushEngine().ok());
+    ASSERT_TRUE(engine->Get("k", &value).ok());
+    EXPECT_DOUBLE_EQ(env_->PmHitRatio(), c.hit_ratio_after_flush) << name;
+    EXPECT_EQ(env_->PmBytesWritten() > 0, c.has_pm) << name;
+  }
+}
+
 TEST_F(EngineFixture, YcsbLoadAndAllWorkloads) {
   KvEngine* engine = nullptr;
   ASSERT_TRUE(env_->OpenEngine(EngineConfig::kPmBlade, &engine).ok());

@@ -229,9 +229,9 @@ TEST(CompactionSubcompactionTest, SingleVictimIsSplitAndStitched) {
   fill(0, 200);
   ASSERT_TRUE(db->FlushMemTable().ok());
   ASSERT_TRUE(db->CompactLevel0().ok());
-  uint64_t base = Prop(db.get(), "pmblade.compaction-subcompactions");
+  uint64_t base = Prop(db.get(), "pmblade.compaction.subcompactions");
   ASSERT_TRUE(db->CompactToLevel1(false).ok());
-  uint64_t slices = Prop(db.get(), "pmblade.compaction-subcompactions") - base;
+  uint64_t slices = Prop(db.get(), "pmblade.compaction.subcompactions") - base;
   EXPECT_GE(slices, 2u) << "single victim was not sliced";
   EXPECT_LE(slices, 4u) << "more slices than max_subcompactions";
   check_scan(200);
@@ -241,9 +241,9 @@ TEST(CompactionSubcompactionTest, SingleVictimIsSplitAndStitched) {
   fill(200, 400);
   ASSERT_TRUE(db->FlushMemTable().ok());
   ASSERT_TRUE(db->CompactLevel0().ok());
-  base = Prop(db.get(), "pmblade.compaction-subcompactions");
+  base = Prop(db.get(), "pmblade.compaction.subcompactions");
   ASSERT_TRUE(db->CompactToLevel1(false).ok());
-  slices = Prop(db.get(), "pmblade.compaction-subcompactions") - base;
+  slices = Prop(db.get(), "pmblade.compaction.subcompactions") - base;
   EXPECT_GE(slices, 2u);
   EXPECT_LE(slices, 4u);
   check_scan(400);

@@ -387,10 +387,10 @@ TEST(CompactionPolicyTest, TieredStacksRunsWhereLeveledCollapses) {
     ASSERT_TRUE(DB::Open(options, dbname, &db).ok());
 
     std::map<std::string, std::string> model = BuildStackedTree(db.get());
-    ASSERT_TRUE(db->GetProperty("pmblade.num-ssd-runs", &runs_by_policy[i]));
+    ASSERT_TRUE(db->GetProperty("pmblade.lsm.ssd_runs", &runs_by_policy[i]));
 
     uint64_t max_level = 0;
-    ASSERT_TRUE(db->GetProperty("pmblade.max-ssd-level", &max_level));
+    ASSERT_TRUE(db->GetProperty("pmblade.lsm.max_ssd_level", &max_level));
     if (i == 0) {
       // Leveled: one run per non-empty partition, all tagged level 1.
       EXPECT_LE(runs_by_policy[0], 4u);
@@ -424,8 +424,8 @@ TEST(CompactionPolicyTest, SwitchingPolicyAcrossReopenConverges) {
   CheckContents(db.get(), model, "tiered->leveled");
   ASSERT_TRUE(db->CompactToLevel1(/*respect_cost_model=*/false).ok());
   uint64_t runs = 0, max_level = 0;
-  ASSERT_TRUE(db->GetProperty("pmblade.num-ssd-runs", &runs));
-  ASSERT_TRUE(db->GetProperty("pmblade.max-ssd-level", &max_level));
+  ASSERT_TRUE(db->GetProperty("pmblade.lsm.ssd_runs", &runs));
+  ASSERT_TRUE(db->GetProperty("pmblade.lsm.max_ssd_level", &max_level));
   EXPECT_LE(runs, 4u);       // <= one run per partition
   EXPECT_LE(max_level, 1u);  // all level-1
   CheckContents(db.get(), model, "tiered->leveled/compacted");

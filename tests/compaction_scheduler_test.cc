@@ -406,12 +406,12 @@ TEST_F(CompactionSchedulingTest, StalledWriterResumesWhileCompactionRuns) {
   // Engineer a hard stall while the compaction is pinned: hold the NEXT
   // background flush until the writer is observed stalling on a full
   // memtable + full imm_.
-  const uint64_t base_stalls = Prop(db_.get(), "pmblade.write-stalls");
+  const uint64_t base_stalls = Prop(db_.get(), "pmblade.write.stalls");
   std::atomic<bool> hold_flush{true};
   sp->SetCallBack("DBImpl::BackgroundFlush:Start", [&](void*) {
     if (!hold_flush.load()) return;
     while (hold_flush.load() &&
-           Prop(db_.get(), "pmblade.write-stalls") <= base_stalls) {
+           Prop(db_.get(), "pmblade.write.stalls") <= base_stalls) {
       SleepMs(1);
     }
   });
@@ -433,7 +433,7 @@ TEST_F(CompactionSchedulingTest, StalledWriterResumesWhileCompactionRuns) {
   // flush thread finished running the compaction inline.
   EXPECT_TRUE(writer_done.load());
   EXPECT_FALSE(release.load());
-  EXPECT_GT(Prop(db_.get(), "pmblade.write-stalls"), base_stalls);
+  EXPECT_GT(Prop(db_.get(), "pmblade.write.stalls"), base_stalls);
 
   hold_flush.store(false);
   release.store(true);
@@ -545,7 +545,7 @@ TEST_F(CompactionSchedulingTest, MultiVictimInstallIsAtomicWhenOpenFails) {
   // FlushMemTable drains the scheduler; snapshot the settled state that the
   // upcoming FAILED attempt must leave byte-for-byte intact.
   ASSERT_TRUE(db_->FlushMemTable().ok());
-  const uint64_t pre_l1 = Prop(db_.get(), "pmblade.l1-bytes");
+  const uint64_t pre_l1 = Prop(db_.get(), "pmblade.lsm.l1_bytes");
   const std::vector<std::string> pre_ssts = SstFiles(dbname_);
 
   // First attempt: both partitions are victims (put_both interleaves keys on
@@ -572,9 +572,9 @@ TEST_F(CompactionSchedulingTest, MultiVictimInstallIsAtomicWhenOpenFails) {
 
   // Trigger the compaction via a natural rotation (FlushMemTable would
   // block on the held scheduler).
-  const uint64_t base_flushes = Prop(db_.get(), "pmblade.bg-flushes");
+  const uint64_t base_flushes = Prop(db_.get(), "pmblade.flush.bg_flushes");
   put_both(1);
-  for (int i = 0; Prop(db_.get(), "pmblade.bg-flushes") < base_flushes + 1 &&
+  for (int i = 0; Prop(db_.get(), "pmblade.flush.bg_flushes") < base_flushes + 1 &&
                   i < 5000;
        ++i) {
     ASSERT_TRUE(db_->Put(WriteOptions(), "mfill" + std::to_string(i), value)
@@ -587,10 +587,10 @@ TEST_F(CompactionSchedulingTest, MultiVictimInstallIsAtomicWhenOpenFails) {
   // on-disk file set are exactly the pre-failure snapshot — in particular
   // the half-opened outputs were deleted, not leaked), inputs intact, every
   // key still readable.
-  EXPECT_GE(Prop(db_.get(), "pmblade.compactions-failed"), 1u);
-  EXPECT_EQ(Prop(db_.get(), "pmblade.l1-bytes"), pre_l1);
+  EXPECT_GE(Prop(db_.get(), "pmblade.compaction.sched.failed"), 1u);
+  EXPECT_EQ(Prop(db_.get(), "pmblade.lsm.l1_bytes"), pre_l1);
   EXPECT_EQ(SstFiles(dbname_), pre_ssts);
-  EXPECT_GE(Prop(db_.get(), "pmblade.num-unsorted-tables"), 2u);
+  EXPECT_GE(Prop(db_.get(), "pmblade.lsm.unsorted_tables"), 2u);
   std::string got;
   EXPECT_TRUE(db_->Get(ReadOptions(), "a0_0", &got).ok());
   EXPECT_TRUE(db_->Get(ReadOptions(), "z1_3", &got).ok());
@@ -598,7 +598,7 @@ TEST_F(CompactionSchedulingTest, MultiVictimInstallIsAtomicWhenOpenFails) {
   // Release the retry: the whole batch installs atomically.
   hold.store(false);
   ASSERT_TRUE(db_->FlushMemTable().ok());
-  EXPECT_GT(Prop(db_.get(), "pmblade.l1-bytes"), pre_l1);
+  EXPECT_GT(Prop(db_.get(), "pmblade.lsm.l1_bytes"), pre_l1);
   for (int round = 0; round < 2; ++round) {
     for (int i = 0; i < 4; ++i) {
       std::string suffix = std::to_string(round) + "_" + std::to_string(i);
@@ -647,7 +647,7 @@ TEST_F(CompactionSchedulingTest, SiblingWorkersClaimDisjointPartitions) {
     ASSERT_TRUE(db_->Put(WriteOptions(), "a" + std::to_string(i), value).ok());
   }
   ASSERT_TRUE(pinned.load());
-  const uint64_t l1_during = Prop(db_.get(), "pmblade.l1-bytes");
+  const uint64_t l1_during = Prop(db_.get(), "pmblade.lsm.l1_bytes");
 
   // With partition 0's claim held, fill partition 1: a sibling worker must
   // claim it (0 is filtered as held) and land its level-1 install while the
@@ -656,7 +656,7 @@ TEST_F(CompactionSchedulingTest, SiblingWorkersClaimDisjointPartitions) {
   for (int i = 0; i < 20000 && !sibling_compacted; ++i) {
     ASSERT_TRUE(db_->Put(WriteOptions(), "z" + std::to_string(i), value).ok());
     if (i % 16 == 0) {
-      sibling_compacted = Prop(db_.get(), "pmblade.l1-bytes") > l1_during;
+      sibling_compacted = Prop(db_.get(), "pmblade.lsm.l1_bytes") > l1_during;
     }
   }
   EXPECT_TRUE(sibling_compacted);
@@ -735,30 +735,30 @@ TEST_F(CompactionSchedulingTest, PoisonedPartitionDoesNotParkSiblings) {
     ASSERT_TRUE(db_->Put(WriteOptions(), "a" + std::to_string(i), value).ok());
   }
   ASSERT_TRUE(pinned.load());
-  const uint64_t l1_before = Prop(db_.get(), "pmblade.l1-bytes");
+  const uint64_t l1_before = Prop(db_.get(), "pmblade.lsm.l1_bytes");
 
   // Sibling progress while the poisoned chain is in flight.
   bool sibling_compacted = false;
   for (int i = 0; i < 20000 && !sibling_compacted; ++i) {
     ASSERT_TRUE(db_->Put(WriteOptions(), "z" + std::to_string(i), value).ok());
     if (i % 16 == 0) {
-      sibling_compacted = Prop(db_.get(), "pmblade.l1-bytes") > l1_before;
+      sibling_compacted = Prop(db_.get(), "pmblade.lsm.l1_bytes") > l1_before;
     }
   }
   EXPECT_TRUE(sibling_compacted);
-  const uint64_t l1_sibling = Prop(db_.get(), "pmblade.l1-bytes");
+  const uint64_t l1_sibling = Prop(db_.get(), "pmblade.lsm.l1_bytes");
 
   // Release the pin: partition 0's run now fails, and its bounded retries
   // fail with it until the chain parks.
-  const uint64_t base_failed = Prop(db_.get(), "pmblade.compactions-failed");
+  const uint64_t base_failed = Prop(db_.get(), "pmblade.compaction.sched.failed");
   release.store(true);
   for (int i = 0;
-       Prop(db_.get(), "pmblade.compactions-failed") <= base_failed &&
+       Prop(db_.get(), "pmblade.compaction.sched.failed") <= base_failed &&
        i < 10000;
        ++i) {
     SleepMs(1);
   }
-  EXPECT_GT(Prop(db_.get(), "pmblade.compactions-failed"), base_failed);
+  EXPECT_GT(Prop(db_.get(), "pmblade.compaction.sched.failed"), base_failed);
 
   // The DB is not poisoned: foreground traffic works, the sibling's install
   // stuck, and nothing of partition 0 was lost.
@@ -767,7 +767,7 @@ TEST_F(CompactionSchedulingTest, PoisonedPartitionDoesNotParkSiblings) {
   EXPECT_TRUE(db_->Get(ReadOptions(), "after", &got).ok());
   EXPECT_TRUE(db_->Get(ReadOptions(), "a0", &got).ok());
   EXPECT_TRUE(db_->Get(ReadOptions(), "z0", &got).ok());
-  EXPECT_GE(Prop(db_.get(), "pmblade.l1-bytes"), l1_sibling);
+  EXPECT_GE(Prop(db_.get(), "pmblade.lsm.l1_bytes"), l1_sibling);
 
   // Heal: the next fresh check compacts partition 0 cleanly.
   heal.store(true);
@@ -776,7 +776,7 @@ TEST_F(CompactionSchedulingTest, PoisonedPartitionDoesNotParkSiblings) {
     ASSERT_TRUE(db_->Put(WriteOptions(), "b" + std::to_string(i), value).ok());
   }
   ASSERT_TRUE(db_->FlushMemTable().ok());
-  EXPECT_GT(Prop(db_.get(), "pmblade.l1-bytes"), l1_sibling);
+  EXPECT_GT(Prop(db_.get(), "pmblade.lsm.l1_bytes"), l1_sibling);
   EXPECT_TRUE(db_->Get(ReadOptions(), "a0", &got).ok());
   EXPECT_TRUE(db_->Get(ReadOptions(), "b0", &got).ok());
 }
@@ -850,7 +850,7 @@ TEST_F(CompactionSchedulingTest, CompactionFailureDoesNotPoisonWrites) {
   // Quiesce (setup puts may already have compacted) and snapshot the state
   // the failed attempts must not disturb.
   ASSERT_TRUE(db_->FlushMemTable().ok());
-  const uint64_t pre_l1 = Prop(db_.get(), "pmblade.l1-bytes");
+  const uint64_t pre_l1 = Prop(db_.get(), "pmblade.lsm.l1_bytes");
   const std::vector<std::string> pre_ssts = SstFiles(dbname_);
 
   // Arm: every compaction output write fails, so every check triggered by
@@ -861,8 +861,8 @@ TEST_F(CompactionSchedulingTest, CompactionFailureDoesNotPoisonWrites) {
   }
   ASSERT_TRUE(db_->FlushMemTable().ok());  // WaitIdle: failed + retried + parked
 
-  EXPECT_GE(Prop(db_.get(), "pmblade.compactions-failed"), 1u);
-  // No assertion on pmblade.compaction-retries here: when a concurrent
+  EXPECT_GE(Prop(db_.get(), "pmblade.compaction.sched.failed"), 1u);
+  // No assertion on pmblade.compaction.sched.retries here: when a concurrent
   // flush has already queued a fresh check by the time a check fails, the
   // scheduler dedups instead of re-enqueueing (the queued check IS the
   // retry) — common under sanitizer slowdown. The retry counter's
@@ -870,7 +870,7 @@ TEST_F(CompactionSchedulingTest, CompactionFailureDoesNotPoisonWrites) {
   // ThenParks, where the scheduler is driven without competing flushes.
   // Failed runs left no orphan output files and installed nothing.
   EXPECT_EQ(SstFiles(dbname_), pre_ssts);
-  EXPECT_EQ(Prop(db_.get(), "pmblade.l1-bytes"), pre_l1);
+  EXPECT_EQ(Prop(db_.get(), "pmblade.lsm.l1_bytes"), pre_l1);
 
   // The DB is NOT poisoned: foreground writes and reads still work.
   ASSERT_TRUE(db_->Put(WriteOptions(), "after", "ok").ok());
@@ -885,7 +885,7 @@ TEST_F(CompactionSchedulingTest, CompactionFailureDoesNotPoisonWrites) {
     ASSERT_TRUE(db_->Put(WriteOptions(), "c" + std::to_string(i), value).ok());
   }
   ASSERT_TRUE(db_->FlushMemTable().ok());
-  EXPECT_GT(Prop(db_.get(), "pmblade.l1-bytes"), pre_l1);
+  EXPECT_GT(Prop(db_.get(), "pmblade.lsm.l1_bytes"), pre_l1);
   EXPECT_TRUE(db_->Get(ReadOptions(), "a3", &got).ok());
   EXPECT_TRUE(db_->Get(ReadOptions(), "b3", &got).ok());
   EXPECT_TRUE(db_->Get(ReadOptions(), "c3", &got).ok());
@@ -903,7 +903,7 @@ TEST_F(CompactionSchedulingTest, FailedWalDeletionIsRetried) {
   ASSERT_TRUE(db_->Put(WriteOptions(), "k1", value).ok());
   faulty_.fail_removes.store(true);
   ASSERT_TRUE(db_->FlushMemTable().ok());
-  EXPECT_GE(Prop(db_.get(), "pmblade.file-gc-failures"), 1u);
+  EXPECT_GE(Prop(db_.get(), "pmblade.gc.remove_failures"), 1u);
   size_t stuck_wals = WalFiles(dbname_).size();
   EXPECT_GE(stuck_wals, 2u);  // the undeletable flushed log + the active one
 

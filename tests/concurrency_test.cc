@@ -180,7 +180,7 @@ TEST_F(ConcurrencyTest, MultiWriterStress) {
   EXPECT_EQ(snap, static_cast<uint64_t>(kWriters * kWritesPerThread));
   db_->ReleaseSnapshot(snap);
   uint64_t group_writes = 0;
-  ASSERT_TRUE(db_->GetProperty("pmblade.write-group-writes", &group_writes));
+  ASSERT_TRUE(db_->GetProperty("pmblade.write.group_writes", &group_writes));
   EXPECT_EQ(group_writes, static_cast<uint64_t>(kWriters * kWritesPerThread));
 
   // Full readback: every write landed with its final value.
@@ -266,9 +266,9 @@ TEST_F(ConcurrencyTest, GroupCommitAmortizesSyncs) {
 
   constexpr uint64_t kTotal = kWriters * kWritesPerThread;
   uint64_t syncs = 0, groups = 0, group_writes = 0;
-  ASSERT_TRUE(db_->GetProperty("pmblade.wal-syncs", &syncs));
-  ASSERT_TRUE(db_->GetProperty("pmblade.write-groups", &groups));
-  ASSERT_TRUE(db_->GetProperty("pmblade.write-group-writes", &group_writes));
+  ASSERT_TRUE(db_->GetProperty("pmblade.wal.syncs", &syncs));
+  ASSERT_TRUE(db_->GetProperty("pmblade.write.groups", &groups));
+  ASSERT_TRUE(db_->GetProperty("pmblade.write.group_writes", &group_writes));
   EXPECT_EQ(group_writes, kTotal);
   EXPECT_GT(syncs, 0u);
   EXPECT_LT(syncs, kTotal);  // at least one multi-member group synced once
@@ -300,9 +300,9 @@ TEST(WriteBackpressureTest, SlowFlushTriggersSlowdownsAndStalls) {
   }
 
   uint64_t slowdowns = 0, stalls = 0, flushes = 0;
-  ASSERT_TRUE(db->GetProperty("pmblade.write-slowdowns", &slowdowns));
-  ASSERT_TRUE(db->GetProperty("pmblade.write-stalls", &stalls));
-  ASSERT_TRUE(db->GetProperty("pmblade.bg-flushes", &flushes));
+  ASSERT_TRUE(db->GetProperty("pmblade.write.slowdowns", &slowdowns));
+  ASSERT_TRUE(db->GetProperty("pmblade.write.stalls", &stalls));
+  ASSERT_TRUE(db->GetProperty("pmblade.flush.bg_flushes", &flushes));
   EXPECT_GT(flushes, 0u);
   EXPECT_GT(slowdowns + stalls, 0u);
 

@@ -383,15 +383,21 @@ TEST(DbRetentionTest, HotPartitionStaysInPmAfterMajorCompaction) {
   ASSERT_TRUE(db->CompactToLevel1(/*respect_cost_model=*/true).ok());
 
   // The hot partition's data must still answer from PM; the cold one from
-  // the SSD.
-  auto& stats = db->statistics();
-  stats.Reset();
+  // the SSD. Read counters are monotonic, so each Get is measured as the
+  // growth of its source's counter.
+  auto reads = [&db](const char* source) {
+    uint64_t value = 0;
+    EXPECT_TRUE(db->GetProperty(source, &value)) << source;
+    return value;
+  };
   std::string value;
+  uint64_t before = reads("pmblade.reads.pm_l0");
   ASSERT_TRUE(db->Get(ReadOptions(), "a-key5", &value).ok());
-  EXPECT_EQ(stats.reads(ReadSource::kPmLevel0), 1u)
+  EXPECT_EQ(reads("pmblade.reads.pm_l0") - before, 1u)
       << "hot partition should be retained in PM";
+  before = reads("pmblade.reads.ssd_l1");
   ASSERT_TRUE(db->Get(ReadOptions(), "z-key5", &value).ok());
-  EXPECT_EQ(stats.reads(ReadSource::kSsdLevel1), 1u)
+  EXPECT_EQ(reads("pmblade.reads.ssd_l1") - before, 1u)
       << "cold partition should have moved to the SSD";
   db.reset();
   DestroyDB(options, dbname);

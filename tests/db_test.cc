@@ -9,6 +9,7 @@
 
 #include "core/db.h"
 #include "core/db_impl.h"
+#include "core/statistics.h"
 #include "util/random.h"
 #include "util/zipfian.h"
 
@@ -54,6 +55,13 @@ class DBTest : public ::testing::Test {
     return value;
   }
 
+  /// The numeric property `name`; a failed read fails the test.
+  uint64_t Property(const std::string& name) {
+    uint64_t value = 0;
+    EXPECT_TRUE(db_->GetProperty(name, &value)) << name;
+    return value;
+  }
+
   std::string dbname_;
   Options options_;
   std::unique_ptr<DB> db_;
@@ -93,7 +101,7 @@ TEST_F(DBTest, GetAfterFlush) {
     EXPECT_EQ(Get("key" + std::to_string(i)), "value" + std::to_string(i));
   }
   uint64_t unsorted = 0;
-  ASSERT_TRUE(db_->GetProperty("pmblade.num-unsorted-tables", &unsorted));
+  ASSERT_TRUE(db_->GetProperty("pmblade.lsm.unsorted_tables", &unsorted));
   EXPECT_GT(unsorted, 0u);
 }
 
@@ -106,7 +114,7 @@ TEST_F(DBTest, FlushRoutesAcrossPartitions) {
   ASSERT_TRUE(db_->Put(WriteOptions(), "zebra", "4").ok());
   ASSERT_TRUE(db_->FlushMemTable().ok());
   uint64_t unsorted = 0;
-  ASSERT_TRUE(db_->GetProperty("pmblade.num-unsorted-tables", &unsorted));
+  ASSERT_TRUE(db_->GetProperty("pmblade.lsm.unsorted_tables", &unsorted));
   EXPECT_EQ(unsorted, 4u);  // one table per touched partition
   EXPECT_EQ(Get("apple"), "1");
   EXPECT_EQ(Get("grape"), "2");
@@ -277,7 +285,7 @@ TEST_F(DBTest, InternalCompactionPreservesData) {
   }
   ASSERT_TRUE(db_->CompactLevel0().ok());
   uint64_t unsorted = 0;
-  ASSERT_TRUE(db_->GetProperty("pmblade.num-unsorted-tables", &unsorted));
+  ASSERT_TRUE(db_->GetProperty("pmblade.lsm.unsorted_tables", &unsorted));
   EXPECT_EQ(unsorted, 0u);
   for (auto& [k, v] : model) {
     EXPECT_EQ(Get(k), v) << k;
@@ -296,8 +304,8 @@ TEST_F(DBTest, MajorCompactionMovesDataToL1) {
   ASSERT_TRUE(db_->CompactToLevel1(/*respect_cost_model=*/false).ok());
 
   uint64_t l0 = 1, l1 = 0;
-  ASSERT_TRUE(db_->GetProperty("pmblade.l0-bytes", &l0));
-  ASSERT_TRUE(db_->GetProperty("pmblade.l1-bytes", &l1));
+  ASSERT_TRUE(db_->GetProperty("pmblade.lsm.l0_bytes", &l0));
+  ASSERT_TRUE(db_->GetProperty("pmblade.lsm.l1_bytes", &l1));
   EXPECT_EQ(l0, 0u);
   EXPECT_GT(l1, 0u);
   for (auto& [k, v] : model) {
@@ -383,7 +391,7 @@ TEST_F(DBTest, AutomaticFlushOnMemtableFull) {
     ASSERT_TRUE(
         db_->Put(WriteOptions(), "big" + std::to_string(i), big_value).ok());
   }
-  EXPECT_GT(db_->statistics().flushes(), 0u);
+  EXPECT_GT(Property("pmblade.flush.count"), 0u);
   for (int i = 0; i < 64; ++i) {
     EXPECT_EQ(Get("big" + std::to_string(i)), big_value);
   }
@@ -393,28 +401,70 @@ TEST_F(DBTest, StatisticsTrackReadSources) {
   Open();
   ASSERT_TRUE(db_->Put(WriteOptions(), "memkey", "1").ok());
   (void)Get("memkey");
-  EXPECT_EQ(db_->statistics().reads(ReadSource::kMemtable), 1u);
+  EXPECT_EQ(Property("pmblade.reads.memtable"), 1u);
 
   ASSERT_TRUE(db_->FlushMemTable().ok());
   (void)Get("memkey");
-  EXPECT_EQ(db_->statistics().reads(ReadSource::kPmLevel0), 1u);
+  EXPECT_EQ(Property("pmblade.reads.pm_l0"), 1u);
 
   ASSERT_TRUE(db_->CompactToLevel1(false).ok());
   (void)Get("memkey");
-  EXPECT_EQ(db_->statistics().reads(ReadSource::kSsdLevel1), 1u);
+  EXPECT_EQ(Property("pmblade.reads.ssd_l1"), 1u);
 
   (void)Get("missing");
-  EXPECT_EQ(db_->statistics().reads(ReadSource::kNotFound), 1u);
+  EXPECT_EQ(Property("pmblade.reads.miss"), 1u);
+  // Every Get is one latency sample (a histogram reads as its count).
+  EXPECT_EQ(Property("pmblade.latency.get"), 4u);
+  // The hit ratio counts only answered reads: 2 fast of 3.
+  EXPECT_DOUBLE_EQ(PmHitRatio(*db_->metrics_registry()), 2.0 / 3.0);
+}
+
+TEST_F(DBTest, StatisticsTrackWritesFlushesAndCompactions) {
+  Open();
+  uint64_t expected_bytes = 0;
+  for (const char* key : {"apple", "zebra"}) {
+    WriteBatch batch;
+    batch.Put(key, "value");
+    expected_bytes += batch.ApproximateSize();
+    ASSERT_TRUE(db_->Write(WriteOptions(), &batch).ok());
+  }
+  EXPECT_EQ(Property("pmblade.writes"), 2u);
+  EXPECT_EQ(Property("pmblade.write.user_bytes"), expected_bytes);
+  EXPECT_EQ(Property("pmblade.latency.put"), 2u);
+  EXPECT_EQ(Property("pmblade.flush.count"), 0u);
+
+  ASSERT_TRUE(db_->FlushMemTable().ok());
+  EXPECT_EQ(Property("pmblade.flush.count"), 1u);
+  ASSERT_TRUE(db_->CompactLevel0().ok());
+  EXPECT_GE(Property("pmblade.compaction.internal.count"), 1u);
+  EXPECT_GT(Property("pmblade.compaction.internal.bytes_in"), 0u);
+  EXPECT_GT(Property("pmblade.compaction.internal.bytes_out"), 0u);
+  ASSERT_TRUE(db_->CompactToLevel1(false).ok());
+  EXPECT_GE(Property("pmblade.compaction.major.count"), 1u);
+  EXPECT_GT(Property("pmblade.compaction.major.bytes"), 0u);
+  (void)Get("apple");  // answered by the SSD now
+
+  // The "pmblade.stats" summary renders the same counters.
+  std::string summary;
+  ASSERT_TRUE(db_->GetProperty("pmblade.stats", &summary));
+  EXPECT_NE(summary.find("ssd=1 miss=0 (pm-hit 0.0%)"), std::string::npos)
+      << summary;
+  EXPECT_NE(summary.find("writes=2 (" + std::to_string(expected_bytes) +
+                         " B) scans=0"),
+            std::string::npos)
+      << summary;
+  EXPECT_NE(summary.find("flushes=1 internal-compactions="), std::string::npos)
+      << summary;
 }
 
 TEST_F(DBTest, PropertiesExist) {
   Open();
   uint64_t value = 0;
-  EXPECT_TRUE(db_->GetProperty("pmblade.num-partitions", &value));
+  EXPECT_TRUE(db_->GetProperty("pmblade.lsm.num_partitions", &value));
   EXPECT_EQ(value, 4u);
-  EXPECT_TRUE(db_->GetProperty("pmblade.l0-bytes", &value));
-  EXPECT_TRUE(db_->GetProperty("pmblade.l1-bytes", &value));
-  EXPECT_TRUE(db_->GetProperty("pmblade.pm-used-bytes", &value));
+  EXPECT_TRUE(db_->GetProperty("pmblade.lsm.l0_bytes", &value));
+  EXPECT_TRUE(db_->GetProperty("pmblade.lsm.l1_bytes", &value));
+  EXPECT_TRUE(db_->GetProperty("pmblade.pm.used_bytes", &value));
   EXPECT_FALSE(db_->GetProperty("pmblade.nonsense", &value));
 }
 

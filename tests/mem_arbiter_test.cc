@@ -284,7 +284,7 @@ TEST(MemArbiterDbTest, ConcurrentTrafficDuringRebalances) {
   ASSERT_TRUE(db->GetProperty("pmblade.mem.json", &json));
   EXPECT_NE(json.find("\"enabled\":true"), std::string::npos);
   uint64_t limit = 0;
-  ASSERT_TRUE(db->GetProperty("pmblade.memtable-limit", &limit));
+  ASSERT_TRUE(db->GetProperty("pmblade.memtable.limit", &limit));
   EXPECT_GT(limit, 0u);
 
   db.reset();

@@ -239,7 +239,7 @@ class CommandTest : public ::testing::Test {
 
   uint64_t OpenSnapshots() {
     uint64_t value = 0;
-    EXPECT_TRUE(db_->GetProperty("pmblade.open-snapshots", &value));
+    EXPECT_TRUE(db_->GetProperty("pmblade.snapshots.open", &value));
     return value;
   }
 
@@ -908,7 +908,7 @@ class ServerScanLeakTest : public ServerTest {
  protected:
   uint64_t OpenSnapshots() {
     uint64_t value = 0;
-    EXPECT_TRUE(db_->GetProperty("pmblade.open-snapshots", &value));
+    EXPECT_TRUE(db_->GetProperty("pmblade.snapshots.open", &value));
     return value;
   }
 

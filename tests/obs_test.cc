@@ -495,15 +495,6 @@ TEST(ShardedHistogramTest, MergedCombinesAllShards) {
   ASSERT_EQ(merged.max(), static_cast<uint64_t>(kPerThread));
 }
 
-TEST(ShardedHistogramTest, ClearResetsEveryShard) {
-  ShardedHistogram hist;
-  hist.Add(5);
-  hist.Add(50);
-  ASSERT_EQ(hist.Merged().count(), 2u);
-  hist.Clear();
-  ASSERT_EQ(hist.Merged().count(), 0u);
-}
-
 }  // namespace
 }  // namespace obs
 }  // namespace pmblade

@@ -115,8 +115,8 @@ TEST_P(ReadPathTest, AbsentKeysRegisterBloomNegatives) {
   LoadKeys(n);
   ASSERT_TRUE(db_->FlushMemTable().ok());
 
-  uint64_t checks_before = Property("pmblade.bloom-checks");
-  uint64_t negatives_before = Property("pmblade.bloom-negatives");
+  uint64_t checks_before = Property("pmblade.bloom.checks");
+  uint64_t negatives_before = Property("pmblade.bloom.negatives");
   // Absent keys INTERIOR to the loaded key range ("keyN0z" sorts between
   // keyN0 and keyN1), so they pass the tables' min/max range check and the
   // rejection must come from the bloom filter itself.
@@ -126,10 +126,10 @@ TEST_P(ReadPathTest, AbsentKeysRegisterBloomNegatives) {
         db_->Get(ReadOptions(), "key" + std::to_string(i) + "0z", &value)
             .IsNotFound());
   }
-  EXPECT_GT(Property("pmblade.bloom-checks"), checks_before);
+  EXPECT_GT(Property("pmblade.bloom.checks"), checks_before);
   // With 10 bits/key the false-positive rate is ~1%; 200 absent probes
   // must produce a healthy majority of bloom rejections.
-  EXPECT_GE(Property("pmblade.bloom-negatives"), negatives_before + 150);
+  EXPECT_GE(Property("pmblade.bloom.negatives"), negatives_before + 150);
 }
 
 TEST_P(ReadPathTest, FiltersDisabledStillCorrect) {
@@ -139,7 +139,7 @@ TEST_P(ReadPathTest, FiltersDisabledStillCorrect) {
   LoadKeys(n);
   ASSERT_TRUE(db_->FlushMemTable().ok());
   ExpectAllPresent(n);
-  EXPECT_EQ(Property("pmblade.bloom-checks"), 0u);
+  EXPECT_EQ(Property("pmblade.bloom.checks"), 0u);
   std::string value;
   EXPECT_TRUE(db_->Get(ReadOptions(), "absent", &value).IsNotFound());
 }

@@ -25,6 +25,7 @@
 #include "env/ssd_model.h"
 #include "net/commands.h"
 #include "net/resp.h"
+#include "obs/exporter.h"
 #include "obs/metrics.h"
 #include "util/random.h"
 
@@ -92,7 +93,7 @@ TEST_F(ShardedDBTest, RoutedCrudAcrossAllShards) {
   Open();
   EXPECT_EQ(db_->num_shards(), kShards);
   uint64_t n = 0;
-  EXPECT_TRUE(db_->GetProperty("pmblade.num-shards", &n));
+  EXPECT_TRUE(db_->GetProperty("pmblade.shards", &n));
   EXPECT_EQ(n, kShards);
 
   std::map<std::string, std::string> model;
@@ -104,7 +105,9 @@ TEST_F(ShardedDBTest, RoutedCrudAcrossAllShards) {
   }
   // Every shard received some share of a 400-key uniform workload.
   for (uint32_t i = 0; i < kShards; ++i) {
-    uint64_t writes = sharded()->shard(i)->statistics().writes();
+    uint64_t writes = 0;
+    ASSERT_TRUE(db_->GetProperty(
+        "pmblade.shard." + std::to_string(i) + ".writes", &writes));
     EXPECT_GT(writes, 0u) << "shard " << i << " got no writes";
   }
   for (const auto& kv : model) {
@@ -258,7 +261,7 @@ TEST_F(ShardedDBTest, CrossShardBatchCountsItsUserBytes) {
   Open();
   auto user_bytes = [this] {
     uint64_t bytes = 0;
-    EXPECT_TRUE(db_->GetProperty("pmblade.ssd-user-bytes-written", &bytes));
+    EXPECT_TRUE(db_->GetProperty("pmblade.write.user_bytes", &bytes));
     return bytes;
   };
   auto key_for = [](uint32_t shard, int salt) {
@@ -289,7 +292,34 @@ TEST_F(ShardedDBTest, CrossShardBatchCountsItsUserBytes) {
   EXPECT_EQ(cross_bytes, single_bytes);
   // The bytes come without a write count: only the two single-shard
   // batches went through the write path's RecordWrite.
-  EXPECT_EQ(db_->statistics().writes(), 2u);
+  uint64_t writes = 0;
+  ASSERT_TRUE(db_->GetProperty("pmblade.writes", &writes));
+  EXPECT_EQ(writes, 2u);
+}
+
+// pmblade.stats.json carries the trace events every shard records, as the
+// single engine's does: one renderer serves both.
+TEST_F(ShardedDBTest, StatsJsonCarriesEveryShardsTraceEvents) {
+  options_.num_shards = 2;
+  Open();
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(db_->Put(WriteOptions(), "ev" + std::to_string(i), "v").ok());
+  }
+  ASSERT_TRUE(db_->FlushMemTable().ok());
+
+  std::string json;
+  ASSERT_TRUE(db_->GetProperty("pmblade.stats.json", &json));
+  size_t pos = 0;
+  ASSERT_TRUE(obs::JsonLint(json, &pos)) << "error at " << pos;
+  EXPECT_EQ(json.find("\"events\":[]"), std::string::npos);
+  // Both shards held keys, so each flushed and recorded its flush_end.
+  size_t flush_ends = 0;
+  for (size_t at = json.find("\"type\":\"flush_end\"");
+       at != std::string::npos;
+       at = json.find("\"type\":\"flush_end\"", at + 1)) {
+    ++flush_ends;
+  }
+  EXPECT_EQ(flush_ends, 2u);
 }
 
 TEST_F(ShardedDBTest, ReopenRecoversEveryShardsWal) {
@@ -350,24 +380,29 @@ TEST_F(ShardedDBTest, PropertiesAggregateAndBreakOutPerShard) {
 
   // Summed property == the sum of the per-shard breakdown properties.
   uint64_t total = 0;
-  ASSERT_TRUE(db_->GetProperty("pmblade.l0-bytes", &total));
+  ASSERT_TRUE(db_->GetProperty("pmblade.lsm.l0_bytes", &total));
   uint64_t summed = 0;
   for (uint32_t i = 0; i < kShards; ++i) {
     uint64_t one = 0;
     ASSERT_TRUE(db_->GetProperty(
-        "pmblade.shard." + std::to_string(i) + ".l0-bytes", &one));
+        "pmblade.shard." + std::to_string(i) + ".lsm.l0_bytes", &one));
     summed += one;
   }
   EXPECT_EQ(total, summed);
   EXPECT_GT(total, 0u);
 
-  // Aggregated statistics() sums the shards.
+  // The facade's pmblade.writes sums the shards'.
   uint64_t shard_writes = 0;
   for (uint32_t i = 0; i < kShards; ++i) {
-    shard_writes += sharded()->shard(i)->statistics().writes();
+    uint64_t one = 0;
+    ASSERT_TRUE(db_->GetProperty(
+        "pmblade.shard." + std::to_string(i) + ".writes", &one));
+    shard_writes += one;
   }
-  EXPECT_EQ(db_->statistics().writes(), shard_writes);
-  EXPECT_EQ(db_->statistics().writes(), 200u);
+  uint64_t writes = 0;
+  ASSERT_TRUE(db_->GetProperty("pmblade.writes", &writes));
+  EXPECT_EQ(writes, shard_writes);
+  EXPECT_EQ(writes, 200u);
 
   // The metrics snapshot carries both the summed aggregate and the
   // pmblade.shard.<i>.* breakdown, without double-counting the shared cache.
@@ -426,7 +461,7 @@ TEST_F(ShardedSharedSsdTest, FacadeFoldsNonAdditiveMetrics) {
   ASSERT_GE(deepest, 1.0);
   EXPECT_EQ(metric("pmblade.lsm.max_ssd_level"), deepest);
   uint64_t property = 0;
-  ASSERT_TRUE(db_->GetProperty("pmblade.max-ssd-level", &property));
+  ASSERT_TRUE(db_->GetProperty("pmblade.lsm.max_ssd_level", &property));
   EXPECT_EQ(static_cast<double>(property), deepest);
   // q_flush and the device counters come from the one shared model.
   EXPECT_EQ(metric("pmblade.io.q_flush"), shard_metric(0, "io.q_flush"));

@@ -316,7 +316,7 @@ TEST_P(Txn2pcTest, AllPreparesDurableResolvesToCommitOnReopen) {
   }
   uint64_t resolved = 0;
   ASSERT_TRUE(
-      db_->GetProperty("pmblade.txn-resolved-commit", &resolved));
+      db_->GetProperty("pmblade.txn.resolved_commit", &resolved));
   EXPECT_GE(resolved, 1u);
 }
 
@@ -341,7 +341,7 @@ TEST_P(Txn2pcTest, MissingPrepareResolvesToRollbackOnReopen) {
       << "half-prepared txn leaked into the keyspace";
   uint64_t rolled_back = 0;
   ASSERT_TRUE(
-      db_->GetProperty("pmblade.txn-resolved-rollback", &rolled_back));
+      db_->GetProperty("pmblade.txn.resolved_rollback", &rolled_back));
   EXPECT_GE(rolled_back, 1u);
 
   // The facade swept the retained state: a fresh reopen sees nothing
@@ -349,7 +349,7 @@ TEST_P(Txn2pcTest, MissingPrepareResolvesToRollbackOnReopen) {
   db_.reset();
   Open();
   uint64_t in_doubt = 0;
-  ASSERT_TRUE(db_->GetProperty("pmblade.txn-in-doubt", &in_doubt));
+  ASSERT_TRUE(db_->GetProperty("pmblade.txn.in_doubt", &in_doubt));
   EXPECT_EQ(in_doubt, 0u);
 }
 
@@ -360,8 +360,8 @@ TEST_P(Txn2pcTest, MissingPrepareResolvesToRollbackOnReopen) {
 TEST_P(Txn2pcTest, TxnMetricsMove) {
   Open();
   uint64_t prepared = 0, committed = 0;
-  ASSERT_TRUE(db_->GetProperty("pmblade.txn-prepared", &prepared));
-  ASSERT_TRUE(db_->GetProperty("pmblade.txn-committed", &committed));
+  ASSERT_TRUE(db_->GetProperty("pmblade.txn.prepared", &prepared));
+  ASSERT_TRUE(db_->GetProperty("pmblade.txn.committed", &committed));
   EXPECT_EQ(prepared, 0u);
   EXPECT_EQ(committed, 0u);
 
@@ -371,15 +371,15 @@ TEST_P(Txn2pcTest, TxnMetricsMove) {
   }
   ASSERT_TRUE(db_->Write(WriteOptions(), &batch).ok());
 
-  ASSERT_TRUE(db_->GetProperty("pmblade.txn-prepared", &prepared));
-  ASSERT_TRUE(db_->GetProperty("pmblade.txn-committed", &committed));
+  ASSERT_TRUE(db_->GetProperty("pmblade.txn.prepared", &prepared));
+  ASSERT_TRUE(db_->GetProperty("pmblade.txn.committed", &committed));
   EXPECT_EQ(prepared, kShards);   // one prepare per participant
   EXPECT_EQ(committed, kShards);  // one commit marker per participant
 
   // Single-shard writes leave the txn counters alone.
   ASSERT_TRUE(db_->Put(WriteOptions(), "solo", "s").ok());
   uint64_t prepared_after = 0;
-  ASSERT_TRUE(db_->GetProperty("pmblade.txn-prepared", &prepared_after));
+  ASSERT_TRUE(db_->GetProperty("pmblade.txn.prepared", &prepared_after));
   EXPECT_EQ(prepared_after, prepared);
 }
 

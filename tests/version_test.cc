@@ -1,10 +1,9 @@
-// Tests for the version helpers (run iterator, run point lookup), Options
-// sanitization and DB statistics accounting.
+// Tests for the version helpers (run iterator, run point lookup) and Options
+// sanitization.
 
 #include <gtest/gtest.h>
 
 #include "core/options.h"
-#include "core/statistics.h"
 #include "core/version.h"
 #include "pm/pm_pool.h"
 #include "pmtable/pm_table_builder.h"
@@ -148,46 +147,6 @@ TEST(OptionsTest, SanitizeClampsCompactionKnobs) {
   EXPECT_GE(options.major.concurrency, 1);
   EXPECT_GE(options.major.worker_threads, 1);
   EXPECT_GE(options.major.max_io_q, 1);
-}
-
-TEST(DbStatisticsTest, ReadSourceAccounting) {
-  DbStatistics stats;
-  stats.RecordRead(ReadSource::kMemtable, 100);
-  stats.RecordRead(ReadSource::kPmLevel0, 200);
-  stats.RecordRead(ReadSource::kPmLevel0, 300);
-  stats.RecordRead(ReadSource::kSsdLevel1, 400);
-  stats.RecordRead(ReadSource::kNotFound, 500);
-  EXPECT_EQ(stats.reads(ReadSource::kMemtable), 1u);
-  EXPECT_EQ(stats.reads(ReadSource::kPmLevel0), 2u);
-  EXPECT_EQ(stats.total_reads(), 5u);
-  // Hit ratio counts only successful reads: 3 fast / 4 answered.
-  EXPECT_DOUBLE_EQ(stats.PmHitRatio(), 3.0 / 4.0);
-  EXPECT_EQ(stats.GetLatencyHistogram().count(), 5u);
-}
-
-TEST(DbStatisticsTest, WriteAndCompactionAccounting) {
-  DbStatistics stats;
-  stats.RecordWrite(1000, 50);
-  stats.RecordWrite(2000, 60);
-  stats.AddFlush();
-  stats.AddInternalCompaction(5000, 3000);
-  stats.AddMajorCompaction(9000);
-  EXPECT_EQ(stats.writes(), 2u);
-  EXPECT_EQ(stats.user_bytes_written(), 3000u);
-  EXPECT_EQ(stats.flushes(), 1u);
-  EXPECT_EQ(stats.internal_compactions(), 1u);
-  EXPECT_EQ(stats.major_compactions(), 1u);
-  stats.Reset();
-  EXPECT_EQ(stats.writes(), 0u);
-  EXPECT_EQ(stats.total_reads(), 0u);
-}
-
-TEST(DbStatisticsTest, ToStringContainsKeyFields) {
-  DbStatistics stats;
-  stats.RecordRead(ReadSource::kMemtable, 10);
-  std::string s = stats.ToString();
-  EXPECT_NE(s.find("mem=1"), std::string::npos);
-  EXPECT_NE(s.find("flushes=0"), std::string::npos);
 }
 
 }  // namespace

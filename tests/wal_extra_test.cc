@@ -509,7 +509,7 @@ TEST_F(WalDeviceWriteTest, WritePathSyncPointCensus) {
           db_->Write(round == 2 ? WriteOptions() : sync, &batch).ok());
     }
     uint64_t retained = 0;
-    ASSERT_TRUE(db_->GetProperty("pmblade.txn-retained", &retained));
+    ASSERT_TRUE(db_->GetProperty("pmblade.txn.retained", &retained));
     EXPECT_EQ(retained, 2u);  // the last batch's fences: carried at rotation
     ASSERT_TRUE(db_->FlushMemTable().ok());
 
@@ -634,7 +634,7 @@ TEST_F(CommitMarkerTest, MarkerGoesOutRightBeforeTheShardsNextWrite) {
   Open();
   EXPECT_EQ(Get(key0), "after");
   EXPECT_EQ(Get(KeyForShard(1, 1)), "txn");
-  EXPECT_EQ(Property("pmblade.txn-in-doubt"), 0u);
+  EXPECT_EQ(Property("pmblade.txn.in_doubt"), 0u);
 }
 
 TEST_F(CommitMarkerTest, PowerCutBeforeTheMarkerLandsStillCommits) {
@@ -648,8 +648,8 @@ TEST_F(CommitMarkerTest, PowerCutBeforeTheMarkerLandsStillCommits) {
   Open();
   EXPECT_EQ(Get(KeyForShard(0, 2)), "kept");
   EXPECT_EQ(Get(KeyForShard(1, 2)), "kept");
-  EXPECT_EQ(Property("pmblade.txn-in-doubt"), 1u);
-  EXPECT_EQ(Property("pmblade.txn-resolved-commit"), 1u);
+  EXPECT_EQ(Property("pmblade.txn.in_doubt"), 1u);
+  EXPECT_EQ(Property("pmblade.txn.resolved_commit"), 1u);
 }
 
 TEST_F(CommitMarkerTest, FencesRetireOnceEveryMarkerIsSynced) {
@@ -657,14 +657,14 @@ TEST_F(CommitMarkerTest, FencesRetireOnceEveryMarkerIsSynced) {
   WriteBatch batch = CrossShardBatch(3, "v");
   ASSERT_TRUE(db_->Write(WriteOptions(), &batch).ok());
   // One committed fence per participant, held until its marker is durable.
-  EXPECT_EQ(Property("pmblade.txn-retained"), 2u);
+  EXPECT_EQ(Property("pmblade.txn.retained"), 2u);
 
   WriteOptions sync;
   sync.sync = true;
   ASSERT_TRUE(db_->Put(sync, KeyForShard(0, 4), "s").ok());
-  EXPECT_EQ(Property("pmblade.txn-retained"), 2u);  // shard 1 still pending
+  EXPECT_EQ(Property("pmblade.txn.retained"), 2u);  // shard 1 still pending
   ASSERT_TRUE(db_->Put(sync, KeyForShard(1, 4), "s").ok());
-  EXPECT_EQ(Property("pmblade.txn-retained"), 0u);
+  EXPECT_EQ(Property("pmblade.txn.retained"), 0u);
 }
 
 TEST(PmTableGeometryTest, ExtremeGroupAndPrefixSettings) {

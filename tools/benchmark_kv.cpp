@@ -44,10 +44,6 @@
 //                SSD reads per Get, bloom rejections and cache hit ratio,
 //                then flips the arbiter point to a write-heavy phase to show
 //                the budget shifting; emits BENCH_read_path.json
-//   shard_scaling shard-count sweep (1,2,4,..,max(--shards,8)) under a fixed
-//                pool of mixed read/write client threads, fresh engine per
-//                point; reports ops/s and the speedup over the 1-shard
-//                baseline; emits BENCH_shard_scaling.json
 //   policy_sweep compaction design-space sweep: leveled vs tiered vs
 //                lazy_leveling SSD shapes, one fresh engine per policy,
 //                running fill-heavy, read-heavy zipfian, and 50/50 mixed
@@ -70,7 +66,7 @@
 #include "benchutil/reporter.h"
 #include "compaction/policy/compaction_picker.h"
 #include "benchutil/runner.h"
-#include "core/sharded_db.h"
+#include "core/statistics.h"
 #include "benchutil/table_codec.h"
 #include "benchutil/workload.h"
 #include "obs/metrics.h"
@@ -187,9 +183,9 @@ void RunWriteScaling(Context* ctx) {
       const double p99_us = latency.Percentile(99) / 1000.0;
       uint64_t syncs = 0, groups = 0, group_writes = 0;
       if (db != nullptr) {
-        db->GetProperty("pmblade.wal-syncs", &syncs);
-        db->GetProperty("pmblade.write-groups", &groups);
-        db->GetProperty("pmblade.write-group-writes", &group_writes);
+        db->GetProperty("pmblade.wal.syncs", &syncs);
+        db->GetProperty("pmblade.write.groups", &groups);
+        db->GetProperty("pmblade.write.group_writes", &group_writes);
       }
       const double writes_per_group =
           groups > 0 ? static_cast<double>(group_writes) / groups : 0;
@@ -282,10 +278,9 @@ void RunCompactionParallel(Context* ctx) {
   std::string json = "[\n";
   double base_major_ms = 0;
 
-  // Best-of-3 per point, fresh engine per rep: the same convention as
-  // shard_scaling — on a shared/oversubscribed host a single rep confounds
-  // the pipeline with neighbour noise, and the best rep is the one least
-  // perturbed by it.
+  // Best-of-3 per point, fresh engine per rep: on a shared/oversubscribed
+  // host a single rep confounds the pipeline with neighbour noise, and the
+  // best rep is the one least perturbed by it.
   const int kReps = 3;
 
   for (size_t pi = 0; pi < points.size(); ++pi) {
@@ -358,12 +353,12 @@ void RunCompactionParallel(Context* ctx) {
         // The measured quantity: one full major compaction, split into
         // key-range slices per max_subcompactions.
         uint64_t slices_before = 0;
-        db->GetProperty("pmblade.compaction-subcompactions", &slices_before);
+        db->GetProperty("pmblade.compaction.subcompactions", &slices_before);
         const uint64_t major_start = ctx->clock->NowNanos();
         RUN_OP(db->CompactToLevel1(false));
         rep_major_nanos += ctx->clock->NowNanos() - major_start;
         uint64_t slices_after = 0;
-        db->GetProperty("pmblade.compaction-subcompactions", &slices_after);
+        db->GetProperty("pmblade.compaction.subcompactions", &slices_after);
         rep_slices += slices_after - slices_before;
       }
       if (rep_major_nanos < best_major_nanos) {
@@ -464,8 +459,8 @@ void RunPolicySweep(Context* ctx) {
     RUN_OP(db->FlushMemTable());
     for (int i = 0; i < 5000 && !InterruptRequested(); ++i) {
       uint64_t queued = 0, active = 0;
-      db->GetProperty("pmblade.compaction-queue-depth", &queued);
-      db->GetProperty("pmblade.compaction-active", &active);
+      db->GetProperty("pmblade.compaction.queue_depth", &queued);
+      db->GetProperty("pmblade.compaction.active", &active);
       if (queued == 0 && active == 0) break;
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
@@ -526,12 +521,12 @@ void RunPolicySweep(Context* ctx) {
     // Post-fill shape + amplification, all from engine properties.
     uint64_t user_bytes = 0, comp_bytes = 0, l0_bytes = 0, ssd_bytes = 0;
     uint64_t ssd_runs = 0, max_level = 0;
-    db->GetProperty("pmblade.ssd-user-bytes-written", &user_bytes);
-    db->GetProperty("pmblade.ssd-bytes-written", &comp_bytes);
-    db->GetProperty("pmblade.l0-bytes", &l0_bytes);
-    db->GetProperty("pmblade.ssd-bytes", &ssd_bytes);
-    db->GetProperty("pmblade.num-ssd-runs", &ssd_runs);
-    db->GetProperty("pmblade.max-ssd-level", &max_level);
+    db->GetProperty("pmblade.write.user_bytes", &user_bytes);
+    db->GetProperty("pmblade.compaction.major.bytes", &comp_bytes);
+    db->GetProperty("pmblade.lsm.l0_bytes", &l0_bytes);
+    db->GetProperty("pmblade.lsm.l1_bytes", &ssd_bytes);
+    db->GetProperty("pmblade.lsm.ssd_runs", &ssd_runs);
+    db->GetProperty("pmblade.lsm.max_ssd_level", &max_level);
     const double write_amp =
         user_bytes > 0 ? static_cast<double>(comp_bytes) / user_bytes : 0;
     const double space_amp =
@@ -732,7 +727,7 @@ void RunReadSkew(Context* ctx) {
     const uint64_t gets = ctx->num;
     const uint64_t ssd_reads_before = ctx->env->ssd_model()->reads();
     uint64_t negatives_before = 0;
-    db->GetProperty("pmblade.bloom-negatives", &negatives_before);
+    db->GetProperty("pmblade.bloom.negatives", &negatives_before);
     Histogram latency;
     const uint64_t start = ctx->clock->NowNanos();
     for (uint64_t i = 0; i < gets && !InterruptRequested(); ++i) {
@@ -751,7 +746,7 @@ void RunReadSkew(Context* ctx) {
                        gets
                  : 0;
     uint64_t negatives = 0;
-    db->GetProperty("pmblade.bloom-negatives", &negatives);
+    db->GetProperty("pmblade.bloom.negatives", &negatives);
     const double negatives_per_get =
         gets > 0
             ? static_cast<double>(negatives - negatives_before) / gets
@@ -773,16 +768,16 @@ void RunReadSkew(Context* ctx) {
     uint64_t rebalances = 0;
     uint64_t read_mem = 0, read_cache = 0, write_mem = 0, write_cache = 0;
     if (mode.budget_bytes > 0) {
-      db->GetProperty("pmblade.memtable-limit", &read_mem);
-      db->GetProperty("pmblade.blockcache-capacity", &read_cache);
+      db->GetProperty("pmblade.memtable.limit", &read_mem);
+      db->GetProperty("pmblade.blockcache.capacity", &read_cache);
       Random rng(301);
       for (uint64_t i = 0; i < ctx->num && !InterruptRequested(); ++i) {
         uint64_t k = rng.Uniform(ctx->num);
         RUN_OP(db->Put(WriteOptions(), keys.KeyAt(2 * k), values.For(k)));
       }
-      db->GetProperty("pmblade.memtable-limit", &write_mem);
-      db->GetProperty("pmblade.blockcache-capacity", &write_cache);
-      db->GetProperty("pmblade.mem-rebalances", &rebalances);
+      db->GetProperty("pmblade.memtable.limit", &write_mem);
+      db->GetProperty("pmblade.blockcache.capacity", &write_cache);
+      db->GetProperty("pmblade.mem.rebalances", &rebalances);
     }
 
     Report(mode.name, gets, nanos, latency);
@@ -836,285 +831,6 @@ void RunReadSkew(Context* ctx) {
   Status s = ctx->env->OpenEngine(ctx->env->config(), &engine);
   if (!s.ok()) {
     fprintf(stderr, "read_skew restore: %s\n", s.ToString().c_str());
-    exit(1);
-  }
-  ctx->engine = engine;
-}
-
-// Shard-count sweep: 1, 2, 4, ... up to max(--shards, 8) shards, one fresh
-// engine per point, all driven by the SAME fixed pool of client threads
-// running a 50/50 zipfian read/write mix. Holding the thread count constant
-// isolates the engine side: at one shard every writer funnels through a
-// single group-commit leader, memtable and flush thread; at N shards the
-// identical offered load spreads over N independent write paths. Reports
-// each point's speedup over the 1-shard baseline and emits
-// BENCH_shard_scaling.json.
-void RunShardScaling(Context* ctx) {
-  const BenchEnvOptions saved = *ctx->env->mutable_options();
-  BenchEnvOptions* opts = ctx->env->mutable_options();
-
-  const uint32_t max_shards = ctx->shards > 1 ? ctx->shards : 8;
-  std::vector<uint32_t> points;
-  for (uint32_t n = 1; n < max_shards; n *= 2) points.push_back(n);
-  points.push_back(max_shards);
-  const int threads =
-      ctx->writers > static_cast<int>(max_shards) ? ctx->writers
-                                                  : static_cast<int>(max_shards);
-
-  TablePrinter table(
-      {"shards", "threads", "ops/sec", "p99(us)", "stalls", "speedup"});
-  std::string json = "[\n";
-  double base_ops_per_sec = 0;
-
-  // Best-of-3 per point, fresh engine per rep: the same convention as the
-  // Fig. 9 CPU-utilization cells — on a shared/oversubscribed host a single
-  // rep confounds engine behaviour with neighbour noise, and the best rep is
-  // the one least perturbed by it.
-  const int kReps = 3;
-
-  for (size_t pi = 0; pi < points.size(); ++pi) {
-    if (InterruptRequested()) break;  // partial JSON still written below
-    const uint32_t shards = points[pi];
-    opts->num_shards = shards;
-
-    Histogram best_latency;
-    double best_ops_per_sec = -1;
-    uint64_t best_nanos = 0, best_stalls = 0, best_slowdowns = 0;
-    uint64_t best_ops = 0;
-
-    for (int rep = 0; rep < kReps && !InterruptRequested(); ++rep) {
-    KvEngine* engine = nullptr;
-    Status s = ctx->env->OpenEngine(ctx->env->config(), &engine);
-    if (!s.ok()) {
-      fprintf(stderr, "shard_scaling reopen: %s\n", s.ToString().c_str());
-      exit(1);
-    }
-    ctx->engine = engine;
-    DB* db = ctx->env->pmblade_db();
-    if (db == nullptr) {
-      fprintf(stderr,
-              "shard_scaling needs a pmblade engine "
-              "(--engine=pmblade|pmblade-pm|pmblade-ssd)\n");
-      exit(1);
-    }
-
-    KeySpec spec;
-    spec.num_keys = ctx->num;
-    spec.zipf_theta = ctx->zipf;
-    const uint64_t per_thread = ctx->num / threads;
-
-    // Untimed warmup (20% of the measured ops): populate the memtables and
-    // prime the flush/compaction pipeline before the clock starts. The
-    // 1-shard point runs first and otherwise pays the whole cold-start tax
-    // (empty allocator, cold caches), skewing every speedup reported
-    // against it.
-    const uint64_t warm_ops = per_thread / 5;
-    std::vector<std::thread> warmers;
-    for (int t = 0; t < threads; ++t) {
-      warmers.emplace_back([&, t] {
-        KeySpec tspec = spec;
-        tspec.seed = spec.seed + 1000 + t;  // distinct from the timed streams
-        KeyGenerator keys(tspec);
-        ValueGenerator values(ctx->value_size, 7 + t);
-        Random rng(601 + t);
-        for (uint64_t i = 0; i < warm_ops && !InterruptRequested(); ++i) {
-          uint64_t k = keys.NextIndex();
-          if (rng.OneIn(2)) {
-            std::string value;
-            RUN_OP(db->Get(ReadOptions(), keys.KeyAt(k), &value));
-          } else {
-            RUN_OP(db->Put(WriteOptions(), keys.KeyAt(k), values.For(k)));
-          }
-        }
-      });
-    }
-    for (auto& w : warmers) w.join();
-
-    Histogram latency;
-    std::mutex merge_mu;
-    const uint64_t start = ctx->clock->NowNanos();
-    std::vector<std::thread> workers;
-    for (int t = 0; t < threads; ++t) {
-      workers.emplace_back([&, t] {
-        KeySpec tspec = spec;
-        tspec.seed = spec.seed + t;  // decorrelate the threads' key streams
-        KeyGenerator keys(tspec);
-        ValueGenerator values(ctx->value_size, 7 + t);
-        Random rng(301 + t);
-        Histogram local;
-        for (uint64_t i = 0; i < per_thread && !InterruptRequested(); ++i) {
-          uint64_t k = keys.NextIndex();
-          uint64_t t0 = ctx->clock->NowNanos();
-          if (rng.OneIn(2)) {
-            std::string value;
-            RUN_OP(db->Get(ReadOptions(), keys.KeyAt(k), &value));
-          } else {
-            RUN_OP(db->Put(WriteOptions(), keys.KeyAt(k), values.For(k)));
-          }
-          local.Add(ctx->clock->NowNanos() - t0);
-        }
-        std::lock_guard<std::mutex> lock(merge_mu);
-        latency.Merge(local);
-      });
-    }
-    for (auto& w : workers) w.join();
-    const uint64_t nanos = ctx->clock->NowNanos() - start;
-
-    const uint64_t rep_ops = per_thread * threads;
-    const double rep_ops_per_sec = nanos > 0 ? rep_ops * 1e9 / nanos : 0;
-    if (rep_ops_per_sec > best_ops_per_sec) {
-      best_ops_per_sec = rep_ops_per_sec;
-      best_latency = latency;
-      best_nanos = nanos;
-      best_ops = rep_ops;
-      best_stalls = 0;
-      best_slowdowns = 0;
-      db->GetProperty("pmblade.write-stalls", &best_stalls);
-      db->GetProperty("pmblade.write-slowdowns", &best_slowdowns);
-    }
-    }  // reps
-
-    const uint64_t ops = best_ops;
-    const uint64_t nanos = best_nanos;
-    const Histogram& latency = best_latency;
-    const double ops_per_sec = best_ops_per_sec > 0 ? best_ops_per_sec : 0;
-    if (pi == 0) base_ops_per_sec = ops_per_sec;
-    const double speedup =
-        base_ops_per_sec > 0 ? ops_per_sec / base_ops_per_sec : 0;
-    const double p99_us = latency.Percentile(99) / 1000.0;
-    const uint64_t stalls = best_stalls, slowdowns = best_slowdowns;
-
-    char row[96];
-    snprintf(row, sizeof(row), "%u shards", shards);
-    Report(row, ops, nanos, latency);
-    table.AddRow({std::to_string(shards), std::to_string(threads),
-                  TablePrinter::Fmt(ops_per_sec, 0),
-                  TablePrinter::Fmt(p99_us, 1), std::to_string(stalls),
-                  TablePrinter::Fmt(speedup, 2) + "x"});
-
-    char point[320];
-    snprintf(point, sizeof(point),
-             "  {\"shards\": %u, \"threads\": %d, \"ops\": %llu, "
-             "\"ops_per_sec\": %.0f, \"p99_us\": %.2f, \"write_stalls\": "
-             "%llu, \"write_slowdowns\": %llu, \"speedup\": %.3f}%s\n",
-             shards, threads, static_cast<unsigned long long>(ops),
-             ops_per_sec, p99_us, static_cast<unsigned long long>(stalls),
-             static_cast<unsigned long long>(slowdowns), speedup,
-             pi + 1 < points.size() ? "," : "");
-    json += point;
-  }
-  if (json.size() >= 2 && json[json.size() - 2] == ',') {
-    json.erase(json.size() - 2, 1);
-  }
-  json += "]";
-
-  table.Print("shard_scaling (mixed 50/50, zipf=" +
-              TablePrinter::Fmt(ctx->zipf, 2) + ")");
-
-  // MSET fan-out at the acceptance configuration (4 shards, or the sweep
-  // maximum when smaller): per-batch latency of an all-shard durable
-  // (sync=true) MSET through two-phase commit.
-  const uint32_t fan_shards = max_shards < 4 ? max_shards : 4;
-  const int fan_threads = 4;
-  const uint64_t fan_per_thread = 500;
-
-  auto key_for_shard = [fan_shards](uint32_t shard, uint64_t tag) {
-    for (uint64_t probe = 0;; ++probe) {
-      std::string key =
-          "m" + std::to_string(tag) + "p" + std::to_string(probe);
-      if (ShardedDB::ShardOfKey(key, fan_shards) == shard) return key;
-    }
-  };
-
-  double fan_p50_us = -1, fan_p95_us = 0, msets_per_sec = 0;
-  double fsyncs_per_mset = 0;
-  opts->num_shards = fan_shards;
-  // Best-of-3 by p50, fresh engine per rep — the same neighbour-noise
-  // convention as the shard sweep above (this host's single runs swing
-  // ~2x under load).
-  for (int rep = 0; rep < kReps && !InterruptRequested(); ++rep) {
-    KvEngine* engine = nullptr;
-    Status s = ctx->env->OpenEngine(ctx->env->config(), &engine);
-    if (!s.ok()) {
-      fprintf(stderr, "shard_scaling mset reopen: %s\n",
-              s.ToString().c_str());
-      exit(1);
-    }
-    ctx->engine = engine;
-    DB* db = ctx->env->pmblade_db();
-
-    Histogram latency;
-    std::mutex merge_mu;
-    uint64_t syncs_before = 0;
-    db->GetProperty("pmblade.wal-syncs", &syncs_before);
-    const uint64_t start = ctx->clock->NowNanos();
-    std::vector<std::thread> workers;
-    for (int t = 0; t < fan_threads; ++t) {
-      workers.emplace_back([&, t] {
-        ValueGenerator values(ctx->value_size, 7 + t);
-        Histogram local;
-        WriteOptions wo;
-        wo.sync = true;
-        for (uint64_t i = 0; i < fan_per_thread && !InterruptRequested();
-             ++i) {
-          const uint64_t tag = (static_cast<uint64_t>(t) << 32) | i;
-          // Build the batch outside the timed section.
-          WriteBatch batch;
-          for (uint32_t shard = 0; shard < fan_shards; ++shard) {
-            batch.Put(key_for_shard(shard, tag), values.For(tag ^ shard));
-          }
-          uint64_t t0 = ctx->clock->NowNanos();
-          RUN_OP(db->Write(wo, &batch));
-          local.Add(ctx->clock->NowNanos() - t0);
-        }
-        std::lock_guard<std::mutex> lock(merge_mu);
-        latency.Merge(local);
-      });
-    }
-    for (auto& w : workers) w.join();
-    const uint64_t nanos = ctx->clock->NowNanos() - start;
-
-    const double p50_us = latency.Percentile(50) / 1000.0;
-    if (fan_p50_us < 0 || p50_us < fan_p50_us) {
-      fan_p50_us = p50_us;
-      fan_p95_us = latency.Percentile(95) / 1000.0;
-      const uint64_t msets = fan_per_thread * fan_threads;
-      msets_per_sec = nanos > 0 ? msets * 1e9 / nanos : 0;
-      uint64_t syncs_after = 0;
-      db->GetProperty("pmblade.wal-syncs", &syncs_after);
-      fsyncs_per_mset =
-          msets > 0 ? double(syncs_after - syncs_before) / msets : 0;
-    }
-  }
-  TablePrinter fan_table(
-      {"mode", "p50(us)", "p95(us)", "msets/sec", "fsyncs/mset"});
-  fan_table.AddRow({"2pc-atomic", TablePrinter::Fmt(fan_p50_us, 1),
-                    TablePrinter::Fmt(fan_p95_us, 1),
-                    TablePrinter::Fmt(msets_per_sec, 0),
-                    TablePrinter::Fmt(fsyncs_per_mset, 2)});
-  fan_table.Print("mset_fanout (" + std::to_string(fan_shards) +
-                  "-shard durable MSET, " + std::to_string(fan_threads) +
-                  " threads)");
-
-  FILE* out = fopen("BENCH_shard_scaling.json", "w");
-  if (out != nullptr) {
-    fprintf(out,
-            "{\n\"scaling\": %s,\n\"mset_fanout\": [\n  {\"mode\": "
-            "\"2pc-atomic\", \"shards\": %u, \"threads\": %d, \"sync\": "
-            "true, \"p50_us\": %.2f, \"p95_us\": %.2f, \"msets_per_sec\": "
-            "%.0f, \"fsyncs_per_mset\": %.2f}\n]\n}\n",
-            json.c_str(), fan_shards, fan_threads, fan_p50_us, fan_p95_us,
-            msets_per_sec, fsyncs_per_mset);
-    fclose(out);
-    printf("wrote BENCH_shard_scaling.json\n");
-  }
-
-  // Restore the configuration the rest of the benchmark list expects.
-  *ctx->env->mutable_options() = saved;
-  KvEngine* engine = nullptr;
-  Status s = ctx->env->OpenEngine(ctx->env->config(), &engine);
-  if (!s.ok()) {
-    fprintf(stderr, "shard_scaling restore: %s\n", s.ToString().c_str());
     exit(1);
   }
   ctx->engine = engine;
@@ -1246,9 +962,6 @@ void RunBenchmark(Context* ctx, const std::string& name) {
   } else if (name == "read_skew") {
     RunReadSkew(ctx);
     return;
-  } else if (name == "shard_scaling") {
-    RunShardScaling(ctx);
-    return;
   } else if (name == "policy_sweep") {
     RunPolicySweep(ctx);
     return;
@@ -1265,8 +978,9 @@ void RunBenchmark(Context* ctx, const std::string& name) {
       }
     });
   } else if (name == "stats") {
-    const DbStatistics* stats = ctx->env->statistics();
-    printf("%s\n", stats != nullptr ? stats->ToString().c_str() : "(none)");
+    const obs::MetricsRegistry* registry = ctx->env->metrics_registry();
+    printf("%s\n",
+           registry != nullptr ? StatsSummary(*registry).c_str() : "(none)");
     printf("ssd written: %s, pm written: %s\n",
            TablePrinter::FmtBytes(ctx->env->SsdBytesWritten()).c_str(),
            TablePrinter::FmtBytes(ctx->env->PmBytesWritten()).c_str());
