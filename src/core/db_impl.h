@@ -152,7 +152,6 @@ class DBImpl final : public DB {
   // Exposed for tests/benches.
   PmPool* pm_pool() { return pool_.get(); }
   SsdModel* ssd_model() { return model_; }
-  obs::MetricsRegistry* metrics() { return &metrics_; }
   /// The trace ring's events, oldest first; empty when tracing is off.
   std::vector<obs::Event> TraceEvents() const;
 

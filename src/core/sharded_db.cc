@@ -17,10 +17,10 @@ namespace pmblade {
 
 namespace {
 
-/// Cross-shard batches of at most this many entries run the commit wave
-/// inline (see WriteAtomic). An MSET sits far below it, a 1000-key bulk
-/// batch far above.
-constexpr size_t kInlineCommitMaxEntries = 64;
+/// Cross-shard batches of at most this many entries run their 2PC waves
+/// inline on the caller (see ShardedDB::RunWave). An MSET sits far below
+/// it, a 1000-key bulk batch far above.
+constexpr size_t kInlineWaveMaxEntries = 64;
 
 /// Splits one WriteBatch into per-shard sub-batches, preserving op order
 /// within each shard (order across shards is immaterial: keyspaces are
@@ -205,14 +205,16 @@ Status ShardedDB::Init() {
     PMBLADE_RETURN_IF_ERROR(SetUpSharedArbiter());
   }
 
-  // Cross-shard write fan-out + 2PC bookkeeping. A wave runs N-1 shard ops
-  // on the pool (the caller runs the last inline), and pool threads BLOCK
-  // inside the target shard's group commit — so a pool sized for one wave
-  // serializes concurrent writers' waves behind each other. Provision for
-  // several in-flight waves; beyond that, excess waves ride the shards'
-  // own group commit batching anyway.
+  // Cross-shard write fan-out + 2PC bookkeeping. A parallel wave runs N-1
+  // shard ops on the pool (the caller runs the last inline), and pool
+  // threads BLOCK inside the target shard's group commit — so a pool sized
+  // for one wave serializes concurrent writers' waves behind each other.
+  // Provision for several in-flight waves; beyond that, excess waves ride
+  // the shards' own group commit batching anyway.
   fanout_pool_.reset(new ThreadPool(static_cast<int>(
       std::min<uint32_t>(4 * (options_.num_shards - 1), 32))));
+  txn_fanout_waves_counter_ =
+      metrics_.GetCounter("pmblade.txn.fanout_waves");
   txn_in_doubt_counter_ = metrics_.GetCounter("pmblade.txn.in_doubt");
   txn_resolved_commit_counter_ =
       metrics_.GetCounter("pmblade.txn.resolved_commit");
@@ -429,23 +431,34 @@ Status ShardedDB::Write(const WriteOptions& options, WriteBatch* batch) {
   return WriteAtomic(options, subs, participants);
 }
 
-void ShardedDB::RunOnShards(const std::vector<uint32_t>& ids,
-                            const std::function<void(uint32_t)>& fn) {
-  if (ids.empty()) return;
-  if (ids.size() == 1 || fanout_pool_ == nullptr) {
-    for (uint32_t id : ids) fn(id);
+void ShardedDB::RunWave(Wave wave, size_t entries,
+                        const std::vector<uint32_t>& participants,
+                        const std::function<void(uint32_t)>& fn) {
+  // A wave runs inline, one participant after another, when the hop to a
+  // fan-out thread (a futex wake there, a condvar wake back) costs more
+  // than overlapping the participants saves: a small batch's commit or
+  // rollback is a few memtable inserts or one marker, and its prepare is
+  // one PM append whose Sync is free. On the SSD WAL every prepare is a
+  // device write, and a bulk batch's copies and inserts are long enough to
+  // overlap, so those waves stay parallel.
+  const bool inline_wave =
+      entries <= kInlineWaveMaxEntries &&
+      (wave != Wave::kPrepare || options_.wal_in_pm);
+  if (inline_wave) {
+    for (uint32_t id : participants) fn(id);
     return;
   }
+  txn_fanout_waves_counter_->Inc();
   std::mutex mu;
   std::condition_variable cv;
-  size_t remaining = ids.size() - 1;
+  size_t remaining = participants.size() - 1;
   // The last task signals after releasing mu, so the woken caller never
   // blocks on a lock its waker still holds. The caller owns the stack
   // these live on: the pin, taken under mu before the count reaches zero,
   // keeps it from returning until the notify is done.
   std::atomic<int> wake_pin{0};
-  for (size_t i = 0; i + 1 < ids.size(); ++i) {
-    const uint32_t id = ids[i];
+  for (size_t i = 0; i + 1 < participants.size(); ++i) {
+    const uint32_t id = participants[i];
     fanout_pool_->Submit([&mu, &cv, &remaining, &wake_pin, &fn, id] {
       fn(id);
       {
@@ -457,7 +470,7 @@ void ShardedDB::RunOnShards(const std::vector<uint32_t>& ids,
       wake_pin.store(0, std::memory_order_release);
     });
   }
-  fn(ids.back());
+  fn(participants.back());
   {
     std::unique_lock<std::mutex> lock(mu);
     cv.wait(lock, [&remaining] { return remaining == 0; });
@@ -473,10 +486,12 @@ Status ShardedDB::WriteAtomic(const WriteOptions& options,
   const uint64_t txn_id =
       next_txn_id_.fetch_add(1, std::memory_order_relaxed);
   std::vector<Status> statuses(shards_.size());
+  size_t entries = 0;
+  for (uint32_t shard : participants) entries += subs[shard].Count();
 
   // Phase 1: every participant appends + fsyncs a prepare record holding
-  // its sub-batch — in parallel, so the wave costs max(shard fsync).
-  RunOnShards(participants, [&](uint32_t shard) {
+  // its sub-batch. No commit starts before the whole wave is durable.
+  RunWave(Wave::kPrepare, entries, participants, [&](uint32_t shard) {
     statuses[shard] =
         shards_[shard]->PrepareTxn(options, txn_id, participants,
                                    &subs[shard]);
@@ -494,7 +509,7 @@ Status ShardedDB::WriteAtomic(const WriteOptions& options,
     // prepare to rollback anyway — but note the indeterminate window: if
     // every prepare actually reached disk despite the error, a crash
     // before the rollback markers sync can resolve this txn COMMITTED.
-    RunOnShards(participants, [&](uint32_t shard) {
+    RunWave(Wave::kRollback, entries, participants, [&](uint32_t shard) {
       shards_[shard]->RollbackTxn(WriteOptions(), txn_id);
     });
     return prepare_status;
@@ -513,23 +528,11 @@ Status ShardedDB::WriteAtomic(const WriteOptions& options,
   // fsync wave buys durability here. Markers become durable on the next
   // natural sync — a later prepare, a sync write, WAL rotation — which
   // only delays fence retirement.
-  //
-  // Publishing a few keys costs less than the hop to a fan-out thread, so
-  // a small batch commits inline, one participant after another. A large
-  // one (a bulk load) keeps the parallel wave, so its memtable inserts
-  // overlap.
   WriteOptions commit_options = options;
   commit_options.sync = false;
-  auto commit = [&](uint32_t shard) {
+  RunWave(Wave::kCommit, entries, participants, [&](uint32_t shard) {
     statuses[shard] = shards_[shard]->CommitTxn(commit_options, txn_id);
-  };
-  size_t entries = 0;
-  for (uint32_t shard : participants) entries += subs[shard].Count();
-  if (entries <= kInlineCommitMaxEntries) {
-    for (uint32_t shard : participants) commit(shard);
-  } else {
-    RunOnShards(participants, commit);
-  }
+  });
   Status result;
   for (uint32_t shard : participants) {
     if (result.ok() && !statuses[shard].ok()) result = statuses[shard];

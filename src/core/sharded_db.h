@@ -16,11 +16,13 @@
 //     records, identical to num_shards=1). A batch spanning several shards
 //     commits through a two-phase protocol woven into the per-shard WALs:
 //       phase 1  every participant appends + fsyncs a kPrepare record
-//                (global txn id + its sub-batch) — all shards in PARALLEL,
-//                so the batch pays max(shard fsync), not the sum;
+//                (global txn id + its sub-batch);
 //       phase 2  every participant assigns sequences and publishes in
 //                memory; its tiny kCommit marker goes out with the shard's
 //                next WAL append (or rotation, or close).
+//     Each phase is one wave over the participants, run by one rule
+//     (RunWave): a small batch runs it inline on the caller, a bulk batch
+//     (and a prepare wave on the SSD WAL) in parallel on a fan-out pool.
 //     Crash recovery buffers replayed prepares instead of applying them;
 //     the facade then resolves every in-doubt txn across the shard WALs
 //     (commit evidence anywhere, or all prepares durable => COMMIT;
@@ -141,16 +143,23 @@ class ShardedDB final : public DB {
   bool ReadShardMetric(const std::string& name, obs::MetricSample* out);
 
   // ---- cross-shard writes ----
-  /// Runs fn(shard) concurrently for every shard index in `ids` (the last
-  /// one inline on the caller); returns once ALL have finished. Uses a
-  /// local countdown latch — the pool's Wait() is a global barrier and
-  /// would serialize unrelated callers.
-  void RunOnShards(const std::vector<uint32_t>& ids,
-                   const std::function<void(uint32_t)>& fn);
-  /// Two-phase commit of a multi-shard batch: parallel prepare wave
-  /// (always fsynced), then parallel memory-only commits. On a prepare
-  /// failure every participant gets a rollback marker and the first error
-  /// returns.
+  /// The three waves of a cross-shard commit.
+  enum class Wave { kPrepare, kCommit, kRollback };
+  /// Runs fn(shard) for every participant of one wave of a batch of
+  /// `entries` entries and returns once ALL have finished. The one rule
+  /// for every wave: a batch of at most 64 entries runs it inline on the
+  /// caller, one participant after another (a prepare wave only with
+  /// Options::wal_in_pm). Any other wave is parallel: N-1 participants on
+  /// fanout_pool_, the last on the caller, joined by a local countdown
+  /// latch (the pool's Wait() is a global barrier and would serialize
+  /// unrelated callers), and counted in pmblade.txn.fanout_waves.
+  void RunWave(Wave wave, size_t entries,
+               const std::vector<uint32_t>& participants,
+               const std::function<void(uint32_t)>& fn);
+  /// Two-phase commit of a multi-shard batch: a prepare wave (always
+  /// fsynced), then a wave of memory-only commits, each run by RunWave. On
+  /// a prepare failure a rollback wave gives every participant a rollback
+  /// marker and the first error returns.
   Status WriteAtomic(const WriteOptions& options,
                      std::vector<WriteBatch>& subs,
                      const std::vector<uint32_t>& participants);
@@ -208,6 +217,7 @@ class ShardedDB final : public DB {
   };
   std::mutex txn_mu_;
   std::vector<PendingForget> pending_forget_;
+  obs::Counter* txn_fanout_waves_counter_ = nullptr;  // waves on the pool
   obs::Counter* txn_in_doubt_counter_ = nullptr;   // found at open
   obs::Counter* txn_resolved_commit_counter_ = nullptr;
   obs::Counter* txn_resolved_rollback_counter_ = nullptr;

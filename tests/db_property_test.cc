@@ -540,7 +540,7 @@ TEST_F(DbObservabilityTest, PrometheusDumpIsLineParseable) {
   ASSERT_GT(samples, 0);
   // One # TYPE per registered metric.
   auto* impl = static_cast<DBImpl*>(db_.get());
-  ASSERT_EQ(typed.size(), impl->metrics()->NumMetrics());
+  ASSERT_EQ(typed.size(), impl->metrics_registry()->NumMetrics());
   ASSERT_TRUE(typed.count("pmblade_reads_pm_l0")) << text.substr(0, 400);
   ASSERT_TRUE(typed.count("pmblade_io_q_flush"));
 }
@@ -585,7 +585,7 @@ TEST_F(DbObservabilityTest, DecisionCountersAfterForcedInternalCompaction) {
   }
   ASSERT_TRUE(db_->CompactLevel0().ok());
 
-  obs::MetricsSnapshot snap = impl->metrics()->Snapshot();
+  obs::MetricsSnapshot snap = impl->metrics_registry()->Snapshot();
   const obs::MetricSample* decisions = snap.Find("pmblade.cost.decisions");
   ASSERT_NE(decisions, nullptr);
   ASSERT_GT(decisions->value, 0.0);

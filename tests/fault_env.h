@@ -11,6 +11,10 @@
 //                          read the file back through this path).
 //   fail_removes         — every RemoveFile fails until cleared (stuck WAL /
 //                          obsolete-file GC).
+//   fail_only_under      — when non-empty, the write faults above hit only
+//                          files opened afterwards whose name contains it
+//                          (one shard's WAL, say). Set before the files
+//                          open.
 
 #ifndef PMBLADE_TESTS_FAULT_ENV_H_
 #define PMBLADE_TESTS_FAULT_ENV_H_
@@ -33,6 +37,7 @@ class FaultyEnv final : public Env {
   std::atomic<bool> fail_removes{false};
   std::atomic<int> writes_until_failure{-1};        // -1 = no countdown
   std::atomic<int> random_opens_until_failure{-1};  // -1 = no countdown
+  std::string fail_only_under;
 
   bool ShouldFail() { return fail_writes.load() ||
                              CountdownHit(&writes_until_failure); }
@@ -55,15 +60,20 @@ class FaultyEnv final : public Env {
 
   class FaultyWritableFile final : public WritableFile {
    public:
-    FaultyWritableFile(std::unique_ptr<WritableFile> base, FaultyEnv* env)
-        : base_(std::move(base)), env_(env) {}
+    FaultyWritableFile(std::unique_ptr<WritableFile> base, FaultyEnv* env,
+                       bool targeted)
+        : base_(std::move(base)), env_(env), targeted_(targeted) {}
     Status Append(const Slice& data) override {
-      if (env_->ShouldFail()) return Status::IOError("injected write fault");
+      if (targeted_ && env_->ShouldFail()) {
+        return Status::IOError("injected write fault");
+      }
       return base_->Append(data);
     }
     Status Flush() override { return base_->Flush(); }
     Status Sync() override {
-      if (env_->ShouldFail()) return Status::IOError("injected sync fault");
+      if (targeted_ && env_->ShouldFail()) {
+        return Status::IOError("injected sync fault");
+      }
       return base_->Sync();
     }
     Status Close() override { return base_->Close(); }
@@ -71,6 +81,7 @@ class FaultyEnv final : public Env {
    private:
     std::unique_ptr<WritableFile> base_;
     FaultyEnv* env_;
+    const bool targeted_;
   };
 
   Status NewWritableFile(const std::string& fname,
@@ -80,7 +91,10 @@ class FaultyEnv final : public Env {
     }
     std::unique_ptr<WritableFile> base_file;
     PMBLADE_RETURN_IF_ERROR(base_->NewWritableFile(fname, &base_file));
-    result->reset(new FaultyWritableFile(std::move(base_file), this));
+    const bool targeted = fail_only_under.empty() ||
+                          fname.find(fail_only_under) != std::string::npos;
+    result->reset(
+        new FaultyWritableFile(std::move(base_file), this, targeted));
     return Status::OK();
   }
 

@@ -151,8 +151,10 @@ const NameKind kArbiterMetrics[] = {
     {"pmblade.mem.ticks", "counter"},
 };
 
-// Only the sharded facade resolves cross-shard transactions.
+// Only the sharded facade runs cross-shard waves and resolves cross-shard
+// transactions.
 const NameKind kFacadeMetrics[] = {
+    {"pmblade.txn.fanout_waves", "counter"},
     {"pmblade.txn.in_doubt", "counter"},
     {"pmblade.txn.resolved_commit", "counter"},
     {"pmblade.txn.resolved_rollback", "counter"},

@@ -310,10 +310,15 @@ class ShardedCrashHarness {
       }
 
       // 70% cross-shard batches (the protocol under test), 30% single-shard
-      // (the fast path must coexist in the same WALs).
+      // (the fast path must coexist in the same WALs). One cross-shard
+      // batch in 16 is a bulk batch of more than 64 entries, whose prepare
+      // and commit waves run in parallel on the fan-out pool; every other
+      // batch is small enough for the inline waves.
       BatchRecord record;
       std::vector<uint32_t> shards;
+      bool bulk = false;
       if (rnd_.Uniform(10) < 7 && opts_.num_shards > 1) {
+        bulk = rnd_.Uniform(16) == 0;
         const uint32_t n_shards =
             2 + rnd_.Uniform(opts_.num_shards - 1);  // 2..num_shards
         uint32_t first = rnd_.Uniform(opts_.num_shards);
@@ -327,8 +332,9 @@ class ShardedCrashHarness {
       WriteBatch wb;
       const std::string token = "v" + std::to_string(next_key_id_);
       for (uint32_t shard : shards) {
-        // 1-2 keys per participating shard.
-        const int keys = 1 + static_cast<int>(rnd_.Uniform(2));
+        // 1-2 keys per participating shard; a bulk batch puts 33 on each
+        // of its at least two shards.
+        const int keys = bulk ? 33 : 1 + static_cast<int>(rnd_.Uniform(2));
         for (int k = 0; k < keys; ++k) {
           std::string key = FreshKeyFor(shard);
           wb.Put(key, token);

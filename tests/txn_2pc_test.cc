@@ -9,6 +9,9 @@
 //   * recovery resolution: all prepares durable and no commit marker =>
 //     COMMIT; a missing participant prepare => ROLL BACK — reopen is
 //     all-or-nothing either way,
+//   * the wave rule: which 2PC waves run inline on the caller and which go
+//     to the fan-out pool, and a prepare failing on the second participant
+//     rolls the batch back everywhere,
 //   * the pmblade.txn.* metrics move.
 
 #include <gtest/gtest.h>
@@ -29,6 +32,7 @@
 #include "memtable/write_batch.h"
 #include "pm/pm_log.h"
 #include "pm/pm_pool.h"
+#include "tests/fault_env.h"
 
 namespace pmblade {
 namespace {
@@ -120,6 +124,13 @@ class Txn2pcTest : public ::testing::TestWithParam<bool> {
 
   ShardedDB* sharded() { return static_cast<ShardedDB*>(db_.get()); }
 
+  /// Waves the facade handed to its fan-out pool so far.
+  uint64_t FanoutWaves() {
+    uint64_t waves = 0;
+    EXPECT_TRUE(db_->GetProperty("pmblade.txn.fanout_waves", &waves));
+    return waves;
+  }
+
   static std::string KeyForShard(uint32_t shard, int salt) {
     for (int i = 0;; ++i) {
       std::string key = "t" + std::to_string(salt) + "-" + std::to_string(i);
@@ -188,6 +199,7 @@ class Txn2pcTest : public ::testing::TestWithParam<bool> {
 
   std::string dbname_;
   Options options_;
+  std::unique_ptr<test::FaultyEnv> faulty_env_;  // when a case injects faults
   std::unique_ptr<DB> db_;
 };
 
@@ -351,6 +363,110 @@ TEST_P(Txn2pcTest, MissingPrepareResolvesToRollbackOnReopen) {
   uint64_t in_doubt = 0;
   ASSERT_TRUE(db_->GetProperty("pmblade.txn.in_doubt", &in_doubt));
   EXPECT_EQ(in_doubt, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// The wave rule and aborted prepares
+// ---------------------------------------------------------------------------
+
+TEST_P(Txn2pcTest, WaveRulePinsInlineAndFanoutPaths) {
+  Open();
+  EXPECT_EQ(FanoutWaves(), 0u);
+
+  // An MSET-sized batch on two shards: its commit wave runs inline on the
+  // caller, and so does its prepare wave on the PM WAL, where a prepare is
+  // one PM append. On the SSD WAL the prepares are device writes worth
+  // overlapping, so that wave goes to the pool.
+  WriteBatch small;
+  for (uint32_t shard : {0u, 1u}) {
+    small.Put(KeyForShard(shard, 300), "s");
+    small.Put(KeyForShard(shard, 301), "s");
+  }
+  ASSERT_TRUE(db_->Write(WriteOptions(), &small).ok());
+  const uint64_t after_small = FanoutWaves();
+  EXPECT_EQ(after_small, GetParam() ? 0u : 1u);
+
+  // A bulk batch keeps both waves parallel on either WAL device.
+  WriteBatch bulk;
+  for (int i = 0; i < 1000; ++i) bulk.Put("bulk" + std::to_string(i), "b");
+  ASSERT_TRUE(db_->Write(WriteOptions(), &bulk).ok());
+  EXPECT_EQ(FanoutWaves() - after_small, 2u);
+
+  std::string value;
+  ASSERT_TRUE(db_->Get(ReadOptions(), KeyForShard(1, 301), &value).ok());
+  EXPECT_EQ(value, "s");
+  ASSERT_TRUE(db_->Get(ReadOptions(), "bulk999", &value).ok());
+  EXPECT_EQ(value, "b");
+}
+
+// A prepare that fails on the second participant aborts the batch: the
+// first participant's durable prepare is rolled back, no participant keeps
+// the txn, and no key of the batch is readable, before or after a reopen.
+// On the PM WAL the wave is inline and the failure is a full pool on
+// shard 1 (the prepare needs a fresh log segment); on the SSD WAL the wave
+// is parallel and the failure an injected write fault on shard 1's log.
+TEST_P(Txn2pcTest, FailedSecondPrepareRollsBackEveryParticipant) {
+  const bool pm_wal = GetParam();
+  if (!pm_wal) {
+    faulty_env_.reset(new test::FaultyEnv(PosixEnv()));
+    faulty_env_->fail_only_under =
+        ShardedDB::ShardDirName(dbname_, 1) + "/wal-";
+    options_.env = faulty_env_.get();
+  }
+  Open();
+  std::vector<uint64_t> filler;
+  PmPool* pool = sharded()->shard(1)->pm_pool();
+  if (pm_wal) {
+    PmPool::ObjectInfo info;
+    char* data = nullptr;
+    while (pool->Allocate(kPmLogSegmentBytes, /*kind=*/99, &info, &data)
+               .ok()) {
+      filler.push_back(info.id);
+    }
+    ASSERT_FALSE(filler.empty());
+  } else {
+    faulty_env_->fail_writes = true;
+  }
+
+  // Participants run in shard order, so shard 1's prepare is the second.
+  WriteBatch batch;
+  batch.Put(KeyForShard(0, 400), "torn?");
+  batch.Put(KeyForShard(1, 400), std::string(kPmLogSegmentBytes, 'x'));
+  const uint64_t waves_before = FanoutWaves();
+  EXPECT_FALSE(db_->Write(WriteOptions(), &batch).ok());
+  // PM WAL: inline prepare and rollback waves; SSD WAL: one parallel
+  // prepare wave, then an inline rollback wave.
+  EXPECT_EQ(FanoutWaves() - waves_before, pm_wal ? 0u : 1u);
+
+  for (uint32_t shard : {0u, 1u}) {
+    std::string value;
+    EXPECT_TRUE(db_->Get(ReadOptions(), KeyForShard(shard, 400), &value)
+                    .IsNotFound())
+        << "shard " << shard;
+    EXPECT_TRUE(sharded()->shard(shard)->GetRetainedTxnIds().empty())
+        << "shard " << shard << " kept the aborted txn";
+  }
+  uint64_t rolled_back = 0;
+  ASSERT_TRUE(db_->GetProperty("pmblade.txn.rolled_back", &rolled_back));
+  EXPECT_GE(rolled_back, 1u) << "shard 0's prepare was never rolled back";
+
+  for (uint64_t id : filler) ASSERT_TRUE(pool->Free(id).ok());
+  if (!pm_wal) faulty_env_->fail_writes = false;
+  Open();
+  for (uint32_t shard : {0u, 1u}) {
+    std::string value;
+    EXPECT_TRUE(db_->Get(ReadOptions(), KeyForShard(shard, 400), &value)
+                    .IsNotFound())
+        << "aborted batch surfaced on shard " << shard << " after reopen";
+  }
+  uint64_t in_doubt = 0;
+  ASSERT_TRUE(db_->GetProperty("pmblade.txn.in_doubt", &in_doubt));
+  EXPECT_EQ(in_doubt, 0u);
+  // The reopened engine commits cross-shard batches again.
+  WriteBatch after;
+  after.Put(KeyForShard(0, 401), "a");
+  after.Put(KeyForShard(1, 401), "a");
+  EXPECT_TRUE(db_->Write(WriteOptions(), &after).ok());
 }
 
 // ---------------------------------------------------------------------------
