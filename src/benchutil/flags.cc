@@ -1,5 +1,7 @@
 #include "benchutil/flags.h"
 
+#include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
@@ -23,76 +25,63 @@ Flags::Flags(int argc, char** argv) {
   }
 }
 
-bool Flags::Has(const std::string& name) const {
+const std::string* Flags::Find(const std::string& name) const {
   for (const auto& [k, v] : kv_) {
-    (void)v;
-    if (k == name) return true;
+    if (k == name) return &v;
   }
-  return false;
+  return nullptr;
+}
+
+bool Flags::Has(const std::string& name) const {
+  return Find(name) != nullptr;
 }
 
 int64_t Flags::Int(const std::string& name, int64_t default_value) const {
-  for (const auto& [k, v] : kv_) {
-    if (k == name) return strtoll(v.c_str(), nullptr, 10);
-  }
-  return default_value;
+  const std::string* v = Find(name);
+  return v != nullptr ? strtoll(v->c_str(), nullptr, 10) : default_value;
 }
 
 double Flags::Double(const std::string& name, double default_value) const {
-  for (const auto& [k, v] : kv_) {
-    if (k == name) return strtod(v.c_str(), nullptr);
-  }
-  return default_value;
+  const std::string* v = Find(name);
+  return v != nullptr ? strtod(v->c_str(), nullptr) : default_value;
 }
 
 bool Flags::Bool(const std::string& name, bool default_value) const {
-  for (const auto& [k, v] : kv_) {
-    if (k == name) return v == "true" || v == "1";
-  }
-  return default_value;
+  const std::string* v = Find(name);
+  return v != nullptr ? *v == "true" || *v == "1" : default_value;
 }
 
 std::string Flags::Str(const std::string& name,
                        const std::string& default_value) const {
-  for (const auto& [k, v] : kv_) {
-    if (k == name) return v;
-  }
-  return default_value;
+  const std::string* v = Find(name);
+  return v != nullptr ? *v : default_value;
 }
 
 std::vector<int64_t> Flags::IntList(
     const std::string& name, std::vector<int64_t> default_value) const {
-  for (const auto& [k, v] : kv_) {
-    if (k != name) continue;
-    std::vector<int64_t> out;
-    const char* p = v.c_str();
-    while (*p != '\0') {
-      char* end = nullptr;
-      long long parsed = strtoll(p, &end, 10);
-      if (end != p) out.push_back(parsed);
-      p = end;
-      while (*p == ',' || *p == ' ') ++p;
-    }
-    return out;
-  }
-  return default_value;
-}
-
-std::vector<std::string> Flags::Unknown(
-    const std::vector<std::string>& known) const {
-  std::vector<std::string> out;
-  for (const auto& [k, v] : kv_) {
-    (void)v;
-    bool found = false;
-    for (const auto& name : known) {
-      if (k == name) {
-        found = true;
-        break;
-      }
-    }
-    if (!found) out.push_back(k);
+  const std::string* v = Find(name);
+  if (v == nullptr) return default_value;
+  std::vector<int64_t> out;
+  const char* p = v->c_str();
+  while (*p != '\0') {
+    char* end = nullptr;
+    long long parsed = strtoll(p, &end, 10);
+    if (end != p) out.push_back(parsed);
+    p = end != p ? end : p + 1;  // skip a malformed character
+    while (*p == ',' || *p == ' ') ++p;
   }
   return out;
+}
+
+bool Flags::ReportUnknown(const std::vector<std::string>& known) const {
+  bool any = false;
+  for (const auto& [k, v] : kv_) {
+    if (std::find(known.begin(), known.end(), k) == known.end()) {
+      fprintf(stderr, "unknown flag --%s\n", k.c_str());
+      any = true;
+    }
+  }
+  return any;
 }
 
 }  // namespace bench

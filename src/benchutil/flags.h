@@ -33,12 +33,14 @@ class Flags {
 
   const std::vector<std::string>& positional() const { return positional_; }
 
-  /// Flags that are not in `known` — tools that want strict parsing print
-  /// these and exit. Returns flag names without the leading "--".
-  std::vector<std::string> Unknown(
-      const std::vector<std::string>& known) const;
+  /// Strict parsing: prints "unknown flag --<name>" to stderr for each
+  /// flag not in `known`, and returns whether there was any.
+  bool ReportUnknown(const std::vector<std::string>& known) const;
 
  private:
+  /// The value of the first --name, or nullptr when absent.
+  const std::string* Find(const std::string& name) const;
+
   std::vector<std::pair<std::string, std::string>> kv_;
   std::vector<std::string> positional_;
 };

@@ -1,7 +1,7 @@
 #include "benchutil/reporter.h"
 
+#include <algorithm>
 #include <cstdio>
-#include <cstring>
 
 namespace pmblade {
 namespace bench {
@@ -72,6 +72,66 @@ void TablePrinter::Print(const std::string& title) const {
   putchar('\n');
   for (const auto& row : rows_) print_row(row);
   fflush(stdout);
+}
+
+void ReportOps(const std::string& name, uint64_t ops, uint64_t nanos,
+               const Histogram& latency) {
+  double micros_per_op = ops > 0 ? nanos / 1000.0 / ops : 0;
+  double ops_per_sec = nanos > 0 ? ops * 1e9 / nanos : 0;
+  printf("%-12s : %9.3f us/op; %10.0f ops/sec; p99 %9.3f us (%llu ops)\n",
+         name.c_str(), micros_per_op, ops_per_sec,
+         latency.Percentile(99) / 1000.0,
+         static_cast<unsigned long long>(ops));
+  fflush(stdout);
+}
+
+JsonObject& JsonObject::Str(const std::string& key,
+                            const std::string& value) {
+  std::string quoted = "\"";
+  for (char c : value) {
+    if (c == '"' || c == '\\') quoted += '\\';
+    quoted += c;
+  }
+  return Raw(key, quoted + "\"");
+}
+
+JsonObject& JsonObject::Rows(const std::string& key,
+                             const std::vector<JsonObject>& rows) {
+  std::string array = "[";
+  for (size_t i = 0; i < rows.size(); ++i) {
+    array += (i == 0 ? "" : ", ") + rows[i].ToString();
+  }
+  return Raw(key, array + "]");
+}
+
+JsonObject& JsonObject::Append(const JsonObject& other) {
+  if (!fields_.empty() && !other.fields_.empty()) fields_ += ", ";
+  fields_ += other.fields_;
+  return *this;
+}
+
+JsonObject& JsonObject::Raw(const std::string& key, const std::string& json) {
+  if (!fields_.empty()) fields_ += ", ";
+  fields_ += "\"" + key + "\": " + json;
+  return *this;
+}
+
+std::string JsonRows(const std::vector<JsonObject>& rows) {
+  std::string json = "[\n";
+  for (size_t i = 0; i < rows.size(); ++i) {
+    json += "  " + rows[i].ToString() + (i + 1 < rows.size() ? ",\n" : "\n");
+  }
+  return json + "]\n";
+}
+
+bool WriteTextFile(const std::string& path, const std::string& text) {
+  if (path.empty()) return true;
+  FILE* out = fopen(path.c_str(), "w");
+  if (out == nullptr) return false;
+  const bool ok = fputs(text.c_str(), out) >= 0;
+  if (fclose(out) != 0 || !ok) return false;
+  printf("wrote %s\n", path.c_str());
+  return true;
 }
 
 }  // namespace bench

@@ -60,7 +60,7 @@ struct BenchEnvOptions {
   size_t block_cache_bytes = 256 << 10;
   /// Bloom bits per key for SSTable filter blocks and the PM tables' DRAM
   /// whole-table filters; <= 0 disables filters (the no-filter baseline of
-  /// `benchmark_kv --read_skew`).
+  /// the `read_skew` sweep).
   int bloom_bits_per_key = 10;
   /// When nonzero, the PM-Blade configs run the MemoryArbiter over this
   /// budget (memtable quota / block cache / keep-set τ_t).
@@ -68,12 +68,12 @@ struct BenchEnvOptions {
   uint64_t arbiter_interval_ms = 250;
   /// Compaction scheduler pool size and per-victim key-range subcompaction
   /// fan-out for the PM-Blade configs (1/1 = the historical single-worker,
-  /// one-slice pipeline). Swept by `benchmark_kv --compaction_parallel`.
+  /// one-slice pipeline). Swept by the `compaction_parallel` sweep.
   int compaction_workers = 1;
   int max_subcompactions = 1;
   /// SSD compaction shape for the PM-Blade configs: "leveled" (default),
   /// "tiered" or "lazy_leveling" (see Options::compaction_policy). Swept by
-  /// `benchmark_kv --benchmarks=policy_sweep`. Non-leveled values make the
+  /// the `policy_sweep` sweep. Non-leveled values make the
   /// conventional-policy config (PMBlade-PM, leveled-only) fail to open;
   /// the baseline engines ignore it.
   std::string compaction_policy = "leveled";
@@ -120,6 +120,8 @@ class BenchEnv {
     return engine_ != nullptr ? engine_->metrics_registry() : nullptr;
   }
 
+  /// The open engine, whichever family; nullptr before the first open.
+  KvEngine* engine() const { return engine_; }
   SsdModel* ssd_model() { return model_.get(); }
   SimEnv* sim_env() { return sim_env_.get(); }
   DB* pmblade_db() { return db_.get(); }
@@ -127,8 +129,8 @@ class BenchEnv {
   LeveledDb* leveled_db() { return leveled_.get(); }
   EngineConfig config() const { return config_; }
 
-  /// Benches that reopen the engine per measurement point (write_scaling,
-  /// compaction_parallel, ...) may tweak these between OpenEngine calls.
+  /// Benches that reopen the engine per measurement point (the sweeps in
+  /// benchutil/sweep.h) may tweak these between OpenEngine calls.
   /// Takes effect on the next OpenEngine.
   BenchEnvOptions* mutable_options() { return &options_; }
 

@@ -24,31 +24,9 @@ CostDecision CostModel::EvaluateInternal(const PartitionCounters& p) const {
   return d;
 }
 
-uint64_t CostModel::AdaptiveTauT(uint64_t reads, uint64_t writes,
-                                 double max_factor) const {
-  if (max_factor < 1.0) max_factor = 1.0;
-  // Sum in double: these counters accumulate for the process lifetime, and
-  // reads + writes in uint64 wraps for counters past 2^63 — a write-heavy
-  // mix would then read as read-dominated and inflate τ_t.
-  double total = static_cast<double>(reads) + static_cast<double>(writes);
-  if (total == 0.0) return base_tau_t();
-  double read_share = static_cast<double>(reads) / total;
-  // Linear ramp: read_share <= 0.5 -> 1.0x; read_share = 1.0 -> max_factor.
-  double scale = 1.0;
-  if (read_share > 0.5) {
-    scale = 1.0 + (read_share - 0.5) * 2.0 * (max_factor - 1.0);
-  }
-  double scaled = static_cast<double>(base_tau_t()) * scale;
-  // Casting a double above 2^64 to uint64_t is undefined; saturate instead.
-  if (scaled >= 18446744073709551615.0) return UINT64_MAX;
-  return static_cast<uint64_t>(scaled);
-}
-
 std::vector<size_t> CostModel::SelectRetained(
     const std::vector<PartitionCounters>& partitions,
-    uint64_t tau_t_override) const {
-  const uint64_t budget =
-      tau_t_override != 0 ? tau_t_override : base_tau_t();
+    uint64_t budget) const {
   std::vector<size_t> order(partitions.size());
   std::iota(order.begin(), order.end(), size_t{0});
   // Hottest first: reads per byte.

@@ -106,35 +106,27 @@ class CostModel {
 
   /// Eq. 3 greedy knapsack: returns the indices (into `partitions`) of the
   /// retained set Φ — hottest first by nᵢʳ/sᵢ until the budget is filled.
-  /// Everything not returned is the major-compaction set P − Φ.
-  /// `tau_t_override` replaces params().tau_t when non-zero (used by the
-  /// adaptive-τ_t policy below).
+  /// Everything not returned is the major-compaction set P − Φ. Callers
+  /// read the τ_t `budget` once from base_tau_t(), so the budget they
+  /// report is the one used.
   std::vector<size_t> SelectRetained(
       const std::vector<PartitionCounters>& partitions,
-      uint64_t tau_t_override = 0) const;
-
-  /// The paper's τ_t adjustment ("When the system is mainly serving reads,
-  /// the data accumulation on PM will be slow. Then we can increase τ_t, to
-  /// leave more data in PM."): scales τ_t by up to `max_factor` as the
-  /// read share of recent traffic goes from 1/2 to 1. A write-dominated mix
-  /// keeps the base τ_t.
-  uint64_t AdaptiveTauT(uint64_t reads, uint64_t writes,
-                        double max_factor) const;
+      uint64_t budget) const;
 
   const CostModelParams& params() const { return params_; }
 
   /// Memory-arbiter hook: a runtime replacement for params().tau_t (the
   /// Eq. 3 keep-set budget). 0 = use the configured value. Atomic so the
   /// arbiter thread can retune it against concurrent compaction checks;
-  /// SelectRetained and AdaptiveTauT read it through base_tau_t().
+  /// keep-set callers read it through base_tau_t().
   void set_dynamic_tau_t(uint64_t bytes) {
     dynamic_tau_t_.store(bytes, std::memory_order_relaxed);
   }
   uint64_t dynamic_tau_t() const {
     return dynamic_tau_t_.load(std::memory_order_relaxed);
   }
-  /// The effective Eq. 3 budget before adaptive scaling or per-call
-  /// overrides: the arbiter's target when set, else the configured τ_t.
+  /// The effective Eq. 3 budget: the arbiter's target when set, else the
+  /// configured τ_t.
   uint64_t base_tau_t() const {
     uint64_t dynamic = dynamic_tau_t();
     return dynamic != 0 ? dynamic : params_.tau_t;

@@ -18,12 +18,10 @@ EvictionPick CompactionPicker::PickEviction(const PickContext& ctx) const {
   for (const PartitionView& view : ctx.partitions) {
     all.push_back(view.counters);
   }
-  if (options_.adaptive_tau_t) {
-    pick.tau_t = cost_->AdaptiveTauT(ctx.recent_reads, ctx.recent_writes,
-                                     options_.tau_t_max_factor);
-  }
   // Greedy knapsack (Eq. 3): keep the hottest partitions within the τ_t
-  // budget; everything else with level-0 data is an eviction victim.
+  // budget (the arbiter's target when it runs); everything else with
+  // level-0 data is an eviction victim.
+  pick.tau_t = cost_->base_tau_t();
   std::vector<size_t> retained = cost_->SelectRetained(all, pick.tau_t);
   pick.keep.insert(retained.begin(), retained.end());
   for (size_t i = 0; i < ctx.partitions.size(); ++i) {

@@ -52,9 +52,6 @@ struct CompactionPolicyOptions {
   /// this level is merged in place (tiered) or into the single last-level
   /// run (lazy leveling), which bounds space amplification.
   uint32_t max_ssd_levels = 3;
-  /// Mirror of Options::adaptive_tau_t / tau_t_max_factor (Section IV-C).
-  bool adaptive_tau_t = false;
-  double tau_t_max_factor = 2.0;
 };
 
 /// What a picker sees of one partition, snapshotted under the DB mutex.
@@ -78,9 +75,6 @@ struct PickContext {
   /// PM-pool pressure backstop: the pool is nearly full, evict regardless
   /// of τ_m (see RunCompactionsLocked).
   bool pool_pressure = false;
-  /// Traffic mix since the last compaction, for adaptive τ_t.
-  uint64_t recent_reads = 0;
-  uint64_t recent_writes = 0;
 };
 
 /// One SSD compaction. Inputs: optionally the partition's whole level-0
@@ -108,7 +102,7 @@ struct EvictionPick {
   bool evaluated = false;
   std::vector<CompactionJob> jobs;
   std::set<size_t> keep;  // partition indices retained (Φ)
-  uint64_t tau_t = 0;     // override used; 0 = the configured default
+  uint64_t tau_t = 0;     // the Eq. 3 budget the knapsack used
 };
 
 class CompactionPicker {

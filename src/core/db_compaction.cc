@@ -299,8 +299,7 @@ void DBImpl::EmitKeepSetEvent(const std::vector<PartitionCounters>& all,
       obs::Event(obs::EventType::kKeepSetSelected, clock_->NowNanos())
           .With("partitions", static_cast<double>(all.size()))
           .With("kept", static_cast<double>(keep.size()))
-          .With("tau_t", static_cast<double>(
-                             tau_t != 0 ? tau_t : options_.cost.tau_t))
+          .With("tau_t", static_cast<double>(tau_t))
           .With("total_l0_bytes", static_cast<double>(total_l0_bytes))
           .WithDetail(std::move(detail)));
 }
@@ -405,8 +404,6 @@ PickContext DBImpl::BuildPickContextLocked(const std::set<Partition*>& ours) {
     view.claimable =
         ours.count(partition) != 0 || compacting_.count(partition) == 0;
     ctx.total_l0_bytes += view.l0_bytes;
-    ctx.recent_reads += view.counters.reads;
-    ctx.recent_writes += view.counters.writes;
     ctx.partitions.push_back(std::move(view));
   }
   // PM-pressure backstop: the Eq. 3 gate also fires when the pool runs
@@ -698,12 +695,11 @@ Status DBImpl::CompactToLevel1(bool respect_cost_model) {
         all.push_back(partition->Counters());
         total_l0 += partition->L0Bytes();
       }
-      std::vector<size_t> retained = cost_model_->SelectRetained(all);
+      const uint64_t tau_t = cost_model_->base_tau_t();
+      std::vector<size_t> retained = cost_model_->SelectRetained(all, tau_t);
       keep.insert(retained.begin(), retained.end());
       keep_set_counter_->Inc();
-      if (events_.active()) {
-        EmitKeepSetEvent(all, keep, /*tau_t=*/0, total_l0);
-      }
+      if (events_.active()) EmitKeepSetEvent(all, keep, tau_t, total_l0);
     }
     std::vector<MajorJob> jobs;
     for (size_t i = 0; i < partitions_.size(); ++i) {

@@ -340,7 +340,8 @@ class DBImpl final : public DB {
   /// WALs); called after a successful manifest commit.
   void RetryPendingFileGcLocked();
   /// Emits a keep_set_selected event carrying the Eq. 3 score of every
-  /// partition (reads/byte) and which side of the knapsack it landed on.
+  /// partition (reads/byte), which side of the knapsack it landed on, and
+  /// the budget `tau_t` the knapsack used.
   void EmitKeepSetEvent(const std::vector<PartitionCounters>& all,
                         const std::set<size_t>& keep, uint64_t tau_t,
                         uint64_t total_l0_bytes);

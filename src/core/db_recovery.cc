@@ -90,8 +90,6 @@ Status DBImpl::Init() {
     popts_policy.policy = options_.compaction_policy;
     popts_policy.size_ratio = options_.compaction_size_ratio;
     popts_policy.max_ssd_levels = options_.max_ssd_levels;
-    popts_policy.adaptive_tau_t = options_.adaptive_tau_t;
-    popts_policy.tau_t_max_factor = options_.tau_t_max_factor;
     PMBLADE_RETURN_IF_ERROR(
         NewCompactionPicker(popts_policy, cost_model_.get(), &picker_));
   }

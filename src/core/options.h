@@ -128,11 +128,6 @@ struct Options {
   bool enable_cost_model = true;
   uint32_t l0_table_trigger = 8;
   CostModelParams cost;
-  /// Adapt τ_t to the traffic mix (Section IV-C): when reads dominate, PM
-  /// fills slowly and more of it can be spent on retention. τ_t scales up
-  /// to `tau_t_max_factor` as the read share goes from 1/2 to 1.
-  bool adaptive_tau_t = false;
-  double tau_t_max_factor = 2.0;
   /// Internal compaction output table target size.
   uint64_t internal_table_target_bytes = 4ull << 20;
   MajorCompactionOptions major;

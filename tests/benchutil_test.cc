@@ -1,17 +1,22 @@
 // Tests for the benchmark substrate: key/value/op generators, the YCSB
-// workload driver, the online-retail workload and the engine runner.
+// workload driver, the online-retail workload, the engine runner, the JSON
+// writer and the benchmark_kv sweeps.
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <map>
 #include <set>
+#include <sstream>
 
 #include "benchutil/flags.h"
 #include "benchutil/reporter.h"
 #include "benchutil/retail_workload.h"
 #include "benchutil/runner.h"
+#include "benchutil/sweep.h"
 #include "benchutil/workload.h"
 #include "benchutil/ycsb.h"
+#include "obs/exporter.h"
 
 namespace pmblade {
 namespace bench {
@@ -262,13 +267,17 @@ TEST(FlagsTest, HasListsUnknownAndPositional) {
   ASSERT_EQ(conns.size(), 3u);
   EXPECT_EQ(conns[0], 1);
   EXPECT_EQ(conns[2], 32);
+  const char* malformed_argv[] = {"prog", "--conns=1,x,3"};
+  Flags malformed(2, const_cast<char**>(malformed_argv));
+  EXPECT_EQ(malformed.IntList("conns", {}), (std::vector<int64_t>{1, 3}));
   std::vector<int64_t> fallback = flags.IntList("absent", {2, 4});
   ASSERT_EQ(fallback.size(), 2u);
   EXPECT_EQ(fallback[1], 4);
 
-  std::vector<std::string> unknown = flags.Unknown({"conns"});
-  ASSERT_EQ(unknown.size(), 1u);
-  EXPECT_EQ(unknown[0], "typo");
+  testing::internal::CaptureStderr();
+  EXPECT_TRUE(flags.ReportUnknown({"conns"}));
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "unknown flag --typo\n");
+  EXPECT_FALSE(flags.ReportUnknown({"conns", "typo"}));
 
   ASSERT_EQ(flags.positional().size(), 1u);
   EXPECT_EQ(flags.positional()[0], "seedfile");
@@ -282,6 +291,120 @@ TEST(TablePrinterTest, FormatsUnits) {
   EXPECT_EQ(TablePrinter::FmtNanos(500), "500 ns");
   EXPECT_EQ(TablePrinter::FmtNanos(1500), "1.50 us");
   EXPECT_EQ(TablePrinter::FmtNanos(2.5e6), "2.50 ms");
+}
+
+TEST(JsonObjectTest, KeepsKeyOrderPrecisionAndNesting) {
+  JsonObject row;
+  row.Str("mode", "a\"b")
+      .Int("gets", uint64_t{20000})
+      .Int("failed_cycle", -1)
+      .Num("ratio", 0.5, 4)
+      .Bool("ok", true)
+      .Obj("arbiter", JsonObject().Int("rebalances", 3))
+      .Rows("configs", {JsonObject().Int("x", 1), JsonObject()});
+  EXPECT_EQ(row.ToString(),
+            "{\"mode\": \"a\\\"b\", \"gets\": 20000, \"failed_cycle\": -1, "
+            "\"ratio\": 0.5000, \"ok\": true, "
+            "\"arbiter\": {\"rebalances\": 3}, "
+            "\"configs\": [{\"x\": 1}, {}]}");
+  row.Append(JsonObject().Int("pm", 2));
+  const std::string rows = JsonRows({row, JsonObject()});
+  EXPECT_TRUE(obs::JsonLint(rows)) << rows;
+  EXPECT_EQ(JsonRows({}), "[\n]\n");
+}
+
+// Every benchmark_kv sweep runs in-process at a tiny size: its JSON must
+// parse and carry each key the CI gates read, and the caller's options and
+// a fresh engine come back afterwards.
+TEST(SweepTest, EverySweepWritesTheKeysItsGatesRead) {
+  const std::string dir = ::testing::TempDir();
+  SweepParams params;
+  params.num = 2000;
+  params.writers = 2;
+  params.compaction_workers = 2;
+  KeySpec spec;
+  spec.num_keys = params.num;
+  BenchEnvOptions eopts;
+  eopts.root = dir + "pmblade_sweep_test";
+  eopts.inject_ssd_latency = false;
+  eopts.inject_pm_latency = false;
+  eopts.partition_boundaries = KeyGenerator(spec).PartitionBoundaries(8);
+  BenchEnv env(eopts);
+  KvEngine* engine = nullptr;
+  ASSERT_TRUE(env.OpenEngine(EngineConfig::kPmBlade, &engine).ok());
+
+  struct Expect {
+    size_t rows;
+    std::vector<std::string> keys;
+  };
+  const std::map<std::string, Expect> expected = {
+      {"write_scaling",
+       {2,
+        {"writers", "ssd", "pm", "ops", "ops_per_sec", "p99_us", "groups",
+         "writes_per_group", "syncs", "ssd_writes_per_put"}}},
+      {"compaction_parallel",
+       {2,
+        {"workers", "major_wall_ms", "subcompaction_slices", "fill_ops",
+         "fill_ops_per_sec", "fill_p99_us", "speedup"}}},
+      {"policy_sweep",
+       {3,
+        {"policy", "fill", "write_amp", "space_amp", "user_bytes",
+         "compaction_bytes", "ssd_runs", "max_ssd_level", "read",
+         "ssd_reads_per_get", "mixed"}}},
+      {"read_skew",
+       {3,
+        {"mode", "gets", "ops_per_sec", "ssd_reads_per_get",
+         "bloom_negatives_per_get", "cache_hit_ratio", "arbiter",
+         "rebalances", "read_phase", "write_phase", "memtable_target",
+         "block_cache_target"}}},
+  };
+  std::vector<Sweep> sweeps = BenchmarkSweeps(params);
+  ASSERT_EQ(sweeps.size(), expected.size());
+  for (Sweep& sweep : sweeps) {
+    SCOPED_TRACE(sweep.name);
+    ASSERT_EQ(expected.count(sweep.name), 1u);
+    const Expect& want = expected.at(sweep.name);
+    sweep.output = dir + "pmblade_sweep_test_" + sweep.output;
+    ASSERT_TRUE(RunSweep(sweep, &env).ok());
+
+    std::ifstream in(sweep.output);
+    std::stringstream text;
+    text << in.rdbuf();
+    const std::string json = text.str();
+    EXPECT_TRUE(obs::JsonLint(json)) << json;
+    size_t rows = 0;
+    for (size_t pos = json.find("\n  {"); pos != std::string::npos;
+         pos = json.find("\n  {", pos + 1)) {
+      ++rows;
+    }
+    EXPECT_EQ(rows, want.rows) << json;
+    for (const std::string& key : want.keys) {
+      EXPECT_NE(json.find("\"" + key + "\": "), std::string::npos)
+          << key << " missing from " << json;
+    }
+
+    // The runner restored the options and reopened a fresh engine.
+    EXPECT_EQ(env.mutable_options()->memtable_bytes, eopts.memtable_bytes);
+    EXPECT_EQ(env.mutable_options()->compaction_policy, "leveled");
+    EXPECT_FALSE(env.mutable_options()->wal_in_pm);
+    EXPECT_EQ(env.mutable_options()->partition_boundaries.size(), 7u);
+    ASSERT_NE(env.pmblade_db(), nullptr);
+    EXPECT_EQ(env.UserBytesWritten(), 0u);
+  }
+}
+
+TEST(SweepTest, RejectsEnginesItCannotRunOn) {
+  BenchEnvOptions eopts;
+  eopts.root = ::testing::TempDir() + "pmblade_sweep_engine_test";
+  eopts.inject_ssd_latency = false;
+  eopts.inject_pm_latency = false;
+  BenchEnv env(eopts);
+  KvEngine* engine = nullptr;
+  ASSERT_TRUE(env.OpenEngine(EngineConfig::kRocksStyle, &engine).ok());
+  for (const Sweep& sweep : BenchmarkSweeps(SweepParams())) {
+    if (sweep.name == "write_scaling") continue;  // runs on any engine
+    EXPECT_TRUE(RunSweep(sweep, &env).IsInvalidArgument()) << sweep.name;
+  }
 }
 
 }  // namespace

@@ -140,6 +140,27 @@ TEST(CompactionPickerTest, EvictionSkipsUnclaimableAndEmptyPartitions) {
   EXPECT_EQ(pick.jobs[0].partition_index, 2u);
 }
 
+// The pick carries the keep-set budget the knapsack used, which is what the
+// keep_set_selected event reports: the configured τ_t, then the memory
+// arbiter's target once it has set one.
+TEST(CompactionPickerTest, EvictionReportsTheBudgetItUsed) {
+  CostModel model(EagerParams());
+  PickContext ctx = MakeContext({MakeView({}, /*l0_bytes=*/4096)});
+  std::unique_ptr<CompactionPicker> picker =
+      MakePicker(PolicyOpts("leveled"), &model);
+
+  EvictionPick pick = picker->PickEviction(ctx);
+  EXPECT_EQ(pick.tau_t, 1u);
+  EXPECT_TRUE(pick.keep.empty());
+  EXPECT_EQ(pick.jobs.size(), 1u);
+
+  model.set_dynamic_tau_t(8192);
+  pick = picker->PickEviction(ctx);
+  EXPECT_EQ(pick.tau_t, 8192u);
+  EXPECT_EQ(pick.keep.count(0), 1u);  // 4 KiB now fits the budget
+  EXPECT_TRUE(pick.jobs.empty());
+}
+
 TEST(LeveledPickerTest, MaintenanceOnlyFiresOnForeignShapes) {
   CostModel model(EagerParams());
   std::unique_ptr<CompactionPicker> picker =

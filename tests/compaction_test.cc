@@ -358,7 +358,7 @@ TEST(CostModelTest, Eq3GreedyKeepsHottestPerByte) {
   parts[2].size_bytes = 40;
   parts[2].reads = 80;  // 2 reads/byte
 
-  auto retained = model.SelectRetained(parts);
+  auto retained = model.SelectRetained(parts, model.base_tau_t());
   // Greedy: keep partition 1 (60), then partition 0 does not fit (120 > 100)
   // but partition 2 does (100 exactly).
   ASSERT_EQ(retained.size(), 2u);
@@ -366,22 +366,7 @@ TEST(CostModelTest, Eq3GreedyKeepsHottestPerByte) {
   EXPECT_EQ(retained[1], 2u);
 }
 
-TEST(CostModelTest, AdaptiveTauTScalesWithReadShare) {
-  CostModelParams params;
-  params.tau_t = 1000;
-  CostModel model(params);
-  // Write-dominated or balanced traffic keeps the base budget.
-  EXPECT_EQ(model.AdaptiveTauT(0, 100, 2.0), 1000u);
-  EXPECT_EQ(model.AdaptiveTauT(50, 50, 2.0), 1000u);
-  // Read-dominated traffic scales up, reaching max_factor at 100% reads.
-  EXPECT_EQ(model.AdaptiveTauT(75, 25, 2.0), 1500u);
-  EXPECT_EQ(model.AdaptiveTauT(100, 0, 2.0), 2000u);
-  // No traffic at all: base budget; factor < 1 clamped to 1.
-  EXPECT_EQ(model.AdaptiveTauT(0, 0, 2.0), 1000u);
-  EXPECT_EQ(model.AdaptiveTauT(100, 0, 0.5), 1000u);
-}
-
-TEST(CostModelTest, SelectRetainedHonorsOverrideBudget) {
+TEST(CostModelTest, SelectRetainedHonorsTheGivenBudget) {
   CostModelParams params;
   params.tau_t = 100;
   CostModel model(params);
@@ -392,8 +377,8 @@ TEST(CostModelTest, SelectRetainedHonorsOverrideBudget) {
   parts[1].partition_id = 1;
   parts[1].size_bytes = 80;
   parts[1].reads = 400;
-  // Default budget fits one partition; a doubled override fits both.
-  EXPECT_EQ(model.SelectRetained(parts).size(), 1u);
+  // The configured budget fits one partition; a doubled one fits both.
+  EXPECT_EQ(model.SelectRetained(parts, model.base_tau_t()).size(), 1u);
   EXPECT_EQ(model.SelectRetained(parts, 200).size(), 2u);
 }
 

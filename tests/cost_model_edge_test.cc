@@ -1,8 +1,7 @@
 // Cost-model edge cases (Eqs. 1-3): zero read frequency, empty partition
 // sets, zero-size partitions, and counters near the uint64 range where the
-// naive arithmetic used to wrap. The overflow cases pin down two real fixes
-// in src/compaction/cost_model.cc: SelectRetained's knapsack admission test
-// and AdaptiveTauT's read-share computation.
+// naive arithmetic used to wrap. The overflow cases pin down a real fix in
+// src/compaction/cost_model.cc: SelectRetained's knapsack admission test.
 
 #include <gtest/gtest.h>
 
@@ -70,7 +69,7 @@ TEST(CostModelEdgeTest, GateBlocksBothEquationsOnColdPartition) {
 
 TEST(CostModelEdgeTest, SelectRetainedOnEmptyPartitionSetIsEmpty) {
   CostModel model{CostModelParams{}};
-  EXPECT_TRUE(model.SelectRetained({}).empty());
+  EXPECT_TRUE(model.SelectRetained({}, model.base_tau_t()).empty());
 }
 
 TEST(CostModelEdgeTest, ZeroSizePartitionsAreAlwaysRetained) {
@@ -83,7 +82,7 @@ TEST(CostModelEdgeTest, ZeroSizePartitionsAreAlwaysRetained) {
       Counters(1, 100, 50),
       Counters(2, 0, 0),
   };
-  std::vector<size_t> retained = model.SelectRetained(parts);
+  std::vector<size_t> retained = model.SelectRetained(parts, params.tau_t);
   EXPECT_EQ(retained, (std::vector<size_t>{0, 1, 2}));
 }
 
@@ -99,7 +98,7 @@ TEST(CostModelEdgeTest, HugePartitionCannotWrapIntoTheBudget) {
       Counters(1, kU64Max - 8, 999999),  // hotter per byte ratio irrelevant
   };
   parts[1].reads_per_sec = 1e18;  // sorted first: max stress on the check
-  std::vector<size_t> retained = model.SelectRetained(parts);
+  std::vector<size_t> retained = model.SelectRetained(parts, params.tau_t);
   EXPECT_EQ(retained, (std::vector<size_t>{0}));
 }
 
@@ -112,7 +111,7 @@ TEST(CostModelEdgeTest, BudgetExactlyConsumedAdmitsBoundaryPartition) {
       Counters(1, 40, 100),  // exactly fills the remainder
       Counters(2, 1, 0),     // over budget by one byte
   };
-  std::vector<size_t> retained = model.SelectRetained(parts);
+  std::vector<size_t> retained = model.SelectRetained(parts, params.tau_t);
   EXPECT_EQ(retained, (std::vector<size_t>{0, 1}));
 }
 
@@ -125,55 +124,8 @@ TEST(CostModelEdgeTest, MaxBudgetRetainsEverything) {
       Counters(1, 1, 10),
   };
   // used reaches exactly UINT64_MAX without wrapping.
-  EXPECT_EQ(model.SelectRetained(parts), (std::vector<size_t>{0, 1}));
-}
-
-// ---------------------------------------------------------------------------
-// Adaptive τ_t: counters near overflow and cast saturation
-// ---------------------------------------------------------------------------
-
-TEST(CostModelEdgeTest, AdaptiveTauTZeroTrafficKeepsBase) {
-  CostModel model{CostModelParams{}};
-  EXPECT_EQ(model.AdaptiveTauT(0, 0, 4.0), model.params().tau_t);
-}
-
-TEST(CostModelEdgeTest, AdaptiveTauTPureReadsHitsMaxFactor) {
-  CostModel model{CostModelParams{}};
-  EXPECT_EQ(model.AdaptiveTauT(1000, 0, 4.0), model.params().tau_t * 4);
-}
-
-TEST(CostModelEdgeTest, AdaptiveTauTNearOverflowCountersStayWriteDominated) {
-  CostModel model{CostModelParams{}};
-  // reads + writes wraps in uint64 (sum = 2^64 + 2^62): the wrapped total
-  // made the read share bogus. Write share is 2/3 here, so τ_t must stay at
-  // its base value.
-  uint64_t reads = 1ull << 63;
-  uint64_t writes = (1ull << 63) + (1ull << 62);
-  EXPECT_EQ(model.AdaptiveTauT(reads, writes, 4.0), model.params().tau_t);
-}
-
-TEST(CostModelEdgeTest, AdaptiveTauTNearOverflowCountersScaleForReads) {
-  CostModel model{CostModelParams{}};
-  // Same magnitude, reversed mix: read share 3/4 ⇒ scale 1 + 0.25*2*3 = 2.5.
-  uint64_t reads = (1ull << 63) + (1ull << 62);
-  uint64_t writes = 1ull << 62;
-  EXPECT_EQ(model.AdaptiveTauT(reads, writes, 4.0),
-            static_cast<uint64_t>(model.params().tau_t * 2.5));
-}
-
-TEST(CostModelEdgeTest, AdaptiveTauTSaturatesInsteadOfOverflowingCast) {
-  CostModelParams params;
-  params.tau_t = kU64Max / 2;
-  CostModel model(params);
-  // tau_t * 4.0 exceeds the uint64 range; the cast used to be undefined
-  // behaviour. It must saturate.
-  EXPECT_EQ(model.AdaptiveTauT(1000, 0, 4.0), kU64Max);
-}
-
-TEST(CostModelEdgeTest, AdaptiveTauTClampsSubUnityMaxFactor) {
-  CostModel model{CostModelParams{}};
-  // max_factor < 1 would SHRINK τ_t on a read-heavy mix; it is clamped.
-  EXPECT_EQ(model.AdaptiveTauT(1000, 0, 0.25), model.params().tau_t);
+  EXPECT_EQ(model.SelectRetained(parts, params.tau_t),
+            (std::vector<size_t>{0, 1}));
 }
 
 }  // namespace

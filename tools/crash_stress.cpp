@@ -24,11 +24,13 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "benchutil/flags.h"
 #include "benchutil/interrupt.h"
+#include "benchutil/reporter.h"
 #include "compaction/policy/compaction_picker.h"
 #include "tests/crash_harness.h"
 #include "tests/sharded_crash_harness.h"
@@ -54,41 +56,78 @@ void Usage() {
           "                    prepare and commit, all-or-nothing reopen "
           "check\n"
           "  --max-ops=N       max operations per cycle (default 120)\n"
-          "  --dir=PATH        scratch directory (default /tmp)\n"
+          "  --dir=PATH        scratch directory, created if missing "
+          "(default /tmp)\n"
           "  --json=PATH       summary JSON (default "
           "crash_stress_summary.json, empty disables)\n"
           "  --verbose         per-cycle crash-plan log\n");
 }
 
-struct ConfigResult {
-  std::string name;
-  pmblade::test::CrashHarnessResult result;
-};
+namespace bench = pmblade::bench;
+using pmblade::test::CrashHarnessResult;
+using pmblade::test::ShardedCrashHarnessResult;
 
+// What each harness counts beyond cycles and crashes, for the summary row
+// (`json`) and the PASS line (`text`).
+void Tally(const CrashHarnessResult& r, bench::JsonObject* json,
+           std::string* text) {
+  json->Int("ops", r.ops_issued);
+  *text = std::to_string(r.ops_issued) + " ops";
+}
+void Tally(const ShardedCrashHarnessResult& r, bench::JsonObject* json,
+           std::string* text) {
+  json->Int("batches", r.batches_issued)
+      .Int("cross_shard_batches", r.cross_shard_batches);
+  *text = std::to_string(r.batches_issued) + " batches (" +
+          std::to_string(r.cross_shard_batches) + " cross-shard)";
+}
+
+// Runs one configuration, prints its verdict (with the command that
+// replays a failure) and appends its summary row; false when an invariant
+// broke.
+template <typename Harness, typename HarnessOptions>
+bool RunConfig(const std::string& name, const std::string& replay,
+               const HarnessOptions& opts,
+               std::vector<bench::JsonObject>* rows) {
+  printf("== %s: %d cycles ==\n", name.c_str(), opts.cycles);
+  fflush(stdout);
+  Harness harness(opts);
+  const auto result = harness.Run();
+  bench::JsonObject tally;
+  std::string text;
+  Tally(result, &tally, &text);
+  if (result.ok()) {
+    printf("   %s: %d cycles (%d syncpoint / %d between-op crashes), %s\n",
+           result.interrupted ? "INTERRUPTED (partial PASS)" : "PASS",
+           result.cycles_run, result.syncpoint_crashes,
+           result.between_op_crashes, text.c_str());
+  } else {
+    printf("   FAIL at cycle %d: %s\n   replay: crash_stress %s\n",
+           result.failed_cycle, result.failure.c_str(), replay.c_str());
+  }
+  fflush(stdout);
+  rows->push_back(bench::JsonObject()
+                      .Str("name", name)
+                      .Bool("ok", result.ok())
+                      .Int("cycles_run", result.cycles_run)
+                      .Int("syncpoint_crashes", result.syncpoint_crashes)
+                      .Int("between_op_crashes", result.between_op_crashes)
+                      .Append(tally)
+                      .Int("failed_cycle", result.failed_cycle));
+  return result.ok();
+}
+
+// The summary JSON: one row per configuration run.
 void WriteSummaryJson(const std::string& path, unsigned long long seed,
                       long cycles, bool interrupted,
-                      const std::vector<ConfigResult>& results) {
-  if (path.empty()) return;
-  FILE* out = fopen(path.c_str(), "w");
-  if (out == nullptr) return;
-  fprintf(out,
-          "{\n  \"seed\": %llu,\n  \"cycles_requested\": %ld,\n"
-          "  \"interrupted\": %s,\n  \"configs\": [\n",
-          seed, cycles, interrupted ? "true" : "false");
-  for (size_t i = 0; i < results.size(); ++i) {
-    const ConfigResult& r = results[i];
-    fprintf(out,
-            "    {\"name\": \"%s\", \"ok\": %s, \"cycles_run\": %d, "
-            "\"syncpoint_crashes\": %d, \"between_op_crashes\": %d, "
-            "\"ops\": %lld, \"failed_cycle\": %d}%s\n",
-            r.name.c_str(), r.result.ok() ? "true" : "false",
-            r.result.cycles_run, r.result.syncpoint_crashes,
-            r.result.between_op_crashes, r.result.ops_issued,
-            r.result.failed_cycle, i + 1 < results.size() ? "," : "");
-  }
-  fprintf(out, "  ]\n}\n");
-  fclose(out);
-  printf("wrote %s\n", path.c_str());
+                      const std::vector<bench::JsonObject>& configs) {
+  bench::WriteTextFile(path, bench::JsonObject()
+                                 .Int("seed", seed)
+                                 .Int("cycles_requested", cycles)
+                                 .Bool("interrupted", interrupted)
+                                 .Rows("configs", configs)
+                                 .ToString() +
+                                 "\n");
 }
 
 }  // namespace
@@ -96,17 +135,12 @@ void WriteSummaryJson(const std::string& path, unsigned long long seed,
 int main(int argc, char** argv) {
   using pmblade::test::CrashHarness;
   using pmblade::test::CrashHarnessOptions;
-  using pmblade::test::CrashHarnessResult;
-  namespace bench = pmblade::bench;
 
   bench::Flags flags(argc, argv);
-  std::vector<std::string> unknown = flags.Unknown(
-      {"cycles", "seed", "layout", "policy", "pm-crash-sim", "all-layouts",
-       "max-ops", "dir", "json", "verbose", "shards", "wal"});
-  if (!unknown.empty() || !flags.positional().empty()) {
-    for (const auto& f : unknown) {
-      fprintf(stderr, "unknown flag --%s\n", f.c_str());
-    }
+  if (flags.ReportUnknown({"cycles", "seed", "layout", "policy",
+                           "pm-crash-sim", "all-layouts", "max-ops", "dir",
+                           "json", "verbose", "shards", "wal"}) ||
+      !flags.positional().empty()) {
     Usage();
     return 2;
   }
@@ -149,77 +183,53 @@ int main(int argc, char** argv) {
     if (v > 0) cycles = v;
   }
 
+  // The harnesses create their DB directory inside --dir, not --dir itself.
+  std::error_code mkdir_error;
+  std::filesystem::create_directories(dir, mkdir_error);
+  if (mkdir_error) {
+    fprintf(stderr, "cannot create --dir '%s': %s\n", dir.c_str(),
+            mkdir_error.message().c_str());
+    return 2;
+  }
+
   bench::InstallInterruptHandler();
 
+  const std::string shard_flag =
+      shards > 0 ? " --shards=" + std::to_string(shards) : "";
+  const std::string replay =
+      "--seed=" + std::to_string(seed) + " --cycles=" +
+      std::to_string(cycles) + shard_flag + " --wal=" + wal +
+      (policy == "leveled" ? "" : " --policy=" + policy);
   // The seed goes out first so a dead CI job still shows how to replay.
-  printf("crash_stress: seed=%llu cycles=%ld (replay: crash_stress "
-         "--seed=%llu --cycles=%ld%s --wal=%s)\n",
-         seed, cycles, seed, cycles,
-         shards > 0 ? (" --shards=" + std::to_string(shards)).c_str() : "",
-         wal.c_str());
+  printf("crash_stress: seed=%llu cycles=%ld (replay: crash_stress %s)\n",
+         seed, cycles, replay.c_str());
   fflush(stdout);
 
+  // The knobs every configuration shares; `dbname` names its directory.
+  auto common = [&](auto* opts, const std::string& dbname) {
+    opts->dbname = dir + "/" + dbname + std::to_string(seed);
+    opts->seed = seed;
+    opts->cycles = static_cast<int>(cycles);
+    opts->max_ops_per_cycle = static_cast<int>(max_ops);
+    opts->compaction_policy = policy;
+    opts->wal_in_pm = wal_in_pm;
+    opts->verbose = verbose;
+    opts->stop_requested = [] { return bench::InterruptRequested(); };
+  };
+
+  bool ok = true;
+  std::vector<bench::JsonObject> results;
   if (shards > 0) {
     // Sharded mode: power-cut a ShardedDB between 2PC prepare and commit
     // (and everywhere else) and demand every cross-shard batch reopens
     // all-or-nothing. Layout flags don't apply — each shard is a full
     // engine with the default PM layout.
     pmblade::test::ShardedCrashHarnessOptions opts;
-    opts.dbname = dir + "/pmblade_crash_stress_sharded_" +
-                  std::to_string(static_cast<unsigned long long>(seed));
-    opts.seed = seed;
-    opts.cycles = static_cast<int>(cycles);
+    common(&opts, "pmblade_crash_stress_sharded_");
     opts.num_shards = static_cast<uint32_t>(shards);
-    opts.max_ops_per_cycle = static_cast<int>(max_ops);
-    opts.compaction_policy = policy;
-    opts.wal_in_pm = wal_in_pm;
-    opts.verbose = verbose;
-    opts.stop_requested = [] { return bench::InterruptRequested(); };
-
-    printf("== sharded x%ld, %s wal: %ld cycles ==\n", shards, wal.c_str(),
-           cycles);
-    fflush(stdout);
-    pmblade::test::ShardedCrashHarness harness(opts);
-    pmblade::test::ShardedCrashHarnessResult result = harness.Run();
-    if (result.ok()) {
-      printf("   %s: %d cycles (%d syncpoint / %d between-op crashes), "
-             "%lld batches (%lld cross-shard)\n",
-             result.interrupted ? "INTERRUPTED (partial PASS)" : "PASS",
-             result.cycles_run, result.syncpoint_crashes,
-             result.between_op_crashes, result.batches_issued,
-             result.cross_shard_batches);
-    } else {
-      printf("   FAIL at cycle %d: %s\n   replay: crash_stress --seed=%llu "
-             "--cycles=%ld --shards=%ld --wal=%s\n",
-             result.failed_cycle, result.failure.c_str(), seed, cycles,
-             shards, wal.c_str());
-    }
-    fflush(stdout);
-    if (!json_path.empty()) {
-      FILE* out = fopen(json_path.c_str(), "w");
-      if (out != nullptr) {
-        fprintf(out,
-                "{\n  \"seed\": %llu,\n  \"cycles_requested\": %ld,\n"
-                "  \"interrupted\": %s,\n  \"configs\": [\n"
-                "    {\"name\": \"sharded-x%ld-%s-wal\", \"ok\": %s, "
-                "\"cycles_run\": %d, \"syncpoint_crashes\": %d, "
-                "\"between_op_crashes\": %d, \"batches\": %lld, "
-                "\"cross_shard_batches\": %lld, \"failed_cycle\": %d}\n"
-                "  ]\n}\n",
-                seed, cycles,
-                bench::InterruptRequested() ? "true" : "false", shards,
-                wal.c_str(), result.ok() ? "true" : "false",
-                result.cycles_run,
-                result.syncpoint_crashes, result.between_op_crashes,
-                result.batches_issued, result.cross_shard_batches,
-                result.failed_cycle);
-        fclose(out);
-        printf("wrote %s\n", json_path.c_str());
-      }
-    }
-    if (!result.ok()) return 1;
-    if (bench::InterruptRequested()) return 128 + bench::InterruptSignal();
-    return 0;
+    ok = RunConfig<pmblade::test::ShardedCrashHarness>(
+        "sharded-x" + std::to_string(shards) + "-" + wal + "-wal", replay,
+        opts, &results);
   }
 
   struct Config {
@@ -227,59 +237,29 @@ int main(int argc, char** argv) {
     pmblade::L0Layout layout;
     bool pm_crash_sim;
   };
-  std::vector<Config> configs;
-  if (all_layouts) {
+  std::vector<Config> configs;  // none in sharded mode
+  if (shards == 0 && all_layouts) {
     configs = {{"pm", pmblade::L0Layout::kPmTable, false},
                {"ssd", pmblade::L0Layout::kSstable, false},
                {"pm+crash-sim", pmblade::L0Layout::kPmTable, true}};
-  } else {
+  } else if (shards == 0) {
     configs = {{layout.c_str(),
                 layout == "ssd" ? pmblade::L0Layout::kSstable
                                 : pmblade::L0Layout::kPmTable,
                 pm_crash_sim}};
   }
-
-  bool ok = true;
-  std::vector<ConfigResult> results;
   for (const Config& config : configs) {
     if (bench::InterruptRequested()) break;
     CrashHarnessOptions opts;
-    opts.dbname = dir + "/pmblade_crash_stress_" +
-                  std::to_string(static_cast<unsigned long long>(seed));
-    opts.seed = seed;
-    opts.cycles = static_cast<int>(cycles);
+    common(&opts, "pmblade_crash_stress_");
     opts.l0_layout = config.layout;
     opts.pm_crash_sim = config.pm_crash_sim;
-    opts.wal_in_pm = wal_in_pm;
-    opts.max_ops_per_cycle = static_cast<int>(max_ops);
-    opts.compaction_policy = policy;
-    opts.verbose = verbose;
-    opts.stop_requested = [] { return bench::InterruptRequested(); };
-
-    printf("== %s, %s wal: %ld cycles ==\n", config.name, wal.c_str(),
-           cycles);
-    fflush(stdout);
-    CrashHarness harness(opts);
-    CrashHarnessResult result = harness.Run();
-    results.push_back({std::string(config.name) + "-" + wal + "-wal", result});
-    if (result.ok()) {
-      printf("   %s: %d cycles (%d syncpoint / %d between-op crashes), "
-             "%lld ops\n",
-             result.interrupted ? "INTERRUPTED (partial PASS)" : "PASS",
-             result.cycles_run, result.syncpoint_crashes,
-             result.between_op_crashes, result.ops_issued);
-    } else {
-      printf("   FAIL at cycle %d: %s\n   replay: crash_stress --seed=%llu "
-             "--cycles=%ld --wal=%s --layout=%s%s%s\n",
-             result.failed_cycle, result.failure.c_str(), seed, cycles,
-             wal.c_str(),
-             config.layout == pmblade::L0Layout::kSstable ? "ssd" : "pm",
-             config.pm_crash_sim ? " --pm-crash-sim" : "",
-             policy == "leveled" ? ""
-                                 : (" --policy=" + policy).c_str());
-      ok = false;
-    }
-    fflush(stdout);
+    const bool ssd = config.layout == pmblade::L0Layout::kSstable;
+    ok &= RunConfig<CrashHarness>(
+        std::string(config.name) + "-" + wal + "-wal",
+        replay + (ssd ? " --layout=ssd" : " --layout=pm") +
+            (config.pm_crash_sim ? " --pm-crash-sim" : ""),
+        opts, &results);
   }
 
   const bool interrupted = bench::InterruptRequested();

@@ -40,6 +40,7 @@
 
 #include "benchutil/flags.h"
 #include "benchutil/interrupt.h"
+#include "benchutil/reporter.h"
 #include "net/resp.h"
 #include "util/clock.h"
 #include "util/histogram.h"
@@ -56,17 +57,6 @@ namespace bench = pmblade::bench;
 // (0 = not specified); it lets BENCH comparisons tell a 1-shard server run
 // from a 4-shard one.
 int g_shards = 0;
-
-struct PointResult {
-  std::string phase;
-  int connections = 0;
-  int pipeline = 0;
-  uint64_t ops = 0;
-  double ops_per_sec = 0;
-  double p99_window_us = 0;
-  uint64_t busy = 0;    // "-BUSY" admission sheds
-  uint64_t errors = 0;  // any other error reply or protocol failure
-};
 
 int Connect(const std::string& host, int port) {
   int fd = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
@@ -178,9 +168,13 @@ void RunConnection(const std::string& host, int port, uint64_t ops,
   close(fd);
 }
 
-bool RunPoint(const std::string& phase, const std::string& host, int port,
+/// One grid point: `connections` threads share `total_ops`. Prints the
+/// point's line, appends its JSON row and sums the connections' stats into
+/// `total` (failed = a connect or protocol failure).
+void RunPoint(const std::string& phase, const std::string& host, int port,
               int connections, int depth, uint64_t total_ops, int set_pct,
-              uint64_t keys, size_t value_size, PointResult* out) {
+              uint64_t keys, size_t value_size, WorkerStats* total,
+              std::vector<bench::JsonObject>* rows) {
   pmblade::Clock* clock = pmblade::SystemClock();
   std::vector<WorkerStats> stats(connections);
   std::vector<std::thread> threads;
@@ -195,53 +189,33 @@ bool RunPoint(const std::string& phase, const std::string& host, int port,
   for (auto& t : threads) t.join();
   const uint64_t nanos = clock->NowNanos() - start;
 
-  Histogram window;
-  out->phase = phase;
-  out->connections = connections;
-  out->pipeline = depth;
-  bool ok = true;
   for (const WorkerStats& s : stats) {
-    out->ops += s.ops;
-    out->busy += s.busy;
-    out->errors += s.errors;
-    window.Merge(s.window_nanos);
-    if (s.failed) ok = false;
+    total->ops += s.ops;
+    total->busy += s.busy;
+    total->errors += s.errors;
+    total->window_nanos.Merge(s.window_nanos);
+    total->failed |= s.failed;
   }
-  out->ops_per_sec = nanos > 0 ? out->ops * 1e9 / nanos : 0;
-  out->p99_window_us = window.Percentile(99) / 1000.0;
+  const double ops_per_sec = nanos > 0 ? total->ops * 1e9 / nanos : 0;
+  const double p99_window_us = total->window_nanos.Percentile(99) / 1000.0;
 
   printf("%-5s conns=%-3d depth=%-3d : %10.0f ops/sec; p99 window %8.1f us;"
          " busy %llu; errors %llu%s\n",
-         phase.c_str(), connections, depth, out->ops_per_sec,
-         out->p99_window_us, static_cast<unsigned long long>(out->busy),
-         static_cast<unsigned long long>(out->errors),
-         ok ? "" : "  [FAILED]");
+         phase.c_str(), connections, depth, ops_per_sec, p99_window_us,
+         static_cast<unsigned long long>(total->busy),
+         static_cast<unsigned long long>(total->errors),
+         total->failed ? "  [FAILED]" : "");
   fflush(stdout);
-  return ok;
-}
-
-void WriteJson(const std::string& path,
-               const std::vector<PointResult>& results) {
-  if (path.empty()) return;
-  FILE* out = fopen(path.c_str(), "w");
-  if (out == nullptr) return;
-  fprintf(out, "[\n");
-  for (size_t i = 0; i < results.size(); ++i) {
-    const PointResult& r = results[i];
-    fprintf(out,
-            "  {\"phase\": \"%s\", \"shards\": %d, \"connections\": %d, "
-            "\"pipeline\": %d, "
-            "\"ops\": %llu, \"ops_per_sec\": %.0f, \"p99_window_us\": %.2f, "
-            "\"busy\": %llu, \"errors\": %llu}%s\n",
-            r.phase.c_str(), g_shards, r.connections, r.pipeline,
-            static_cast<unsigned long long>(r.ops), r.ops_per_sec,
-            r.p99_window_us, static_cast<unsigned long long>(r.busy),
-            static_cast<unsigned long long>(r.errors),
-            i + 1 < results.size() ? "," : "");
-  }
-  fprintf(out, "]\n");
-  fclose(out);
-  printf("wrote %s\n", path.c_str());
+  rows->push_back(bench::JsonObject()
+                      .Str("phase", phase)
+                      .Int("shards", g_shards)
+                      .Int("connections", connections)
+                      .Int("pipeline", depth)
+                      .Int("ops", total->ops)
+                      .Num("ops_per_sec", ops_per_sec, 0)
+                      .Num("p99_window_us", p99_window_us, 2)
+                      .Int("busy", total->busy)
+                      .Int("errors", total->errors));
 }
 
 void Usage() {
@@ -270,15 +244,11 @@ void Usage() {
 
 int main(int argc, char** argv) {
   bench::Flags flags(argc, argv);
-  std::vector<std::string> unknown = flags.Unknown(
+  const bool unknown = flags.ReportUnknown(
       {"host", "port", "connections", "pipeline", "ops", "keys",
        "value_size", "set_pct", "shed", "shed_connections", "shed_pipeline",
        "shed_ops", "shards", "out"});
-  if (!unknown.empty() || !flags.positional().empty() ||
-      !flags.Has("port")) {
-    for (const auto& f : unknown) {
-      fprintf(stderr, "unknown flag --%s\n", f.c_str());
-    }
+  if (unknown || !flags.positional().empty() || !flags.Has("port")) {
     if (!flags.Has("port")) fprintf(stderr, "--port=N is required\n");
     Usage();
     return 2;
@@ -303,36 +273,36 @@ int main(int argc, char** argv) {
          static_cast<unsigned long long>(keys), value_size, set_pct);
 
   bool ok = true;
-  std::vector<PointResult> results;
+  std::vector<bench::JsonObject> rows;
   for (int64_t conns : connections) {
     for (int64_t depth : pipeline) {
       if (conns < 1 || depth < 1) continue;
       if (bench::InterruptRequested()) break;
-      PointResult r;
-      ok &= RunPoint("grid", host, port, static_cast<int>(conns),
-                     static_cast<int>(depth), ops, set_pct, keys,
-                     value_size, &r);
-      results.push_back(r);
+      WorkerStats total;
+      RunPoint("grid", host, port, static_cast<int>(conns),
+               static_cast<int>(depth), ops, set_pct, keys, value_size,
+               &total, &rows);
+      ok &= !total.failed;
     }
   }
 
   if (flags.Bool("shed", false) && !bench::InterruptRequested()) {
-    PointResult r;
-    ok &= RunPoint(
-        "shed", host, port,
-        static_cast<int>(flags.Int("shed_connections", 4)),
-        static_cast<int>(flags.Int("shed_pipeline", 16)),
-        static_cast<uint64_t>(flags.Int("shed_ops",
-                                        static_cast<int64_t>(ops))),
-        /*set_pct=*/100, keys, value_size, &r);
-    results.push_back(r);
+    WorkerStats total;
+    RunPoint("shed", host, port,
+             static_cast<int>(flags.Int("shed_connections", 4)),
+             static_cast<int>(flags.Int("shed_pipeline", 16)),
+             static_cast<uint64_t>(
+                 flags.Int("shed_ops", static_cast<int64_t>(ops))),
+             /*set_pct=*/100, keys, value_size, &total, &rows);
+    ok &= !total.failed;
     const double shed_rate =
-        r.ops > 0 ? static_cast<double>(r.busy) / r.ops : 0;
+        total.ops > 0 ? static_cast<double>(total.busy) / total.ops : 0;
     printf("shed phase: %.1f%% of commands shed with -BUSY\n",
            shed_rate * 100.0);
   }
 
-  WriteJson(flags.Str("out", "BENCH_server_throughput.json"), results);
+  bench::WriteTextFile(flags.Str("out", "BENCH_server_throughput.json"),
+                       bench::JsonRows(rows));
   if (bench::InterruptRequested()) {
     printf("net_bench: interrupted by signal %d, partial JSON written\n",
            bench::InterruptSignal());

@@ -66,15 +66,11 @@ int main(int argc, char** argv) {
   namespace net = pmblade::net;
 
   bench::Flags flags(argc, argv);
-  std::vector<std::string> unknown = flags.Unknown(
+  const bool unknown = flags.ReportUnknown(
       {"db", "host", "port", "workers", "memtable_bytes", "layout", "shards",
        "sync_wal", "shed_on_slowdown", "slowdown_watermark", "max_output_mb",
        "port_file", "quiet"});
-  if (!unknown.empty() || !flags.positional().empty() ||
-      !flags.Has("db")) {
-    for (const auto& f : unknown) {
-      fprintf(stderr, "unknown flag --%s\n", f.c_str());
-    }
+  if (unknown || !flags.positional().empty() || !flags.Has("db")) {
     if (!flags.Has("db")) fprintf(stderr, "--db=PATH is required\n");
     Usage();
     return 2;
