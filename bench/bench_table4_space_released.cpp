@@ -36,7 +36,6 @@ int main(int argc, char** argv) {
     options.pm_latency.inject_latency = false;
     options.wal_in_pm = false;  // the paper's engine logs to the SSD
     // Hold everything in level-0: no automatic compaction of any kind.
-    options.enable_internal_compaction = false;
     options.enable_cost_model = false;
     options.l0_table_trigger = 1u << 30;
     options.cost.tau_m = 1ull << 40;

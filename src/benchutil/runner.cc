@@ -85,7 +85,6 @@ Status BenchEnv::OpenEngine(EngineConfig config, KvEngine** engine) {
       switch (config) {
         case EngineConfig::kPmBlade:
           opts.l0_layout = L0Layout::kPmTable;
-          opts.enable_internal_compaction = true;
           opts.enable_cost_model = true;
           opts.major.engine = CompactionEngine::kPmBlade;
           break;
@@ -93,34 +92,29 @@ Status BenchEnv::OpenEngine(EngineConfig config, KvEngine** engine) {
           // Large PM level-0 but the conventional compaction policy: whole
           // level-0 moves down at a table-count threshold.
           opts.l0_layout = L0Layout::kPmTable;
-          opts.enable_internal_compaction = false;
           opts.enable_cost_model = false;
           opts.l0_table_trigger = 8;
           opts.major.engine = CompactionEngine::kThread;
           break;
         case EngineConfig::kPmBladeSsd:
           opts.l0_layout = L0Layout::kSstable;
-          opts.enable_internal_compaction = false;
           opts.enable_cost_model = false;
           opts.l0_table_trigger = 4;
           opts.major.engine = CompactionEngine::kThread;
           break;
         case EngineConfig::kPmbP:
           opts.l0_layout = L0Layout::kArrayTable;
-          opts.enable_internal_compaction = false;
           opts.enable_cost_model = false;
           opts.l0_table_trigger = 8;
           opts.major.engine = CompactionEngine::kThread;
           break;
         case EngineConfig::kPmbPI:
           opts.l0_layout = L0Layout::kArrayTable;
-          opts.enable_internal_compaction = true;
           opts.enable_cost_model = true;
           opts.major.engine = CompactionEngine::kThread;
           break;
         case EngineConfig::kPmbPIC:
           opts.l0_layout = L0Layout::kPmTable;
-          opts.enable_internal_compaction = true;
           opts.enable_cost_model = true;
           opts.major.engine = CompactionEngine::kThread;
           break;

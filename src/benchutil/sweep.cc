@@ -77,6 +77,9 @@ Status RunSweep(const Sweep& sweep, BenchEnv* env) {
       s = env->OpenEngine(env->config(), &engine);
       if (!s.ok()) break;
       SweepRun run = sweep.run(point, env);
+      // An interrupt cut this run short: a partial run is cheaper, not
+      // better, so it must not become the point's best.
+      if (InterruptRequested()) break;
       if (!measured || run.cost < best.cost) best = std::move(run);
       measured = true;
     }

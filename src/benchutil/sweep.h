@@ -76,7 +76,8 @@ struct Sweep {
 std::vector<Sweep> BenchmarkSweeps(const SweepParams& params);
 
 /// Runs `sweep` on env's engine config, prints its table, writes its JSON
-/// rows to `sweep.output` (partial rows after an interrupt), then restores
+/// rows to `sweep.output` (after an interrupt, the points measured before
+/// it; a repetition the interrupt cut short is discarded), then restores
 /// the options and reopens a fresh engine with them. InvalidArgument when
 /// the config is not one the sweep runs on; an open failure is returned.
 Status RunSweep(const Sweep& sweep, BenchEnv* env);

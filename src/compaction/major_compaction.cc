@@ -1,9 +1,7 @@
 #include "compaction/major_compaction.h"
 
 #include <atomic>
-#include <condition_variable>
 #include <deque>
-#include <mutex>
 #include <string>
 #include <thread>
 
@@ -16,6 +14,9 @@
 namespace pmblade {
 
 namespace {
+
+/// Records processed per S2 slice before the coroutine yields.
+constexpr int kRecordsPerSlice = 64;
 
 /// WritableFile wrapper that forwards to the real file and reports every
 /// `chunk_bytes` of accumulated output, so engines can charge/schedule S3 at
@@ -56,144 +57,6 @@ class ChunkingFile final : public WritableFile {
   size_t pending_ = 0;
 };
 
-/// WritableFile decorator that decouples the merge thread from the physical
-/// file write: Append fills an in-memory block, and each full block is
-/// handed to a dedicated writer thread while the producer keeps merging into
-/// the other block — classic double buffering, at most two blocks (one
-/// filling, one writing) so memory stays bounded at 2 * block_bytes. Only
-/// the PHYSICAL Append is overlapped; the simulated S3 charge still flows
-/// through ChunkingFile's chunk callback into the engine's S3 policy, so the
-/// q_flush gate keeps throttling compaction output globally.
-///
-/// Error discipline: a failed background Append latches and is returned by
-/// the next HandOff/Flush/Sync/Close — the producer's data was already
-/// acknowledged (like an OS write cache), so callers must treat the whole
-/// run as failed and retry it, which is exactly the caller's existing
-/// contract for synchronous write errors.
-class DoubleBufferedFile final : public WritableFile {
- public:
-  DoubleBufferedFile(WritableFile* base, size_t block_bytes)
-      : base_(base), block_bytes_(std::max<size_t>(block_bytes, 1)) {
-    active_.reserve(block_bytes_);
-  }
-
-  ~DoubleBufferedFile() override { JoinWriter(); }
-
-  Status Append(const Slice& data) override {
-    size_t off = 0;
-    while (off < data.size()) {
-      const size_t take =
-          std::min(block_bytes_ - active_.size(), data.size() - off);
-      active_.append(data.data() + off, take);
-      off += take;
-      if (active_.size() == block_bytes_) {
-        Status s = HandOff();
-        if (!s.ok()) return s;
-      }
-    }
-    return Status::OK();
-  }
-
-  Status Flush() override {
-    Status s = Drain();
-    if (!s.ok()) return s;
-    return base_->Flush();
-  }
-
-  Status Sync() override {
-    Status s = Drain();
-    if (!s.ok()) return s;
-    return base_->Sync();
-  }
-
-  Status Close() override {
-    Status s = Drain();
-    JoinWriter();
-    Status close = base_->Close();
-    return s.ok() ? close : s;
-  }
-
- private:
-  /// Queues the active block for the writer. Blocks only while the previous
-  /// block is still being written (that wait IS the back-pressure that
-  /// bounds memory). Lazily spawns the writer thread on first use, so
-  /// never-filled outputs cost nothing.
-  Status HandOff() {
-    std::unique_lock<std::mutex> lock(mu_);
-    write_cv_.wait(lock, [this] { return !has_pending_ || !status_.ok(); });
-    if (!status_.ok()) return status_;
-    pending_.swap(active_);
-    has_pending_ = true;
-    if (!writer_.joinable()) {
-      writer_ = std::thread([this] { WriterLoop(); });
-    }
-    work_cv_.notify_one();
-    lock.unlock();
-    active_.clear();
-    active_.reserve(block_bytes_);
-    return Status::OK();
-  }
-
-  /// Hands off any partial block and waits until the writer is idle, then
-  /// reports the latched status. After an ok Drain, base_ holds every byte
-  /// ever Appended.
-  Status Drain() {
-    if (!active_.empty()) {
-      Status s = HandOff();
-      if (!s.ok()) return s;
-    }
-    std::unique_lock<std::mutex> lock(mu_);
-    write_cv_.wait(lock, [this] {
-      return (!has_pending_ && !in_flight_) || !status_.ok();
-    });
-    return status_;
-  }
-
-  void JoinWriter() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stop_ = true;
-      work_cv_.notify_all();
-    }
-    if (writer_.joinable()) writer_.join();
-  }
-
-  void WriterLoop() {
-    std::unique_lock<std::mutex> lock(mu_);
-    while (true) {
-      work_cv_.wait(lock, [this] { return stop_ || has_pending_; });
-      if (!has_pending_) return;  // stop requested, nothing left to write
-      std::string block;
-      block.swap(pending_);
-      has_pending_ = false;
-      in_flight_ = true;
-      write_cv_.notify_all();  // the producer may refill pending_ now
-      lock.unlock();
-      Status s = base_->Append(Slice(block));
-      lock.lock();
-      in_flight_ = false;
-      if (!s.ok() && status_.ok()) status_ = s;
-      write_cv_.notify_all();
-    }
-  }
-
-  WritableFile* base_;
-  const size_t block_bytes_;
-
-  // Producer-owned; only touched between HandOffs.
-  std::string active_;
-
-  std::mutex mu_;
-  std::condition_variable work_cv_;   // wakes the writer
-  std::condition_variable write_cv_;  // wakes the producer / Drain
-  std::string pending_;               // guarded by mu_
-  bool has_pending_ = false;          // guarded by mu_
-  bool in_flight_ = false;            // guarded by mu_
-  bool stop_ = false;                 // guarded by mu_
-  Status status_;                     // guarded by mu_: first write error
-  std::thread writer_;
-};
-
 }  // namespace
 
 struct MajorCompactor::SubtaskState {
@@ -201,22 +64,14 @@ struct MajorCompactor::SubtaskState {
   std::unique_ptr<Iterator> input;
   double ssd_fraction = 0.0;
 
-  // Output chain: builder -> chunk_file -> [buffered_file ->] raw_file.
-  // buffered_file (a DoubleBufferedFile) is present only when
-  // double_buffer_writes is on; sink() is the handle Sync/Close must go
-  // through so queued blocks are drained before the base file is sealed.
+  // Output chain: builder -> chunk_file -> raw_file.
   std::unique_ptr<WritableFile> raw_file;
-  std::unique_ptr<WritableFile> buffered_file;
   std::unique_ptr<ChunkingFile> chunk_file;
   std::unique_ptr<TableBuilder> builder;
   CompactionOutputMeta meta;
 
-  WritableFile* sink() {
-    return buffered_file != nullptr ? buffered_file.get() : raw_file.get();
-  }
-  void CloseSink() {
-    if (sink() != nullptr) sink()->Close();
-    buffered_file.reset();
+  void CloseFile() {
+    if (raw_file != nullptr) raw_file->Close();
     raw_file.reset();
   }
 
@@ -264,7 +119,7 @@ void MajorCompactor::CleanupFailedRun(
     std::vector<CompactionOutputMeta>* outputs) {
   for (SubtaskState& st : states) {
     if (st.builder != nullptr) st.builder->Abandon();
-    st.CloseSink();  // stops the double-buffer writer before the unlink
+    st.CloseFile();
     if (!st.meta.path.empty()) {
       raw_env_->RemoveFile(st.meta.path);
     }
@@ -310,13 +165,9 @@ Status MajorCompactor::Run(
       CleanupFailedRun(states, outputs);
       return open_status;
     }
-    if (options_.double_buffer_writes) {
-      st.buffered_file.reset(new DoubleBufferedFile(
-          st.raw_file.get(), options_.write_block_bytes));
-    }
     SubtaskState* stp = &st;
     st.chunk_file.reset(new ChunkingFile(
-        st.sink(), options_.write_block_bytes,
+        st.raw_file.get(), options_.write_block_bytes,
         [stp](size_t bytes) { stp->pending_chunks.push_back(bytes); }));
     TableBuilderOptions topts;
     topts.comparator = fopts.icmp;
@@ -359,20 +210,16 @@ Status MajorCompactor::Run(
     }
     if (st.output_records == 0) {
       st.builder->Abandon();
-      st.CloseSink();
+      st.CloseFile();
       raw_env_->RemoveFile(st.meta.path);
       st.meta.path.clear();
       continue;
     }
     st.meta.file_size = st.builder->FileSize();
     st.meta.num_entries = st.builder->NumEntries();
-    // Sync through the sink: with double buffering on, this drains every
-    // queued block (surfacing any latched background-write error) before
-    // syncing the base file.
-    Status seal = st.sink()->Sync();
+    Status seal = st.raw_file->Sync();
     if (seal.ok()) {
-      seal = st.sink()->Close();
-      st.buffered_file.reset();
+      seal = st.raw_file->Close();
       st.raw_file.reset();  // Close releases the handle even on error
     }
     if (!seal.ok()) {
@@ -430,15 +277,15 @@ Status MajorCompactor::Run(
 
 namespace {
 
-/// Processes up to `max_records` records of `st` through the dedup filter
-/// into the builder. Returns false when the input is exhausted. Shared by
-/// all engines (this is the S2 work).
+/// Processes up to kRecordsPerSlice records of `st` through the dedup
+/// filter into the builder. Returns false when the input is exhausted.
+/// Shared by all engines (this is the S2 work).
 bool ProcessSlice(MajorCompactor::SubtaskState* st,
-                  const InternalKeyComparator& icmp, int max_records,
-                  bool drop_tombstones, SequenceNumber oldest_snapshot) {
+                  const InternalKeyComparator& icmp,
+                  SequenceNumber oldest_snapshot) {
   Iterator* in = st->input.get();
   int processed = 0;
-  while (in->Valid() && processed < max_records) {
+  while (in->Valid() && processed < kRecordsPerSlice) {
     ParsedInternalKey parsed;
     if (!ParseInternalKey(in->key(), &parsed)) {
       st->status = Status::Corruption("major compaction: bad internal key");
@@ -465,7 +312,7 @@ bool ProcessSlice(MajorCompactor::SubtaskState* st,
                                parsed.user_key.size());
       st->has_last = true;
       st->last_visible_seq = parsed.sequence;
-      if (drop_tombstones && parsed.type == kTypeDeletion &&
+      if (st->drop_tombstones && parsed.type == kTypeDeletion &&
           parsed.sequence <= oldest_snapshot) {
         drop = true;  // bottom-level tombstone with nothing underneath
       }
@@ -504,9 +351,7 @@ Status MajorCompactor::RunThreadEngine(std::vector<SubtaskState>& states) {
       while (more) {
         {
           ScopedTimer timer(clock_, &st.cpu_work_nanos);
-          more = ProcessSlice(&st, *icmp, options_.records_per_slice,
-                              st.drop_tombstones,
-                              options_.oldest_snapshot);
+          more = ProcessSlice(&st, *icmp, options_.oldest_snapshot);
         }
         if (!st.status.ok()) break;
         // S1: blocking reads for consumed SSD bytes.
@@ -580,9 +425,7 @@ Task CompactionCoroutine(WorkerContext* ctx) {
     bool more = true;
     while (more) {
       // S2: merge a slice of records.
-      more = ProcessSlice(st, *ctx->icmp, ctx->options->records_per_slice,
-                          st->drop_tombstones,
-                          ctx->options->oldest_snapshot);
+      more = ProcessSlice(st, *ctx->icmp, ctx->options->oldest_snapshot);
       if (!st->status.ok()) break;
 
       // S1: await reads covering consumed SSD input bytes.

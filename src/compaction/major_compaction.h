@@ -49,16 +49,6 @@ struct MajorCompactionOptions {
   size_t read_block_bytes = 64 << 10;
   /// S3 granularity: output write buffer size.
   size_t write_block_bytes = 64 << 10;
-  /// Records processed per S2 slice before the coroutine yields.
-  int records_per_slice = 64;
-  /// S3 double buffering: output blocks are handed to a per-file background
-  /// writer so the physical file Append overlaps the next S2 merge slice
-  /// (two blocks in flight per output — one filling, one writing). The
-  /// SIMULATED S3 charge is untouched: chunks are still queued/charged by
-  /// the engine's S3 policy, so the paper's q_flush gate remains the single
-  /// global throttle. Write errors latch and surface at Sync/Close, which
-  /// fails the run exactly like a synchronous write error.
-  bool double_buffer_writes = true;
   /// Drop tombstones in the output (true when compacting to the bottom).
   bool drop_tombstones = true;
   SequenceNumber oldest_snapshot = kMaxSequenceNumber;

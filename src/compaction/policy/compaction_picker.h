@@ -4,10 +4,11 @@
 // Space").
 //
 // A CompactionPicker owns three decisions:
-//   * trigger evaluation — Eq. 1/2 for internal (PM-side) compaction is
-//     shared verbatim across policies (the PM level-0 shape is policy-
-//     independent); the Eq. 3 eviction gate (τ_m / pool pressure) and the
-//     greedy keep-set knapsack are likewise shared,
+//   * the eviction trigger, shared across policies: with the cost model on,
+//     Eq. 3's τ_m gate and the greedy keep-set knapsack; with it off, the
+//     conventional table-count trigger (some partition holds
+//     `l0_table_trigger` level-0 tables), which keeps nothing in PM. Either
+//     gate also fires on PM-pool pressure,
 //   * victim selection + output placement for PM -> SSD eviction
 //     (PickEviction): leveled merges a victim's level-0 WITH its whole run
 //     stack into one level-1 run (the paper's major compaction,
@@ -52,6 +53,11 @@ struct CompactionPolicyOptions {
   /// this level is merged in place (tiered) or into the single last-level
   /// run (lazy leveling), which bounds space amplification.
   uint32_t max_ssd_levels = 3;
+  /// The eviction gate: Eq. 3 (τ_m, then the keep-set) when true; the
+  /// conventional trigger, `l0_table_trigger` level-0 tables in some
+  /// partition, when false (PMBlade-PM, PMB-P, PMBlade-SSD).
+  bool use_cost_model = true;
+  uint32_t l0_table_trigger = 8;
 };
 
 /// What a picker sees of one partition, snapshotted under the DB mutex.
@@ -72,8 +78,8 @@ struct PartitionView {
 struct PickContext {
   std::vector<PartitionView> partitions;  // index-aligned with the DB's list
   uint64_t total_l0_bytes = 0;
-  /// PM-pool pressure backstop: the pool is nearly full, evict regardless
-  /// of τ_m (see RunCompactionsLocked).
+  /// PM-pool pressure backstop: the pool is nearly full, evict whatever
+  /// the gate says.
   bool pool_pressure = false;
 };
 
@@ -95,15 +101,21 @@ struct CompactionJob {
 };
 
 /// The outcome of an eviction pick: jobs plus the Eq. 3 keep-set debug
-/// payload (DBImpl emits the keep_set_selected event from it, exactly like
-/// the pre-picker engine).
+/// payload (DBImpl emits the keep_set_selected event from it).
 struct EvictionPick {
-  /// True when the eviction gate fired, even if no victims were claimable.
-  bool evaluated = false;
+  /// True when the Eq. 3 knapsack ran: the cost model is on and the gate
+  /// fired, even if no victims were claimable.
+  bool keep_set_selected = false;
   std::vector<CompactionJob> jobs;
   std::set<size_t> keep;  // partition indices retained (Φ)
   uint64_t tau_t = 0;     // the Eq. 3 budget the knapsack used
 };
+
+/// The classic major-compaction job: level-0 plus the whole run stack merge
+/// into one level-1 run (the leveled eviction, and the manual
+/// CompactToLevel1 shape under every policy).
+CompactionJob FullCollapseJob(size_t partition_index,
+                              const PartitionView& view);
 
 class CompactionPicker {
  public:
@@ -115,15 +127,15 @@ class CompactionPicker {
   virtual const char* name() const = 0;
   virtual CompactionPolicyKind kind() const = 0;
 
-  /// Eq. 1/2 internal-compaction trigger; identical across policies.
-  CostDecision EvaluateInternal(const PartitionCounters& counters) const {
-    return cost_->EvaluateInternal(counters);
-  }
+  /// PM -> SSD eviction (the paper's major compaction trigger): the gate,
+  /// the keep-set, one job per claimable victim with level-0 data. Called
+  /// once per Algorithm-1 check.
+  EvictionPick PickEviction(const PickContext& ctx) const;
 
-  /// PM -> SSD eviction (the paper's major compaction trigger): Eq. 3 gate,
-  /// keep-set knapsack, one job per victim. Called once per Algorithm-1
-  /// check.
-  virtual EvictionPick PickEviction(const PickContext& ctx) const;
+  /// Fills `pick`'s keep-set: with the cost model on, the greedy Eq. 3
+  /// knapsack keeps the hottest partitions within τ_t (the arbiter's target
+  /// when it runs); with it off, nothing is kept.
+  void SelectKeepSet(const PickContext& ctx, EvictionPick* pick) const;
 
   /// SSD shape maintenance: at most one job per partition per call; the
   /// executor calls this in a loop (rebuilding the context) until it
@@ -134,6 +146,9 @@ class CompactionPicker {
   const CompactionPolicyOptions& policy_options() const { return options_; }
 
  protected:
+  /// True when the eviction gate fires (see CompactionPolicyOptions).
+  bool EvictionDue(const PickContext& ctx) const;
+
   /// How this policy turns one eviction victim into a job; everything else
   /// about eviction (gate, knapsack, claimability) is shared.
   virtual CompactionJob MakeEvictionJob(size_t partition_index,

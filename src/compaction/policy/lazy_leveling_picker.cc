@@ -6,21 +6,12 @@ namespace pmblade {
 
 CompactionJob LazyLevelingPicker::MakeEvictionJob(
     size_t partition_index, const PartitionView& view) const {
-  CompactionJob job;
-  job.partition_index = partition_index;
-  job.include_l0 = true;
-  job.output_level = 1;
-  if (options_.max_ssd_levels <= 1) {
-    // A one-level tree has only the last level, and the last level is
-    // leveled: this degenerates to the leveled policy's full merge.
-    job.run_begin = 0;
-    job.run_end = view.runs.size();
-  } else {
-    // Upper levels are tiered: stack the evicted data as a fresh level-1
-    // run, rewriting nothing.
-    job.run_begin = 0;
-    job.run_end = 0;
-  }
+  // A one-level tree has only the last level, and the last level is
+  // leveled: this degenerates to the leveled policy's full merge.
+  CompactionJob job = FullCollapseJob(partition_index, view);
+  // Upper levels are tiered: stack the evicted data as a fresh level-1 run,
+  // rewriting nothing.
+  if (options_.max_ssd_levels > 1) job.run_end = 0;
   return job;
 }
 

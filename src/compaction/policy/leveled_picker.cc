@@ -6,13 +6,7 @@ CompactionJob LeveledPicker::MakeEvictionJob(size_t partition_index,
                                              const PartitionView& view) const {
   // The paper's major compaction: level-0 merges with the ENTIRE run stack
   // (one level-1 run under steady state) into a fresh level-1 run.
-  CompactionJob job;
-  job.partition_index = partition_index;
-  job.include_l0 = true;
-  job.run_begin = 0;
-  job.run_end = view.runs.size();
-  job.output_level = 1;
-  return job;
+  return FullCollapseJob(partition_index, view);
 }
 
 std::vector<CompactionJob> LeveledPicker::PickMaintenance(

@@ -121,167 +121,107 @@ Status DBImpl::RunCompactionsLocked(std::unique_lock<std::mutex>& lock,
   // First failure seen; siblings keep compacting (isolation: one poisoned
   // partition must not block progress elsewhere in the same check).
   Status first_error;
+  // ---- PM side: Eq. 1/2 internal compaction (cost model only) ----
   if (options_.enable_cost_model) {
-    if (options_.enable_internal_compaction) {
-      for (Partition* partition : touched) {
-        PartitionCounters counters = partition->Counters();
-        CostDecision decision = cost_model_->EvaluateInternal(counters);
-        decision_counter_->Inc();
-        if (decision.eq1_triggered) eq1_trigger_counter_->Inc();
-        if (decision.eq2_triggered) eq2_trigger_counter_->Inc();
-        if (events_.active()) {
-          // Every evaluation is recorded — negative verdicts explain why a
-          // partition was NOT compacted, which matters as much as the
-          // positives when debugging the policy.
-          events_.Emit(
-              obs::Event(obs::EventType::kInternalDecision,
-                         clock_->NowNanos())
-                  .With("partition", static_cast<double>(counters.partition_id))
-                  .With("n_r_hat", counters.reads_per_sec)
-                  .With("n_unsorted",
-                        static_cast<double>(counters.unsorted_tables))
-                  .With("n_w", static_cast<double>(counters.writes))
-                  .With("n_u", static_cast<double>(counters.updates))
-                  .With("size_bytes", static_cast<double>(counters.size_bytes))
-                  .With("eq1_benefit_rate", decision.eq1_benefit_rate)
-                  .With("eq1_cost_rate", decision.eq1_cost_rate)
-                  .With("eq2_ssd_savings", decision.eq2_ssd_savings)
-                  .With("eq2_pm_cost", decision.eq2_pm_cost)
-                  .With("eq1", decision.eq1_triggered ? 1 : 0)
-                  .With("eq2", decision.eq2_triggered ? 1 : 0));
-        }
-        if (decision.triggered()) {
-          Status is = RunInternalCompactionOnPartition(lock, partition);
-          if (!is.ok()) {
-            if (!bg_error_.ok()) return is;  // manifest loss: stop the check
-            if (first_error.ok()) first_error = is;
-          }
+    for (Partition* partition : touched) {
+      PartitionCounters counters = partition->Counters();
+      CostDecision decision = cost_model_->EvaluateInternal(counters);
+      decision_counter_->Inc();
+      if (decision.eq1_triggered) eq1_trigger_counter_->Inc();
+      if (decision.eq2_triggered) eq2_trigger_counter_->Inc();
+      if (events_.active()) {
+        // Every evaluation is recorded — negative verdicts explain why a
+        // partition was NOT compacted, which matters as much as the
+        // positives when debugging the policy.
+        events_.Emit(
+            obs::Event(obs::EventType::kInternalDecision, clock_->NowNanos())
+                .With("partition", static_cast<double>(counters.partition_id))
+                .With("n_r_hat", counters.reads_per_sec)
+                .With("n_unsorted",
+                      static_cast<double>(counters.unsorted_tables))
+                .With("n_w", static_cast<double>(counters.writes))
+                .With("n_u", static_cast<double>(counters.updates))
+                .With("size_bytes", static_cast<double>(counters.size_bytes))
+                .With("eq1_benefit_rate", decision.eq1_benefit_rate)
+                .With("eq1_cost_rate", decision.eq1_cost_rate)
+                .With("eq2_ssd_savings", decision.eq2_ssd_savings)
+                .With("eq2_pm_cost", decision.eq2_pm_cost)
+                .With("eq1", decision.eq1_triggered ? 1 : 0)
+                .With("eq2", decision.eq2_triggered ? 1 : 0));
+      }
+      if (decision.triggered()) {
+        Status is = RunInternalCompactionOnPartition(lock, partition);
+        if (!is.ok()) {
+          if (!bg_error_.ok()) return is;  // manifest loss: stop the check
+          if (first_error.ok()) first_error = is;
         }
       }
     }
+  }
 
-    // ---- SSD side: the picker decides what/when/where ----
-    // Round 0 is the EVICTION check (the Eq. 3 gate + keep-set, evaluated
-    // exactly once per check); later rounds drain the policy's shape
-    // MAINTENANCE jobs (tiered/lazy run-block merges — leveled never emits
-    // any). The round cap bounds a cascade: each round installs at most one
-    // job per partition, and a tiered merge cascade over L levels settles in
-    // <= L rounds, so 10 covers max_ssd_levels' whole range with slack.
-    std::set<Partition*> ours(touched.begin(), touched.end());
-    constexpr int kMaxPolicyRounds = 10;
-    for (int round = 0; round < kMaxPolicyRounds; ++round) {
-      PickContext ctx = BuildPickContextLocked(ours);
-      std::vector<CompactionJob> jobs;
-      if (round == 0) {
-        EvictionPick pick = picker_->PickEviction(ctx);
-        if (pick.evaluated) {
-          keep_set_counter_->Inc();
-          if (events_.active()) {
-            std::vector<PartitionCounters> all;
-            all.reserve(ctx.partitions.size());
-            for (const PartitionView& view : ctx.partitions) {
-              all.push_back(view.counters);
-            }
-            EmitKeepSetEvent(all, pick.keep, pick.tau_t, ctx.total_l0_bytes);
-          }
-        }
-        jobs = std::move(pick.jobs);
-        // A failed internal compaction still evaluates the gate (counter +
-        // event, as always) but must not start eviction work.
-        if (!first_error.ok()) jobs.clear();
-      }
-      if (jobs.empty()) {
-        if (!first_error.ok()) break;
-        jobs = picker_->PickMaintenance(ctx);
-      }
-      if (jobs.empty()) break;
-
-      // Claim job partitions this check does not already hold, so
-      // concurrent checks stay off them for the whole merge + install.
-      std::vector<MajorJob> major_jobs;
-      std::vector<Partition*> extra_claims;
-      for (const CompactionJob& job : jobs) {
-        Partition* partition = partitions_[job.partition_index].get();
-        if (ours.count(partition) == 0) {
-          if (!compacting_.insert(partition).second) continue;  // held
-          extra_claims.push_back(partition);
-        }
-        MajorJob mj;
-        mj.partition = partition;
-        mj.include_l0 = job.include_l0;
-        mj.run_begin = job.run_begin;
-        mj.run_end = job.run_end;
-        mj.output_level = job.output_level;
-        major_jobs.push_back(mj);
-      }
-      Status ms;
-      if (!major_jobs.empty()) {
-        ms = RunMajorCompactionOnJobs(lock, major_jobs);
-      }
-      for (Partition* partition : extra_claims) {
-        compacting_.erase(partition);
-        // An extra victim was not in this check's dirty claim, so a failure
-        // would not be re-armed by the caller — mark it dirty here so the
-        // retry re-selects it.
-        if (!ms.ok()) MarkCompactionDirtyLocked(partition);
-      }
-      if (!ms.ok()) {
-        if (first_error.ok()) first_error = ms;
-        break;
-      }
+  // ---- SSD side: the picker decides what/when/where ----
+  // Round 0 is the EVICTION check (the picker's gate + keep-set, evaluated
+  // exactly once per check); later rounds drain the policy's shape
+  // MAINTENANCE jobs (tiered/lazy run-block merges — leveled never emits
+  // any). The round cap bounds a cascade: each round installs at most one
+  // job per partition, and a tiered merge cascade over L levels settles in
+  // <= L rounds, so 10 covers max_ssd_levels' whole range with slack.
+  std::set<Partition*> ours(touched.begin(), touched.end());
+  constexpr int kMaxPolicyRounds = 10;
+  for (int round = 0; round < kMaxPolicyRounds; ++round) {
+    PickContext ctx = BuildPickContextLocked(ours);
+    std::vector<CompactionJob> jobs;
+    if (round == 0) {
+      EvictionPick pick = picker_->PickEviction(ctx);
+      NoteKeepSet(ctx, pick);
+      jobs = std::move(pick.jobs);
+      // A failed internal compaction still evaluates the gate (counter +
+      // event, as always) but must not start eviction work.
+      if (!first_error.ok()) jobs.clear();
     }
-    return first_error;
-  }
-
-  // Conventional policy (PMBlade-PM): when any partition accumulates
-  // l0_table_trigger level-0 tables, compact the ENTIRE level-0 down.
-  bool due = false;
-  for (const auto& partition : partitions_) {
-    if (partition->unsorted().size() + partition->sorted_run().size() >=
-        options_.l0_table_trigger) {
-      due = true;
-      break;
+    if (jobs.empty()) {
+      if (!first_error.ok()) break;
+      jobs = picker_->PickMaintenance(ctx);
     }
-  }
-  if (pool_->FreeBytes() < pool_->capacity() / 8 &&
-      options_.l0_layout != L0Layout::kSstable) {
-    due = true;
-  }
-  if (due) {
-    std::set<Partition*> ours(touched.begin(), touched.end());
-    std::vector<Partition*> victims;
+
+    // Claim job partitions this check does not already hold, so concurrent
+    // checks stay off them for the whole merge + install.
+    std::vector<CompactionJob> claimed;
     std::vector<Partition*> extra_claims;
-    for (const auto& partition : partitions_) {
-      Partition* p = partition.get();
-      if (p->L0Bytes() == 0) continue;
-      if (ours.count(p) == 0) {
-        if (!compacting_.insert(p).second) continue;  // held by a sibling
-        extra_claims.push_back(p);
+    for (const CompactionJob& job : jobs) {
+      Partition* partition = partitions_[job.partition_index].get();
+      if (ours.count(partition) == 0) {
+        if (!compacting_.insert(partition).second) continue;  // held
+        extra_claims.push_back(partition);
       }
-      victims.push_back(p);
+      claimed.push_back(job);
     }
-    if (!victims.empty()) {
-      std::vector<MajorJob> jobs;
-      jobs.reserve(victims.size());
-      for (Partition* p : victims) jobs.push_back(FullCollapseJob(p));
-      first_error = RunMajorCompactionOnJobs(lock, jobs);
+    if (claimed.empty()) break;
+    Status ms = RunMajorCompactionOnJobs(lock, claimed);
+    for (Partition* partition : extra_claims) {
+      compacting_.erase(partition);
+      // An extra victim was not in this check's dirty claim, so a failure
+      // would not be re-armed by the caller — mark it dirty here so the
+      // retry re-selects it.
+      if (!ms.ok()) MarkCompactionDirtyLocked(partition);
     }
-    for (Partition* p : extra_claims) {
-      compacting_.erase(p);
-      if (!first_error.ok()) MarkCompactionDirtyLocked(p);
+    if (!ms.ok()) {
+      if (first_error.ok()) first_error = ms;
+      break;
     }
   }
   return first_error;
 }
 
-void DBImpl::EmitKeepSetEvent(const std::vector<PartitionCounters>& all,
-                              const std::set<size_t>& keep, uint64_t tau_t,
-                              uint64_t total_l0_bytes) {
+void DBImpl::NoteKeepSet(const PickContext& ctx, const EvictionPick& pick) {
+  if (!pick.keep_set_selected) return;
+  keep_set_counter_->Inc();
+  if (!events_.active()) return;
   // Per-partition Eq. 3 scores ride in the detail payload (variable size).
   std::string detail = "[";
   char buf[160];
-  for (size_t i = 0; i < all.size(); ++i) {
-    const PartitionCounters& c = all[i];
+  for (size_t i = 0; i < ctx.partitions.size(); ++i) {
+    const PartitionCounters& c = ctx.partitions[i].counters;
     double score = c.size_bytes > 0 ? static_cast<double>(c.reads) /
                                           static_cast<double>(c.size_bytes)
                                     : 0.0;
@@ -291,16 +231,16 @@ void DBImpl::EmitKeepSetEvent(const std::vector<PartitionCounters>& all,
              i == 0 ? "" : ",", static_cast<unsigned long long>(c.partition_id),
              static_cast<unsigned long long>(c.reads),
              static_cast<unsigned long long>(c.size_bytes), score,
-             keep.count(i) != 0 ? "true" : "false");
+             pick.keep.count(i) != 0 ? "true" : "false");
     detail += buf;
   }
   detail += "]";
   events_.Emit(
       obs::Event(obs::EventType::kKeepSetSelected, clock_->NowNanos())
-          .With("partitions", static_cast<double>(all.size()))
-          .With("kept", static_cast<double>(keep.size()))
-          .With("tau_t", static_cast<double>(tau_t))
-          .With("total_l0_bytes", static_cast<double>(total_l0_bytes))
+          .With("partitions", static_cast<double>(ctx.partitions.size()))
+          .With("kept", static_cast<double>(pick.keep.size()))
+          .With("tau_t", static_cast<double>(pick.tau_t))
+          .With("total_l0_bytes", static_cast<double>(ctx.total_l0_bytes))
           .WithDetail(std::move(detail)));
 }
 
@@ -375,16 +315,6 @@ Status DBImpl::RunInternalCompactionOnPartition(
   return Status::OK();
 }
 
-DBImpl::MajorJob DBImpl::FullCollapseJob(Partition* partition) {
-  MajorJob job;
-  job.partition = partition;
-  job.include_l0 = true;
-  job.run_begin = 0;
-  job.run_end = partition->ssd_runs().size();
-  job.output_level = 1;
-  return job;
-}
-
 PickContext DBImpl::BuildPickContextLocked(const std::set<Partition*>& ours) {
   PickContext ctx;
   ctx.partitions.reserve(partitions_.size());
@@ -406,15 +336,15 @@ PickContext DBImpl::BuildPickContextLocked(const std::set<Partition*>& ours) {
     ctx.total_l0_bytes += view.l0_bytes;
     ctx.partitions.push_back(std::move(view));
   }
-  // PM-pressure backstop: the Eq. 3 gate also fires when the pool runs
+  // PM-pressure backstop: the eviction gate also fires when the pool runs
   // short (irrelevant for the SSD-resident kSstable layout).
   ctx.pool_pressure = pool_->FreeBytes() < pool_->capacity() / 8 &&
                       options_.l0_layout != L0Layout::kSstable;
   return ctx;
 }
 
-Status DBImpl::RunMajorCompactionOnJobs(std::unique_lock<std::mutex>& lock,
-                                        const std::vector<MajorJob>& jobs) {
+Status DBImpl::RunMajorCompactionOnJobs(
+    std::unique_lock<std::mutex>& lock, const std::vector<CompactionJob>& jobs) {
   // Snapshot every job's table sets under mu_ (both for the merge inputs
   // and for the identity-based install below — tables flushed during the
   // merge must survive it). Run indices stay valid while mu_ is released:
@@ -437,8 +367,8 @@ Status DBImpl::RunMajorCompactionOnJobs(std::unique_lock<std::mutex>& lock,
   const size_t max_slices =
       static_cast<size_t>(std::max(options_.max_subcompactions, 1));
   for (size_t j = 0; j < jobs.size(); ++j) {
-    const MajorJob& job = jobs[j];
-    Partition* partition = job.partition;
+    const CompactionJob& job = jobs[j];
+    Partition* partition = partitions_[job.partition_index].get();
     JobSnapshot snap;
     if (job.include_l0) {
       snap.unsorted = partition->unsorted();
@@ -549,7 +479,9 @@ Status DBImpl::RunMajorCompactionOnJobs(std::unique_lock<std::mutex>& lock,
     // stalling readers, writers or sibling compaction workers.
     std::vector<uint64_t> victim_ids;
     victim_ids.reserve(jobs.size());
-    for (const MajorJob& job : jobs) victim_ids.push_back(job.partition->id());
+    for (const CompactionJob& job : jobs) {
+      victim_ids.push_back(partitions_[job.partition_index]->id());
+    }
     PMBLADE_SYNC_POINT_ARG("DBImpl::MajorCompaction:BeforeRun", &victim_ids);
   }
 #endif
@@ -619,8 +551,8 @@ Status DBImpl::RunMajorCompactionOnJobs(std::unique_lock<std::mutex>& lock,
   // non-decreasing level tags.
   std::vector<L0TableRef> doomed;
   for (size_t j = 0; j < jobs.size(); ++j) {
-    const MajorJob& job = jobs[j];
-    Partition* partition = job.partition;
+    const CompactionJob& job = jobs[j];
+    Partition* partition = partitions_[job.partition_index].get();
     const JobSnapshot& snap = snaps[j];
     for (auto& t : snap.unsorted) doomed.push_back(t);
     for (auto& t : snap.sorted) doomed.push_back(t);
@@ -687,32 +619,21 @@ Status DBImpl::CompactToLevel1(bool respect_cost_model) {
   PMBLADE_RETURN_IF_ERROR(FlushMemTable());
   return compaction_scheduler_->RunExclusive([this, respect_cost_model] {
     std::unique_lock<std::mutex> lock(mu_);
-    std::set<size_t> keep;
-    if (respect_cost_model && options_.enable_cost_model) {
-      std::vector<PartitionCounters> all;
-      uint64_t total_l0 = 0;
-      for (const auto& partition : partitions_) {
-        all.push_back(partition->Counters());
-        total_l0 += partition->L0Bytes();
-      }
-      const uint64_t tau_t = cost_model_->base_tau_t();
-      std::vector<size_t> retained = cost_model_->SelectRetained(all, tau_t);
-      keep.insert(retained.begin(), retained.end());
-      keep_set_counter_->Inc();
-      if (events_.active()) EmitKeepSetEvent(all, keep, tau_t, total_l0);
-    }
-    std::vector<MajorJob> jobs;
-    for (size_t i = 0; i < partitions_.size(); ++i) {
-      Partition* partition = partitions_[i].get();
-      if (keep.count(i) != 0) continue;
+    PickContext ctx = BuildPickContextLocked({});
+    EvictionPick pick;
+    if (respect_cost_model) picker_->SelectKeepSet(ctx, &pick);
+    NoteKeepSet(ctx, pick);
+    std::vector<CompactionJob> jobs;
+    for (size_t i = 0; i < ctx.partitions.size(); ++i) {
+      const PartitionView& view = ctx.partitions[i];
+      if (pick.keep.count(i) != 0) continue;
       // Worth collapsing when level-0 holds data, or the SSD stack is not
       // already one level-1 run (a tiered/lazy shape this manual "compact
       // everything to level 1" API promises to flatten). For leveled-built
       // data this reduces to the historical L0Bytes() > 0 filter.
-      const std::vector<SsdRun>& stack = partition->ssd_runs();
-      bool flat = stack.size() == 1 && stack[0].level == 1;
-      if (partition->L0Bytes() == 0 && (stack.empty() || flat)) continue;
-      jobs.push_back(FullCollapseJob(partition));
+      const bool flat = view.runs.size() == 1 && view.runs[0].level == 1;
+      if (view.l0_bytes == 0 && (view.runs.empty() || flat)) continue;
+      jobs.push_back(FullCollapseJob(i, view));
     }
     if (jobs.empty()) return Status::OK();
     return RunMajorCompactionOnJobs(lock, jobs);

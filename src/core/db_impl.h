@@ -311,21 +311,6 @@ class DBImpl final : public DB {
   Status RunInternalCompactionOnPartition(std::unique_lock<std::mutex>& lock,
                                           Partition* partition);
 
-  /// A picker-chosen CompactionJob resolved to its partition. Fields mirror
-  /// CompactionJob (see compaction/policy/compaction_picker.h); run indices
-  /// are valid from the pick through the install because the executor holds
-  /// the partition's claim and only the claim holder mutates ssd_runs().
-  struct MajorJob {
-    Partition* partition = nullptr;
-    bool include_l0 = true;
-    size_t run_begin = 0;
-    size_t run_end = 0;
-    uint32_t output_level = 1;
-  };
-  /// The "classic" major-compaction job: level-0 plus the whole run stack
-  /// merge into one level-1 run (what every pre-picker compaction did, and
-  /// still the shape of the conventional-policy and manual paths).
-  static MajorJob FullCollapseJob(Partition* partition);
   /// Snapshot of every partition for the picker; `ours` is this check's
   /// claimed set (claimable for job purposes even though marked claimed).
   /// mu_ held.
@@ -335,16 +320,15 @@ class DBImpl final : public DB {
   /// any mutation, every install under a single mu_ hold + manifest commit.
   /// Caller holds the claim of every job's partition.
   Status RunMajorCompactionOnJobs(std::unique_lock<std::mutex>& lock,
-                                  const std::vector<MajorJob>& jobs);
+                                  const std::vector<CompactionJob>& jobs);
   /// mu_ held. Retries file deletions whose first attempt failed (flushed
   /// WALs); called after a successful manifest commit.
   void RetryPendingFileGcLocked();
-  /// Emits a keep_set_selected event carrying the Eq. 3 score of every
+  /// When `pick` selected an Eq. 3 keep-set over `ctx`: counts it and
+  /// emits a keep_set_selected event carrying the Eq. 3 score of every
   /// partition (reads/byte), which side of the knapsack it landed on, and
   /// the budget `tau_t` the knapsack used.
-  void EmitKeepSetEvent(const std::vector<PartitionCounters>& all,
-                        const std::set<size_t>& keep, uint64_t tau_t,
-                        uint64_t total_l0_bytes);
+  void NoteKeepSet(const PickContext& ctx, const EvictionPick& pick);
 
   Status PersistManifest();
 

@@ -90,6 +90,8 @@ Status DBImpl::Init() {
     popts_policy.policy = options_.compaction_policy;
     popts_policy.size_ratio = options_.compaction_size_ratio;
     popts_policy.max_ssd_levels = options_.max_ssd_levels;
+    popts_policy.use_cost_model = options_.enable_cost_model;
+    popts_policy.l0_table_trigger = options_.l0_table_trigger;
     PMBLADE_RETURN_IF_ERROR(
         NewCompactionPicker(popts_policy, cost_model_.get(), &picker_));
   }
@@ -313,7 +315,6 @@ Status DBImpl::Init() {
   // thread/lock model). Created before recovery so manual compactions work
   // immediately after Open.
   CompactionScheduler::Options copts;
-  copts.retry_limit = options_.compaction_retry_limit;
   copts.workers = options_.compaction_workers;
   copts.event_bus = &events_;
   copts.metrics = &metrics_;

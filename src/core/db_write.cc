@@ -11,6 +11,10 @@ namespace pmblade {
 
 namespace {
 
+/// Upper bound on one group-commit batch: the leader stops coalescing
+/// follower batches past this many WAL bytes.
+constexpr size_t kWriteGroupMaxBytes = 1 << 20;
+
 /// Bounds a sorted internal-key iterator to user keys < `end` (empty end =
 /// unbounded). Used to slice the immutable memtable per partition.
 class BoundedIterator final : public Iterator {
@@ -552,10 +556,10 @@ WriteBatch* DBImpl::BuildBatchGroup(WriterState** last_writer, bool* sync,
   *last_writer = first;
   *num_members = 1;
 
-  // Cap the group: never past the configured bound, and tighter when the
+  // Cap the group: never past kWriteGroupMaxBytes, and tighter when the
   // leader itself is small so tiny writes aren't delayed behind megabytes
   // of followers.
-  size_t max_size = options_.write_group_max_bytes;
+  size_t max_size = kWriteGroupMaxBytes;
   if (size <= (128 << 10) && size + (128 << 10) < max_size) {
     max_size = size + (128 << 10);
   }
@@ -812,7 +816,8 @@ Status DBImpl::FlushMemTable() {
   // scheduler; drain it so maintenance callers (tests, CompactToLevel1, the
   // crash model) observe the post-compaction state deterministically.
   // Bounded even when the env is dying: failed checks retry at most
-  // compaction_retry_limit times, then the scheduler parks.
+  // CompactionScheduler::Options::retry_limit times, then the scheduler
+  // parks.
   compaction_scheduler_->WaitIdle();
   return Status::OK();
 }

@@ -15,9 +15,6 @@ Status Options::Sanitize() {
   if (pm_pool_capacity < (1 << 20)) {
     return Status::InvalidArgument("pm_pool_capacity must be >= 1 MiB");
   }
-  if (write_group_max_bytes < 4096) {
-    return Status::InvalidArgument("write_group_max_bytes must be >= 4096");
-  }
   if (write_slowdown_watermark <= 0.0 || write_slowdown_watermark > 1.0) {
     return Status::InvalidArgument(
         "write_slowdown_watermark must be in (0, 1]");
@@ -58,7 +55,6 @@ Status Options::Sanitize() {
   if (max_ssd_levels < 1 || max_ssd_levels > 8) {
     return Status::InvalidArgument("max_ssd_levels must be in [1, 8]");
   }
-  if (compaction_retry_limit < 0) compaction_retry_limit = 0;
   if (compaction_workers < 1) compaction_workers = 1;
   if (compaction_workers > 64) compaction_workers = 64;
   if (max_subcompactions < 1) max_subcompactions = 1;

@@ -65,11 +65,6 @@ struct Options {
   /// durability for free, and N concurrent synced writers cost far fewer
   /// than N fsyncs.
   bool sync_wal = false;
-  /// Upper bound on one group-commit batch (the leader stops coalescing
-  /// follower batches past this many WAL bytes). Small writes are capped
-  /// tighter (128 KiB + own size) so a tiny write is never stuck behind a
-  /// megabyte of followers.
-  size_t write_group_max_bytes = 1 << 20;
   /// Backpressure (slowdown-then-stop). When a background flush is still
   /// running and the active memtable has filled past
   /// `write_slowdown_watermark * memtable_bytes`, each write is delayed
@@ -119,12 +114,11 @@ struct Options {
   /// Deepest SSD level for tiered / lazy_leveling (>= 1). Ignored by
   /// leveled.
   uint32_t max_ssd_levels = 3;
-  /// Master switch for internal compaction (PMB-P turns it off).
-  bool enable_internal_compaction = true;
   /// Use the cost models (Eqs. 1-3). When false, fall back to the
-  /// conventional policy: internal compaction never runs on cost grounds and
-  /// a major compaction of the WHOLE level-0 triggers when any partition
-  /// accumulates `l0_table_trigger` tables (the PMBlade-PM configuration).
+  /// conventional policy: internal compaction never runs and the picker's
+  /// eviction gate is a table count — a major compaction of the WHOLE
+  /// level-0 triggers when any partition accumulates `l0_table_trigger`
+  /// tables (the PMBlade-PM, PMB-P and PMBlade-SSD configurations).
   bool enable_cost_model = true;
   uint32_t l0_table_trigger = 8;
   CostModelParams cost;
@@ -133,11 +127,6 @@ struct Options {
   MajorCompactionOptions major;
 
   // ---- compaction scheduling ----
-  /// Consecutive failed background compaction checks are retried up to this
-  /// many times (logged + counted, never poisoning the DB's sticky
-  /// background error) before the scheduler parks until the next flush
-  /// triggers a fresh check.
-  int compaction_retry_limit = 2;
   /// Size of the compaction scheduler's worker pool. 1 (the default) keeps
   /// the historical single-worker pipeline. With N > 1, independent
   /// Algorithm-1 checks run concurrently: each check CLAIMS the dirty

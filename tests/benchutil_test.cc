@@ -3,13 +3,16 @@
 // writer and the benchmark_kv sweeps.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <csignal>
 #include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
 
 #include "benchutil/flags.h"
+#include "benchutil/interrupt.h"
 #include "benchutil/reporter.h"
 #include "benchutil/retail_workload.h"
 #include "benchutil/runner.h"
@@ -405,6 +408,55 @@ TEST(SweepTest, RejectsEnginesItCannotRunOn) {
     if (sweep.name == "write_scaling") continue;  // runs on any engine
     EXPECT_TRUE(RunSweep(sweep, &env).IsInvalidArgument()) << sweep.name;
   }
+}
+
+// Runs a two-point, three-repetition sweep whose second repetition raises
+// SIGINT and reads cheaper, then exits 0 iff only the first point's first
+// repetition was reported and nothing ran after the interrupt.
+void RunInterruptedSweepAndExit(const std::string& dir) {
+  BenchEnvOptions eopts;
+  eopts.root = dir + "pmblade_sweep_interrupt_test";
+  eopts.inject_ssd_latency = false;
+  eopts.inject_pm_latency = false;
+  BenchEnv env(eopts);
+  KvEngine* engine = nullptr;
+  if (!env.OpenEngine(EngineConfig::kPmBlade, &engine).ok()) _exit(2);
+  InstallInterruptHandler();
+  Sweep sweep;
+  sweep.name = "interrupt_probe";
+  sweep.output = dir + "pmblade_sweep_interrupt_test.json";
+  sweep.reps = 3;
+  sweep.columns = {"rep"};
+  sweep.points = {{"first", nullptr, 0}, {"second", nullptr, 1}};
+  int calls = 0;
+  sweep.run = [&calls](const SweepPoint&, BenchEnv*) {
+    const int rep = calls++;
+    if (rep == 1) raise(SIGINT);  // interrupted midway: reads cheaper
+    SweepRun run;
+    run.json = JsonObject().Int("rep", rep);
+    run.row = {std::to_string(rep)};
+    run.cost = rep == 1 ? 1.0 : 10.0;
+    return run;
+  };
+  if (!RunSweep(sweep, &env).ok()) _exit(3);
+  std::ifstream in(sweep.output);
+  std::stringstream text;
+  text << in.rdbuf();
+  const std::string json = text.str();
+  const bool ok = calls == 2 &&
+                  json.find("\"rep\": 0") != std::string::npos &&
+                  json.find("\"rep\": 1") == std::string::npos;
+  _exit(ok ? 0 : 1);
+}
+
+// A SIGINT during a repetition discards that repetition: a run cut short
+// is cheaper, so keeping it would report a partial fill as the point's
+// best. The sweep runs in a death-test child, so the latched interrupt flag
+// never reaches the other tests.
+TEST(SweepTest, DiscardsARepetitionAnInterruptCutShort) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(RunInterruptedSweepAndExit(::testing::TempDir()),
+              ::testing::ExitedWithCode(0), "");
 }
 
 }  // namespace

@@ -99,7 +99,7 @@ TEST(CompactionPickerTest, EvictionJobShapesPerPolicy) {
   // Leveled: level-0 merges with the whole stack into one level-1 run.
   EvictionPick pick =
       MakePicker(PolicyOpts("leveled"), &model)->PickEviction(ctx);
-  ASSERT_TRUE(pick.evaluated);
+  ASSERT_TRUE(pick.keep_set_selected);
   ASSERT_EQ(pick.jobs.size(), 1u);
   EXPECT_TRUE(pick.jobs[0].include_l0);
   EXPECT_EQ(pick.jobs[0].run_begin, 0u);
@@ -135,7 +135,7 @@ TEST(CompactionPickerTest, EvictionSkipsUnclaimableAndEmptyPartitions) {
       MakeContext({claimed, MakeView({}, 0), MakeView({}, 4096)});
   EvictionPick pick =
       MakePicker(PolicyOpts("tiered"), &model)->PickEviction(ctx);
-  ASSERT_TRUE(pick.evaluated);
+  ASSERT_TRUE(pick.keep_set_selected);
   ASSERT_EQ(pick.jobs.size(), 1u);
   EXPECT_EQ(pick.jobs[0].partition_index, 2u);
 }
@@ -159,6 +159,65 @@ TEST(CompactionPickerTest, EvictionReportsTheBudgetItUsed) {
   EXPECT_EQ(pick.tau_t, 8192u);
   EXPECT_EQ(pick.keep.count(0), 1u);  // 4 KiB now fits the budget
   EXPECT_TRUE(pick.jobs.empty());
+}
+
+// With the cost model off the gate is the conventional table count: it
+// fires once any one partition holds l0_table_trigger level-0 tables, or on
+// pool pressure; it keeps nothing in PM and evicts every claimable
+// partition that holds level-0 data.
+TEST(CompactionPickerTest, ConventionalGateCountsLevel0Tables) {
+  // Budgets under which Eq. 3 would never fire and would keep everything:
+  // the conventional gate must ignore them.
+  CostModelParams params;
+  params.tau_m = 1ull << 40;
+  params.tau_t = 1ull << 40;
+  CostModel model(params);
+  CompactionPolicyOptions opts = PolicyOpts("leveled");
+  opts.use_cost_model = false;
+  opts.l0_table_trigger = 4;
+  std::unique_ptr<CompactionPicker> picker = MakePicker(opts, &model);
+
+  PartitionView a = MakeView({1}, /*l0_bytes=*/4096);
+  a.counters.unsorted_tables = 2;
+  a.counters.sorted_tables = 1;
+  PartitionView b = MakeView({}, 1024);
+  b.counters.unsorted_tables = 3;
+  PartitionView no_l0 = MakeView({1}, 0);
+  PartitionView held = MakeView({}, 2048);
+  held.counters.unsorted_tables = 1;
+  held.claimable = false;
+  PickContext ctx = MakeContext({a, b, no_l0, held});
+
+  // Three tables in each of a and b: the count is per partition, so
+  // nothing fires.
+  EvictionPick pick = picker->PickEviction(ctx);
+  EXPECT_TRUE(pick.jobs.empty());
+  EXPECT_FALSE(pick.keep_set_selected);
+
+  // A fourth table in b fires the gate for every claimable partition with
+  // level-0 data, and no keep-set is selected.
+  ctx.partitions[1].counters.sorted_tables = 1;
+  pick = picker->PickEviction(ctx);
+  EXPECT_FALSE(pick.keep_set_selected);
+  EXPECT_TRUE(pick.keep.empty());
+  ASSERT_EQ(pick.jobs.size(), 2u);
+  EXPECT_EQ(pick.jobs[0].partition_index, 0u);
+  EXPECT_TRUE(pick.jobs[0].include_l0);
+  EXPECT_EQ(pick.jobs[0].run_end, 1u);  // the whole stack collapses
+  EXPECT_EQ(pick.jobs[1].partition_index, 1u);
+
+  // Pool pressure fires it below the trigger too.
+  ctx.partitions[1].counters.sorted_tables = 0;
+  ctx.pool_pressure = true;
+  pick = picker->PickEviction(ctx);
+  EXPECT_FALSE(pick.keep_set_selected);
+  EXPECT_EQ(pick.jobs.size(), 2u);
+
+  // The manual path's keep-set is empty as well.
+  EvictionPick manual;
+  picker->SelectKeepSet(ctx, &manual);
+  EXPECT_FALSE(manual.keep_set_selected);
+  EXPECT_TRUE(manual.keep.empty());
 }
 
 TEST(LeveledPickerTest, MaintenanceOnlyFiresOnForeignShapes) {
@@ -457,6 +516,54 @@ TEST(CompactionPolicyTest, SwitchingPolicyAcrossReopenConverges) {
   options.compaction_policy = "lazy_leveling";
   ASSERT_TRUE(DB::Open(options, dbname, &db).ok());
   CheckContents(db.get(), model, "leveled->lazy_leveling");
+  db.reset();
+  DestroyDB(options, dbname);
+}
+
+// The PMBlade-PM configuration: no cost model, so the picker's table-count
+// gate drives every major compaction, and neither the Eq. 1/2 decisions nor
+// the Eq. 3 keep-set ever run.
+TEST(CompactionPolicyTest, ConventionalGateRunsMajorsWithoutTheCostModel) {
+  std::string dbname = ::testing::TempDir() + "pmblade_policy_conventional";
+  Options options = SmallDbOptions();
+  options.enable_cost_model = false;
+  options.l0_table_trigger = 4;
+  options.major.engine = CompactionEngine::kThread;
+  DestroyDB(options, dbname);
+  std::unique_ptr<DB> db;
+  ASSERT_TRUE(DB::Open(options, dbname, &db).ok());
+
+  std::map<std::string, std::string> model;
+  std::string filler(96, 'x');
+  for (int wave = 0; wave < 12; ++wave) {
+    for (int i = 0; i < 100; ++i) {
+      std::string key = "key" + std::to_string((wave * 37 + i * 13) % 400);
+      std::string value = "w" + std::to_string(wave) + filler;
+      model[key] = value;
+      ASSERT_TRUE(db->Put(WriteOptions(), key, value).ok());
+    }
+    ASSERT_TRUE(db->FlushMemTable().ok());  // waits for the checks it set off
+  }
+
+  uint64_t majors = 0, internals = 0, decisions = 0, keep_sets = 0;
+  ASSERT_TRUE(db->GetProperty("pmblade.compaction.major.count", &majors));
+  ASSERT_TRUE(
+      db->GetProperty("pmblade.compaction.internal.count", &internals));
+  ASSERT_TRUE(db->GetProperty("pmblade.cost.decisions", &decisions));
+  ASSERT_TRUE(
+      db->GetProperty("pmblade.cost.keep_set_selections", &keep_sets));
+  EXPECT_GT(majors, 0u);
+  EXPECT_EQ(internals, 0u);
+  EXPECT_EQ(decisions, 0u);
+  EXPECT_EQ(keep_sets, 0u);
+  CheckContents(db.get(), model, "conventional");
+
+  // The manual path honours "respect the cost model" as a no-op here.
+  ASSERT_TRUE(db->CompactToLevel1(/*respect_cost_model=*/true).ok());
+  ASSERT_TRUE(
+      db->GetProperty("pmblade.cost.keep_set_selections", &keep_sets));
+  EXPECT_EQ(keep_sets, 0u);
+  CheckContents(db.get(), model, "conventional/compacted");
   db.reset();
   DestroyDB(options, dbname);
 }

@@ -486,7 +486,6 @@ TEST_F(DBTest, EmptyDbIteratorAndGet) {
 struct ConfigCase {
   const char* name;
   L0Layout layout;
-  bool internal_compaction;
   bool cost_model;
 };
 
@@ -501,7 +500,6 @@ class DBConfigTest : public ::testing::TestWithParam<ConfigCase> {
     options_.pm_pool_capacity = 64 << 20;
     options_.pm_latency.inject_latency = false;
     options_.l0_layout = GetParam().layout;
-    options_.enable_internal_compaction = GetParam().internal_compaction;
     options_.enable_cost_model = GetParam().cost_model;
     options_.l0_table_trigger = 6;
     options_.cost.tau_w = 64 << 10;
@@ -570,12 +568,11 @@ TEST_P(DBConfigTest, RandomWorkloadAgainstModel) {
 INSTANTIATE_TEST_SUITE_P(
     Configs, DBConfigTest,
     ::testing::Values(
-        ConfigCase{"PMBlade", L0Layout::kPmTable, true, true},
-        ConfigCase{"PMB_PI_array", L0Layout::kArrayTable, true, true},
-        ConfigCase{"PMB_P_no_internal", L0Layout::kArrayTable, false, false},
-        ConfigCase{"PMBlade_SSD", L0Layout::kSstable, true, true},
-        ConfigCase{"PMBlade_PM_conventional", L0Layout::kPmTable, false,
-                   false}),
+        ConfigCase{"PMBlade", L0Layout::kPmTable, true},
+        ConfigCase{"PMB_PI_array", L0Layout::kArrayTable, true},
+        ConfigCase{"PMB_P_no_internal", L0Layout::kArrayTable, false},
+        ConfigCase{"PMBlade_SSD", L0Layout::kSstable, true},
+        ConfigCase{"PMBlade_PM_conventional", L0Layout::kPmTable, false}),
     [](const ::testing::TestParamInfo<ConfigCase>& info) {
       return info.param.name;
     });

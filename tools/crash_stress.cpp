@@ -154,7 +154,11 @@ int main(int argc, char** argv) {
   unsigned long long seed = static_cast<unsigned long long>(flags.Int(
       "seed",
       static_cast<int64_t>(pmblade::SystemClock()->NowNanos() / 1000000)));
-  std::string layout = flags.Str("layout", "pm");
+  const std::string layout = flags.Str("layout", "pm");
+  if (layout != "pm" && layout != "ssd") {
+    fprintf(stderr, "unknown --layout '%s' (want pm|ssd)\n", layout.c_str());
+    return 2;
+  }
   std::string policy = flags.Str("policy", "leveled");
   if (!pmblade::IsValidCompactionPolicy(policy)) {
     fprintf(stderr,
