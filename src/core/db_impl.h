@@ -198,7 +198,7 @@ class DBImpl final : public DB {
   };
 
   /// Shared queue-join + leader dispatch behind Write and the txn ops.
-  Status WriteInternal(const WriteOptions& options, WriterState& w);
+  Status WriteInternal(WriterState& w);
   /// Waits until no leader is still signalling `w`; called before `w`'s
   /// owner returns.
   static void AwaitWakePins(const WriterState& w);

@@ -196,6 +196,8 @@ Status DBImpl::Init() {
   // name predates policies that hold more than one run.
   partition_gauge("pmblade.lsm.l0_bytes",
                   [](const Partition& p) { return p.L0Bytes(); });
+  partition_gauge("pmblade.lsm.l0_dram_bytes",
+                  [](const Partition& p) { return p.L0DramBytes(); });
   partition_gauge("pmblade.lsm.l1_bytes",
                   [](const Partition& p) { return p.SsdBytes(); });
   partition_gauge("pmblade.lsm.unsorted_tables", [](const Partition& p) {

@@ -63,7 +63,7 @@ Status DBImpl::Delete(const WriteOptions& options, const Slice& key) {
 Status DBImpl::Write(const WriteOptions& options, WriteBatch* updates) {
   const uint64_t start = clock_->NowNanos();
   WriterState w(updates, options.sync || options_.sync_wal);
-  Status status = WriteInternal(options, w);
+  Status status = WriteInternal(w);
   if (updates != nullptr) {
     stats_.RecordWrite(updates->ApproximateSize(),
                        clock_->NowNanos() - start);
@@ -71,7 +71,7 @@ Status DBImpl::Write(const WriteOptions& options, WriteBatch* updates) {
   return status;
 }
 
-Status DBImpl::WriteInternal(const WriteOptions& options, WriterState& w) {
+Status DBImpl::WriteInternal(WriterState& w) {
   std::unique_lock<std::mutex> lock(mu_);
   writers_.push_back(&w);
   while (!w.done && &w != writers_.front()) {
@@ -310,7 +310,7 @@ void DBImpl::HandleWalErrorLocked(const Status& s) {
 // Cross-shard two-phase commit (see the header block and sharded_db.cc)
 // ---------------------------------------------------------------------------
 
-Status DBImpl::PrepareTxn(const WriteOptions& options, uint64_t txn_id,
+Status DBImpl::PrepareTxn(const WriteOptions& /*options*/, uint64_t txn_id,
                           const std::vector<uint32_t>& participants,
                           WriteBatch* batch) {
   if (batch == nullptr || batch->Count() == 0) {
@@ -322,19 +322,19 @@ Status DBImpl::PrepareTxn(const WriteOptions& options, uint64_t txn_id,
   // into data loss on the other shards.
   WriterState w(WriteKind::kTxnPrepare, txn_id, batch, /*sync=*/true);
   w.participants = &participants;
-  return WriteInternal(options, w);
+  return WriteInternal(w);
 }
 
 Status DBImpl::CommitTxn(const WriteOptions& options, uint64_t txn_id) {
   WriterState w(WriteKind::kTxnCommit, txn_id, nullptr,
                 options.sync || options_.sync_wal);
-  return WriteInternal(options, w);
+  return WriteInternal(w);
 }
 
 Status DBImpl::RollbackTxn(const WriteOptions& options, uint64_t txn_id) {
   WriterState w(WriteKind::kTxnRollback, txn_id, nullptr,
                 options.sync || options_.sync_wal);
-  return WriteInternal(options, w);
+  return WriteInternal(w);
 }
 
 Status DBImpl::TxnGroupWriteLocked(std::unique_lock<std::mutex>& lock,

@@ -104,6 +104,13 @@ class Partition {
     for (const auto& table : sorted_run_) total += table->size_bytes();
     return total;
   }
+  /// DRAM bytes the level-0 tables hold (L0Table::dram_bytes).
+  uint64_t L0DramBytes() const {
+    uint64_t total = 0;
+    for (const auto& table : unsorted_) total += table->dram_bytes();
+    for (const auto& table : sorted_run_) total += table->dram_bytes();
+    return total;
+  }
   /// Total SSD bytes across every run in the stack. (Under the leveled
   /// policy the stack is at most one level-1 run, so this is the paper's
   /// level-1 size.)

@@ -116,6 +116,10 @@ class L0Table {
   /// lives in the TableReader).
   size_t filter_bytes() const { return filter_.size(); }
 
+  /// DRAM bytes the table holds to serve reads: the filter, plus any search
+  /// structure a layout keeps beside it (PmTable's group slots).
+  virtual size_t dram_bytes() const { return filter_bytes(); }
+
  protected:
   const BloomFilterPolicy* filter_policy_ = nullptr;
   std::string filter_;  // immutable once the table is published

@@ -71,6 +71,7 @@ const NameKind kEngineMetrics[] = {
     {"pmblade.latency.put", "histogram"},
     {"pmblade.latency.scan", "histogram"},
     {"pmblade.lsm.l0_bytes", "gauge"},
+    {"pmblade.lsm.l0_dram_bytes", "gauge"},
     {"pmblade.lsm.l1_bytes", "gauge"},
     {"pmblade.lsm.level0.bytes", "gauge"},
     {"pmblade.lsm.level0.files", "gauge"},

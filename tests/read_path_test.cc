@@ -165,6 +165,106 @@ INSTANTIATE_TEST_SUITE_P(Layouts, ReadPathTest,
                            return "Unknown";
                          });
 
+// -- PM table search cost ---------------------------------------------------
+
+class PmTableReadCostTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dbname_ = ::testing::TempDir() + "pmblade_pm_read_cost_test";
+    options_.l0_layout = L0Layout::kPmTable;
+    options_.pm_pool_capacity = 64 << 20;
+    options_.pm_latency.inject_latency = false;
+    DestroyDB(options_, dbname_);
+  }
+  void TearDown() override {
+    db_.reset();
+    DestroyDB(options_, dbname_);
+  }
+  void Open() {
+    std::unique_ptr<DB> db;
+    Status s = DB::Open(options_, dbname_, &db);
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    db_ = std::move(db);
+  }
+  uint64_t Property(const std::string& name) {
+    uint64_t value = 0;
+    EXPECT_TRUE(db_->GetProperty(name, &value)) << name;
+    return value;
+  }
+
+  std::string dbname_;
+  Options options_;
+  std::unique_ptr<DB> db_;
+};
+
+// A Get that reaches a PM sorted run searches the groups in DRAM: one PM
+// access walks the candidate group, and only the 1 key in 16 that opens a
+// group pays a full first-key read plus a walk of the group before it. A
+// search that reads a full first key at every binary-search step costs
+// about 11 accesses per Get here.
+TEST_F(PmTableReadCostTest, SortedRunGetsReadAboutOnePmAccess) {
+  Open();
+  // The perfbench key shape: "k" + 16 hex digits of a scrambled id.
+  auto key = [](uint64_t i) {
+    char buf[32];
+    snprintf(buf, sizeof(buf), "k%016llx",
+             static_cast<unsigned long long>(i * 0x9E3779B97F4A7C15ull));
+    return std::string(buf);
+  };
+  const int n = 20000;
+  for (int i = 0; i < n; ++i) {
+    ASSERT_TRUE(db_->Put(WriteOptions(), key(i), std::string(64, 'v')).ok());
+  }
+  ASSERT_TRUE(db_->FlushMemTable().ok());
+  ASSERT_TRUE(db_->CompactLevel0().ok());
+  ASSERT_EQ(Property("pmblade.lsm.unsorted_tables"), 0u);
+  ASSERT_GT(Property("pmblade.lsm.sorted_tables"), 0u);
+
+  const uint64_t pm_reads_before = Property("pmblade.reads.pm_l0");
+  const uint64_t accesses_before = Property("pmblade.pm.read_accesses");
+  for (int i = 0; i < n; ++i) {
+    std::string value;
+    ASSERT_TRUE(db_->Get(ReadOptions(), key(i), &value).ok()) << key(i);
+  }
+  ASSERT_EQ(Property("pmblade.reads.pm_l0") - pm_reads_before,
+            static_cast<uint64_t>(n));
+  const double per_get =
+      static_cast<double>(Property("pmblade.pm.read_accesses") -
+                          accesses_before) /
+      n;
+  EXPECT_GE(per_get, 1.0);
+  EXPECT_LE(per_get, 1.2);
+}
+
+// pmblade.lsm.l0_dram_bytes: each PM table holds its filter plus one 8-byte
+// slot per 16-entry group and its meta range's first internal key.
+TEST_F(PmTableReadCostTest, L0DramGaugeCountsSlotsAndFilters) {
+  options_.bloom_bits_per_key = 0;  // slots and range keys only
+  Open();
+  EXPECT_EQ(Property("pmblade.lsm.l0_dram_bytes"), 0u);
+  auto load = [this](int base) {
+    for (int i = base; i < base + 100; ++i) {
+      ASSERT_TRUE(
+          db_->Put(WriteOptions(), "key" + std::to_string(i), "v").ok());
+    }
+    ASSERT_TRUE(db_->FlushMemTable().ok());
+  };
+  // 100 keys: 7 groups of slots plus "key100" + its 8-byte tag.
+  const uint64_t table_bytes = 7 * 8 + 6 + 8;
+  load(100);
+  EXPECT_EQ(Property("pmblade.lsm.l0_dram_bytes"), table_bytes);
+  load(200);
+  EXPECT_EQ(Property("pmblade.lsm.l0_dram_bytes"), 2 * table_bytes);
+
+  // With filters the gauge adds each table's filter to its slots.
+  db_.reset();
+  DestroyDB(options_, dbname_);
+  options_.bloom_bits_per_key = 10;
+  Open();
+  load(100);
+  EXPECT_GT(Property("pmblade.lsm.l0_dram_bytes"), table_bytes + 100 * 10 / 8);
+}
+
 // -- Block cache charge accounting -----------------------------------------
 
 /// A minimal well-formed block: no entries, one restart slot, so Block's
