@@ -15,38 +15,6 @@ L0TableFactory::L0TableFactory(const L0FactoryOptions& options, PmPool* pool,
 
 namespace {
 
-/// Accumulates distinct user keys while a PM-layout build streams through
-/// its input, then installs the whole-table bloom filter on the finished
-/// table. Key versions are adjacent in internal order, so deduplication is
-/// one comparison against the last collected key.
-class FilterCollector {
- public:
-  explicit FilterCollector(const BloomFilterPolicy* policy)
-      : policy_(policy) {}
-
-  void Observe(const Slice& internal_key) {
-    if (policy_ == nullptr) return;
-    Slice user = ExtractUserKey(internal_key);
-    if (keys_.empty() || user.compare(Slice(keys_.back())) != 0) {
-      keys_.emplace_back(user.data(), user.size());
-    }
-  }
-
-  void InstallOn(L0Table* table) {
-    if (policy_ == nullptr || keys_.empty()) return;
-    std::vector<Slice> slices;
-    slices.reserve(keys_.size());
-    for (const auto& key : keys_) slices.emplace_back(key);
-    std::string filter;
-    policy_->CreateFilter(slices, &filter);
-    table->InstallFilter(policy_, std::move(filter));
-  }
-
- private:
-  const BloomFilterPolicy* policy_;
-  std::vector<std::string> keys_;
-};
-
 /// Reopens pool object `id` as a `Table` and rebuilds its DRAM filter.
 template <typename Table>
 Status OpenAs(PmPool* pool, uint64_t id, const BloomFilterPolicy* filter,

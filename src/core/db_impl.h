@@ -282,9 +282,10 @@ class DBImpl final : public DB {
   /// stalled writers, then enqueues the compaction triggers to the
   /// scheduler.
   void BackgroundFlush();
-  /// Eq. 2 update-detection counters for one commit group; runs in the
-  /// unlocked leader section BEFORE the group is inserted into `mem`.
-  void NoteGroupWrites(const WriteBatch& group, MemTable* mem);
+  /// Inserts one commit payload into `mem` and bumps the Eq. 2 write and
+  /// update counters of each entry's partition; runs in the unlocked leader
+  /// section.
+  Status InsertAndNoteWrites(const WriteBatch& payload, MemTable* mem);
 
   /// mu_ held. Records the partitions the flush touched and enqueues one
   /// Algorithm-1 check on the compaction scheduler. Cannot fail — so the

@@ -268,8 +268,7 @@ Status DBImpl::CommitGroupLocked(std::unique_lock<std::mutex>& lock,
     wal_error = !status.ok();
   }
   for (size_t i = 0; status.ok() && i < num_payloads; ++i) {
-    NoteGroupWrites(*payloads[i], mem);
-    status = payloads[i]->InsertInto(mem);
+    status = InsertAndNoteWrites(*payloads[i], mem);
   }
   lock.lock();
   if (wal_error) {
@@ -590,29 +589,22 @@ WriteBatch* DBImpl::BuildBatchGroup(WriterState** last_writer, bool* sync,
   return result;
 }
 
-void DBImpl::NoteGroupWrites(const WriteBatch& group, MemTable* mem) {
-  // Partition write/update counters for the cost model. Update detection
-  // probes only the memtable (cheap, DRAM, no value copy): hot keys
-  // rewritten within a memtable window are what Eq. 2 cares about. Runs in
-  // the unlocked leader section BEFORE the group is inserted, so the probe
-  // sees only prior writes.
-  struct CounterHandler : WriteBatch::Handler {
+Status DBImpl::InsertAndNoteWrites(const WriteBatch& payload,
+                                   MemTable* mem) {
+  // Partition write/update counters for the cost model. An update is a Put
+  // whose key the memtable held before this payload, as the insert's own
+  // skiplist search reports it (DRAM only, no value copy): hot keys
+  // rewritten within a memtable window are what Eq. 2 cares about. Every
+  // delete counts as an update.
+  struct CounterObserver : WriteBatch::InsertObserver {
+    explicit CounterObserver(DBImpl* d) : db(d) {}
+    void Inserted(const Slice& key, ValueType type, bool held_older) override {
+      Partition* p = db->FindPartition(key);
+      if (p != nullptr) p->NoteWrite(type == kTypeDeletion || held_older);
+    }
     DBImpl* db;
-    MemTable* mem;
-    void Put(const Slice& key, const Slice&) override {
-      Partition* p = db->FindPartition(key);
-      if (p == nullptr) return;
-      LookupKey lkey(key, kMaxSequenceNumber);
-      p->NoteWrite(mem->Contains(lkey));
-    }
-    void Delete(const Slice& key) override {
-      Partition* p = db->FindPartition(key);
-      if (p != nullptr) p->NoteWrite(true);
-    }
-  } handler;
-  handler.db = this;
-  handler.mem = mem;
-  (void)group.Iterate(&handler);  // we built the group; it cannot be malformed
+  } observer(this);
+  return payload.InsertInto(mem, &observer);
 }
 
 Status DBImpl::MakeRoomForWrite(std::unique_lock<std::mutex>& lock,

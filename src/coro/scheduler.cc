@@ -1,5 +1,6 @@
 #include "coro/scheduler.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace pmblade {
@@ -53,14 +54,9 @@ void CoroScheduler::Run() {
 
     // No ready work and no sleepers: done if all tasks completed; stuck
     // (waiting on an Event nobody will notify) would be a caller bug.
-    bool all_done = true;
-    for (auto h : tasks_) {
-      if (h && !h.done()) {
-        all_done = false;
-        break;
-      }
-    }
-    assert(all_done && "scheduler idle with unfinished coroutines");
+    assert(std::all_of(tasks_.begin(), tasks_.end(),
+                       [](auto h) { return !h || h.done(); }) &&
+           "scheduler idle with unfinished coroutines");
     break;
   }
   wall_nanos_ = clock_->NowNanos() - run_start;

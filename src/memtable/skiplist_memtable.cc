@@ -32,22 +32,17 @@ struct MemTable::Node {
 
 MemTable::MemTable(const InternalKeyComparator& comparator)
     : comparator_(comparator), rnd_(0xdeadbeef) {
-  head_ = NewNode(Slice(), kMaxHeight);
+  head_ = NewNode(nullptr, kMaxHeight);
   for (int i = 0; i < kMaxHeight; ++i) head_->NoBarrierSetNext(i, nullptr);
 }
 
 MemTable::~MemTable() = default;
 
-MemTable::Node* MemTable::NewNode(const Slice& encoded_entry, int height) {
-  char* entry_mem = nullptr;
-  if (!encoded_entry.empty()) {
-    entry_mem = arena_.Allocate(encoded_entry.size());
-    memcpy(entry_mem, encoded_entry.data(), encoded_entry.size());
-  }
+MemTable::Node* MemTable::NewNode(const char* entry, int height) {
   char* node_mem = arena_.AllocateAligned(
       sizeof(Node) + sizeof(std::atomic<Node*>) * (height - 1));
   Node* node = new (node_mem) Node();
-  node->entry = entry_mem;
+  node->entry = entry;
   node->height = height;
   return node;
 }
@@ -123,27 +118,42 @@ MemTable::Node* MemTable::FindLast() const {
   }
 }
 
-void MemTable::Add(SequenceNumber seq, ValueType type, const Slice& user_key,
-                   const Slice& value) {
-  // Encode the entry blob.
-  size_t internal_key_size = user_key.size() + 8;
-  size_t encoded_len = VarintLength(internal_key_size) + internal_key_size +
-                       VarintLength(value.size()) + value.size();
-  std::string buf;
-  buf.reserve(encoded_len);
-  PutVarint32(&buf, static_cast<uint32_t>(internal_key_size));
-  buf.append(user_key.data(), user_key.size());
-  PutFixed64(&buf, PackSequenceAndType(seq, type));
-  PutVarint32(&buf, static_cast<uint32_t>(value.size()));
-  buf.append(value.data(), value.size());
+bool MemTable::Add(SequenceNumber seq, ValueType type, const Slice& user_key,
+                   const Slice& value, SequenceNumber first_seq) {
+  // Encode the entry blob in place: the arena holds the only copy.
+  const size_t internal_key_size = user_key.size() + 8;
+  const size_t encoded_len = VarintLength(internal_key_size) +
+                             internal_key_size + VarintLength(value.size()) +
+                             value.size();
+  char* entry = arena_.Allocate(encoded_len);
+  char* p = EncodeVarint32(entry, static_cast<uint32_t>(internal_key_size));
+  memcpy(p, user_key.data(), user_key.size());
+  p += user_key.size();
+  EncodeFixed64(p, PackSequenceAndType(seq, type));
+  p = EncodeVarint32(p + 8, static_cast<uint32_t>(value.size()));
+  memcpy(p, value.data(), value.size());
 
   int height = RandomHeight();
-  Node* x = NewNode(buf, height);
+  Node* x = NewNode(entry, height);
   Slice key = EntryKey(x);
 
   Node* prev[kMaxHeight];
   for (int i = 0; i < kMaxHeight; ++i) prev[i] = head_;
-  FindGreaterOrEqual(key, prev);
+  Node* next = FindGreaterOrEqual(key, prev);
+
+  // Older versions of the user key follow the new entry (newest first);
+  // step past the ones at or above first_seq, which the caller's own
+  // payload inserted.
+  bool held_older = false;
+  const Comparator* ucmp = comparator_.user_comparator();
+  for (Node* n = next; n != nullptr; n = n->NoBarrierNext(0)) {
+    const Slice k = EntryKey(n);
+    if (ucmp->Compare(ExtractUserKey(k), user_key) != 0) break;
+    if (UnpackSequence(ExtractTag(k)) < first_seq) {
+      held_older = true;
+      break;
+    }
+  }
 
   if (height > max_height_.load(std::memory_order_relaxed)) {
     // prev[] above the old height already points at head_.
@@ -155,6 +165,7 @@ void MemTable::Add(SequenceNumber seq, ValueType type, const Slice& user_key,
     prev[i]->SetNext(i, x);
   }
   num_entries_.fetch_add(1, std::memory_order_relaxed);
+  return held_older;
 }
 
 bool MemTable::Get(const LookupKey& lkey, std::string* value, Status* s) {
@@ -176,15 +187,6 @@ bool MemTable::Get(const LookupKey& lkey, std::string* value, Status* s) {
   value->assign(v.data(), v.size());
   *s = Status::OK();
   return true;
-}
-
-bool MemTable::Contains(const LookupKey& lkey) const {
-  Node* node = FindGreaterOrEqual(lkey.internal_key(), nullptr);
-  if (node == nullptr) return false;
-  ParsedInternalKey parsed;
-  if (!ParseInternalKey(EntryKey(node), &parsed)) return false;
-  return comparator_.user_comparator()->Compare(parsed.user_key,
-                                                lkey.user_key()) == 0;
 }
 
 class MemTable::Iter final : public Iterator {

@@ -31,18 +31,17 @@ class MemTable {
     if (refs_.fetch_sub(1, std::memory_order_acq_rel) == 1) delete this;
   }
 
-  /// Adds an entry. `type` distinguishes values from tombstones.
-  void Add(SequenceNumber seq, ValueType type, const Slice& user_key,
-           const Slice& value);
+  /// Adds an entry, encoded straight into the arena. `type` distinguishes
+  /// values from tombstones. Returns true if the memtable already held a
+  /// version of `user_key` older than `first_seq`: the write path passes
+  /// its payload's first sequence, so the insert's own search answers
+  /// Eq. 2's update probe and versions from the same payload do not count.
+  bool Add(SequenceNumber seq, ValueType type, const Slice& user_key,
+           const Slice& value, SequenceNumber first_seq = 0);
 
   /// Point lookup at snapshot embedded in `key`. Returns true if this
   /// memtable has an answer: value (s OK) or tombstone (s NotFound).
   bool Get(const LookupKey& key, std::string* value, Status* s);
-
-  /// Existence-only probe: true if this memtable has any entry (value or
-  /// tombstone) for `key`'s user key at its snapshot. No value copy — the
-  /// write path's update-detection counters (Eq. 2) use this on every Put.
-  bool Contains(const LookupKey& key) const;
 
   /// Iterator over internal-key entries, newest version of each user key
   /// first. key() is the encoded internal key.
@@ -62,7 +61,8 @@ class MemTable {
   static constexpr int kMaxHeight = 12;
 
   int RandomHeight();
-  Node* NewNode(const Slice& encoded_entry, int height);
+  /// A node of `height` levels over an entry already in the arena.
+  Node* NewNode(const char* entry, int height);
   /// First node with entry key >= `key` (internal-key order).
   Node* FindGreaterOrEqual(const Slice& key, Node** prev) const;
   Node* FindLessThan(const Slice& key) const;

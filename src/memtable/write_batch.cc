@@ -83,24 +83,32 @@ Status WriteBatch::Iterate(Handler* handler) const {
 namespace {
 class MemTableInserter : public WriteBatch::Handler {
  public:
-  MemTableInserter(SequenceNumber seq, MemTable* mem)
-      : sequence_(seq), mem_(mem) {}
+  MemTableInserter(SequenceNumber seq, MemTable* mem,
+                   WriteBatch::InsertObserver* observer)
+      : first_(seq), sequence_(seq), mem_(mem), observer_(observer) {}
 
   void Put(const Slice& key, const Slice& value) override {
-    mem_->Add(sequence_++, kTypeValue, key, value);
+    Insert(kTypeValue, key, value);
   }
   void Delete(const Slice& key) override {
-    mem_->Add(sequence_++, kTypeDeletion, key, Slice());
+    Insert(kTypeDeletion, key, Slice());
   }
 
  private:
+  void Insert(ValueType type, const Slice& key, const Slice& value) {
+    const bool held_older = mem_->Add(sequence_++, type, key, value, first_);
+    if (observer_ != nullptr) observer_->Inserted(key, type, held_older);
+  }
+
+  const SequenceNumber first_;
   SequenceNumber sequence_;
   MemTable* mem_;
+  WriteBatch::InsertObserver* observer_;
 };
 }  // namespace
 
-Status WriteBatch::InsertInto(MemTable* mem) const {
-  MemTableInserter inserter(Sequence(), mem);
+Status WriteBatch::InsertInto(MemTable* mem, InsertObserver* observer) const {
+  MemTableInserter inserter(Sequence(), mem, observer);
   return Iterate(&inserter);
 }
 

@@ -52,9 +52,18 @@ class WriteBatch {
   SequenceNumber Sequence() const;
   void SetSequence(SequenceNumber seq);
 
+  /// Told of each entry InsertInto adds. `held_older` is true when the
+  /// memtable already held a version of `key` from before this batch.
+  class InsertObserver {
+   public:
+    virtual ~InsertObserver() = default;
+    virtual void Inserted(const Slice& key, ValueType type,
+                          bool held_older) = 0;
+  };
+
   /// Applies the batch into `mem` with sequence numbers starting at
-  /// Sequence().
-  Status InsertInto(MemTable* mem) const;
+  /// Sequence(), reporting each entry to `observer` when one is given.
+  Status InsertInto(MemTable* mem, InsertObserver* observer = nullptr) const;
 
  private:
   static constexpr size_t kHeader = 12;

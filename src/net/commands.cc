@@ -409,6 +409,7 @@ void CommandHandler::Scan(const std::vector<const std::string*>& args,
       session->Release();
     }
   }
+  const uint64_t scan_start = clock_->NowNanos();
   std::unique_ptr<Iterator> it(db_->NewIterator(read_options));
   if (cursor == "0") {
     it->SeekToFirst();
@@ -437,6 +438,8 @@ void CommandHandler::Scan(const std::vector<const std::string*>& args,
     return;
   }
   if (!it->Valid()) next_cursor = "0";  // walk finished inside this page
+  db_->statistics().RecordScan(static_cast<uint64_t>(scanned),
+                               clock_->NowNanos() - scan_start);
 
   if (session != nullptr && session->has_snapshot_) {
     if (next_cursor == "0") {

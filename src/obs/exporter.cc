@@ -34,7 +34,7 @@ std::string ToPrometheusName(const std::string& name) {
                  c == '_' || c == ':' || (i > 0 && c >= '0' && c <= '9');
     out.push_back(legal ? c : '_');
   }
-  if (out.empty()) out = "_";
+  if (out.empty()) out.push_back('_');
   return out;
 }
 

@@ -157,7 +157,7 @@ Iterator* ArrayTable::NewIterator() const {
 ArrayTableBuilder::ArrayTableBuilder(PmPool* pool) : pool_(pool) {}
 
 void ArrayTableBuilder::Add(const Slice& internal_key, const Slice& value) {
-  offsets_.push_back(static_cast<uint32_t>(data_.size()));
+  PutFixed32(&offsets_, static_cast<uint32_t>(data_.size()));
   PutVarint32(&data_, static_cast<uint32_t>(internal_key.size()));
   PutVarint32(&data_, static_cast<uint32_t>(value.size()));
   data_.append(internal_key.data(), internal_key.size());
@@ -167,34 +167,22 @@ void ArrayTableBuilder::Add(const Slice& internal_key, const Slice& value) {
 Status ArrayTableBuilder::Finish(std::shared_ptr<ArrayTable>* table) {
   const uint32_t offsets_start = kHeaderSize;
   const uint32_t data_start =
-      offsets_start + static_cast<uint32_t>(offsets_.size()) * 4;
+      offsets_start + static_cast<uint32_t>(offsets_.size());
   const uint32_t total = data_start + static_cast<uint32_t>(data_.size());
 
-  std::string image;
-  image.reserve(total);
-  image.resize(kHeaderSize, '\0');
-  char* h = image.data();
+  char h[kHeaderSize] = {};
   memcpy(h, kMagic, 4);
-  EncodeFixed32(h + 4, static_cast<uint32_t>(offsets_.size()));
+  EncodeFixed32(h + 4, static_cast<uint32_t>(num_entries()));
   EncodeFixed32(h + 8, offsets_start);
   EncodeFixed32(h + 12, data_start);
   EncodeFixed32(h + 16, total);
   EncodeFixed32(h + 20, crc32c::Value(h, 20));
 
-  for (uint32_t off : offsets_) {
-    PutFixed32(&image, off);
-  }
-  image.append(data_);
-
-  PmPool::ObjectInfo info;
-  char* dst = nullptr;
-  PMBLADE_RETURN_IF_ERROR(
-      pool_->Allocate(image.size(), kArrayTableObject, &info, &dst));
-  memcpy(dst, image.data(), image.size());
-  pool_->InjectWrite(image.size());
-  pool_->Persist(dst, image.size());
-
-  return ArrayTable::Open(pool_, info.id, table);
+  uint64_t id = 0;
+  PMBLADE_RETURN_IF_ERROR(LandTableObject(
+      pool_, kArrayTableObject, {Slice(h, kHeaderSize), offsets_, data_},
+      &id));
+  return ArrayTable::Open(pool_, id, table);
 }
 
 }  // namespace pmblade

@@ -69,11 +69,11 @@ class ArrayTableBuilder {
   void Add(const Slice& internal_key, const Slice& value);
   Status Finish(std::shared_ptr<ArrayTable>* table);
 
-  uint64_t num_entries() const { return offsets_.size(); }
+  uint64_t num_entries() const { return offsets_.size() / 4; }
 
  private:
   PmPool* pool_;
-  std::vector<uint32_t> offsets_;
+  std::string offsets_;  // the offsets area, encoded as it lands
   std::string data_;
 };
 

@@ -257,6 +257,41 @@ bool PmTable::FindGroup(const Slice& target, std::string* scratch,
   return true;
 }
 
+bool PmTable::CollectKeys(FilterCollector* collector) const {
+  std::string key;
+  for (uint32_t g = 0; g < num_groups_; ++g) {
+    const char* ge = group_index_ + uint64_t{g} * kGroupIndexEntrySize;
+    uint32_t entry_off = DecodeFixed32(ge);
+    uint32_t count = DecodeFixed32(ge + 4);
+    uint32_t meta_id = DecodeFixed32(ge + 8);
+    uint32_t common_len = DecodeFixed32(ge + 12);
+    const char* slot = prefix_layer_ + uint64_t{g} * prefix_width_;
+    Slice meta = metas_[meta_id];
+    key.assign(meta.data(), meta.size());
+    key.append(slot, common_len);
+    const size_t shared = key.size();
+
+    size_t walked = 0;
+    const char* p = entry_layer_ + entry_off;
+    for (uint32_t i = 0; i < count; ++i) {
+      const char* entry = p;
+      uint32_t suffix_len = 0, value_len = 0;
+      p = GetVarint32Ptr(p, limit_, &suffix_len);
+      if (p != nullptr) p = GetVarint32Ptr(p, limit_, &value_len);
+      if (p == nullptr || p + suffix_len + value_len > limit_) return false;
+      key.resize(shared);
+      key.append(p, suffix_len);
+      if (key.size() < 8) return false;
+      p += suffix_len;
+      walked += static_cast<size_t>(p - entry);
+      p += value_len;
+      collector->Observe(Slice(key));
+    }
+    pool_->InjectRead(walked, 1);
+  }
+  return true;
+}
+
 size_t PmTable::dram_bytes() const {
   size_t total = filter_bytes() + slots_.size();
   for (const MetaRange& range : ranges_) total += range.first_key.size();

@@ -104,6 +104,11 @@ class PmTable : public L0Table,
 
   Status Validate();
 
+  /// The keys-only walk: each group's entry headers and suffixes, values
+  /// skipped as Get skips them. Charges one PM access per group for the
+  /// bytes walked.
+  bool CollectKeys(FilterCollector* collector) const override;
+
   /// Reconstructs group `g`'s first full key into *out without decoding the
   /// rest of the group: meta ++ slot[0:common_len] ++ first entry's suffix.
   /// False on a malformed entry header. Charges nothing.

@@ -23,10 +23,14 @@ PmTableBuilder::PmTableBuilder(PmPool* pool, const PmTableOptions& options)
 
 void PmTableBuilder::Add(const Slice& internal_key, const Slice& value) {
   assert(internal_key.size() >= 8);
-  assert(last_key_.empty() ||
-         ExtractUserKey(internal_key).compare(ExtractUserKey(last_key_)) > 0 ||
-         (ExtractUserKey(internal_key) == ExtractUserKey(Slice(last_key_)) &&
-          ExtractTag(internal_key) < ExtractTag(Slice(last_key_))));
+#ifndef NDEBUG
+  // The previous entry is still buffered: a group seals only below.
+  if (!group_entries_.empty()) {
+    const Slice last = PendingKey(group_entries_.back());
+    const int r = ExtractUserKey(internal_key).compare(ExtractUserKey(last));
+    assert(r > 0 || (r == 0 && ExtractTag(internal_key) < ExtractTag(last)));
+  }
+#endif
 
   Slice user_key = ExtractUserKey(internal_key);
   Slice meta = prefix::TableIdComponent(user_key);
@@ -45,35 +49,36 @@ void PmTableBuilder::Add(const Slice& internal_key, const Slice& value) {
   }
   group_meta_id_ = meta_id;
   group_entries_.push_back(
-      PendingEntry{internal_key.ToString(), value.ToString()});
+      PendingEntry{static_cast<uint32_t>(group_buf_.size()),
+                   static_cast<uint32_t>(internal_key.size()),
+                   static_cast<uint32_t>(value.size())});
+  group_buf_.append(internal_key.data(), internal_key.size());
+  group_buf_.append(value.data(), value.size());
   ++num_entries_;
   raw_bytes_ += internal_key.size() + value.size();
-  last_key_.assign(internal_key.data(), internal_key.size());
 }
 
 void PmTableBuilder::SealGroup() {
   if (group_entries_.empty()) return;
 
-  const Slice meta(metas_[group_meta_id_]);
-  const size_t meta_len = meta.size();
+  const size_t meta_len = metas_[group_meta_id_].size();
 
   // Remainders (keys with the meta component stripped).
-  std::vector<Slice> remainders;
-  remainders.reserve(group_entries_.size());
-  for (const auto& e : group_entries_) {
-    remainders.emplace_back(e.key.data() + meta_len,
-                            e.key.size() - meta_len);
+  remainders_.clear();
+  for (const PendingEntry& e : group_entries_) {
+    const Slice key = PendingKey(e);
+    remainders_.emplace_back(key.data() + meta_len, key.size() - meta_len);
   }
 
   // Common prefix over the group's remainders, clamped to the slot width so
   // the prefix bytes are always recoverable from the slot.
-  size_t common = prefix::CommonPrefixLengthAll(remainders);
+  size_t common = prefix::CommonPrefixLengthAll(remainders_);
   if (common > options_.prefix_width) common = options_.prefix_width;
 
   // Prefix slot: first remainder's leading bytes, zero padded.
   size_t slot_pos = prefix_layer_.size();
   prefix_layer_.resize(slot_pos + options_.prefix_width);
-  prefix::FixedWidthSlot(remainders[0], options_.prefix_width,
+  prefix::FixedWidthSlot(remainders_[0], options_.prefix_width,
                          prefix_layer_.data() + slot_pos);
 
   // Group index entry.
@@ -84,16 +89,19 @@ void PmTableBuilder::SealGroup() {
 
   // Entries: suffix after the common prefix.
   for (size_t i = 0; i < group_entries_.size(); ++i) {
-    Slice suffix(remainders[i].data() + common, remainders[i].size() - common);
+    const PendingEntry& e = group_entries_[i];
+    Slice suffix(remainders_[i].data() + common,
+                 remainders_[i].size() - common);
     PutVarint32(&entry_layer_, static_cast<uint32_t>(suffix.size()));
-    PutVarint32(&entry_layer_,
-                static_cast<uint32_t>(group_entries_[i].value.size()));
+    PutVarint32(&entry_layer_, e.value_len);
     entry_layer_.append(suffix.data(), suffix.size());
-    entry_layer_.append(group_entries_[i].value);
+    entry_layer_.append(group_buf_.data() + e.offset + e.key_len,
+                        e.value_len);
   }
 
   ++num_groups_;
   group_entries_.clear();
+  group_buf_.clear();
 }
 
 Status PmTableBuilder::Finish(std::shared_ptr<PmTable>* table) {
@@ -115,10 +123,7 @@ Status PmTableBuilder::Finish(std::shared_ptr<PmTable>* table) {
   const uint32_t total =
       entry_off + static_cast<uint32_t>(entry_layer_.size());
 
-  std::string image;
-  image.reserve(total);
-  image.resize(kHeaderSize, '\0');
-  char* h = image.data();
+  char h[kHeaderSize] = {};
   memcpy(h, kMagic, 4);
   EncodeFixed32(h + 4, static_cast<uint32_t>(num_entries_));
   EncodeFixed32(h + 8, num_groups_);
@@ -132,22 +137,13 @@ Status PmTableBuilder::Finish(std::shared_ptr<PmTable>* table) {
   EncodeFixed32(h + 40, total);
   EncodeFixed32(h + 44, crc32c::Value(h, 44));
 
-  image.append(meta_layer);
-  image.append(prefix_layer_);
-  image.append(group_index_);
-  image.append(entry_layer_);
-  assert(image.size() == total);
-
-  // Land in the PM pool: allocate, stream-copy, persist.
-  PmPool::ObjectInfo info;
-  char* dst = nullptr;
-  PMBLADE_RETURN_IF_ERROR(
-      pool_->Allocate(image.size(), kPmTableObject, &info, &dst));
-  memcpy(dst, image.data(), image.size());
-  pool_->InjectWrite(image.size());
-  pool_->Persist(dst, image.size());
-
-  return PmTable::Open(pool_, info.id, table);
+  uint64_t id = 0;
+  PMBLADE_RETURN_IF_ERROR(LandTableObject(
+      pool_, kPmTableObject,
+      {Slice(h, kHeaderSize), meta_layer, prefix_layer_, group_index_,
+       entry_layer_},
+      &id));
+  return PmTable::Open(pool_, id, table);
 }
 
 }  // namespace pmblade

@@ -1,6 +1,9 @@
-// PmTableBuilder: assembles the three-layer PM table image from a sorted
+// PmTableBuilder: assembles the three-layer PM table from a sorted
 // internal-key entry stream and lands it in the PM pool with a single
-// streaming write + persist (the flush path of minor compaction).
+// streaming write + persist (the flush path of minor compaction). The open
+// group waits in one reused buffer; sealed groups go straight to the layer
+// buffers, and Finish gathers the header and layers into the exact pool
+// object, so there is no whole-table image in DRAM.
 
 #ifndef PMBLADE_PMTABLE_PM_TABLE_BUILDER_H_
 #define PMBLADE_PMTABLE_PM_TABLE_BUILDER_H_
@@ -24,8 +27,9 @@ class PmTableBuilder {
   /// Adds one entry; internal keys must arrive in ascending internal order.
   void Add(const Slice& internal_key, const Slice& value);
 
-  /// Serializes the image, allocates a pool object, copies + persists it and
-  /// opens the resulting table. Charges the PM write-bandwidth cost.
+  /// Allocates the pool object, gathers the header and layers into it,
+  /// persists it and opens the resulting table. Charges the PM
+  /// write-bandwidth cost.
   Status Finish(std::shared_ptr<PmTable>* table);
 
   uint64_t num_entries() const { return num_entries_; }
@@ -33,18 +37,28 @@ class PmTableBuilder {
   uint64_t raw_bytes() const { return raw_bytes_; }
 
  private:
+  /// An entry of the open group: its internal key and value lie back to
+  /// back in group_buf_ from `offset`.
   struct PendingEntry {
-    std::string key;    // full internal key
-    std::string value;
+    uint32_t offset;
+    uint32_t key_len;
+    uint32_t value_len;
   };
+
+  Slice PendingKey(const PendingEntry& e) const {
+    return Slice(group_buf_.data() + e.offset, e.key_len);
+  }
 
   void SealGroup();
 
   PmPool* pool_;
   PmTableOptions options_;
 
-  // Current (unsealed) group.
+  // Current (unsealed) group; both buffers keep their capacity across
+  // groups.
+  std::string group_buf_;
   std::vector<PendingEntry> group_entries_;
+  std::vector<Slice> remainders_;
   uint32_t group_meta_id_ = 0;
 
   // Accumulated layers.
@@ -55,7 +69,6 @@ class PmTableBuilder {
   uint32_t num_groups_ = 0;
   uint64_t num_entries_ = 0;
   uint64_t raw_bytes_ = 0;
-  std::string last_key_;
 };
 
 }  // namespace pmblade

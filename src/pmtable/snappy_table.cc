@@ -209,7 +209,7 @@ Iterator* SnappyTable::NewIterator() const {
 
 SnappyTableBuilder::SnappyTableBuilder(PmPool* pool, uint32_t group_size)
     : pool_(pool), group_size_(group_size == 0 ? 1 : group_size) {
-  group_offsets_.push_back(0);
+  PutFixed32(&group_offsets_, 0);
 }
 
 void SnappyTableBuilder::Add(const Slice& internal_key, const Slice& value) {
@@ -225,24 +225,21 @@ void SnappyTableBuilder::Add(const Slice& internal_key, const Slice& value) {
 void SnappyTableBuilder::SealGroup() {
   if (pending_count_ == 0) return;
   lz::Compress(Slice(pending_), &data_);
-  group_offsets_.push_back(static_cast<uint32_t>(data_.size()));
-  group_counts_.push_back(pending_count_);
+  PutFixed32(&group_offsets_, static_cast<uint32_t>(data_.size()));
+  PutFixed32(&group_counts_, pending_count_);
   pending_.clear();
   pending_count_ = 0;
 }
 
 Status SnappyTableBuilder::Finish(std::shared_ptr<SnappyTable>* table) {
   SealGroup();
-  const uint32_t num_groups = static_cast<uint32_t>(group_counts_.size());
+  const uint32_t num_groups = static_cast<uint32_t>(group_counts_.size() / 4);
   const uint32_t offsets_start = kHeaderSize;
   const uint32_t data_start =
       offsets_start + (num_groups + 1) * 4 + num_groups * 4;
   const uint32_t total = data_start + static_cast<uint32_t>(data_.size());
 
-  std::string image;
-  image.reserve(total);
-  image.resize(kHeaderSize, '\0');
-  char* h = image.data();
+  char h[kHeaderSize] = {};
   memcpy(h, kMagic, 4);
   EncodeFixed32(h + 4, num_entries_);
   EncodeFixed32(h + 8, num_groups);
@@ -252,20 +249,13 @@ Status SnappyTableBuilder::Finish(std::shared_ptr<SnappyTable>* table) {
   EncodeFixed32(h + 24, total);
   EncodeFixed32(h + 28, crc32c::Value(h, 28));
 
-  for (uint32_t off : group_offsets_) PutFixed32(&image, off);
-  for (uint32_t count : group_counts_) PutFixed32(&image, count);
-  image.append(data_);
-
-  PmPool::ObjectInfo info;
-  char* dst = nullptr;
+  uint64_t id = 0;
   uint32_t kind =
       group_size_ > 1 ? kSnappyGroupTableObject : kSnappyTableObject;
-  PMBLADE_RETURN_IF_ERROR(pool_->Allocate(image.size(), kind, &info, &dst));
-  memcpy(dst, image.data(), image.size());
-  pool_->InjectWrite(image.size());
-  pool_->Persist(dst, image.size());
-
-  return SnappyTable::Open(pool_, info.id, table);
+  PMBLADE_RETURN_IF_ERROR(LandTableObject(
+      pool_, kind,
+      {Slice(h, kHeaderSize), group_offsets_, group_counts_, data_}, &id));
+  return SnappyTable::Open(pool_, id, table);
 }
 
 }  // namespace pmblade

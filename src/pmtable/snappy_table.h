@@ -87,8 +87,8 @@ class SnappyTableBuilder {
   uint32_t group_size_;
   std::string pending_;       // uncompressed records of the open group
   uint32_t pending_count_ = 0;
-  std::vector<uint32_t> group_offsets_;
-  std::vector<uint32_t> group_counts_;
+  std::string group_offsets_;  // the offsets area, encoded as it lands
+  std::string group_counts_;   // the group counts area, likewise
   std::string data_;
   uint32_t num_entries_ = 0;
 };

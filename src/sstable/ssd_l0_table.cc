@@ -34,6 +34,8 @@ Status SsdL0Table::Open(Env* env, const std::string& path, uint64_t id,
 
   std::shared_ptr<SsdL0Table> t(new SsdL0Table());
   t->env_ = env;
+  t->block_cache_ = reader_options.block_cache;
+  t->cache_id_ = reader_options.file_number;
   t->path_ = path;
   t->id_ = id;
   t->size_bytes_ = size;
@@ -110,6 +112,7 @@ Status SsdL0Table::Get(const InternalKeyComparator& icmp,
 
 Status SsdL0Table::Destroy() {
   doomed_ = true;
+  if (block_cache_ != nullptr) block_cache_->EvictTable(cache_id_);
   return Status::OK();
 }
 

@@ -36,6 +36,11 @@ class SsdL0Table : public L0Table,
   bool HasFilter() const override;
   Status Get(const InternalKeyComparator& icmp, const LookupKey& lkey,
              std::string* value, GetResult* result) const override;
+  /// Also drops the table's blocks from the block cache, here on the
+  /// thread that installs the replacement: the destructor, which removes
+  /// the file, may run on whichever reader drops the last ref, a
+  /// foreground Get included. (A reader still holding a ref can cache a
+  /// block again; LRU ages it out.)
   Status Destroy() override;
   ~SsdL0Table() override;
 
@@ -46,6 +51,8 @@ class SsdL0Table : public L0Table,
   SsdL0Table() = default;
 
   Env* env_ = nullptr;
+  BlockCache* block_cache_ = nullptr;
+  uint64_t cache_id_ = 0;  // the file's key namespace in block_cache_
   std::string path_;
   uint64_t id_ = 0;
   bool doomed_ = false;  // remove the file on destruction

@@ -51,7 +51,15 @@ BloomFilterPolicy::BloomFilterPolicy(int bits_per_key)
 
 void BloomFilterPolicy::CreateFilter(const std::vector<Slice>& keys,
                                      std::string* dst) const {
-  size_t n = keys.size();
+  std::vector<uint32_t> hashes;
+  hashes.reserve(keys.size());
+  for (const Slice& key : keys) hashes.push_back(BloomHash(key));
+  CreateFilterFromHashes(hashes, dst);
+}
+
+void BloomFilterPolicy::CreateFilterFromHashes(
+    const std::vector<uint32_t>& hashes, std::string* dst) const {
+  size_t n = hashes.size();
   size_t bits = n * bits_per_key_;
   if (bits < 64) bits = 64;
   size_t bytes = (bits + 7) / 8;
@@ -61,9 +69,8 @@ void BloomFilterPolicy::CreateFilter(const std::vector<Slice>& keys,
   dst->resize(init_size + bytes, 0);
   dst->push_back(static_cast<char>(k_));  // remember probe count
   char* array = dst->data() + init_size;
-  for (const Slice& key : keys) {
+  for (uint32_t h : hashes) {
     // Double hashing: h, h += delta per probe.
-    uint32_t h = BloomHash(key);
     const uint32_t delta = (h >> 17) | (h << 15);
     for (int j = 0; j < k_; ++j) {
       const uint32_t bitpos = h % bits;

@@ -22,6 +22,11 @@ class BloomFilterPolicy {
   /// Appends a filter covering `keys` to `dst`.
   void CreateFilter(const std::vector<Slice>& keys, std::string* dst) const;
 
+  /// Appends the filter CreateFilter would build over the keys whose
+  /// BloomHash values are `hashes`, bit for bit.
+  void CreateFilterFromHashes(const std::vector<uint32_t>& hashes,
+                              std::string* dst) const;
+
   /// May return false positives; never false negatives for keys passed to
   /// CreateFilter.
   bool KeyMayMatch(const Slice& key, const Slice& filter) const;

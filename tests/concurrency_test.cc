@@ -442,7 +442,7 @@ TEST_F(ConcurrencyTest, ChunkedScanAtSnapshotIgnoresLaterWrites) {
                              "new")
                         .ok());
       }
-      if (round % 3 == 0) ASSERT_TRUE(db_->FlushMemTable().ok());
+      if (round % 3 == 0) { ASSERT_TRUE(db_->FlushMemTable().ok()); }
     }
   });
 

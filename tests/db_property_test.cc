@@ -154,8 +154,8 @@ TEST_P(DbModelTest, ModelSurvivesReopen) {
       model[key] = value;
       ASSERT_TRUE(db_->Put(WriteOptions(), key, value).ok());
     }
-    if (op % 400 == 399) ASSERT_TRUE(db_->FlushMemTable().ok());
-    if (op % 700 == 699) ASSERT_TRUE(db_->CompactToLevel1(true).ok());
+    if (op % 400 == 399) { ASSERT_TRUE(db_->FlushMemTable().ok()); }
+    if (op % 700 == 699) { ASSERT_TRUE(db_->CompactToLevel1(true).ok()); }
   }
 
   db_.reset();
@@ -316,7 +316,7 @@ TEST(DbRecoveryGcTest, OrphanPoolObjectsAndFilesCollected) {
           ASSERT_TRUE(
               db->Put(WriteOptions(), "key" + std::to_string(i), "v").ok());
         }
-        if (!remove_manifest) ASSERT_TRUE(db->FlushMemTable().ok());
+        if (!remove_manifest) { ASSERT_TRUE(db->FlushMemTable().ok()); }
 
         // Simulate an interrupted compaction: an allocated-but-unreferenced
         // pool object and an orphan .sst file.

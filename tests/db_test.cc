@@ -4,13 +4,17 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <map>
 #include <memory>
+#include <thread>
 
 #include "core/db.h"
 #include "core/db_impl.h"
 #include "core/statistics.h"
 #include "util/random.h"
+#include "util/sync_point.h"
 #include "util/zipfian.h"
 
 namespace pmblade {
@@ -189,7 +193,7 @@ TEST_F(DBTest, IteratorFullScan) {
     std::string value = "v" + std::to_string(i);
     model[key] = value;
     ASSERT_TRUE(db_->Put(WriteOptions(), key, value).ok());
-    if (i % 100 == 99) ASSERT_TRUE(db_->FlushMemTable().ok());
+    if (i % 100 == 99) { ASSERT_TRUE(db_->FlushMemTable().ok()); }
   }
   std::unique_ptr<Iterator> it(db_->NewIterator(ReadOptions()));
   it->SeekToFirst();
@@ -262,7 +266,7 @@ TEST_F(DBTest, IteratorBackward) {
   for (; it->Valid(); it->Prev()) {
     EXPECT_LT(it->key().ToString(), prev);
     prev = it->key().ToString();
-    if (prev == "k05") EXPECT_EQ(it->value().ToString(), "fresh");
+    if (prev == "k05") { EXPECT_EQ(it->value().ToString(), "fresh"); }
     EXPECT_NE(prev, "k06");  // deleted
     ++seen;
   }
@@ -477,6 +481,128 @@ TEST_F(DBTest, EmptyDbIteratorAndGet) {
   it->SeekToLast();
   EXPECT_FALSE(it->Valid());
 }
+
+// ---------------------------------------------------------------------------
+// Eq. 2's inputs: n_w counts every entry a write inserts, and n_u the deletes
+// plus the Puts whose key the active memtable held before that write's
+// payload. Each check after a flush records them in its internal_decision
+// event; with fewer than four unsorted tables and no reads no internal
+// compaction runs, so they accumulate.
+// ---------------------------------------------------------------------------
+
+class Eq2CountTest : public DBTest {
+ protected:
+  using Counts = std::pair<uint64_t, uint64_t>;  // (n_w, n_u)
+
+  void SetUp() override {
+    DBTest::SetUp();
+    options_.partition_boundaries.clear();  // one partition
+  }
+
+  /// (n_w, n_u) of the latest internal_decision event, after a flush that
+  /// evaluates them.
+  Counts FlushAndReadCounts() {
+    EXPECT_TRUE(db_->FlushMemTable().ok());
+    const std::vector<obs::Event> events =
+        static_cast<DBImpl*>(db_.get())->TraceEvents();
+    for (auto it = events.rbegin(); it != events.rend(); ++it) {
+      if (it->type == obs::EventType::kInternalDecision) {
+        return {static_cast<uint64_t>(it->FieldOr("n_w", -1)),
+                static_cast<uint64_t>(it->FieldOr("n_u", -1))};
+      }
+    }
+    ADD_FAILURE() << "no internal_decision event";
+    return {0, 0};
+  }
+};
+
+TEST_F(Eq2CountTest, BatchesDeletesAndRewrites) {
+  Open();
+  // A batch that repeats a key: nothing was there before the batch.
+  WriteBatch batch;
+  batch.Put("a", "1");
+  batch.Put("a", "2");
+  batch.Put("b", "1");
+  ASSERT_TRUE(db_->Write(WriteOptions(), &batch).ok());
+  EXPECT_EQ(FlushAndReadCounts(), Counts(3, 0));
+
+  // Flushed keys are not in the active memtable; a delete always counts.
+  ASSERT_TRUE(db_->Put(WriteOptions(), "a", "3").ok());
+  ASSERT_TRUE(db_->Delete(WriteOptions(), "nothing").ok());
+  EXPECT_EQ(FlushAndReadCounts(), Counts(5, 1));
+
+  // Rewrites within one memtable, by a later write and within a batch.
+  ASSERT_TRUE(db_->Put(WriteOptions(), "c", "1").ok());
+  ASSERT_TRUE(db_->Put(WriteOptions(), "c", "2").ok());
+  WriteBatch rewrite;
+  rewrite.Put("c", "3");
+  rewrite.Put("c", "4");
+  rewrite.Delete("c");
+  ASSERT_TRUE(db_->Write(WriteOptions(), &rewrite).ok());
+  EXPECT_EQ(FlushAndReadCounts(), Counts(10, 5));
+}
+
+#ifdef PMBLADE_SYNC_POINTS
+TEST_F(Eq2CountTest, TxnGroupAndImmutableMemtable) {
+  options_.memtable_bytes = 16 << 10;
+  Open();
+  auto* impl = static_cast<DBImpl*>(db_.get());
+  SyncPoint* sp = SyncPoint::GetInstance();
+
+  // Two prepared transactions writing the same key, committed while a
+  // batch leader holds the writer queue, so both commits usually share
+  // one txn group. Either way the second commit's key is an update.
+  for (uint64_t txn : {1, 2}) {
+    WriteBatch sub;
+    sub.Put("x", "t" + std::to_string(txn));
+    ASSERT_TRUE(impl->PrepareTxn(WriteOptions(), txn, {0}, &sub).ok());
+  }
+  std::atomic<bool> leader_in{false};
+  std::atomic<bool> release{false};
+  sp->SetCallBack("DBImpl::Write:AfterWalAppend", [&](void*) {
+    if (leader_in.exchange(true)) return;
+    while (!release.load()) std::this_thread::yield();
+  });
+  sp->EnableProcessing();
+  std::thread leader([&] {
+    EXPECT_TRUE(db_->Put(WriteOptions(), "leader", "v").ok());
+  });
+  while (!leader_in.load()) std::this_thread::yield();
+  std::thread commit1(
+      [&] { EXPECT_TRUE(impl->CommitTxn(WriteOptions(), 1).ok()); });
+  std::thread commit2(
+      [&] { EXPECT_TRUE(impl->CommitTxn(WriteOptions(), 2).ok()); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  release = true;
+  leader.join();
+  commit1.join();
+  commit2.join();
+  sp->DisableProcessing();
+  sp->ClearAllCallBacks();
+  EXPECT_EQ(FlushAndReadCounts(), Counts(3, 1));
+
+  // A key only the immutable memtable holds, its flush held back: the
+  // rewrite lands in the new memtable, which never saw the key.
+  std::atomic<bool> flush_in{false};
+  release = false;
+  sp->SetCallBack("DBImpl::BackgroundFlush:Start", [&](void*) {
+    flush_in = true;
+    while (!release.load()) std::this_thread::yield();
+  });
+  sp->EnableProcessing();
+  ASSERT_TRUE(db_->Put(WriteOptions(), "k", "1").ok());
+  ASSERT_TRUE(db_->Put(WriteOptions(), "filler", std::string(32 << 10, 'f'))
+                  .ok());
+  ASSERT_TRUE(db_->Put(WriteOptions(), "k", "2").ok());  // rotates first
+  for (int i = 0; i < 5000 && !flush_in.load(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(flush_in.load());  // the rotated memtable's flush, held
+  release = true;
+  EXPECT_EQ(FlushAndReadCounts(), Counts(6, 1));
+  sp->Reset();
+}
+#endif  // PMBLADE_SYNC_POINTS
 
 // ---------------------------------------------------------------------------
 // Configuration matrix: the paper's ablation configurations must all pass

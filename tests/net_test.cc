@@ -312,6 +312,32 @@ TEST_F(CommandTest, ScanPagesEntireKeyspace) {
   EXPECT_GE(pages, 4);
 }
 
+// A SCAN page moves pmblade.scans, pmblade.scan.entries (keys walked, MATCH
+// or not) and the pmblade.latency.scan histogram.
+TEST_F(CommandTest, ScanRecordsScanMetrics) {
+  Call({"MSET", "a", "1", "b", "2", "c", "3"});
+  auto snapshot = [this] { return db_->metrics_registry()->Snapshot(); };
+  auto counter = [](const obs::MetricsSnapshot& snap, const char* name) {
+    const obs::MetricSample* sample = snap.Find(name);
+    EXPECT_NE(sample, nullptr) << name;
+    return sample != nullptr ? sample->value : -1.0;
+  };
+  auto latency_count = [](const obs::MetricsSnapshot& snap) {
+    const obs::MetricSample* sample = snap.Find("pmblade.latency.scan");
+    EXPECT_NE(sample, nullptr);
+    return sample != nullptr ? sample->hist.count() : 0;
+  };
+  obs::MetricsSnapshot before = snapshot();
+  EXPECT_EQ(counter(before, "pmblade.scans"), 0.0);
+  RespValue page = Call({"SCAN", "0", "MATCH", "b*", "COUNT", "2"});
+  ASSERT_EQ(page.array.size(), 2u);
+  Call({"SCAN", page.array[0].str, "COUNT", "10"});
+  obs::MetricsSnapshot after = snapshot();
+  EXPECT_EQ(counter(after, "pmblade.scans"), 2.0);
+  EXPECT_EQ(counter(after, "pmblade.scan.entries"), 3.0);
+  EXPECT_EQ(latency_count(after) - latency_count(before), 2u);
+}
+
 TEST_F(CommandTest, ScanMatchAndDbSize) {
   Call({"MSET", "user:1", "a", "user:2", "b", "other:1", "c"});
   RespValue page = Call({"SCAN", "0", "MATCH", "user:*", "COUNT", "100"});

@@ -19,6 +19,7 @@
 #include "pmtable/pm_table_builder.h"
 #include "pmtable/snappy_table.h"
 #include "util/coding.h"
+#include "util/crc32c.h"
 #include "util/random.h"
 
 namespace pmblade {
@@ -762,9 +763,10 @@ class L0PropertyTest : public ::testing::TestWithParam<Structure> {
     ::remove(path_.c_str());
   }
 
-  L0TableRef Build(const std::map<std::string, std::string>& model) {
-    // model maps internal key -> value, already in internal order because
-    // we use a single seq per user key.
+  /// `entries` iterates (internal key, value) pairs in internal order: a
+  /// model map (one seq per user key) or a fixed stream.
+  template <typename Entries>
+  L0TableRef Build(const Entries& model) {
     switch (GetParam()) {
       case Structure::kPmTable: {
         PmTableBuilder b(pool_.get(), PmTableOptions{.group_size = 16});
@@ -884,6 +886,79 @@ TEST_P(L0PropertyTest, GenericGetAgainstModel) {
   ASSERT_TRUE(
       L0TableGet(*table, icmp, absent, &value, &found, &result).ok());
   EXPECT_FALSE(found);
+}
+
+// A fixed entry stream with every shape a builder encodes: four metas (one
+// empty), remainders sharing more bytes than a slot holds, tombstones, and
+// keys with up to three versions.
+std::vector<std::pair<std::string, std::string>> FixedStream() {
+  Random r(2026);
+  std::set<std::string> user_keys;
+  while (user_keys.size() < 600) {
+    std::string key;
+    switch (r.Uniform(4)) {
+      case 0:
+        r.RandomString(3 + r.Uniform(12), &key);
+        break;
+      case 1:
+        key = "orders|";
+        r.RandomString(4 + r.Uniform(20), &key);
+        break;
+      case 2:
+        key = "users|";
+        r.RandomString(1 + r.Uniform(6), &key);
+        break;
+      default:
+        key = "idx_user_orders|user00000000" + std::to_string(r.Uniform(40)) +
+              "|order";
+        r.RandomString(2 + r.Uniform(4), &key);
+        break;
+    }
+    user_keys.insert(key);
+  }
+  std::vector<std::pair<std::string, std::string>> stream;
+  SequenceNumber seq = 100000;
+  for (const std::string& key : user_keys) {
+    const int versions = 1 + static_cast<int>(r.Uniform(3));
+    for (int v = 0; v < versions; ++v) {
+      seq -= 1 + r.Uniform(5);
+      std::string value;
+      if (r.OneIn(5)) {
+        stream.emplace_back(IKey(key, seq, kTypeDeletion), value);
+      } else {
+        r.RandomBytes(r.Uniform(300), &value);
+        stream.emplace_back(IKey(key, seq), value);
+      }
+    }
+  }
+  return stream;
+}
+
+// The builders' pool objects are pinned by checksum: a build path change
+// must land exactly the bytes the committed layouts define.
+TEST_P(L0PropertyTest, PoolObjectMatchesCommittedChecksum) {
+  struct Pinned {
+    uint64_t size;
+    uint32_t crc;
+  };
+  const Pinned pinned[] = {
+      {160299, 3227503615u},  // kPmTable (group 16)
+      {162407, 1338981656u},  // kPmTableGroup8
+      {163941, 1345435983u},  // kArray
+      {172458, 742347897u},   // kSnappy
+      {156197, 2788425679u},  // kSnappyGroup
+  };
+  const auto stream = FixedStream();
+  L0TableRef table = Build(stream);
+  ASSERT_NE(table, nullptr);
+  ASSERT_EQ(table->num_entries(), stream.size());
+  const char* data = pool_->DataFor(table->id());
+  ASSERT_NE(data, nullptr);
+  const uint64_t size = table->size_bytes();
+  const uint32_t crc = crc32c::Value(data, size);
+  const Pinned& want = pinned[static_cast<int>(GetParam())];
+  EXPECT_EQ(size, want.size);
+  EXPECT_EQ(crc, want.crc);
 }
 
 TEST_P(L0PropertyTest, BackwardScanMatchesModel) {

@@ -371,7 +371,7 @@ TEST(PropertyRegistryRaceTest, ReadsRaceWritersAndArbiter) {
                             "w" + std::to_string(t) + "-" + std::to_string(i),
                             value)
                         .ok());
-        if (i % 500 == 499) EXPECT_TRUE(db->FlushMemTable().ok());
+        if (i % 500 == 499) { EXPECT_TRUE(db->FlushMemTable().ok()); }
       }
     });
   }

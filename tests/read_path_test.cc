@@ -265,6 +265,78 @@ TEST_F(PmTableReadCostTest, L0DramGaugeCountsSlotsAndFilters) {
   EXPECT_GT(Property("pmblade.lsm.l0_dram_bytes"), table_bytes + 100 * 10 / 8);
 }
 
+// Opening an engine rebuilds each PM table's DRAM filter from a keys-only
+// walk: entry headers and key suffixes, values skipped. With 256-byte
+// values open then reads a small share of level-0, where a scan with
+// values reads all of it (1.0 PM bytes per level-0 byte). The rebuilt
+// filters are the ones the build installed: the same absent keys get the
+// same bloom verdicts before and after the reopen.
+TEST_F(PmTableReadCostTest, OpenReadsKeysNotValues) {
+  Open();
+  auto key = [](int i) { return "key" + std::to_string(100000 + i); };
+  const int n = 20000;
+  for (int i = 0; i < n; ++i) {
+    ASSERT_TRUE(db_->Put(WriteOptions(), key(i), std::string(256, 'v')).ok());
+  }
+  ASSERT_TRUE(db_->FlushMemTable().ok());
+  ASSERT_TRUE(db_->CompactLevel0().ok());
+  auto absent_negatives = [&] {
+    const uint64_t before = Property("pmblade.bloom.negatives");
+    for (int i = 0; i < 2000; ++i) {
+      std::string value;  // inside the tables' key range
+      EXPECT_TRUE(db_->Get(ReadOptions(), key(i) + "x", &value).IsNotFound());
+    }
+    return Property("pmblade.bloom.negatives") - before;
+  };
+  const uint64_t negatives_built = absent_negatives();
+  const uint64_t dram_built = Property("pmblade.lsm.l0_dram_bytes");
+
+  db_.reset();
+  Open();
+  const uint64_t l0_bytes = Property("pmblade.lsm.l0_bytes");
+  ASSERT_GT(l0_bytes, uint64_t{n} * 256);
+  const double read_per_l0_byte =
+      static_cast<double>(Property("pmblade.pm.bytes_read")) / l0_bytes;
+  EXPECT_LE(read_per_l0_byte, 0.15);
+  EXPECT_EQ(Property("pmblade.lsm.l0_dram_bytes"), dram_built);
+  EXPECT_GT(negatives_built, 1900u);
+  EXPECT_EQ(absent_negatives(), negatives_built);
+  for (int i = 0; i < n; i += 97) {
+    std::string value;
+    ASSERT_TRUE(db_->Get(ReadOptions(), key(i), &value).ok()) << key(i);
+  }
+}
+
+// A major compaction that replaces SSTables drops their blocks from the
+// block cache when it installs the new run, instead of leaving them to age
+// out of the LRU.
+TEST_F(PmTableReadCostTest, ReplacedSstablesLeaveTheBlockCache) {
+  Open();
+  const int n = 2000;
+  auto key = [](int i) { return "key" + std::to_string(10000 + i); };
+  for (int i = 0; i < n; ++i) {
+    ASSERT_TRUE(db_->Put(WriteOptions(), key(i), std::string(200, 'v')).ok());
+  }
+  ASSERT_TRUE(db_->CompactToLevel1(false).ok());
+  for (int i = 0; i < n; ++i) {
+    std::string value;
+    ASSERT_TRUE(db_->Get(ReadOptions(), key(i), &value).ok());
+  }
+  const uint64_t cached = Property("pmblade.blockcache.charge");
+  ASSERT_GT(cached, uint64_t{n} * 200);
+
+  // Delete all but a few keys: the new level-1 run is small, so what the
+  // cache holds after the install is its blocks, not the old run's.
+  for (int i = 10; i < n; ++i) {
+    ASSERT_TRUE(db_->Delete(WriteOptions(), key(i)).ok());
+  }
+  ASSERT_TRUE(db_->CompactToLevel1(false).ok());
+  EXPECT_LT(Property("pmblade.blockcache.charge"), cached / 10);
+  std::string value;
+  EXPECT_TRUE(db_->Get(ReadOptions(), key(0), &value).ok());
+  EXPECT_TRUE(db_->Get(ReadOptions(), key(n - 1), &value).IsNotFound());
+}
+
 // -- Block cache charge accounting -----------------------------------------
 
 /// A minimal well-formed block: no entries, one restart slot, so Block's

@@ -292,7 +292,7 @@ TEST_P(Txn2pcTest, CrossShardBatchesSurviveReopenIntact) {
       model[key] = value;
     }
     ASSERT_TRUE(db_->Write(WriteOptions(), &batch).ok());
-    if (round == 15) ASSERT_TRUE(db_->FlushMemTable().ok());
+    if (round == 15) { ASSERT_TRUE(db_->FlushMemTable().ok()); }
   }
   Open();  // clean reopen, including post-flush WAL carry-forward state
   for (const auto& kv : model) {

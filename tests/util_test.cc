@@ -416,6 +416,30 @@ TEST(BloomTest, NoFalseNegatives) {
   }
 }
 
+// Build and open collect 32-bit key hashes instead of keys; the filter
+// over the hashes must be CreateFilter's over the keys, bit for bit.
+TEST(BloomTest, FilterFromHashesMatchesCreateFilter) {
+  for (int bits_per_key : {1, 10, 16}) {
+    BloomFilterPolicy policy(bits_per_key);
+    for (int n : {0, 1, 7, 1000}) {
+      std::vector<std::string> key_storage;
+      for (int i = 0; i < n; ++i) {
+        key_storage.push_back("key" + std::to_string(i * 7919));
+      }
+      std::vector<Slice> keys(key_storage.begin(), key_storage.end());
+      std::vector<uint32_t> hashes;
+      for (const Slice& key : keys) {
+        hashes.push_back(BloomFilterPolicy::BloomHash(key));
+      }
+      std::string from_keys = "prefix";
+      std::string from_hashes = "prefix";
+      policy.CreateFilter(keys, &from_keys);
+      policy.CreateFilterFromHashes(hashes, &from_hashes);
+      EXPECT_EQ(from_hashes, from_keys) << bits_per_key << " " << n;
+    }
+  }
+}
+
 TEST(BloomTest, LowFalsePositiveRate) {
   BloomFilterPolicy policy(10);
   std::vector<std::string> key_storage;
