@@ -6,6 +6,9 @@
 //
 // A compact, self-contained version of what the bench harnesses do — useful
 // as a template for evaluating your own workload against the three engines.
+// The workload never deletes, so after the mixed phase every loaded key must
+// read back its value and a scan must count exactly the loaded keys; the
+// example exits non-zero when an engine loses or corrupts a key.
 
 #include <cstdio>
 #include <memory>
@@ -75,7 +78,7 @@ int main(int argc, char** argv) {
         Status rs = engine->Get(keys.KeyAt(index), &value);
         get_nanos += clock->NowNanos() - t0;
         ++gets;
-        if (!rs.ok() && !rs.IsNotFound()) {
+        if (!rs.ok()) {
           fprintf(stderr, "get: %s\n", rs.ToString().c_str());
           return 1;
         }
@@ -88,6 +91,30 @@ int main(int argc, char** argv) {
       }
     }
     uint64_t mixed_nanos = clock->NowNanos() - mixed_start;
+
+    // Check: every loaded key holds its value, and nothing else exists.
+    uint64_t wrong = 0;
+    for (uint64_t i = 0; i < ops; ++i) {
+      std::string value;
+      if (!engine->Get(keys.KeyAt(i), &value).ok() ||
+          value != values.For(i)) {
+        ++wrong;
+      }
+    }
+    uint64_t scanned = 0;
+    std::unique_ptr<Iterator> it(engine->NewScanIterator());
+    for (it->SeekToFirst(); it->Valid(); it->Next()) ++scanned;
+    if (wrong != 0 || scanned != ops || !it->status().ok()) {
+      fprintf(stderr,
+              "%s: %llu of %llu keys missing or wrong, scan counted %llu "
+              "(%s)\n",
+              EngineConfigName(config), static_cast<unsigned long long>(wrong),
+              static_cast<unsigned long long>(ops),
+              static_cast<unsigned long long>(scanned),
+              it->status().ToString().c_str());
+      return 1;
+    }
+    it.reset();
 
     out.AddRow({EngineConfigName(config), TablePrinter::FmtNanos(load_nanos),
                 TablePrinter::FmtNanos(mixed_nanos),

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "compaction/internal_compaction.h"
 #include "compaction/merging_iterator.h"
 
 namespace pmblade {
@@ -36,14 +35,17 @@ uint64_t LeveledStore::TotalBytes() const {
   return total;
 }
 
-uint64_t LeveledStore::NumFiles() const {
-  uint64_t total = 0;
-  for (const auto& run : levels_) total += run.size();
-  return total;
-}
-
-void LeveledStore::InstallLevel(int level, std::vector<L0TableRef> run) {
-  levels_[level] = std::move(run);
+InternalCompactionOptions LeveledStore::MergeOptions(
+    int output_level, SequenceNumber oldest_snapshot) const {
+  InternalCompactionOptions merge;
+  merge.target_table_bytes = options_.target_file_bytes;
+  merge.oldest_snapshot = oldest_snapshot;
+  // Tombstones go only where nothing older can lie below the output.
+  merge.drop_tombstones = true;
+  for (int level = output_level + 1; level < NumLevels(); ++level) {
+    if (!levels_[level].empty()) merge.drop_tombstones = false;
+  }
+  return merge;
 }
 
 Status LeveledStore::MergeIntoLevel1(std::vector<Iterator*> inputs,
@@ -52,121 +54,10 @@ Status LeveledStore::MergeIntoLevel1(std::vector<Iterator*> inputs,
   std::vector<L0TableRef> old_l1 = levels_[0];
   inputs.push_back(NewRunIterator(icmp_, old_l1));
 
-  // Reuse the internal-compaction merge machinery for the rewrite: it
-  // dedupes by user key, honors the snapshot floor and splits the output
-  // into target-sized files. Tombstones survive unless this store is empty
-  // below L1.
-  bool bottom = true;
-  for (int level = 1; level < NumLevels(); ++level) {
-    if (!levels_[level].empty()) {
-      bottom = false;
-      break;
-    }
-  }
-
-  std::vector<L0TableRef> temp_tables;  // adapt iterators into the API
-  InternalCompactionOptions copts;
-  copts.target_table_bytes = options_.target_file_bytes;
-  copts.drop_tombstones = bottom;
-  copts.oldest_snapshot = oldest_snapshot;
-
-  // RunInternalCompaction takes tables, not iterators; merge here instead
-  // and drive the factory directly with the same dedup/segment helpers via
-  // a local merged stream.
-  std::unique_ptr<Iterator> merged(
-      NewMergingIterator(icmp_, std::move(inputs)));
-  merged->SeekToFirst();
-
   std::vector<L0TableRef> outputs;
-  std::string last_user_key;
-  bool has_last = false;
-  SequenceNumber last_visible = 0;
-
-  while (merged->Valid()) {
-    // Build one output file worth of deduplicated records.
-    class FileSlice final : public Iterator {
-     public:
-      FileSlice(Iterator* base, const InternalKeyComparator* icmp,
-                uint64_t limit_bytes, bool drop_tombstones,
-                SequenceNumber snapshot_floor, std::string* last_user_key,
-                bool* has_last, SequenceNumber* last_visible)
-          : base_(base),
-            icmp_(icmp),
-            limit_(limit_bytes),
-            drop_tombstones_(drop_tombstones),
-            floor_(snapshot_floor),
-            last_key_(last_user_key),
-            has_last_(has_last),
-            last_visible_(last_visible) {
-        SkipObsolete();
-      }
-
-      bool Valid() const override {
-        return base_->Valid() && emitted_ < limit_;
-      }
-      void SeekToFirst() override {}
-      void SeekToLast() override {}
-      void Seek(const Slice&) override {}
-      void Prev() override {}
-      void Next() override {
-        emitted_ += base_->key().size() + base_->value().size();
-        base_->Next();
-        SkipObsolete();
-      }
-      Slice key() const override { return base_->key(); }
-      Slice value() const override { return base_->value(); }
-      Status status() const override { return base_->status(); }
-
-     private:
-      void SkipObsolete() {
-        while (base_->Valid()) {
-          ParsedInternalKey parsed;
-          if (!ParseInternalKey(base_->key(), &parsed)) return;
-          bool same = *has_last_ &&
-                      icmp_->user_comparator()->Compare(
-                          parsed.user_key, Slice(*last_key_)) == 0;
-          if (same) {
-            if (*last_visible_ <= floor_) {
-              base_->Next();
-              continue;
-            }
-            *last_visible_ = parsed.sequence;
-            return;
-          }
-          last_key_->assign(parsed.user_key.data(), parsed.user_key.size());
-          *has_last_ = true;
-          *last_visible_ = parsed.sequence;
-          if (drop_tombstones_ && parsed.type == kTypeDeletion &&
-              parsed.sequence <= floor_) {
-            base_->Next();
-            continue;
-          }
-          return;
-        }
-      }
-
-      Iterator* base_;
-      const InternalKeyComparator* icmp_;
-      uint64_t limit_;
-      bool drop_tombstones_;
-      SequenceNumber floor_;
-      std::string* last_key_;
-      bool* has_last_;
-      SequenceNumber* last_visible_;
-      uint64_t emitted_ = 0;
-    };
-
-    FileSlice slice(merged.get(), icmp_, options_.target_file_bytes,
-                    copts.drop_tombstones, oldest_snapshot, &last_user_key,
-                    &has_last, &last_visible);
-    L0TableRef out;
-    PMBLADE_RETURN_IF_ERROR(factory_->BuildFrom(&slice, &out));
-    if (out == nullptr) break;  // everything left was obsolete
-    outputs.push_back(std::move(out));
-  }
-  PMBLADE_RETURN_IF_ERROR(merged->status());
-  merged.reset();
-
+  PMBLADE_RETURN_IF_ERROR(MergeToTables(MergeOptions(0, oldest_snapshot),
+                                        *icmp_, std::move(inputs), factory_,
+                                        &outputs));
   levels_[0] = std::move(outputs);
   for (auto& table : old_l1) table->Destroy();
 
@@ -207,26 +98,13 @@ Status LeveledStore::CompactLevel(int level, SequenceNumber oldest_snapshot) {
     }
   }
 
-  bool bottom = true;
-  for (int l = level + 2; l < NumLevels(); ++l) {
-    if (!levels_[l].empty()) {
-      bottom = false;
-      break;
-    }
-  }
-
-  std::vector<L0TableRef> inputs = {input};
-  for (auto& table : overlapping) inputs.push_back(table);
-
-  InternalCompactionOptions copts;
-  copts.target_table_bytes = options_.target_file_bytes;
-  copts.drop_tombstones = bottom;
-  copts.oldest_snapshot = oldest_snapshot;
-
+  std::vector<Iterator*> inputs = {input->NewIterator()};
+  for (const auto& table : overlapping) inputs.push_back(table->NewIterator());
   std::vector<L0TableRef> outputs;
-  InternalCompactionStats stats;
-  PMBLADE_RETURN_IF_ERROR(RunInternalCompaction(copts, *icmp_, inputs,
-                                                factory_, &outputs, &stats));
+  PMBLADE_RETURN_IF_ERROR(MergeToTables(MergeOptions(level + 1,
+                                                     oldest_snapshot),
+                                        *icmp_, std::move(inputs), factory_,
+                                        &outputs));
 
   // Remove the input from `level`.
   std::vector<L0TableRef> level_keep;

@@ -11,7 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "compaction/minor_compaction.h"
+#include "compaction/internal_compaction.h"
 #include "core/version.h"
 #include "memtable/internal_key.h"
 #include "pmtable/l0_table.h"
@@ -49,10 +49,6 @@ class LeveledStore {
   uint64_t TotalBytes() const;
   uint64_t LevelBytes(int level) const;
   int NumLevels() const { return static_cast<int>(levels_.size()); }
-  uint64_t NumFiles() const;
-
-  /// Re-attaches recovered tables (level -> run, ascending keys).
-  void InstallLevel(int level, std::vector<L0TableRef> run);
   const std::vector<std::vector<L0TableRef>>& levels() const {
     return levels_;
   }
@@ -60,6 +56,10 @@ class LeveledStore {
  private:
   Status CascadeCompactions(SequenceNumber oldest_snapshot);
   Status CompactLevel(int level, SequenceNumber oldest_snapshot);
+  /// The merge settings for output into `output_level` (0 == L1): tombstones
+  /// drop only when every level below it is empty.
+  InternalCompactionOptions MergeOptions(int output_level,
+                                         SequenceNumber oldest_snapshot) const;
   uint64_t TargetBytes(int level) const;
 
   LeveledStoreOptions options_;

@@ -34,8 +34,7 @@ BenchEnv::~BenchEnv() { CloseAndCleanup(); }
 
 void BenchEnv::CloseAndCleanup() {
   db_.reset();
-  matrix_.reset();
-  leveled_.reset();
+  baseline_.reset();
   engine_ = nullptr;
   PosixEnv()->RemoveDirRecursively(options_.root);
 }
@@ -126,34 +125,24 @@ Status BenchEnv::OpenEngine(EngineConfig config, KvEngine** engine) {
       break;
     }
 
-    case EngineConfig::kRocksStyle: {
-      LeveledDbOptions opts;
-      opts.env = sim_env_.get();
-      opts.memtable_bytes = options_.memtable_bytes;
-      opts.l0_compaction_trigger = 4;
-      opts.levels.level1_target_bytes = options_.memtable_bytes * 4;
-      opts.levels.target_file_bytes = options_.memtable_bytes;
-      opts.block_cache_bytes = options_.block_cache_bytes;
-      PMBLADE_RETURN_IF_ERROR(LeveledDb::Open(opts, dbname, &leveled_));
-      engine_ = leveled_.get();
-      break;
-    }
-
+    case EngineConfig::kRocksStyle:
     case EngineConfig::kMatrixKvSmall:
     case EngineConfig::kMatrixKvLarge: {
-      MatrixKvOptions opts;
+      BaselineOptions opts;
       opts.env = sim_env_.get();
       opts.memtable_bytes = options_.memtable_bytes;
-      opts.pm_budget_bytes = config == EngineConfig::kMatrixKvSmall
-                                 ? options_.l0_budget_small
-                                 : options_.l0_budget_large;
+      if (config == EngineConfig::kMatrixKvSmall) {
+        opts.pm_budget_bytes = options_.l0_budget_small;
+      } else if (config == EngineConfig::kMatrixKvLarge) {
+        opts.pm_budget_bytes = options_.l0_budget_large;
+      }
       opts.pm_pool_capacity = options_.pm_pool_capacity;
       opts.pm_latency.inject_latency = options_.inject_pm_latency;
       opts.levels.level1_target_bytes = options_.memtable_bytes * 4;
       opts.levels.target_file_bytes = options_.memtable_bytes;
       opts.block_cache_bytes = options_.block_cache_bytes;
-      PMBLADE_RETURN_IF_ERROR(MatrixKvDb::Open(opts, dbname, &matrix_));
-      engine_ = matrix_.get();
+      PMBLADE_RETURN_IF_ERROR(BaselineDb::Open(opts, dbname, &baseline_));
+      engine_ = baseline_.get();
       break;
     }
   }

@@ -20,8 +20,7 @@
 #include <string>
 #include <vector>
 
-#include "baseline/leveled_db.h"
-#include "baseline/matrixkv_db.h"
+#include "baseline/baseline_db.h"
 #include "core/db.h"
 #include "env/sim_env.h"
 
@@ -125,8 +124,8 @@ class BenchEnv {
   SsdModel* ssd_model() { return model_.get(); }
   SimEnv* sim_env() { return sim_env_.get(); }
   DB* pmblade_db() { return db_.get(); }
-  MatrixKvDb* matrixkv_db() { return matrix_.get(); }
-  LeveledDb* leveled_db() { return leveled_.get(); }
+  /// The open RocksDB or MatrixKV configuration; nullptr otherwise.
+  BaselineDb* baseline_db() { return baseline_.get(); }
   EngineConfig config() const { return config_; }
 
   /// Benches that reopen the engine per measurement point (the sweeps in
@@ -147,8 +146,7 @@ class BenchEnv {
   EngineConfig config_ = EngineConfig::kPmBlade;
 
   std::unique_ptr<DB> db_;
-  std::unique_ptr<MatrixKvDb> matrix_;
-  std::unique_ptr<LeveledDb> leveled_;
+  std::unique_ptr<BaselineDb> baseline_;
   KvEngine* engine_ = nullptr;
 };
 

@@ -84,20 +84,11 @@ class CostModel {
   explicit CostModel(const CostModelParams& params) : params_(params) {}
 
   /// Evaluates Eqs. 1-2 for one partition and returns the verdicts together
-  /// with the intermediate benefit/cost terms. ShouldCompactForReads/Writes
-  /// are thin wrappers over this.
+  /// with the intermediate benefit/cost terms. Eq. 1 fires when internal
+  /// compaction pays for itself in read latency, Eq. 2 when it pays for
+  /// itself in SSD write savings (with the s_i >= tau_w gate from
+  /// Algorithm 1).
   CostDecision EvaluateInternal(const PartitionCounters& p) const;
-
-  /// Eq. 1: internal compaction pays for itself in read latency.
-  bool ShouldCompactForReads(const PartitionCounters& p) const {
-    return EvaluateInternal(p).eq1_triggered;
-  }
-
-  /// Eq. 2: internal compaction pays for itself in SSD write savings.
-  /// Includes the s_i >= tau_w gate from Algorithm 1.
-  bool ShouldCompactForWrites(const PartitionCounters& p) const {
-    return EvaluateInternal(p).eq2_triggered;
-  }
 
   /// Eq. 3 gate: is a major compaction due?
   bool MajorCompactionDue(uint64_t total_l0_bytes) const {

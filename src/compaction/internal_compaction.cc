@@ -3,132 +3,98 @@
 #include <memory>
 
 #include "compaction/merging_iterator.h"
+#include "compaction/version_retention.h"
 
 namespace pmblade {
 
 namespace {
 
-/// Streams deduplicated records from a merged internal-key iterator:
-/// for each user key, keeps the newest version; drops older versions that no
-/// live snapshot can observe; optionally drops tombstones entirely.
-class DedupingIterator final : public Iterator {
+/// The pipeline's stream: the merged records VersionRetention keeps, cut
+/// into segments of about `target_bytes` of key and value bytes, one output
+/// table each. Valid() ends a segment; StartSegment() opens the next one
+/// where the last stopped. An unparseable key ends the stream with its
+/// Corruption status.
+class RetainedStream final : public Iterator {
  public:
-  DedupingIterator(Iterator* base, const InternalKeyComparator& icmp,
-                   bool drop_tombstones, SequenceNumber oldest_snapshot)
-      : base_(base),
-        icmp_(icmp),
-        drop_tombstones_(drop_tombstones),
-        oldest_snapshot_(oldest_snapshot) {}
-
-  bool Valid() const override { return base_->Valid(); }
-  void SeekToFirst() override {
+  RetainedStream(Iterator* merged, VersionRetention retention,
+                 uint64_t target_bytes)
+      : base_(merged),
+        retention_(std::move(retention)),
+        target_bytes_(target_bytes) {
     base_->SeekToFirst();
-    last_user_key_.clear();
-    has_last_ = false;
-    SkipObsolete();
+    SkipDropped();
   }
-  void SeekToLast() override { base_->SeekToLast(); }  // not used
-  void Seek(const Slice& target) override {
-    base_->Seek(target);
-    last_user_key_.clear();
-    has_last_ = false;
-    SkipObsolete();
-  }
-  void Next() override {
-    base_->Next();
-    SkipObsolete();
-  }
-  void Prev() override { base_->Prev(); }  // not used
-  Slice key() const override { return base_->key(); }
-  Slice value() const override { return base_->value(); }
-  Status status() const override { return base_->status(); }
-
-  uint64_t records_seen() const { return records_seen_; }
-
- private:
-  void SkipObsolete() {
-    while (base_->Valid()) {
-      ParsedInternalKey parsed;
-      if (!ParseInternalKey(base_->key(), &parsed)) {
-        // Surface corruption by stopping; status() of children reports it.
-        break;
-      }
-      ++records_seen_;
-      bool same_as_last =
-          has_last_ &&
-          icmp_.user_comparator()->Compare(parsed.user_key,
-                                           Slice(last_user_key_)) == 0;
-      if (same_as_last) {
-        if (last_visible_seq_ <= oldest_snapshot_) {
-          // An older version of a user key whose newest visible version was
-          // already emitted: obsolete.
-          base_->Next();
-          continue;
-        }
-        // The previously emitted version is above the snapshot floor; this
-        // older version may still be observed by a snapshot. Keep it and
-        // lower the visibility floor.
-        last_visible_seq_ = parsed.sequence;
-        return;
-      }
-      {
-        last_user_key_.assign(parsed.user_key.data(), parsed.user_key.size());
-        has_last_ = true;
-        last_visible_seq_ = parsed.sequence;
-        if (drop_tombstones_ && parsed.type == kTypeDeletion &&
-            parsed.sequence <= oldest_snapshot_) {
-          // Tombstone with nothing underneath: drop it and everything older.
-          base_->Next();
-          continue;
-        }
-      }
-      return;  // emit this record
-    }
-  }
-
-  Iterator* base_;
-  const InternalKeyComparator& icmp_;
-  bool drop_tombstones_;
-  SequenceNumber oldest_snapshot_;
-  std::string last_user_key_;
-  SequenceNumber last_visible_seq_ = 0;
-  bool has_last_ = false;
-  uint64_t records_seen_ = 0;
-};
-
-/// Caps an iterator at ~target_bytes of emitted payload, so outputs split
-/// into multiple tables. The wrapped iterator keeps its position across
-/// segments.
-class SegmentIterator final : public Iterator {
- public:
-  SegmentIterator(Iterator* base, uint64_t target_bytes)
-      : base_(base), target_bytes_(target_bytes) {}
 
   void StartSegment() { emitted_ = 0; }
-  bool base_exhausted() const { return !base_->Valid(); }
+  bool exhausted() const { return !status_.ok() || !base_->Valid(); }
 
+  /// A segment holds at least one record, so every table is non-empty.
   bool Valid() const override {
-    return base_->Valid() && emitted_ < target_bytes_;
+    return !exhausted() && (emitted_ < target_bytes_ || emitted_ == 0);
   }
-  void SeekToFirst() override {}  // base is pre-positioned
+  void SeekToFirst() override {}  // positioned by the constructor
   void SeekToLast() override {}
   void Seek(const Slice&) override {}
   void Next() override {
     emitted_ += base_->key().size() + base_->value().size();
     base_->Next();
+    SkipDropped();
   }
   void Prev() override {}
   Slice key() const override { return base_->key(); }
   Slice value() const override { return base_->value(); }
-  Status status() const override { return base_->status(); }
+  Status status() const override {
+    return status_.ok() ? base_->status() : status_;
+  }
 
  private:
+  void SkipDropped() {
+    bool keep = false;
+    for (; base_->Valid(); base_->Next()) {
+      Status s = retention_.Decide(base_->key(), &keep);
+      if (!s.ok()) {
+        status_ = std::move(s);
+        return;
+      }
+      if (keep) return;
+    }
+  }
+
   Iterator* base_;
+  VersionRetention retention_;
   uint64_t target_bytes_;
   uint64_t emitted_ = 0;
+  Status status_;
 };
 
 }  // namespace
+
+Status MergeToTables(const InternalCompactionOptions& options,
+                     const InternalKeyComparator& icmp,
+                     std::vector<Iterator*> inputs, L0TableFactory* factory,
+                     std::vector<L0TableRef>* outputs) {
+  outputs->clear();
+  std::unique_ptr<Iterator> merged(
+      NewMergingIterator(&icmp, std::move(inputs)));
+  RetainedStream stream(
+      merged.get(),
+      VersionRetention(icmp.user_comparator(), options.oldest_snapshot,
+                       options.drop_tombstones),
+      options.target_table_bytes);
+  Status s;
+  while (s.ok() && !stream.exhausted()) {
+    stream.StartSegment();
+    L0TableRef out;
+    s = factory->BuildFrom(&stream, &out);
+    if (out != nullptr) outputs->push_back(std::move(out));
+  }
+  if (s.ok()) s = stream.status();
+  if (!s.ok()) {
+    for (auto& table : *outputs) table->Destroy();
+    outputs->clear();
+  }
+  return s;
+}
 
 Status RunInternalCompaction(const InternalCompactionOptions& options,
                              const InternalKeyComparator& icmp,
@@ -136,7 +102,6 @@ Status RunInternalCompaction(const InternalCompactionOptions& options,
                              L0TableFactory* factory,
                              std::vector<L0TableRef>* outputs,
                              InternalCompactionStats* stats) {
-  outputs->clear();
   *stats = InternalCompactionStats{};
   Clock* clock = options.clock != nullptr ? options.clock : SystemClock();
   const uint64_t start = clock->NowNanos();
@@ -149,28 +114,13 @@ Status RunInternalCompaction(const InternalCompactionOptions& options,
     stats->input_bytes += table->size_bytes();
     children.push_back(table->NewIterator());
   }
-
-  std::unique_ptr<Iterator> merged(
-      NewMergingIterator(&icmp, std::move(children)));
-  DedupingIterator deduped(merged.get(), icmp, options.drop_tombstones,
-                           options.oldest_snapshot);
-  deduped.SeekToFirst();
-
-  SegmentIterator segment(&deduped, options.target_table_bytes);
-  while (!segment.base_exhausted()) {
-    segment.StartSegment();
-    L0TableRef out;
-    PMBLADE_RETURN_IF_ERROR(factory->BuildFrom(&segment, &out));
-    if (out != nullptr) {
-      stats->output_tables++;
-      stats->output_records += out->num_entries();
-      stats->output_bytes += out->size_bytes();
-      outputs->push_back(std::move(out));
-    } else {
-      break;  // nothing emitted (everything obsolete)
-    }
+  PMBLADE_RETURN_IF_ERROR(
+      MergeToTables(options, icmp, std::move(children), factory, outputs));
+  for (const auto& out : *outputs) {
+    stats->output_tables++;
+    stats->output_records += out->num_entries();
+    stats->output_bytes += out->size_bytes();
   }
-  PMBLADE_RETURN_IF_ERROR(deduped.status());
 
   stats->duration_nanos = clock->NowNanos() - start;
 

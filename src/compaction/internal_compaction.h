@@ -49,11 +49,24 @@ struct InternalCompactionOptions {
   uint64_t partition_id = 0;
 };
 
+/// The merge pipeline of internal compaction and of the baseline engines'
+/// leveled compactions (major compaction runs the same retention rule in
+/// its S1/S2/S3 loop): merges `inputs` (internal-key iterators, newer sources first; ownership taken),
+/// keeps the versions VersionRetention keeps under `options`'
+/// `oldest_snapshot` and `drop_tombstones`, and cuts them into tables of
+/// about `options.target_table_bytes` built by `factory`. On failure
+/// (including Corruption for an unparseable key) it destroys the tables it
+/// built and leaves `outputs` empty.
+Status MergeToTables(const InternalCompactionOptions& options,
+                     const InternalKeyComparator& icmp,
+                     std::vector<Iterator*> inputs, L0TableFactory* factory,
+                     std::vector<L0TableRef>* outputs);
+
 /// Merges `inputs` (any mix of sorted/unsorted L0 tables; *newer tables must
 /// come first* so the merge keeps the newest version on ties) into new
-/// tables built by `factory`. On success fills `outputs` and `stats`.
-/// The inputs are NOT destroyed; the caller swaps them out of its version
-/// and destroys them after the new tables are installed.
+/// tables built by `factory` (MergeToTables). On success fills `outputs`
+/// and `stats`. The inputs are NOT destroyed; the caller swaps them out of
+/// its version and destroys them after the new tables are installed.
 Status RunInternalCompaction(const InternalCompactionOptions& options,
                              const InternalKeyComparator& icmp,
                              const std::vector<L0TableRef>& inputs,

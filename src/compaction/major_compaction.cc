@@ -2,9 +2,11 @@
 
 #include <atomic>
 #include <deque>
+#include <optional>
 #include <string>
 #include <thread>
 
+#include "compaction/version_retention.h"
 #include "coro/io_gate.h"
 #include "coro/scheduler.h"
 #include "coro/task.h"
@@ -79,13 +81,9 @@ struct MajorCompactor::SubtaskState {
   // the engine's S3 policy).
   std::vector<size_t> pending_chunks;
 
-  // Dedup state.
-  std::string last_user_key;
-  bool has_last = false;
-  SequenceNumber last_visible_seq = 0;
-  /// Resolved per-subtask tombstone verdict (see
-  /// CompactionSubtaskInput::drop_tombstones).
-  bool drop_tombstones = true;
+  // Which versions survive, with the subtask's resolved tombstone verdict
+  // (see CompactionSubtaskInput::drop_tombstones).
+  std::optional<VersionRetention> retention;
 
   // S1 charging.
   double ssd_bytes_consumed = 0.0;
@@ -153,9 +151,11 @@ Status MajorCompactor::Run(
     SubtaskState& st = states[i];
     st.input.reset(subtasks[i].make_input());
     st.ssd_fraction = subtasks[i].ssd_input_fraction;
-    st.drop_tombstones = subtasks[i].drop_tombstones < 0
+    st.retention.emplace(fopts.icmp->user_comparator(),
+                         options_.oldest_snapshot,
+                         subtasks[i].drop_tombstones < 0
                              ? options_.drop_tombstones
-                             : subtasks[i].drop_tombstones != 0;
+                             : subtasks[i].drop_tombstones != 0);
     st.meta.subtask_index = i;
 
     st.meta.file_number = factory_->NextFileNumber();
@@ -277,48 +277,24 @@ Status MajorCompactor::Run(
 
 namespace {
 
-/// Processes up to kRecordsPerSlice records of `st` through the dedup
-/// filter into the builder. Returns false when the input is exhausted.
+/// Processes up to kRecordsPerSlice records of `st` through the retention
+/// rule into the builder. Returns false when the input is exhausted.
 /// Shared by all engines (this is the S2 work).
-bool ProcessSlice(MajorCompactor::SubtaskState* st,
-                  const InternalKeyComparator& icmp,
-                  SequenceNumber oldest_snapshot) {
+bool ProcessSlice(MajorCompactor::SubtaskState* st) {
   Iterator* in = st->input.get();
   int processed = 0;
   while (in->Valid() && processed < kRecordsPerSlice) {
-    ParsedInternalKey parsed;
-    if (!ParseInternalKey(in->key(), &parsed)) {
-      st->status = Status::Corruption("major compaction: bad internal key");
+    bool keep = false;
+    Status decided = st->retention->Decide(in->key(), &keep);
+    if (!decided.ok()) {
+      st->status = std::move(decided);
       return false;
     }
     ++st->input_records;
     ++processed;
     st->ssd_bytes_consumed +=
         st->ssd_fraction * (in->key().size() + in->value().size());
-
-    bool same_as_last =
-        st->has_last &&
-        icmp.user_comparator()->Compare(parsed.user_key,
-                                        Slice(st->last_user_key)) == 0;
-    bool drop = false;
-    if (same_as_last) {
-      if (st->last_visible_seq <= oldest_snapshot) {
-        drop = true;  // shadowed by a visible newer version
-      } else {
-        st->last_visible_seq = parsed.sequence;
-      }
-    } else {
-      st->last_user_key.assign(parsed.user_key.data(),
-                               parsed.user_key.size());
-      st->has_last = true;
-      st->last_visible_seq = parsed.sequence;
-      if (st->drop_tombstones && parsed.type == kTypeDeletion &&
-          parsed.sequence <= oldest_snapshot) {
-        drop = true;  // bottom-level tombstone with nothing underneath
-      }
-    }
-
-    if (!drop) {
+    if (keep) {
       if (st->output_records == 0) st->meta.smallest = in->key().ToString();
       st->meta.largest = in->key().ToString();
       st->builder->Add(in->key(), in->value());
@@ -341,17 +317,16 @@ bool ProcessSlice(MajorCompactor::SubtaskState* st,
 // ---------------------------------------------------------------------------
 
 Status MajorCompactor::RunThreadEngine(std::vector<SubtaskState>& states) {
-  const InternalKeyComparator* icmp = factory_->options().icmp;
   std::vector<std::thread> threads;
   threads.reserve(states.size());
 
   for (SubtaskState& st : states) {
-    threads.emplace_back([this, &st, icmp] {
+    threads.emplace_back([this, &st] {
       bool more = true;
       while (more) {
         {
           ScopedTimer timer(clock_, &st.cpu_work_nanos);
-          more = ProcessSlice(&st, *icmp, options_.oldest_snapshot);
+          more = ProcessSlice(&st);
         }
         if (!st.status.ok()) break;
         // S1: blocking reads for consumed SSD bytes.
@@ -403,7 +378,6 @@ struct WorkerContext {
   SsdModel* model = nullptr;
   IoGate* gate = nullptr;
   const MajorCompactionOptions* options = nullptr;
-  const InternalKeyComparator* icmp = nullptr;
 
   std::deque<MajorCompactor::SubtaskState*> queue;  // unclaimed subtasks
   int active_compaction_coroutines = 0;
@@ -425,7 +399,7 @@ Task CompactionCoroutine(WorkerContext* ctx) {
     bool more = true;
     while (more) {
       // S2: merge a slice of records.
-      more = ProcessSlice(st, *ctx->icmp, ctx->options->oldest_snapshot);
+      more = ProcessSlice(st);
       if (!st->status.ok()) break;
 
       // S1: await reads covering consumed SSD input bytes.
@@ -567,7 +541,6 @@ Status MajorCompactor::RunCoroutineEngine(std::vector<SubtaskState>& states,
       ctx.model = model_;
       ctx.gate = &gate;
       ctx.options = &options_;
-      ctx.icmp = factory_->options().icmp;
       ctx.use_flush_coroutine = use_flush_coroutine;
       ctx.flush_event.reset(new CoroScheduler::Event(&scheduler));
 

@@ -1,5 +1,7 @@
 #include "compaction/merging_iterator.h"
 
+#include "memtable/internal_key.h"
+
 namespace pmblade {
 namespace {
 
@@ -122,6 +124,39 @@ Iterator* NewMergingIterator(const Comparator* comparator,
   if (children.empty()) return NewEmptyIterator();
   if (children.size() == 1) return children[0];
   return new MergingIterator(comparator, std::move(children));
+}
+
+UserKeyRangeIterator::UserKeyRangeIterator(Iterator* base,
+                                           std::string begin_user_key,
+                                           std::string end_user_key)
+    : base_(base),
+      begin_(std::move(begin_user_key)),
+      end_(std::move(end_user_key)) {}
+
+UserKeyRangeIterator::UserKeyRangeIterator(std::unique_ptr<Iterator> base,
+                                           std::string begin_user_key,
+                                           std::string end_user_key)
+    : UserKeyRangeIterator(base.get(), std::move(begin_user_key),
+                           std::move(end_user_key)) {
+  owned_ = std::move(base);
+}
+
+bool UserKeyRangeIterator::Valid() const {
+  if (!base_->Valid()) return false;
+  if (end_.empty()) return true;
+  return ExtractUserKey(base_->key()).compare(Slice(end_)) < 0;
+}
+
+void UserKeyRangeIterator::SeekToFirst() {
+  if (begin_.empty()) {
+    base_->SeekToFirst();
+    return;
+  }
+  // Seek with the largest tag so no version of begin_ itself is skipped.
+  std::string target;
+  AppendInternalKey(&target, Slice(begin_), kMaxSequenceNumber,
+                    kValueTypeForSeek);
+  base_->Seek(Slice(target));
 }
 
 }  // namespace pmblade

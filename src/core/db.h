@@ -116,7 +116,6 @@ class DB : public KvEngine {
   }
   Iterator* NewScanIterator() override { return NewIterator(ReadOptions()); }
   Status Flush() override { return FlushMemTable(); }
-  std::string Name() const override { return "pmblade"; }
 };
 
 /// Destroys the database rooted at `dbname` (files + PM pool).

@@ -8,54 +8,6 @@
 
 namespace pmblade {
 
-namespace {
-
-/// Clips an owned sorted internal-key iterator to the user-key range
-/// [begin, end) — empty bound = unbounded. Subcompaction slices wrap their
-/// merged input in one of these: boundaries compare USER keys, so every
-/// version of a user key lands in exactly one slice and the per-slice dedup
-/// and tombstone logic in ProcessSlice stays correct.
-class RangeClippedIterator final : public Iterator {
- public:
-  RangeClippedIterator(Iterator* base, std::string begin_user_key,
-                       std::string end_user_key)
-      : base_(base),
-        begin_(std::move(begin_user_key)),
-        end_(std::move(end_user_key)) {}
-
-  bool Valid() const override {
-    if (!base_->Valid()) return false;
-    if (end_.empty()) return true;
-    return ExtractUserKey(base_->key()).compare(Slice(end_)) < 0;
-  }
-  void SeekToFirst() override {
-    if (begin_.empty()) {
-      base_->SeekToFirst();
-    } else {
-      // Position at the first entry whose user key >= begin_: seek with the
-      // largest tag so no version of begin_ itself is skipped.
-      std::string target;
-      AppendInternalKey(&target, Slice(begin_), kMaxSequenceNumber,
-                        kValueTypeForSeek);
-      base_->Seek(Slice(target));
-    }
-  }
-  void SeekToLast() override {}  // forward-only, like the merge that reads it
-  void Seek(const Slice&) override {}
-  void Next() override { base_->Next(); }
-  void Prev() override {}
-  Slice key() const override { return base_->key(); }
-  Slice value() const override { return base_->value(); }
-  Status status() const override { return base_->status(); }
-
- private:
-  std::unique_ptr<Iterator> base_;
-  std::string begin_;
-  std::string end_;
-};
-
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // Compaction scheduling (Algorithm 1)
 // ---------------------------------------------------------------------------
@@ -278,9 +230,8 @@ Status DBImpl::RunInternalCompactionOnPartition(
       RunInternalCompaction(copts, icmp_, inputs, factory, &outputs, &cstats);
   PMBLADE_SYNC_POINT("DBImpl::InternalCompaction:Outputs");
   if (!s.ok()) {
-    // Retryable: drop any tables built before the failure so PM is not
-    // leaked, mutate nothing.
-    for (auto& table : outputs) table->Destroy();
+    // Retryable: the merge destroyed the tables it built, so PM is not
+    // leaked; mutate nothing.
     lock.lock();
     return s;
   }
@@ -453,7 +404,10 @@ Status DBImpl::RunMajorCompactionOnJobs(
           merged->SeekToFirst();
           return merged;
         }
-        Iterator* clipped = new RangeClippedIterator(merged, lo, hi);
+        // Slices split at user keys, so the per-slice retention rule in
+        // ProcessSlice sees every version of a key.
+        Iterator* clipped = new UserKeyRangeIterator(
+            std::unique_ptr<Iterator>(merged), lo, hi);
         clipped->SeekToFirst();
         return clipped;
       };

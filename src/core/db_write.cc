@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <thread>
 
+#include "compaction/merging_iterator.h"
 #include "env/filename.h"
 #include "memtable/txn_record.h"
 #include "util/sync_point.h"
@@ -14,32 +15,6 @@ namespace {
 /// Upper bound on one group-commit batch: the leader stops coalescing
 /// follower batches past this many WAL bytes.
 constexpr size_t kWriteGroupMaxBytes = 1 << 20;
-
-/// Bounds a sorted internal-key iterator to user keys < `end` (empty end =
-/// unbounded). Used to slice the immutable memtable per partition.
-class BoundedIterator final : public Iterator {
- public:
-  BoundedIterator(Iterator* base, std::string end_user_key)
-      : base_(base), end_(std::move(end_user_key)) {}
-
-  bool Valid() const override {
-    if (!base_->Valid()) return false;
-    if (end_.empty()) return true;
-    return ExtractUserKey(base_->key()).compare(Slice(end_)) < 0;
-  }
-  void SeekToFirst() override {}  // base pre-positioned by the caller
-  void SeekToLast() override {}
-  void Seek(const Slice&) override {}
-  void Next() override { base_->Next(); }
-  void Prev() override {}
-  Slice key() const override { return base_->key(); }
-  Slice value() const override { return base_->value(); }
-  Status status() const override { return base_->status(); }
-
- private:
-  Iterator* base_;
-  std::string end_;
-};
 
 }  // namespace
 
@@ -699,7 +674,7 @@ void DBImpl::BackgroundFlush() {
             Slice(partition->end_key())) >= 0) {
       continue;
     }
-    BoundedIterator bounded(it.get(), partition->end_key());
+    UserKeyRangeIterator bounded(it.get(), "", partition->end_key());
     L0TableRef table;
     s = factory->BuildFrom(&bounded, &table);
     if (!s.ok()) break;

@@ -31,8 +31,6 @@ class KvEngine {
   /// Forces all buffered writes down to the storage layers (memtable flush).
   virtual Status Flush() = 0;
 
-  virtual std::string Name() const = 0;
-
   /// The engine-wide metrics registry: every statistic the engine keeps,
   /// under the same names in every engine (e.g. "pmblade.write.user_bytes",
   /// "pmblade.reads.ssd_l1"). External subsystems (the RESP server)

@@ -186,7 +186,6 @@ struct ReadOptions {
   /// 0 = read at the latest sequence; otherwise a snapshot sequence obtained
   /// from DB::GetSnapshot().
   uint64_t snapshot = 0;
-  bool verify_checksums = true;
 };
 
 struct WriteOptions {

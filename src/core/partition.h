@@ -53,12 +53,6 @@ class Partition {
   const std::string& begin_key() const { return begin_; }
   const std::string& end_key() const { return end_; }
 
-  bool Contains(const Slice& user_key) const {
-    if (!begin_.empty() && user_key.compare(Slice(begin_)) < 0) return false;
-    if (!end_.empty() && user_key.compare(Slice(end_)) >= 0) return false;
-    return true;
-  }
-
   // ---- table sets ----
   // Ref discipline with a background compaction in flight (every access to
   // the vectors themselves happens under the DB mutex):

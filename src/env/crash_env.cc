@@ -121,12 +121,6 @@ bool CrashEnv::dead() const {
   return dead_;
 }
 
-uint64_t CrashEnv::SyncedSize(const std::string& fname) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = files_.find(fname);
-  return it != files_.end() ? it->second.synced_size : 0;
-}
-
 Status CrashEnv::NewSequentialFile(const std::string& fname,
                                    std::unique_ptr<SequentialFile>* result) {
   return base_->NewSequentialFile(fname, result);

@@ -66,9 +66,6 @@ class CrashEnv final : public Env {
 
   bool dead() const;
 
-  /// Bytes recorded as synced for `fname` (testing aid).
-  uint64_t SyncedSize(const std::string& fname) const;
-
   // ---- Env interface ----
   Status NewSequentialFile(const std::string& fname,
                            std::unique_ptr<SequentialFile>* result) override;

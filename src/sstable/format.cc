@@ -1,6 +1,5 @@
 #include "sstable/format.h"
 
-#include "compress/lz.h"
 #include "util/coding.h"
 #include "util/crc32c.h"
 
@@ -45,7 +44,7 @@ Status Footer::DecodeFrom(Slice* input) {
 }
 
 Status ReadBlock(RandomAccessFile* file, const BlockHandle& handle,
-                 bool verify_checksums, BlockContents* result) {
+                 BlockContents* result) {
   result->data = Slice();
   result->cachable = false;
   result->heap_allocated = false;
@@ -65,49 +64,24 @@ Status ReadBlock(RandomAccessFile* file, const BlockHandle& handle,
   }
 
   const char* data = contents.data();
-  if (verify_checksums) {
-    const uint32_t crc = crc32c::Unmask(DecodeFixed32(data + n + 1));
-    const uint32_t actual = crc32c::Value(data, n + 1);
-    if (actual != crc) {
-      delete[] buf;
-      return Status::Corruption("block checksum mismatch");
-    }
+  const uint32_t crc = crc32c::Unmask(DecodeFixed32(data + n + 1));
+  const uint32_t actual = crc32c::Value(data, n + 1);
+  if (actual != crc) {
+    delete[] buf;
+    return Status::Corruption("block checksum mismatch");
   }
-
-  switch (data[n]) {
-    case kNoCompression:
-      if (data != buf) {
-        // File returned memory it owns; no copy needed, not cachable.
-        delete[] buf;
-        result->data = Slice(data, n);
-        result->cachable = false;
-        result->heap_allocated = false;
-      } else {
-        result->data = Slice(buf, n);
-        result->heap_allocated = true;
-        result->cachable = true;
-      }
-      break;
-    case kLzCompression: {
-      auto* decompressed = new std::string();
-      Status ds = lz::Decompress(Slice(data, n), decompressed);
-      delete[] buf;
-      if (!ds.ok()) {
-        delete decompressed;
-        return ds;
-      }
-      // Hand ownership to the caller via a heap char array.
-      char* out = new char[decompressed->size()];
-      memcpy(out, decompressed->data(), decompressed->size());
-      result->data = Slice(out, decompressed->size());
-      delete decompressed;
-      result->heap_allocated = true;
-      result->cachable = true;
-      break;
-    }
-    default:
-      delete[] buf;
-      return Status::Corruption("unknown block compression type");
+  if (data[n] != kNoCompression) {
+    delete[] buf;
+    return Status::Corruption("unknown block compression type");
+  }
+  if (data != buf) {
+    // File returned memory it owns; no copy needed, not cachable.
+    delete[] buf;
+    result->data = Slice(data, n);
+  } else {
+    result->data = Slice(buf, n);
+    result->heap_allocated = true;
+    result->cachable = true;
   }
   return Status::OK();
 }

@@ -58,9 +58,10 @@ class Footer {
 
 constexpr uint64_t kTableMagicNumber = 0x706d626c61646531ull;  // "pmblade1"
 
+/// A block's trailer type byte. Blocks are stored uncompressed; any other
+/// type reads as Corruption.
 enum CompressionType : uint8_t {
   kNoCompression = 0x0,
-  kLzCompression = 0x1,
 };
 
 /// 1-byte compression type + 4-byte crc appended to every block.
@@ -72,9 +73,9 @@ struct BlockContents {
   bool heap_allocated = false; // true if caller owns data.data()
 };
 
-/// Reads a block (verifying the trailer CRC, decompressing if needed).
+/// Reads a block, verifying its trailer CRC and type byte.
 Status ReadBlock(RandomAccessFile* file, const BlockHandle& handle,
-                 bool verify_checksums, BlockContents* result);
+                 BlockContents* result);
 
 }  // namespace pmblade
 

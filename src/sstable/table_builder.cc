@@ -4,7 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "compress/lz.h"
 #include "memtable/internal_key.h"
 #include "sstable/block_builder.h"
 #include "sstable/filter_block.h"
@@ -40,7 +39,6 @@ struct TableBuilder::Rep {
   bool pending_index_entry = false;
   BlockHandle pending_handle;
 
-  std::string compressed_output;
   std::string block_output;  // block + trailer, handed to the file at once
 };
 
@@ -102,40 +100,17 @@ void TableBuilder::Flush() {
 }
 
 void TableBuilder::WriteBlock(BlockBuilder* block, BlockHandle* handle) {
-  Rep* r = rep_.get();
-  Slice raw = block->Finish();
-
-  Slice block_contents;
-  CompressionType type = r->options.compression;
-  switch (type) {
-    case kNoCompression:
-      block_contents = raw;
-      break;
-    case kLzCompression: {
-      r->compressed_output.clear();
-      lz::Compress(raw, &r->compressed_output);
-      if (r->compressed_output.size() < raw.size() - raw.size() / 8) {
-        block_contents = Slice(r->compressed_output);
-      } else {
-        // Not compressible enough to be worth the decompression cost.
-        block_contents = raw;
-        type = kNoCompression;
-      }
-      break;
-    }
-  }
-  WriteRawBlock(block_contents, type, handle);
-  r->compressed_output.clear();
+  WriteRawBlock(block->Finish(), handle);
   block->Reset();
 }
 
 void TableBuilder::WriteRawBlock(const Slice& block_contents,
-                                 CompressionType type, BlockHandle* handle) {
+                                 BlockHandle* handle) {
   Rep* r = rep_.get();
   handle->set_offset(r->offset);
   handle->set_size(block_contents.size());
   char trailer[kBlockTrailerSize];
-  trailer[0] = static_cast<char>(type);
+  trailer[0] = static_cast<char>(kNoCompression);
   uint32_t crc = crc32c::Value(block_contents.data(), block_contents.size());
   crc = crc32c::Extend(crc, trailer, 1);
   EncodeFixed32(trailer + 1, crc32c::Mask(crc));
@@ -156,8 +131,7 @@ Status TableBuilder::Finish() {
 
   // Filter block.
   if (r->status.ok() && r->filter_block != nullptr) {
-    WriteRawBlock(r->filter_block->Finish(), kNoCompression,
-                  &filter_block_handle);
+    WriteRawBlock(r->filter_block->Finish(), &filter_block_handle);
   }
 
   // Metaindex block.

@@ -21,7 +21,6 @@ struct TableBuilderOptions {
   const BloomFilterPolicy* filter_policy = nullptr;  // nullptr = no filter
   size_t block_size = 4096;
   int block_restart_interval = 16;
-  CompressionType compression = kNoCompression;
 };
 
 class TableBuilder {
@@ -53,8 +52,7 @@ class TableBuilder {
 
   void Flush();
   void WriteBlock(class BlockBuilder* block, BlockHandle* handle);
-  void WriteRawBlock(const Slice& data, CompressionType type,
-                     BlockHandle* handle);
+  void WriteRawBlock(const Slice& data, BlockHandle* handle);
 
   std::unique_ptr<Rep> rep_;
 };

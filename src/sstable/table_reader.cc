@@ -19,7 +19,6 @@ struct TableReader::Rep {
   std::unique_ptr<Block> index_block;
   std::unique_ptr<FilterBlockReader> filter;
   std::string filter_data;  // backing bytes for `filter`
-  BlockHandle metaindex_handle;
 };
 
 Status TableReader::Open(const TableReaderOptions& options,
@@ -45,22 +44,19 @@ Status TableReader::Open(const TableReaderOptions& options,
 
   // Index block.
   BlockContents index_contents;
-  PMBLADE_RETURN_IF_ERROR(ReadBlock(file.get(), footer.index_handle(),
-                                    options.verify_checksums,
-                                    &index_contents));
+  PMBLADE_RETURN_IF_ERROR(
+      ReadBlock(file.get(), footer.index_handle(), &index_contents));
 
   auto* rep = new Rep();
   rep->options = options;
   rep->file = std::move(file);
   rep->index_block.reset(new Block(index_contents));
-  rep->metaindex_handle = footer.metaindex_handle();
   std::unique_ptr<TableReader> reader(new TableReader(rep));
 
   // Filter block (best-effort: a table without one still works).
   if (options.filter_policy != nullptr) {
     BlockContents meta_contents;
-    if (ReadBlock(rep->file.get(), footer.metaindex_handle(),
-                  options.verify_checksums, &meta_contents)
+    if (ReadBlock(rep->file.get(), footer.metaindex_handle(), &meta_contents)
             .ok()) {
       Block meta_block(meta_contents);
       std::unique_ptr<Iterator> it(
@@ -71,8 +67,7 @@ Status TableReader::Open(const TableReaderOptions& options,
         BlockHandle filter_handle;
         if (filter_handle.DecodeFrom(&v).ok()) {
           BlockContents filter_contents;
-          if (ReadBlock(rep->file.get(), filter_handle,
-                        options.verify_checksums, &filter_contents)
+          if (ReadBlock(rep->file.get(), filter_handle, &filter_contents)
                   .ok()) {
             rep->filter_data.assign(filter_contents.data.data(),
                                     filter_contents.data.size());
@@ -95,6 +90,31 @@ TableReader::TableReader(Rep* rep) : rep_(rep) {}
 
 TableReader::~TableReader() = default;
 
+namespace {
+
+/// A block's iterator that keeps the block alive while it runs: the block
+/// is shared with the block cache, or owned alone when it is not cached.
+class BlockHolderIterator final : public Iterator {
+ public:
+  BlockHolderIterator(std::shared_ptr<Block> block, const Comparator* cmp)
+      : block_(std::move(block)), iter_(block_->NewIterator(cmp)) {}
+  bool Valid() const override { return iter_->Valid(); }
+  void SeekToFirst() override { iter_->SeekToFirst(); }
+  void SeekToLast() override { iter_->SeekToLast(); }
+  void Seek(const Slice& t) override { iter_->Seek(t); }
+  void Next() override { iter_->Next(); }
+  void Prev() override { iter_->Prev(); }
+  Slice key() const override { return iter_->key(); }
+  Slice value() const override { return iter_->value(); }
+  Status status() const override { return iter_->status(); }
+
+ private:
+  std::shared_ptr<Block> block_;
+  std::unique_ptr<Iterator> iter_;
+};
+
+}  // namespace
+
 Iterator* TableReader::NewBlockIterator(const Slice& index_value) const {
   Rep* r = rep_.get();
   BlockHandle handle;
@@ -102,89 +122,22 @@ Iterator* TableReader::NewBlockIterator(const Slice& index_value) const {
   Status s = handle.DecodeFrom(&input);
   if (!s.ok()) return NewErrorIterator(s);
 
-  // Try the cache first.
+  std::shared_ptr<Block> block;
   if (r->options.block_cache != nullptr) {
-    std::shared_ptr<Block> cached =
-        r->options.block_cache->Lookup(r->options.file_number,
-                                       handle.offset());
-    if (cached != nullptr) {
-      // The iterator must keep the block alive: wrap in a holder.
-      class CachedBlockIterator final : public Iterator {
-       public:
-        CachedBlockIterator(std::shared_ptr<Block> block,
-                            const Comparator* cmp)
-            : block_(std::move(block)),
-              iter_(block_->NewIterator(cmp)) {}
-        bool Valid() const override { return iter_->Valid(); }
-        void SeekToFirst() override { iter_->SeekToFirst(); }
-        void SeekToLast() override { iter_->SeekToLast(); }
-        void Seek(const Slice& t) override { iter_->Seek(t); }
-        void Next() override { iter_->Next(); }
-        void Prev() override { iter_->Prev(); }
-        Slice key() const override { return iter_->key(); }
-        Slice value() const override { return iter_->value(); }
-        Status status() const override { return iter_->status(); }
-
-       private:
-        std::shared_ptr<Block> block_;
-        std::unique_ptr<Iterator> iter_;
-      };
-      return new CachedBlockIterator(std::move(cached),
-                                     r->options.comparator);
+    block = r->options.block_cache->Lookup(r->options.file_number,
+                                           handle.offset());
+  }
+  if (block == nullptr) {
+    BlockContents contents;
+    s = ReadBlock(r->file.get(), handle, &contents);
+    if (!s.ok()) return NewErrorIterator(s);
+    block = std::make_shared<Block>(contents);
+    if (r->options.block_cache != nullptr && contents.cachable) {
+      r->options.block_cache->Insert(r->options.file_number, handle.offset(),
+                                     block, block->size());
     }
   }
-
-  BlockContents contents;
-  s = ReadBlock(r->file.get(), handle, r->options.verify_checksums,
-                &contents);
-  if (!s.ok()) return NewErrorIterator(s);
-
-  if (r->options.block_cache != nullptr && contents.cachable) {
-    auto block = std::make_shared<Block>(contents);
-    size_t charge = block->size();
-    r->options.block_cache->Insert(r->options.file_number, handle.offset(),
-                                   block, charge);
-    class CachedBlockIterator final : public Iterator {
-     public:
-      CachedBlockIterator(std::shared_ptr<Block> block, const Comparator* cmp)
-          : block_(std::move(block)), iter_(block_->NewIterator(cmp)) {}
-      bool Valid() const override { return iter_->Valid(); }
-      void SeekToFirst() override { iter_->SeekToFirst(); }
-      void SeekToLast() override { iter_->SeekToLast(); }
-      void Seek(const Slice& t) override { iter_->Seek(t); }
-      void Next() override { iter_->Next(); }
-      void Prev() override { iter_->Prev(); }
-      Slice key() const override { return iter_->key(); }
-      Slice value() const override { return iter_->value(); }
-      Status status() const override { return iter_->status(); }
-
-     private:
-      std::shared_ptr<Block> block_;
-      std::unique_ptr<Iterator> iter_;
-    };
-    return new CachedBlockIterator(std::move(block), r->options.comparator);
-  }
-
-  // Uncached: iterator owns the block.
-  class OwningBlockIterator final : public Iterator {
-   public:
-    OwningBlockIterator(Block* block, const Comparator* cmp)
-        : block_(block), iter_(block_->NewIterator(cmp)) {}
-    bool Valid() const override { return iter_->Valid(); }
-    void SeekToFirst() override { iter_->SeekToFirst(); }
-    void SeekToLast() override { iter_->SeekToLast(); }
-    void Seek(const Slice& t) override { iter_->Seek(t); }
-    void Next() override { iter_->Next(); }
-    void Prev() override { iter_->Prev(); }
-    Slice key() const override { return iter_->key(); }
-    Slice value() const override { return iter_->value(); }
-    Status status() const override { return iter_->status(); }
-
-   private:
-    std::unique_ptr<Block> block_;
-    std::unique_ptr<Iterator> iter_;
-  };
-  return new OwningBlockIterator(new Block(contents), r->options.comparator);
+  return new BlockHolderIterator(std::move(block), r->options.comparator);
 }
 
 namespace {
@@ -337,20 +290,5 @@ Status TableReader::InternalGet(const Slice& key, void* arg,
 }
 
 bool TableReader::has_filter() const { return rep_->filter != nullptr; }
-
-uint64_t TableReader::ApproximateOffsetOf(const Slice& key) const {
-  std::unique_ptr<Iterator> index_iter(
-      rep_->index_block->NewIterator(rep_->options.comparator));
-  index_iter->Seek(key);
-  if (index_iter->Valid()) {
-    BlockHandle handle;
-    Slice input = index_iter->value();
-    if (handle.DecodeFrom(&input).ok()) {
-      return handle.offset();
-    }
-  }
-  // Past the last key: approximate with the metaindex offset.
-  return rep_->metaindex_handle.offset();
-}
 
 }  // namespace pmblade

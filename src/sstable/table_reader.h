@@ -22,7 +22,6 @@ struct TableReaderOptions {
   const Comparator* comparator = nullptr;
   const BloomFilterPolicy* filter_policy = nullptr;
   BlockCache* block_cache = nullptr;   // optional
-  bool verify_checksums = true;
   /// Cache key namespace for this file in the block cache.
   uint64_t file_number = 0;
 };
@@ -52,8 +51,6 @@ class TableReader {
                      bool* filter_rejected = nullptr) const;
 
   bool has_filter() const;
-
-  uint64_t ApproximateOffsetOf(const Slice& key) const;
 
  private:
   struct Rep;

@@ -20,8 +20,6 @@ class Clock {
   /// the device simulators must be accurate at microsecond scale (the default
   /// spins for short waits and sleeps for long ones).
   virtual void SleepForNanos(uint64_t nanos);
-
-  uint64_t NowMicros() { return NowNanos() / 1000; }
 };
 
 /// The real steady clock; singleton.

@@ -2,12 +2,6 @@
 
 namespace pmblade {
 
-void PutFixed16(std::string* dst, uint16_t v) {
-  char buf[2];
-  EncodeFixed16(buf, v);
-  dst->append(buf, 2);
-}
-
 void PutFixed32(std::string* dst, uint32_t v) {
   char buf[4];
   EncodeFixed32(buf, v);

@@ -15,15 +15,9 @@ namespace pmblade {
 
 // ---- fixed-width little-endian ----
 
-inline void EncodeFixed16(char* dst, uint16_t v) { memcpy(dst, &v, 2); }
 inline void EncodeFixed32(char* dst, uint32_t v) { memcpy(dst, &v, 4); }
 inline void EncodeFixed64(char* dst, uint64_t v) { memcpy(dst, &v, 8); }
 
-inline uint16_t DecodeFixed16(const char* p) {
-  uint16_t v;
-  memcpy(&v, p, 2);
-  return v;
-}
 inline uint32_t DecodeFixed32(const char* p) {
   uint32_t v;
   memcpy(&v, p, 4);
@@ -35,7 +29,6 @@ inline uint64_t DecodeFixed64(const char* p) {
   return v;
 }
 
-void PutFixed16(std::string* dst, uint16_t v);
 void PutFixed32(std::string* dst, uint32_t v);
 void PutFixed64(std::string* dst, uint64_t v);
 

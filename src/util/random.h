@@ -51,12 +51,6 @@ class Random {
   /// True with probability 1/n.
   bool OneIn(uint64_t n) { return Uniform(n) == 0; }
 
-  /// Skewed: picks base in [0, max_log] uniformly, then a uniform value in
-  /// [0, 2^base). Favors small numbers, occasionally large ones.
-  uint64_t Skewed(int max_log) {
-    return Uniform(uint64_t{1} << Uniform(max_log + 1));
-  }
-
   /// Fills `dst` with `len` random lowercase-alphanumeric bytes.
   void RandomString(size_t len, std::string* dst);
 

@@ -310,15 +310,15 @@ TEST(CostModelTest, Eq1TriggersOnHotUnsortedPartitions) {
   PartitionCounters cold;
   cold.unsorted_tables = 10;
   cold.reads_per_sec = 0.0;  // nobody reads: no benefit
-  EXPECT_FALSE(model.ShouldCompactForReads(cold));
+  EXPECT_FALSE(model.EvaluateInternal(cold).eq1_triggered);
 
   PartitionCounters hot = cold;
   hot.reads_per_sec = 100.0;  // 100 * (10/2) * 1 = 500 > 4
-  EXPECT_TRUE(model.ShouldCompactForReads(hot));
+  EXPECT_TRUE(model.EvaluateInternal(hot).eq1_triggered);
 
   PartitionCounters single = hot;
   single.unsorted_tables = 1;  // below min threshold
-  EXPECT_FALSE(model.ShouldCompactForReads(single));
+  EXPECT_FALSE(model.EvaluateInternal(single).eq1_triggered);
 }
 
 TEST(CostModelTest, Eq2RequiresSizeGateAndUpdates) {
@@ -333,13 +333,13 @@ TEST(CostModelTest, Eq2RequiresSizeGateAndUpdates) {
   p.size_bytes = 500;  // below tau_w
   p.writes = 1000;
   p.updates = 900;
-  EXPECT_FALSE(model.ShouldCompactForWrites(p));
+  EXPECT_FALSE(model.EvaluateInternal(p).eq2_triggered);
 
   p.size_bytes = 2000;  // passes gate: 900*40 > 1000*4
-  EXPECT_TRUE(model.ShouldCompactForWrites(p));
+  EXPECT_TRUE(model.EvaluateInternal(p).eq2_triggered);
 
   p.updates = 50;  // 50*40 = 2000 < 4000
-  EXPECT_FALSE(model.ShouldCompactForWrites(p));
+  EXPECT_FALSE(model.EvaluateInternal(p).eq2_triggered);
 }
 
 TEST(CostModelTest, Eq3GreedyKeepsHottestPerByte) {
@@ -475,36 +475,12 @@ TEST_P(MajorCompactionTest, CompactsRangePartitionedSubtasks) {
       char lo_key[32], hi_key[32];
       snprintf(lo_key, sizeof(lo_key), "t|key%06d", lo);
       snprintf(hi_key, sizeof(hi_key), "t|key%06d", hi);
-      // Bounded view: Seek to lo, stop at hi (wrap with a range limiter).
-      class RangeIter final : public Iterator {
-       public:
-        RangeIter(Iterator* base, std::string lo, std::string hi)
-            : base_(base), lo_(std::move(lo)), hi_(std::move(hi)) {
-          std::string seek_key;
-          AppendInternalKey(&seek_key, lo_, kMaxSequenceNumber,
-                            kValueTypeForSeek);
-          base_->Seek(seek_key);
-        }
-        bool Valid() const override {
-          return base_->Valid() &&
-                 ExtractUserKey(base_->key()).compare(Slice(hi_)) < 0;
-        }
-        void SeekToFirst() override {}
-        void SeekToLast() override {}
-        void Seek(const Slice&) override {}
-        void Next() override { base_->Next(); }
-        void Prev() override {}
-        Slice key() const override { return base_->key(); }
-        Slice value() const override { return base_->value(); }
-        Status status() const override { return base_->status(); }
-
-       private:
-        std::unique_ptr<Iterator> base_;
-        std::string lo_, hi_;
-      };
       Iterator* merged = NewMergingIterator(
           &icmp_, {newer->NewIterator(), older->NewIterator()});
-      return new RangeIter(merged, lo_key, hi_key);
+      Iterator* range = new UserKeyRangeIterator(
+          std::unique_ptr<Iterator>(merged), lo_key, hi_key);
+      range->SeekToFirst();
+      return range;
     };
   };
 

@@ -38,7 +38,6 @@ TEST(CostModelEdgeTest, Eq1NeverFiresWithZeroReadFrequency) {
   EXPECT_TRUE(d.gate_passed);
   EXPECT_EQ(d.eq1_benefit_rate, 0.0);
   EXPECT_FALSE(d.eq1_triggered);
-  EXPECT_FALSE(model.ShouldCompactForReads(p));
 }
 
 TEST(CostModelEdgeTest, Eq2NeverFiresWithZeroUpdates) {

@@ -11,9 +11,12 @@
 #include "sstable/block_builder.h"
 #include "sstable/block_cache.h"
 #include "sstable/filter_block.h"
+#include "sstable/format.h"
 #include "sstable/table_builder.h"
 #include "sstable/table_reader.h"
 #include "util/bloom.h"
+#include "util/coding.h"
+#include "util/crc32c.h"
 #include "util/random.h"
 
 namespace pmblade {
@@ -132,7 +135,7 @@ TEST(FilterBlockTest, MultipleBlockRanges) {
   EXPECT_FALSE(reader.KeyMayMatch(5000, "block0-key"));
 }
 
-class TableTest : public ::testing::TestWithParam<CompressionType> {
+class TableTest : public ::testing::Test {
  protected:
   void SetUp() override {
     env_ = PosixEnv();
@@ -151,7 +154,6 @@ class TableTest : public ::testing::TestWithParam<CompressionType> {
     opts.comparator = icmp_.get();
     opts.filter_policy = policy_.get();
     opts.block_size = 1024;
-    opts.compression = GetParam();
     TableBuilder builder(opts, file.get());
     for (int i = 0; i < n; ++i) {
       std::string ikey;
@@ -188,7 +190,7 @@ class TableTest : public ::testing::TestWithParam<CompressionType> {
   std::unique_ptr<TableReader> table_;
 };
 
-TEST_P(TableTest, FullScanMatchesInput) {
+TEST_F(TableTest, FullScanMatchesInput) {
   BuildAndOpen(2000);
   std::unique_ptr<Iterator> it(table_->NewIterator());
   it->SeekToFirst();
@@ -202,7 +204,7 @@ TEST_P(TableTest, FullScanMatchesInput) {
   EXPECT_TRUE(it->status().ok());
 }
 
-TEST_P(TableTest, SeekWorks) {
+TEST_F(TableTest, SeekWorks) {
   BuildAndOpen(1000);
   std::unique_ptr<Iterator> it(table_->NewIterator());
   LookupKey lk(KeyOf(457), kMaxSequenceNumber);
@@ -211,7 +213,7 @@ TEST_P(TableTest, SeekWorks) {
   EXPECT_EQ(ExtractUserKey(it->key()).ToString(), KeyOf(457));
 }
 
-TEST_P(TableTest, InternalGetFindsKeys) {
+TEST_F(TableTest, InternalGetFindsKeys) {
   BuildAndOpen(500);
   struct Result {
     bool called = false;
@@ -233,7 +235,7 @@ TEST_P(TableTest, InternalGetFindsKeys) {
   EXPECT_EQ(result.value, "value-123");
 }
 
-TEST_P(TableTest, BloomFilterSkipsAbsentKeys) {
+TEST_F(TableTest, BloomFilterSkipsAbsentKeys) {
   BuildAndOpen(500);
   // An absent key between existing ones: the filter should usually keep the
   // callback from firing (false positives are permitted but rare).
@@ -257,7 +259,7 @@ TEST_P(TableTest, BloomFilterSkipsAbsentKeys) {
   EXPECT_LT(called, 10);
 }
 
-TEST_P(TableTest, BlockCacheServesRepeatReads) {
+TEST_F(TableTest, BlockCacheServesRepeatReads) {
   BlockCache cache(1 << 20);
   BuildAndOpen(2000, &cache);
   for (int round = 0; round < 3; ++round) {
@@ -273,8 +275,34 @@ TEST_P(TableTest, BlockCacheServesRepeatReads) {
   EXPECT_GT(cache.hits(), 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Compression, TableTest,
-                         ::testing::Values(kNoCompression, kLzCompression));
+TEST_F(TableTest, BlockTypeOtherThanNoneIsCorruption) {
+  // A block whose trailer names any type but kNoCompression reads as
+  // Corruption, even when its checksum is intact.
+  for (uint8_t type : {uint8_t{kNoCompression}, uint8_t{1}, uint8_t{0x7f}}) {
+    std::string block = "block contents";
+    block.push_back(static_cast<char>(type));
+    PutFixed32(&block, crc32c::Mask(crc32c::Value(block.data(),
+                                                  block.size())));
+    std::unique_ptr<WritableFile> file;
+    ASSERT_TRUE(env_->NewWritableFile(fname_, &file).ok());
+    ASSERT_TRUE(file->Append(block).ok());
+    ASSERT_TRUE(file->Close().ok());
+
+    std::unique_ptr<RandomAccessFile> rfile;
+    ASSERT_TRUE(env_->NewRandomAccessFile(fname_, &rfile).ok());
+    BlockHandle handle;
+    handle.set_size(block.size() - kBlockTrailerSize);
+    BlockContents contents;
+    Status s = ReadBlock(rfile.get(), handle, &contents);
+    if (type == kNoCompression) {
+      ASSERT_TRUE(s.ok()) << s.ToString();
+      EXPECT_EQ(contents.data.ToString(), "block contents");
+      if (contents.heap_allocated) delete[] contents.data.data();
+    } else {
+      EXPECT_TRUE(s.IsCorruption()) << int{type};
+    }
+  }
+}
 
 TEST(BlockCacheTest, InsertLookupEvict) {
   BlockCache cache(1000, 1);  // single shard, tiny

@@ -166,10 +166,8 @@ void RunBenchmark(Context* ctx, const std::string& name) {
     run(1, [&](uint64_t) {
       if (ctx->env->pmblade_db() != nullptr) {
         CheckOp(ctx->env->pmblade_db()->CompactToLevel1(true));
-      } else if (ctx->env->leveled_db() != nullptr) {
-        CheckOp(ctx->env->leveled_db()->CompactAll());
-      } else if (ctx->env->matrixkv_db() != nullptr) {
-        CheckOp(ctx->env->matrixkv_db()->CompactAll());
+      } else if (ctx->env->baseline_db() != nullptr) {
+        CheckOp(ctx->env->baseline_db()->CompactAll());
       }
     });
   } else if (name == "stats") {
