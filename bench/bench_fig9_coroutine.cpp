@@ -44,7 +44,6 @@ RunResult RunSingle(CompactionEngine engine, int concurrency, int workers,
 
   MajorCompactionOptions copts;
   copts.engine = engine;
-  copts.concurrency = concurrency;
   copts.worker_threads = workers;
   copts.max_io_q = q;
   copts.read_block_bytes = 32 << 10;

@@ -86,7 +86,6 @@ int main(int argc, char** argv) {
 
     MajorCompactionOptions copts;
     copts.engine = CompactionEngine::kThread;
-    copts.concurrency = threads;
     copts.read_block_bytes = 32 << 10;
     copts.write_block_bytes = 32 << 10;
     MajorCompactor compactor(PosixEnv(), &model, &factory, copts);

@@ -10,7 +10,6 @@ namespace pmblade {
 
 namespace {
 
-constexpr size_t kBlockSize = 4096;
 constexpr int kBloomBitsPerKey = 10;
 
 }  // namespace
@@ -62,7 +61,6 @@ Status BaselineDb::Init() {
   sst_opts.icmp = &icmp_;
   sst_opts.filter_policy = filter_policy_.get();
   sst_opts.block_cache = block_cache_.get();
-  sst_opts.block_size = kBlockSize;
   sst_opts.ssd_dir = dbname_;
   sst_factory_.reset(new L0TableFactory(sst_opts, pool_.get(), env_));
 

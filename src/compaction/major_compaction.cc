@@ -102,7 +102,6 @@ struct MajorCompactor::SubtaskState {
   uint64_t io_wait_nanos = 0;  // thread engine: time slept in blocking I/O
 
   Status status;
-  bool done = false;
 };
 
 // A failed Run must not leave its output files behind: the manifest never
@@ -172,7 +171,6 @@ Status MajorCompactor::Run(
     TableBuilderOptions topts;
     topts.comparator = fopts.icmp;
     topts.filter_policy = fopts.filter_policy;
-    topts.block_size = fopts.block_size;
     st.builder.reset(new TableBuilder(topts, st.chunk_file.get()));
   }
 
@@ -360,7 +358,6 @@ Status MajorCompactor::RunThreadEngine(std::vector<SubtaskState>& states) {
         st.pending_chunks.clear();
       }
       cpu_busy_nanos_.fetch_add(st.cpu_work_nanos);
-      st.done = true;
     });
   }
   for (auto& t : threads) t.join();
@@ -458,7 +455,6 @@ Task CompactionCoroutine(WorkerContext* ctx) {
         st->pending_chunks.clear();
       }
     }
-    st->done = true;
   }
   --ctx->active_compaction_coroutines;
   if (ctx->flush_event != nullptr) {
@@ -530,10 +526,8 @@ Status MajorCompactor::RunCoroutineEngine(std::vector<SubtaskState>& states,
   const int k = std::max(options_.max_io_q / c, 1);
 
   std::vector<std::thread> workers;
-  std::vector<Status> worker_status(c);
   for (int w = 0; w < c; ++w) {
-    workers.emplace_back([this, w, c, k, &states, use_flush_coroutine,
-                          &worker_status] {
+    workers.emplace_back([this, w, c, k, &states, use_flush_coroutine] {
       CoroScheduler scheduler(clock_);
       IoGate gate(model_, options_.max_io_q, options_.event_bus);
       WorkerContext ctx;
@@ -563,7 +557,6 @@ Status MajorCompactor::RunCoroutineEngine(std::vector<SubtaskState>& states,
         options_.metrics->GetCounter("pmblade.compaction.major.coro_resumes")
             ->Inc(scheduler.resumes());
       }
-      worker_status[w] = Status::OK();
     });
   }
   for (auto& t : workers) t.join();

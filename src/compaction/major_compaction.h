@@ -38,8 +38,6 @@ enum class CompactionEngine { kThread, kCoroutine, kPmBlade };
 
 struct MajorCompactionOptions {
   CompactionEngine engine = CompactionEngine::kPmBlade;
-  /// Number of subtasks the key range is split into.
-  int concurrency = 4;
   /// c: worker threads (coroutine engines) or max parallel OS threads
   /// (thread engine).
   int worker_threads = 2;

@@ -15,6 +15,10 @@ L0TableFactory::L0TableFactory(const L0FactoryOptions& options, PmPool* pool,
 
 namespace {
 
+/// Pairs per LZ group in the kSnappyGroupTable layout (Fig. 6's
+/// Array-snappy-group).
+constexpr uint32_t kSnappyGroupSize = 8;
+
 /// Reopens pool object `id` as a `Table` and rebuilds its DRAM filter.
 template <typename Table>
 Status OpenAs(PmPool* pool, uint64_t id, const BloomFilterPolicy* filter,
@@ -26,65 +30,46 @@ Status OpenAs(PmPool* pool, uint64_t id, const BloomFilterPolicy* filter,
   return Status::OK();
 }
 
+/// Streams `input` (non-empty) into `builder`, gathering the DRAM filter
+/// on the way, and opens the finished PM table.
+template <typename Table, typename Builder>
+Status BuildPmTable(Builder& builder, Iterator* input,
+                    const BloomFilterPolicy* policy, L0TableRef* table) {
+  FilterCollector filter(policy);
+  for (; input->Valid(); input->Next()) {
+    builder.Add(input->key(), input->value());
+    filter.Observe(input->key());
+  }
+  PMBLADE_RETURN_IF_ERROR(input->status());
+  std::shared_ptr<Table> t;
+  PMBLADE_RETURN_IF_ERROR(builder.Finish(&t));
+  filter.InstallOn(t.get());
+  *table = std::move(t);
+  return Status::OK();
+}
+
 }  // namespace
 
 Status L0TableFactory::BuildFrom(Iterator* input, L0TableRef* table) {
   table->reset();
   if (!input->Valid()) return input->status();
 
+  const BloomFilterPolicy* filter = options_.filter_policy;
   switch (options_.layout) {
     case L0Layout::kPmTable: {
       PmTableBuilder builder(pool_, options_.pm_table);
-      FilterCollector filter(options_.filter_policy);
-      for (; input->Valid(); input->Next()) {
-        builder.Add(input->key(), input->value());
-        filter.Observe(input->key());
-      }
-      PMBLADE_RETURN_IF_ERROR(input->status());
-      if (builder.num_entries() == 0) return Status::OK();
-      std::shared_ptr<PmTable> t;
-      PMBLADE_RETURN_IF_ERROR(builder.Finish(&t));
-      filter.InstallOn(t.get());
-      *table = std::move(t);
-      return Status::OK();
+      return BuildPmTable<PmTable>(builder, input, filter, table);
     }
-
     case L0Layout::kArrayTable: {
       ArrayTableBuilder builder(pool_);
-      FilterCollector filter(options_.filter_policy);
-      for (; input->Valid(); input->Next()) {
-        builder.Add(input->key(), input->value());
-        filter.Observe(input->key());
-      }
-      PMBLADE_RETURN_IF_ERROR(input->status());
-      if (builder.num_entries() == 0) return Status::OK();
-      std::shared_ptr<ArrayTable> t;
-      PMBLADE_RETURN_IF_ERROR(builder.Finish(&t));
-      filter.InstallOn(t.get());
-      *table = std::move(t);
-      return Status::OK();
+      return BuildPmTable<ArrayTable>(builder, input, filter, table);
     }
-
     case L0Layout::kSnappyTable:
     case L0Layout::kSnappyGroupTable: {
-      uint32_t group = options_.layout == L0Layout::kSnappyTable
-                           ? 1
-                           : options_.snappy_group_size;
-      SnappyTableBuilder builder(pool_, group);
-      FilterCollector filter(options_.filter_policy);
-      uint64_t added = 0;
-      for (; input->Valid(); input->Next()) {
-        builder.Add(input->key(), input->value());
-        filter.Observe(input->key());
-        ++added;
-      }
-      PMBLADE_RETURN_IF_ERROR(input->status());
-      if (added == 0) return Status::OK();
-      std::shared_ptr<SnappyTable> t;
-      PMBLADE_RETURN_IF_ERROR(builder.Finish(&t));
-      filter.InstallOn(t.get());
-      *table = std::move(t);
-      return Status::OK();
+      SnappyTableBuilder builder(
+          pool_, options_.layout == L0Layout::kSnappyTable ? 1
+                                                           : kSnappyGroupSize);
+      return BuildPmTable<SnappyTable>(builder, input, filter, table);
     }
 
     case L0Layout::kSstable: {
@@ -96,7 +81,6 @@ Status L0TableFactory::BuildFrom(Iterator* input, L0TableRef* table) {
       TableBuilderOptions topts;
       topts.comparator = options_.icmp;
       topts.filter_policy = options_.filter_policy;
-      topts.block_size = options_.block_size;
       TableBuilder builder(topts, file.get());
       for (; input->Valid(); input->Next()) {
         builder.Add(input->key(), input->value());

@@ -32,7 +32,6 @@ enum class L0Layout {
 struct L0FactoryOptions {
   L0Layout layout = L0Layout::kPmTable;
   PmTableOptions pm_table;      // used when layout == kPmTable
-  uint32_t snappy_group_size = 8;
 
   // `filter_policy` covers every layout: SSTables get a per-block filter
   // section, PM layouts get a DRAM-resident whole-table filter built from
@@ -42,7 +41,6 @@ struct L0FactoryOptions {
   const InternalKeyComparator* icmp = nullptr;
   const BloomFilterPolicy* filter_policy = nullptr;
   BlockCache* block_cache = nullptr;
-  size_t block_size = 4096;
   std::string ssd_dir;  // directory for SSTable files
 };
 

@@ -198,25 +198,25 @@ void DBImpl::NoteKeepSet(const PickContext& ctx, const EvictionPick& pick) {
 
 Status DBImpl::RunInternalCompactionOnPartition(
     std::unique_lock<std::mutex>& lock, Partition* partition) {
-  if (partition->unsorted().empty() && partition->sorted_run().size() <= 1) {
+  // The inputs are this set's level-0 tables. Only the claim holder (this
+  // thread) removes tables from the partition, so they are all still there
+  // at install; flushes may prepend newer tables meanwhile.
+  const std::shared_ptr<const TableSet> snap = partition->tables();
+  if (snap->unsorted.empty() && snap->sorted_run.size() <= 1) {
     return Status::OK();
   }
-  // Snapshot the inputs under mu_. Only this (scheduler) thread ever
-  // removes tables from the partition, so the snapshot stays a suffix of
-  // unsorted() while the merge runs; flushes may prepend newer tables.
-  std::vector<L0TableRef> snap_unsorted = partition->unsorted();
-  std::vector<L0TableRef> snap_sorted = partition->sorted_run();
-  std::vector<L0TableRef> inputs = snap_unsorted;  // newest first
-  for (const auto& table : snap_sorted) inputs.push_back(table);
+  std::vector<L0TableRef> inputs = snap->unsorted;  // newest first
+  inputs.insert(inputs.end(), snap->sorted_run.begin(),
+                snap->sorted_run.end());
 
   L0TableFactory* factory =
       l0_factory_ != nullptr ? l0_factory_.get() : l1_factory_.get();
 
   InternalCompactionOptions copts;
   copts.target_table_bytes = options_.internal_table_target_bytes;
-  // ssd_runs is only mutated by this thread, so the verdict stays valid
+  // Only this thread changes the run stack, so the verdict stays valid
   // while the lock is released below.
-  copts.drop_tombstones = partition->ssd_runs().empty();
+  copts.drop_tombstones = snap->ssd_runs.empty();
   copts.oldest_snapshot = OldestLiveSnapshot();
   copts.clock = clock_;
   copts.event_bus = &events_;
@@ -238,10 +238,12 @@ Status DBImpl::RunInternalCompactionOnPartition(
   lock.lock();
 
   // Install under mu_: remove exactly the snapshotted tables (newer flushed
-  // tables at the front of unsorted() stay, correctly ordered above the
-  // merged run).
-  Partition::RemoveTables(&partition->unsorted(), snap_unsorted);
-  partition->sorted_run() = std::move(outputs);
+  // tables at the front of the unsorted list stay, correctly ordered above
+  // the merged run).
+  auto next = std::make_shared<TableSet>(*partition->tables());
+  RemoveTables(&next->unsorted, snap->unsorted);
+  next->sorted_run = std::move(outputs);
+  partition->set_tables(std::move(next));
   partition->ResetCounters();
   stats_.AddInternalCompaction(cstats.input_bytes, cstats.output_bytes);
 
@@ -254,8 +256,7 @@ Status DBImpl::RunInternalCompactionOnPartition(
     return s;
   }
   PMBLADE_SYNC_POINT("DBImpl::InternalCompaction:AfterManifest");
-  for (auto& table : snap_unsorted) table->Destroy();
-  for (auto& table : snap_sorted) table->Destroy();
+  for (auto& table : inputs) table->Destroy();
 
   PMBLADE_INFO(options_.logger,
                "internal compaction p%llu: %llu->%llu tables, released %lld B",
@@ -271,11 +272,12 @@ PickContext DBImpl::BuildPickContextLocked(const std::set<Partition*>& ours) {
   ctx.partitions.reserve(partitions_.size());
   for (const auto& up : partitions_) {
     Partition* partition = up.get();
+    const TableSet& set = *partition->tables();
     PartitionView view;
     view.counters = partition->Counters();
-    view.l0_bytes = partition->L0Bytes();
-    view.runs.reserve(partition->ssd_runs().size());
-    for (const SsdRun& run : partition->ssd_runs()) {
+    view.l0_bytes = set.L0Bytes();
+    view.runs.reserve(set.ssd_runs.size());
+    for (const SsdRun& run : set.ssd_runs) {
       PartitionView::RunView rv;
       rv.level = run.level;
       rv.bytes = run.bytes();
@@ -296,18 +298,12 @@ PickContext DBImpl::BuildPickContextLocked(const std::set<Partition*>& ours) {
 
 Status DBImpl::RunMajorCompactionOnJobs(
     std::unique_lock<std::mutex>& lock, const std::vector<CompactionJob>& jobs) {
-  // Snapshot every job's table sets under mu_ (both for the merge inputs
-  // and for the identity-based install below — tables flushed during the
-  // merge must survive it). Run indices stay valid while mu_ is released:
+  // Snapshot every job's table set under mu_, both for the merge inputs
+  // and for the identity-based install below: tables flushed during the
+  // merge must survive it. Run indices stay valid while mu_ is released:
   // the caller holds each job partition's claim, only the claim holder
-  // mutates ssd_runs(), and flushes never touch the stack.
-  struct JobSnapshot {
-    std::vector<L0TableRef> unsorted;                // include_l0 jobs only
-    std::vector<L0TableRef> sorted;                  // include_l0 jobs only
-    std::vector<std::vector<L0TableRef>> runs;       // [run_begin, run_end)
-    bool drop_tombstones = false;
-  };
-  std::vector<JobSnapshot> snaps;
+  // changes the run stack, and flushes never touch it.
+  std::vector<std::shared_ptr<const TableSet>> snaps;
   snaps.reserve(jobs.size());
   std::vector<CompactionSubtaskInput> subtasks;
   /// subtasks[i] merges one key-range slice of job subtask_job[i]; slices
@@ -319,29 +315,21 @@ Status DBImpl::RunMajorCompactionOnJobs(
       static_cast<size_t>(std::max(options_.max_subcompactions, 1));
   for (size_t j = 0; j < jobs.size(); ++j) {
     const CompactionJob& job = jobs[j];
-    Partition* partition = partitions_[job.partition_index].get();
-    JobSnapshot snap;
-    if (job.include_l0) {
-      snap.unsorted = partition->unsorted();
-      snap.sorted = partition->sorted_run();
-    }
-    const std::vector<SsdRun>& stack = partition->ssd_runs();
-    const size_t run_end = std::min(job.run_end, stack.size());
-    for (size_t r = job.run_begin; r < run_end; ++r) {
-      snap.runs.push_back(stack[r].tables);
-    }
+    std::shared_ptr<const TableSet> set =
+        partitions_[job.partition_index]->tables();
+    const size_t run_end = std::min(job.run_end, set->ssd_runs.size());
     // Tombstones may drop only when the job's inputs reach the oldest run
     // (its output becomes the new bottom of this partition's stack). A
     // run-stacking eviction (run_end == run_begin == 0 over a non-empty
     // stack) or an upper-level block merge keeps them: older runs below may
     // still hold shadowed versions of the deleted keys.
-    snap.drop_tombstones = run_end >= stack.size();
+    const bool drop_tombstones = run_end >= set->ssd_runs.size();
 
     uint64_t pm_bytes = 0;
-    if (job.include_l0) pm_bytes = partition->L0Bytes();
+    if (job.include_l0) pm_bytes = set->L0Bytes();
     uint64_t ssd_bytes = 0;
-    for (const auto& run : snap.runs) {
-      for (const auto& table : run) ssd_bytes += table->size_bytes();
+    for (size_t r = job.run_begin; r < run_end; ++r) {
+      ssd_bytes += set->ssd_runs[r].bytes();
     }
     double ssd_fraction =
         (pm_bytes + ssd_bytes) > 0
@@ -356,10 +344,14 @@ Status DBImpl::RunMajorCompactionOnJobs(
     // kept. Bounds compare user keys, so all versions of a key share a
     // slice.
     std::vector<std::string> bounds;
-    const std::vector<L0TableRef>& base_run =
-        !snap.runs.empty() ? snap.runs.back() : snap.sorted;
-    if (max_slices > 1 && base_run.size() > 1) {
-      const size_t k = base_run.size();
+    const std::vector<L0TableRef>* base_run = nullptr;
+    if (job.run_begin < run_end) {
+      base_run = &set->ssd_runs[run_end - 1].tables;
+    } else if (job.include_l0) {
+      base_run = &set->sorted_run;
+    }
+    if (max_slices > 1 && base_run != nullptr && base_run->size() > 1) {
+      const size_t k = base_run->size();
       const size_t want = std::min(max_slices - 1, k - 1);
       std::set<size_t> cuts;  // positions in [1, k-1]: cut before table pos
       for (size_t jj = 1; jj <= want; ++jj) {
@@ -367,15 +359,11 @@ Status DBImpl::RunMajorCompactionOnJobs(
         cuts.insert(std::max<size_t>(1, std::min(pos, k - 1)));
       }
       for (size_t pos : cuts) {
-        bounds.push_back(ExtractUserKey(base_run[pos]->smallest()).ToString());
+        bounds.push_back(
+            ExtractUserKey((*base_run)[pos]->smallest()).ToString());
       }
     }
 
-    // Capture the table sets by value so iterators outlive version edits.
-    std::vector<L0TableRef> unsorted = snap.unsorted;
-    std::vector<L0TableRef> sorted = snap.sorted;
-    std::vector<std::vector<L0TableRef>> runs = snap.runs;
-    const bool include_l0 = job.include_l0;
     const InternalKeyComparator* icmp = &icmp_;
     const size_t num_slices = bounds.size() + 1;
     for (size_t slice = 0; slice < num_slices; ++slice) {
@@ -383,23 +371,10 @@ Status DBImpl::RunMajorCompactionOnJobs(
       std::string hi = slice + 1 == num_slices ? std::string() : bounds[slice];
       CompactionSubtaskInput sub;
       sub.ssd_input_fraction = ssd_fraction;
-      sub.drop_tombstones = snap.drop_tombstones ? 1 : 0;
-      sub.make_input = [unsorted, sorted, runs, include_l0, icmp, lo,
-                        hi]() -> Iterator* {
-        // Child order is irrelevant for correctness (the merge resolves
-        // duplicates by sequence number); newest-first mirrors the read
-        // path.
-        std::vector<Iterator*> children;
-        if (include_l0) {
-          for (const auto& table : unsorted) {
-            children.push_back(table->NewIterator());
-          }
-          children.push_back(NewRunIterator(icmp, sorted));
-        }
-        for (const auto& run : runs) {
-          children.push_back(NewRunIterator(icmp, run));
-        }
-        Iterator* merged = NewMergingIterator(icmp, std::move(children));
+      sub.drop_tombstones = drop_tombstones ? 1 : 0;
+      sub.make_input = [set, job, icmp, lo, hi]() -> Iterator* {
+        Iterator* merged =
+            set->NewIterator(icmp, job.include_l0, job.run_begin, job.run_end);
         if (lo.empty() && hi.empty()) {
           merged->SeekToFirst();
           return merged;
@@ -414,7 +389,7 @@ Status DBImpl::RunMajorCompactionOnJobs(
       subtasks.push_back(std::move(sub));
       subtask_job.push_back(j);
     }
-    snaps.push_back(std::move(snap));
+    snaps.push_back(std::move(set));
   }
 
   MajorCompactionOptions mopts = options_.major;
@@ -499,7 +474,7 @@ Status DBImpl::RunMajorCompactionOnJobs(
 
   // Install ALL jobs atomically under one mu_ hold + one manifest commit.
   // Remove exactly the snapshotted tables; anything flushed into a
-  // partition while the merge ran stays in unsorted(), above the new run.
+  // partition while the merge ran stays unsorted, above the new run.
   // The input run block [run_begin, run_end) is replaced in place by the
   // output run, preserving the stack's newest-first recency order and its
   // non-decreasing level tags.
@@ -507,20 +482,23 @@ Status DBImpl::RunMajorCompactionOnJobs(
   for (size_t j = 0; j < jobs.size(); ++j) {
     const CompactionJob& job = jobs[j];
     Partition* partition = partitions_[job.partition_index].get();
-    const JobSnapshot& snap = snaps[j];
-    for (auto& t : snap.unsorted) doomed.push_back(t);
-    for (auto& t : snap.sorted) doomed.push_back(t);
-    for (const auto& run : snap.runs) {
-      for (auto& t : run) doomed.push_back(t);
-    }
+    const TableSet& snap = *snaps[j];
+    const size_t run_end = std::min(job.run_end, snap.ssd_runs.size());
+    auto next = std::make_shared<TableSet>(*partition->tables());
     if (job.include_l0) {
-      Partition::RemoveTables(&partition->unsorted(), snap.unsorted);
-      Partition::RemoveTables(&partition->sorted_run(), snap.sorted);
+      doomed.insert(doomed.end(), snap.unsorted.begin(), snap.unsorted.end());
+      doomed.insert(doomed.end(), snap.sorted_run.begin(),
+                    snap.sorted_run.end());
+      RemoveTables(&next->unsorted, snap.unsorted);
+      RemoveTables(&next->sorted_run, snap.sorted_run);
     }
-    std::vector<SsdRun>& stack = partition->ssd_runs();
-    const size_t erase_end = std::min(job.run_end, stack.size());
+    for (size_t r = job.run_begin; r < run_end; ++r) {
+      const std::vector<L0TableRef>& run = snap.ssd_runs[r].tables;
+      doomed.insert(doomed.end(), run.begin(), run.end());
+    }
+    std::vector<SsdRun>& stack = next->ssd_runs;
     stack.erase(stack.begin() + static_cast<ptrdiff_t>(job.run_begin),
-                stack.begin() + static_cast<ptrdiff_t>(erase_end));
+                stack.begin() + static_cast<ptrdiff_t>(run_end));
     if (!new_runs[j].empty()) {
       SsdRun out;
       out.level = job.output_level;
@@ -528,6 +506,7 @@ Status DBImpl::RunMajorCompactionOnJobs(
       stack.insert(stack.begin() + static_cast<ptrdiff_t>(job.run_begin),
                    std::move(out));
     }
+    partition->set_tables(std::move(next));
     // Counters feed the Eq. 1/2/3 decisions about PM level-0; a pure
     // shape-maintenance merge does not consume L0, so it keeps them.
     if (job.include_l0) partition->ResetCounters();

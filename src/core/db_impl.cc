@@ -124,13 +124,11 @@ Status DBImpl::Get(const ReadOptions& options, const Slice& key,
   MemTable* mem = nullptr;
   MemTable* imm = nullptr;
   SequenceNumber snapshot;
-  std::vector<L0TableRef> unsorted;
-  std::vector<L0TableRef> sorted;
-  std::vector<std::vector<L0TableRef>> ssd_runs;  // newest first
+  std::shared_ptr<const TableSet> tables;
   {
-    // Brief version grab: ref the memtables and copy the table refs, then
-    // probe everything lock-free. A flush or group commit in flight never
-    // blocks a reader past this block.
+    // Brief version grab: ref the memtables and the partition's table set,
+    // then probe everything lock-free. A flush or group commit in flight
+    // never blocks a reader past this block.
     std::lock_guard<std::mutex> lock(mu_);
     snapshot = ReadSequenceLocked(options.snapshot);
     mem = mem_;
@@ -142,103 +140,36 @@ Status DBImpl::Get(const ReadOptions& options, const Slice& key,
     Partition* partition = FindPartition(key);
     if (partition != nullptr) {
       partition->NoteRead();
-      unsorted = partition->unsorted();
-      sorted = partition->sorted_run();
-      ssd_runs.reserve(partition->ssd_runs().size());
-      for (const SsdRun& run : partition->ssd_runs()) {
-        ssd_runs.push_back(run.tables);
-      }
+      tables = partition->tables();
     }
   }
 
   LookupKey lkey(key, snapshot);
-  Status result = Status::NotFound();
+  Status result;
   ReadSource source = ReadSource::kNotFound;
-  bool answered = false;
-
   std::string local_value;
-  Status probe_status;
   ReadProbeStats probe;
-  if (mem->Get(lkey, &local_value, &probe_status)) {
-    answered = true;
+  Status s;
+  if (mem->Get(lkey, &local_value, &result) ||
+      (imm != nullptr && imm->Get(lkey, &local_value, &result))) {
     source = ReadSource::kMemtable;
-    result = probe_status;
+  } else if (tables != nullptr) {
+    // SSD-resident probes register as one client op each for the live
+    // q_cli gauge; PM-resident level-0 probes never touch the SSD queue.
+    SsdModel* client_io = track_client_io_ ? model_ : nullptr;
+    SsdModel* level0_io =
+        options_.l0_layout == L0Layout::kSstable ? client_io : nullptr;
+    s = tables->Get(icmp_, lkey, level0_io, client_io, &local_value, &result,
+                    &source, &probe);
   }
-  if (!answered && imm != nullptr &&
-      imm->Get(lkey, &local_value, &probe_status)) {
-    answered = true;
-    source = ReadSource::kMemtable;
-    result = probe_status;
-  }
-  // SSD-resident probes register as one client op each for the live q_cli
-  // gauge; PM-resident level-0 probes never touch the SSD queue.
-  const bool ssd_l0 =
-      track_client_io_ && options_.l0_layout == L0Layout::kSstable;
-  if (!answered) {
-    ScopedExternalIo io(ssd_l0 ? model_ : nullptr, IoClass::kClient);
-    for (const auto& table : unsorted) {
-      bool found = false;
-      Status s = L0TableGet(*table, icmp_, lkey, &local_value, &found,
-                            &probe_status, &probe);
-      if (!s.ok()) {
-        mem->Unref();
-        if (imm != nullptr) imm->Unref();
-        return s;
-      }
-      if (found) {
-        answered = true;
-        source = ReadSource::kPmLevel0;
-        result = probe_status;
-        break;
-      }
-    }
-  }
-  if (!answered && !sorted.empty()) {
-    ScopedExternalIo io(ssd_l0 ? model_ : nullptr, IoClass::kClient);
-    bool found = false;
-    Status s = RunGet(sorted, icmp_, lkey, &local_value, &found,
-                      &probe_status, &probe);
-    if (!s.ok()) {
-      mem->Unref();
-      if (imm != nullptr) imm->Unref();
-      return s;
-    }
-    if (found) {
-      answered = true;
-      source = ReadSource::kPmLevel0;
-      result = probe_status;
-    }
-  }
-  if (!answered && !ssd_runs.empty()) {
-    // SSD runs always live on the SSD; probe newest-first — the first run
-    // holding any version of the key is authoritative.
-    ScopedExternalIo io(track_client_io_ ? model_ : nullptr, IoClass::kClient);
-    for (const auto& run : ssd_runs) {
-      bool found = false;
-      Status s = RunGet(run, icmp_, lkey, &local_value, &found, &probe_status,
-                        &probe);
-      if (!s.ok()) {
-        mem->Unref();
-        if (imm != nullptr) imm->Unref();
-        return s;
-      }
-      if (found) {
-        answered = true;
-        source = ReadSource::kSsdLevel1;
-        result = probe_status;
-        break;
-      }
-    }
-  }
-
   mem->Unref();
   if (imm != nullptr) imm->Unref();
+  if (!s.ok()) return s;
 
-  if (answered && result.ok()) {
-    value->swap(local_value);
-  } else if (!answered) {
+  if (source == ReadSource::kNotFound) {
     result = Status::NotFound();
-    source = ReadSource::kNotFound;
+  } else if (result.ok()) {
+    value->swap(local_value);
   } else {
     source = ReadSource::kNotFound;  // tombstone
   }
@@ -262,22 +193,20 @@ std::vector<Iterator*> DBImpl::CollectInternalIterators() {
   std::vector<Iterator*> children;
   children.push_back(mem_->NewIterator());
   if (imm_ != nullptr) children.push_back(imm_->NewIterator());
-  std::vector<PartitionSnapshot> parts;
+  std::vector<PartitionTables> parts;
   parts.reserve(partitions_.size());
   for (const auto& partition : partitions_) {
-    PartitionSnapshot snap;
-    snap.begin_key = partition->begin_key();
-    snap.end_key = partition->end_key();
-    snap.unsorted = partition->unsorted();
-    snap.sorted_run = partition->sorted_run();
-    snap.ssd_runs.reserve(partition->ssd_runs().size());
-    for (const SsdRun& run : partition->ssd_runs()) {
-      snap.ssd_runs.push_back(run.tables);
-    }
-    parts.push_back(std::move(snap));
+    parts.emplace_back(partition->end_key(), partition->tables());
   }
   children.push_back(NewPartitionConcatIterator(&icmp_, std::move(parts)));
   return children;
+}
+
+std::shared_ptr<const TableSet> DBImpl::PartitionTablesForKey(
+    const Slice& user_key) {
+  std::lock_guard<std::mutex> lock(mu_);
+  Partition* partition = FindPartition(user_key);
+  return partition != nullptr ? partition->tables() : nullptr;
 }
 
 uint64_t DBImpl::GetSnapshot() {
@@ -330,16 +259,15 @@ bool DBImpl::GetProperty(const std::string& property, uint64_t* value) {
 DBImpl::LevelShape DBImpl::LevelShapeLocked(uint32_t level) const {
   LevelShape shape;
   for (const auto& partition : partitions_) {
+    const TableSet& set = *partition->tables();
     if (level == 0) {
       // PM level-0: each unsorted table is its own (single-table) run, the
       // sorted run is one more.
-      shape.runs += partition->unsorted().size() +
-                    (partition->sorted_run().empty() ? 0 : 1);
-      shape.files +=
-          partition->unsorted().size() + partition->sorted_run().size();
-      shape.bytes += partition->L0Bytes();
+      shape.runs += set.unsorted.size() + (set.sorted_run.empty() ? 0 : 1);
+      shape.files += set.unsorted.size() + set.sorted_run.size();
+      shape.bytes += set.L0Bytes();
     } else {
-      for (const SsdRun& run : partition->ssd_runs()) {
+      for (const SsdRun& run : set.ssd_runs) {
         if (run.level != level) continue;
         shape.runs += 1;
         shape.files += run.tables.size();

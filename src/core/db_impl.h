@@ -28,12 +28,14 @@
 //     re-scheduled) when the check finishes. Manual compactions
 //     (CompactLevel0/CompactToLevel1) funnel through RunExclusive, a
 //     pool-wide barrier, so they observe quiesced partitions without
-//     claiming. Only a claim-holding check (or an exclusive manual job)
-//     removes tables from a partition; the flush thread only prepends — see
-//     the ref discipline notes in partition.h.
-//   * Readers grab {mem, imm, partition table refs, snapshot} under a brief
-//     mutex hold and probe everything lock-free afterwards, so neither a
-//     flush nor a compaction in flight ever blocks a Get past that grab.
+//     claiming. Every install swaps in a whole new TableSet under mu_; only
+//     a claim-holding check (or an exclusive manual job) removes tables
+//     from a partition, a flush only prepends — see partition.h.
+//   * Readers grab {mem, imm, the partition's TableSet pointer, snapshot}
+//     under a brief mutex hold and probe everything lock-free afterwards,
+//     in the set's read order (TableSet::Get). A published set never
+//     changes, so neither a flush nor a compaction in flight ever blocks a
+//     Get past that grab or alters what it probes.
 //   * The major-compaction engine additionally parallelizes internally with
 //     its own worker threads + coroutines.
 
@@ -154,6 +156,8 @@ class DBImpl final : public DB {
   SsdModel* ssd_model() { return model_; }
   /// The trace ring's events, oldest first; empty when tracing is off.
   std::vector<obs::Event> TraceEvents() const;
+  /// The current table set of the partition holding `user_key`.
+  std::shared_ptr<const TableSet> PartitionTablesForKey(const Slice& user_key);
 
   // ---- hooks for an external arbiter (ShardedDB's shared MemoryArbiter;
   // also exercised directly by tests) ----
@@ -167,8 +171,6 @@ class DBImpl final : public DB {
   void SetDynamicTauT(uint64_t bytes);
 
  private:
-  friend class DBUserIterator;
-
   /// What a queued writer asks the leader to do. A run of txn ops queued
   /// together forms one txn group (TxnGroupWriteLocked), a run of batches
   /// one batch group (BuildBatchGroup); no group mixes the two.

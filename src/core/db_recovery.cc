@@ -18,14 +18,6 @@ Status DBImpl::Init() {
   raw_env_ = options_.raw_env;
   clock_ = options_.clock;
 
-  if (env_->FileExists(dbname_) && options_.error_if_exists) {
-    return Status::InvalidArgument(dbname_ + " already exists");
-  }
-  if (!env_->FileExists(dbname_)) {
-    if (!options_.create_if_missing) {
-      return Status::NotFound(dbname_ + " does not exist");
-    }
-  }
   PMBLADE_RETURN_IF_ERROR(env_->CreateDir(dbname_));
 
   if (options_.ssd_model != nullptr) {
@@ -68,7 +60,6 @@ Status DBImpl::Init() {
   l1opts.icmp = &icmp_;
   l1opts.filter_policy = filter_policy_.get();
   l1opts.block_cache = block_cache_;
-  l1opts.block_size = options_.block_size;
   l1opts.ssd_dir = dbname_;
   l1_factory_.reset(new L0TableFactory(l1opts, pool_.get(), env_));
 
@@ -168,10 +159,10 @@ Status DBImpl::Init() {
   };
   auto partition_gauge = [this, &locked_gauge](
                              const char* name,
-                             uint64_t (*fn)(const Partition&)) {
+                             uint64_t (*fn)(const TableSet&)) {
     locked_gauge(name, [this, fn] {
       uint64_t total = 0;
-      for (const auto& p : partitions_) total += fn(*p);
+      for (const auto& p : partitions_) total += fn(*p->tables());
       return total;
     });
   };
@@ -195,24 +186,24 @@ Status DBImpl::Init() {
   // l1_bytes covers the WHOLE SSD run stack (all levels): the historical
   // name predates policies that hold more than one run.
   partition_gauge("pmblade.lsm.l0_bytes",
-                  [](const Partition& p) { return p.L0Bytes(); });
+                  [](const TableSet& t) { return t.L0Bytes(); });
   partition_gauge("pmblade.lsm.l0_dram_bytes",
-                  [](const Partition& p) { return p.L0DramBytes(); });
+                  [](const TableSet& t) { return t.L0DramBytes(); });
   partition_gauge("pmblade.lsm.l1_bytes",
-                  [](const Partition& p) { return p.SsdBytes(); });
-  partition_gauge("pmblade.lsm.unsorted_tables", [](const Partition& p) {
-    return uint64_t{p.unsorted().size()};
+                  [](const TableSet& t) { return t.SsdBytes(); });
+  partition_gauge("pmblade.lsm.unsorted_tables", [](const TableSet& t) {
+    return uint64_t{t.unsorted.size()};
   });
-  partition_gauge("pmblade.lsm.sorted_tables", [](const Partition& p) {
-    return uint64_t{p.sorted_run().size()};
+  partition_gauge("pmblade.lsm.sorted_tables", [](const TableSet& t) {
+    return uint64_t{t.sorted_run.size()};
   });
-  partition_gauge("pmblade.lsm.ssd_runs", [](const Partition& p) {
-    return uint64_t{p.ssd_runs().size()};
+  partition_gauge("pmblade.lsm.ssd_runs", [](const TableSet& t) {
+    return uint64_t{t.ssd_runs.size()};
   });
   locked_gauge("pmblade.lsm.max_ssd_level", [this] {
     uint64_t deepest = 0;
     for (const auto& p : partitions_) {
-      deepest = std::max<uint64_t>(deepest, p->MaxSsdLevel());
+      deepest = std::max<uint64_t>(deepest, p->tables()->MaxSsdLevel());
     }
     return deepest;
   });
@@ -433,20 +424,19 @@ Status DBImpl::RecoverPartitions(const ManifestState& state) {
     auto partition = std::make_unique<Partition>(mp.id, mp.begin_key,
                                                  mp.end_key, clock_);
     next_partition_id_ = std::max(next_partition_id_, mp.id + 1);
+    auto set = std::make_shared<TableSet>();
+    PMBLADE_RETURN_IF_ERROR(open_pm(mp.unsorted_pm_ids, &set->unsorted));
+    PMBLADE_RETURN_IF_ERROR(open_pm(mp.sorted_pm_ids, &set->sorted_run));
     PMBLADE_RETURN_IF_ERROR(
-        open_pm(mp.unsorted_pm_ids, &partition->unsorted()));
-    PMBLADE_RETURN_IF_ERROR(
-        open_pm(mp.sorted_pm_ids, &partition->sorted_run()));
-    PMBLADE_RETURN_IF_ERROR(
-        open_sst(mp.unsorted_file_numbers, &partition->unsorted()));
-    PMBLADE_RETURN_IF_ERROR(
-        open_sst(mp.sorted_file_numbers, &partition->sorted_run()));
+        open_sst(mp.unsorted_file_numbers, &set->unsorted));
+    PMBLADE_RETURN_IF_ERROR(open_sst(mp.sorted_file_numbers, &set->sorted_run));
     for (const ManifestSsdRun& mrun : mp.ssd_runs) {
       SsdRun run;
       run.level = mrun.level;
       PMBLADE_RETURN_IF_ERROR(open_sst(mrun.file_numbers, &run.tables));
-      partition->ssd_runs().push_back(std::move(run));
+      set->ssd_runs.push_back(std::move(run));
     }
+    partition->set_tables(std::move(set));
     partitions_.push_back(std::move(partition));
   }
 
@@ -656,16 +646,17 @@ Status DBImpl::PersistManifest() {
     mp.id = partition->id();
     mp.begin_key = partition->begin_key();
     mp.end_key = partition->end_key();
+    const TableSet& set = *partition->tables();
     const bool ssd_l0 = options_.l0_layout == L0Layout::kSstable;
-    for (const auto& table : partition->unsorted()) {
+    for (const auto& table : set.unsorted) {
       (ssd_l0 ? mp.unsorted_file_numbers : mp.unsorted_pm_ids)
           .push_back(table->id());
     }
-    for (const auto& table : partition->sorted_run()) {
+    for (const auto& table : set.sorted_run) {
       (ssd_l0 ? mp.sorted_file_numbers : mp.sorted_pm_ids)
           .push_back(table->id());
     }
-    for (const SsdRun& run : partition->ssd_runs()) {
+    for (const SsdRun& run : set.ssd_runs) {
       ManifestSsdRun mrun;
       mrun.level = run.level;
       for (const auto& table : run.tables) {

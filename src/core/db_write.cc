@@ -686,12 +686,15 @@ void DBImpl::BackgroundFlush() {
 
   std::unique_lock<std::mutex> lock(mu_);
   if (s.ok()) {
-    // Install under a short critical section: newest first per partition.
+    // Install under a short critical section: each touched partition gets
+    // a new set with its table first (newest first).
     std::vector<Partition*> touched;
     for (auto& entry : built) {
-      entry.first->unsorted().insert(entry.first->unsorted().begin(),
-                                     entry.second);
-      touched.push_back(entry.first);
+      Partition* partition = entry.first;
+      auto next = std::make_shared<TableSet>(*partition->tables());
+      next->unsorted.insert(next->unsorted.begin(), entry.second);
+      partition->set_tables(std::move(next));
+      touched.push_back(partition);
     }
     imm_->Unref();
     imm_ = nullptr;

@@ -59,7 +59,6 @@ Status Options::Sanitize() {
   if (compaction_workers > 64) compaction_workers = 64;
   if (max_subcompactions < 1) max_subcompactions = 1;
   if (max_subcompactions > 64) max_subcompactions = 64;
-  if (major.concurrency < 1) major.concurrency = 1;
   if (major.worker_threads < 1) major.worker_threads = 1;
   if (major.max_io_q < 1) major.max_io_q = 1;
   return Status::OK();

@@ -144,7 +144,6 @@ struct Options {
   int max_subcompactions = 1;
 
   // ---- SSTables / read path ----
-  size_t block_size = 4096;
   /// Bloom bits per key for SSTable filter blocks AND the DRAM whole-table
   /// filters built over PM level-0 tables. <= 0 disables all filters (the
   /// no-filter baseline for benchmarking).
@@ -173,10 +172,6 @@ struct Options {
   // ---- misc ----
   Logger* logger = nullptr;  // defaults to NullLogger()
   Clock* clock = nullptr;    // defaults to SystemClock()
-  /// Create the DB if missing; error if it exists and this is false... both
-  /// default to the forgiving behaviour.
-  bool create_if_missing = true;
-  bool error_if_exists = false;
 
   /// Fills unset pointers with defaults; validates invariants.
   Status Sanitize();

@@ -1,45 +1,31 @@
 // Partition: one key-range shard of the partitioned LSM-tree (Section III).
 // A partition owns:
-//   * a list of UNSORTED level-0 tables (newest first, mutually
-//     overlapping — flushed memtable segments),
-//   * one SORTED level-0 run (non-overlapping tables, the output of the
-//     last internal compaction),
-//   * a stack of SSD runs (newest first; each run is non-overlapping
-//     SSTables tagged with a compaction-policy level). The leveled policy
-//     keeps at most one run, tagged level 1 — the paper's single level-1
-//     run; tiered / lazy-leveling policies stack several runs whose level
-//     tags are non-decreasing with depth,
+//   * one immutable TableSet (core/version.h), replaced whole on every
+//     install:
+//       - a list of UNSORTED level-0 tables (newest first, mutually
+//         overlapping — flushed memtable segments),
+//       - one SORTED level-0 run (non-overlapping tables, the output of the
+//         last internal compaction),
+//       - a stack of SSD runs (newest first; each run is non-overlapping
+//         SSTables tagged with a compaction-policy level). The leveled
+//         policy keeps at most one run, tagged level 1 — the paper's single
+//         level-1 run; tiered / lazy-leveling policies stack several runs
+//         whose level tags are non-decreasing with depth,
 //   * the counters the cost models consume (n_i, n_i^r, n_i^w, n_i^u,
 //     reads/sec), reset whenever the partition is compacted.
 
 #ifndef PMBLADE_CORE_PARTITION_H_
 #define PMBLADE_CORE_PARTITION_H_
 
-#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "compaction/cost_model.h"
-#include "memtable/internal_key.h"
-#include "pmtable/l0_table.h"
+#include "core/version.h"
 #include "util/clock.h"
 
 namespace pmblade {
-
-/// One sorted run of SSD SSTables (ascending key order) plus its policy
-/// level tag. Level 0 is the PM side; SSD runs start at level 1.
-struct SsdRun {
-  uint32_t level = 1;
-  std::vector<L0TableRef> tables;  // ascending key order
-
-  uint64_t bytes() const {
-    uint64_t total = 0;
-    for (const auto& table : tables) total += table->size_bytes();
-    return total;
-  }
-};
 
 class Partition {
  public:
@@ -53,70 +39,23 @@ class Partition {
   const std::string& begin_key() const { return begin_; }
   const std::string& end_key() const { return end_; }
 
-  // ---- table sets ----
-  // Ref discipline with a background compaction in flight (every access to
-  // the vectors themselves happens under the DB mutex):
-  //   * Readers copy the ref vectors under the mutex and probe lock-free;
-  //     the deferred L0Table::Destroy (storage freed at last ref drop)
-  //     keeps those copies valid across any concurrent install.
-  //   * The flush thread only PREPENDS to unsorted() (newest first).
-  //   * Only the compaction worker that CLAIMED this partition (see the
-  //     claim protocol in db_impl.h — at most one claimant per partition,
-  //     enforced under the DB mutex) removes from unsorted() or mutates
-  //     sorted_run()/ssd_runs(). A compaction therefore snapshots the
-  //     vectors, merges with the mutex released, and installs by removing
-  //     exactly the snapshotted refs (RemoveTables) — tables flushed during
-  //     the merge stay, still newest-first, above the compaction's output.
-  std::vector<L0TableRef>& unsorted() { return unsorted_; }
-  std::vector<L0TableRef>& sorted_run() { return sorted_run_; }
-  std::vector<SsdRun>& ssd_runs() { return ssd_runs_; }
-  const std::vector<L0TableRef>& unsorted() const { return unsorted_; }
-  const std::vector<L0TableRef>& sorted_run() const { return sorted_run_; }
-  const std::vector<SsdRun>& ssd_runs() const { return ssd_runs_; }
-
-  /// Removes exactly the tables in `snapshot` (by table identity) from
-  /// `from`, preserving the order of everything else. Install step of a
-  /// compaction whose inputs were snapshotted before the mutex was
-  /// released; entries that arrived since (flushed tables at the front of
-  /// unsorted()) are untouched. Caller holds the DB mutex.
-  static void RemoveTables(std::vector<L0TableRef>* from,
-                           const std::vector<L0TableRef>& snapshot) {
-    from->erase(std::remove_if(from->begin(), from->end(),
-                               [&snapshot](const L0TableRef& table) {
-                                 for (const auto& snap : snapshot) {
-                                   if (snap.get() == table.get()) return true;
-                                 }
-                                 return false;
-                               }),
-                from->end());
-  }
-
-  /// Total level-0 bytes (s_i).
-  uint64_t L0Bytes() const {
-    uint64_t total = 0;
-    for (const auto& table : unsorted_) total += table->size_bytes();
-    for (const auto& table : sorted_run_) total += table->size_bytes();
-    return total;
-  }
-  /// DRAM bytes the level-0 tables hold (L0Table::dram_bytes).
-  uint64_t L0DramBytes() const {
-    uint64_t total = 0;
-    for (const auto& table : unsorted_) total += table->dram_bytes();
-    for (const auto& table : sorted_run_) total += table->dram_bytes();
-    return total;
-  }
-  /// Total SSD bytes across every run in the stack. (Under the leveled
-  /// policy the stack is at most one level-1 run, so this is the paper's
-  /// level-1 size.)
-  uint64_t SsdBytes() const {
-    uint64_t total = 0;
-    for (const auto& run : ssd_runs_) total += run.bytes();
-    return total;
-  }
-
-  /// The deepest level tag in the run stack (0 when no SSD runs exist).
-  uint32_t MaxSsdLevel() const {
-    return ssd_runs_.empty() ? 0 : ssd_runs_.back().level;
+  // ---- table set ----
+  // The pointer is guarded by the DB mutex; the set it names never changes.
+  //   * Readers and compactions copy the pointer under the mutex and use the
+  //     set lock-free; a table leaving a later set is only marked for
+  //     release (L0Table::Destroy frees its storage at the last ref drop),
+  //     so the copies stay readable across any install.
+  //   * Every install (flush, internal and major compaction, recovery)
+  //     builds a new set from the current one and swaps it in under the
+  //     mutex. A flush prepends its table to the unsorted list. A
+  //     compaction runs only on a partition it CLAIMED (the claim protocol
+  //     in db_impl.h: at most one claimant per partition), merges its
+  //     snapshotted set with the mutex released, and removes exactly the
+  //     snapshotted tables (RemoveTables): tables flushed during the merge
+  //     stay, newest first, above its output.
+  const std::shared_ptr<const TableSet>& tables() const { return tables_; }
+  void set_tables(std::shared_ptr<const TableSet> tables) {
+    tables_ = std::move(tables);
   }
 
   // ---- cost-model counters ----
@@ -133,9 +72,9 @@ class Partition {
   PartitionCounters Counters() const {
     PartitionCounters counters;
     counters.partition_id = id_;
-    counters.unsorted_tables = static_cast<uint32_t>(unsorted_.size());
-    counters.sorted_tables = static_cast<uint32_t>(sorted_run_.size());
-    counters.size_bytes = L0Bytes();
+    counters.unsorted_tables = static_cast<uint32_t>(tables_->unsorted.size());
+    counters.sorted_tables = static_cast<uint32_t>(tables_->sorted_run.size());
+    counters.size_bytes = tables_->L0Bytes();
     counters.reads = reads_.load(std::memory_order_relaxed);
     counters.writes = writes_.load(std::memory_order_relaxed);
     counters.updates = updates_.load(std::memory_order_relaxed);
@@ -161,10 +100,7 @@ class Partition {
   std::string end_;
   Clock* clock_;
 
-  std::vector<L0TableRef> unsorted_;   // newest first
-  std::vector<L0TableRef> sorted_run_; // ascending key order
-  /// SSD run stack, newest first; level tags non-decreasing with depth.
-  std::vector<SsdRun> ssd_runs_;
+  std::shared_ptr<const TableSet> tables_ = std::make_shared<TableSet>();
 
   std::atomic<uint64_t> reads_{0};
   std::atomic<uint64_t> writes_{0};

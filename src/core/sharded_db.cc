@@ -162,13 +162,6 @@ ShardedDB::~ShardedDB() {
 Status ShardedDB::Init() {
   PMBLADE_RETURN_IF_ERROR(options_.Sanitize());
   env_ = options_.env;
-
-  if (env_->FileExists(dbname_) && options_.error_if_exists) {
-    return Status::InvalidArgument(dbname_ + " already exists");
-  }
-  if (!env_->FileExists(dbname_) && !options_.create_if_missing) {
-    return Status::NotFound(dbname_ + " does not exist");
-  }
   PMBLADE_RETURN_IF_ERROR(env_->CreateDir(dbname_));
   PMBLADE_RETURN_IF_ERROR(CheckOrPinShardCount());
 
@@ -187,10 +180,6 @@ Status ShardedDB::Init() {
     shard_opts.shared_block_cache = cache;
     // One arbiter over every shard (below), not one per shard.
     shard_opts.memory_budget_bytes = 0;
-    // Existence checks happened at the facade level; shard directories
-    // come and go with it.
-    shard_opts.error_if_exists = false;
-    shard_opts.create_if_missing = true;
     if (!options_.pm_pool_path.empty()) {
       shard_opts.pm_pool_path = ShardPmPoolPath(options_.pm_pool_path, i);
     }

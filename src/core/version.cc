@@ -1,6 +1,9 @@
 #include "core/version.h"
 
+#include <algorithm>
+
 #include "compaction/merging_iterator.h"
+#include "env/ssd_model.h"
 
 namespace pmblade {
 
@@ -106,16 +109,12 @@ class RunIterator final : public Iterator {
   Status status_;
 };
 
-}  // namespace
-
-namespace {
-
 /// Concatenates the merged views of range-disjoint partitions, opening a
 /// partition's tables only while the cursor is inside it.
 class PartitionConcatIterator final : public Iterator {
  public:
   PartitionConcatIterator(const InternalKeyComparator* icmp,
-                          std::vector<PartitionSnapshot> parts)
+                          std::vector<PartitionTables> parts)
       : icmp_(icmp), parts_(std::move(parts)) {}
 
   bool Valid() const override {
@@ -150,7 +149,7 @@ class PartitionConcatIterator final : public Iterator {
     size_t lo = 0, hi = parts_.size();
     while (lo < hi) {
       size_t mid = (lo + hi) / 2;
-      const std::string& end = parts_[mid].end_key;
+      const std::string& end = parts_[mid].first;
       if (!end.empty() && user.compare(Slice(end)) >= 0) {
         lo = mid + 1;
       } else {
@@ -179,25 +178,7 @@ class PartitionConcatIterator final : public Iterator {
       current_.reset();
       return;
     }
-    const PartitionSnapshot& part = parts_[index_];
-    std::vector<Iterator*> children;
-    children.reserve(part.unsorted.size() + part.ssd_runs.size() + 1);
-    for (const auto& table : part.unsorted) {
-      children.push_back(table->NewIterator());
-    }
-    if (!part.sorted_run.empty()) {
-      children.push_back(NewRunIterator(icmp_, part.sorted_run));
-    }
-    for (const auto& run : part.ssd_runs) {
-      if (!run.empty()) {
-        children.push_back(NewRunIterator(icmp_, run));
-      }
-    }
-    if (children.empty()) {
-      current_.reset(NewEmptyIterator());
-    } else {
-      current_.reset(NewMergingIterator(icmp_, std::move(children)));
-    }
+    current_.reset(parts_[index_].second->NewIterator(icmp_));
   }
 
   void SkipEmptyForward() {
@@ -235,7 +216,7 @@ class PartitionConcatIterator final : public Iterator {
   }
 
   const InternalKeyComparator* icmp_;
-  std::vector<PartitionSnapshot> parts_;
+  std::vector<PartitionTables> parts_;
   size_t index_ = 0;
   std::unique_ptr<Iterator> current_;
   Status status_;
@@ -244,7 +225,7 @@ class PartitionConcatIterator final : public Iterator {
 }  // namespace
 
 Iterator* NewPartitionConcatIterator(const InternalKeyComparator* icmp,
-                                     std::vector<PartitionSnapshot> parts) {
+                                     std::vector<PartitionTables> parts) {
   return new PartitionConcatIterator(icmp, std::move(parts));
 }
 
@@ -275,6 +256,95 @@ Status RunGet(const std::vector<L0TableRef>& run,
   }
   if (lo == run.size()) return Status::OK();
   return L0TableGet(*run[lo], icmp, lkey, value, found, result_status, probe);
+}
+
+uint64_t TableSet::L0Bytes() const {
+  uint64_t total = 0;
+  for (const auto& table : unsorted) total += table->size_bytes();
+  for (const auto& table : sorted_run) total += table->size_bytes();
+  return total;
+}
+
+uint64_t TableSet::L0DramBytes() const {
+  uint64_t total = 0;
+  for (const auto& table : unsorted) total += table->dram_bytes();
+  for (const auto& table : sorted_run) total += table->dram_bytes();
+  return total;
+}
+
+uint64_t TableSet::SsdBytes() const {
+  uint64_t total = 0;
+  for (const SsdRun& run : ssd_runs) total += run.bytes();
+  return total;
+}
+
+Status TableSet::Get(const InternalKeyComparator& icmp, const LookupKey& lkey,
+                     SsdModel* level0_io, SsdModel* ssd_io,
+                     std::string* value, Status* result_status,
+                     ReadSource* source, ReadProbeStats* probe) const {
+  *source = ReadSource::kNotFound;
+  bool found = false;
+  {
+    ScopedExternalIo io(level0_io, IoClass::kClient);
+    for (const auto& table : unsorted) {
+      PMBLADE_RETURN_IF_ERROR(L0TableGet(*table, icmp, lkey, value, &found,
+                                         result_status, probe));
+      if (found) break;
+    }
+    if (!found) {
+      PMBLADE_RETURN_IF_ERROR(
+          RunGet(sorted_run, icmp, lkey, value, &found, result_status, probe));
+    }
+  }
+  if (found) {
+    *source = ReadSource::kPmLevel0;
+    return Status::OK();
+  }
+  if (ssd_runs.empty()) return Status::OK();
+  // The first run holding any version of the key is authoritative.
+  ScopedExternalIo io(ssd_io, IoClass::kClient);
+  for (const SsdRun& run : ssd_runs) {
+    PMBLADE_RETURN_IF_ERROR(
+        RunGet(run.tables, icmp, lkey, value, &found, result_status, probe));
+    if (found) {
+      *source = ReadSource::kSsdLevel1;
+      break;
+    }
+  }
+  return Status::OK();
+}
+
+Iterator* TableSet::NewIterator(const InternalKeyComparator* icmp,
+                                bool include_l0, size_t run_begin,
+                                size_t run_end) const {
+  // Newest first, as Get probes; the merge itself orders duplicates by
+  // sequence number.
+  std::vector<Iterator*> children;
+  if (include_l0) {
+    for (const auto& table : unsorted) children.push_back(table->NewIterator());
+    if (!sorted_run.empty()) {
+      children.push_back(NewRunIterator(icmp, sorted_run));
+    }
+  }
+  run_end = std::min(run_end, ssd_runs.size());
+  for (size_t r = run_begin; r < run_end; ++r) {
+    if (!ssd_runs[r].tables.empty()) {
+      children.push_back(NewRunIterator(icmp, ssd_runs[r].tables));
+    }
+  }
+  return NewMergingIterator(icmp, std::move(children));
+}
+
+void RemoveTables(std::vector<L0TableRef>* from,
+                  const std::vector<L0TableRef>& doomed) {
+  from->erase(std::remove_if(from->begin(), from->end(),
+                             [&doomed](const L0TableRef& table) {
+                               for (const auto& d : doomed) {
+                                 if (d.get() == table.get()) return true;
+                               }
+                               return false;
+                             }),
+              from->end());
 }
 
 }  // namespace pmblade

@@ -9,6 +9,15 @@ namespace mem {
 
 namespace {
 
+/// Fraction of the total budget moved per rebalance.
+constexpr double kStepFraction = 0.05;
+/// The winner's score must exceed the loser's by this factor.
+constexpr double kHysteresis = 1.3;
+/// Windows with fewer operations than this are skipped entirely.
+constexpr uint64_t kMinOpsPerTick = 64;
+/// EWMA weight of the newest marginal-gain observation.
+constexpr double kGainEwmaAlpha = 0.5;
+
 double Clamp01(double v) {
   if (v < 0.0) return 0.0;
   if (v > 1.0) return 1.0;
@@ -67,8 +76,6 @@ MemoryArbiter::MemoryArbiter(const ArbiterOptions& options,
   if (opts_.clock == nullptr) opts_.clock = SystemClock();
   if (opts_.logger == nullptr) opts_.logger = NullLogger();
   if (opts_.interval_ms == 0) opts_.interval_ms = 1;
-  if (opts_.step_fraction <= 0.0) opts_.step_fraction = 0.05;
-  if (opts_.hysteresis < 1.0) opts_.hysteresis = 1.0;
   if (opts_.metrics != nullptr) {
     tick_counter_ = opts_.metrics->GetCounter("pmblade.mem.ticks");
     rebalance_counter_ = opts_.metrics->GetCounter("pmblade.mem.rebalances");
@@ -171,7 +178,7 @@ bool MemoryArbiter::RebalanceOnce() {
   ArbiterInputs d = Delta(now, last_inputs_);
   last_inputs_ = now;
 
-  if (d.reads + d.writes < opts_.min_ops_per_tick) {
+  if (d.reads + d.writes < kMinOpsPerTick) {
     skipped_ticks_.fetch_add(1, std::memory_order_relaxed);
     if (skipped_counter_ != nullptr) skipped_counter_->Inc();
     return false;
@@ -185,9 +192,8 @@ bool MemoryArbiter::RebalanceOnce() {
   // so budget stops flowing where it no longer buys anything.
   if (last_grant_ >= 0) {
     double gain = last_grant_pressure_ - pressure[last_grant_];
-    ewma_gain_[last_grant_] =
-        (1.0 - opts_.gain_ewma_alpha) * ewma_gain_[last_grant_] +
-        opts_.gain_ewma_alpha * gain;
+    ewma_gain_[last_grant_] = (1.0 - kGainEwmaAlpha) * ewma_gain_[last_grant_] +
+                              kGainEwmaAlpha * gain;
     last_grant_ = -1;
   }
 
@@ -215,12 +221,12 @@ bool MemoryArbiter::RebalanceOnce() {
   // Hysteresis: a balanced system must not oscillate, and a dead-calm
   // system (everything near zero pressure) must not drift.
   if (score[winner] < 0.01 ||
-      score[winner] <= opts_.hysteresis * score[loser]) {
+      score[winner] <= kHysteresis * score[loser]) {
     return false;
   }
 
   uint64_t step = static_cast<uint64_t>(
-      opts_.step_fraction * static_cast<double>(budget_->total()));
+      kStepFraction * static_cast<double>(budget_->total()));
   if (step == 0) step = 1;
   uint64_t moved = budget_->Transfer(loser, winner, step);
   if (moved == 0) return false;

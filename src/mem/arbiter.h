@@ -15,10 +15,10 @@
 //       keep set:    read_share · fraction of reads falling through to SSD
 //                    level-1 (Eq. 3 retained too little on PM)
 //   * The grant goes to the highest-scoring component, taken from the
-//     lowest-scoring one, one `step_fraction` of the total per tick —
-//     but only when the winner beats the loser by the `hysteresis` factor
-//     (so a balanced system does not oscillate) and the window saw at
-//     least `min_ops_per_tick` operations (so an idle system does not
+//     lowest-scoring one, kStepFraction (5%) of the total per tick —
+//     but only when the winner beats the loser by the kHysteresis factor
+//     (1.3, so a balanced system does not oscillate) and the window saw at
+//     least kMinOpsPerTick (64) operations (so an idle system does not
 //     drift on noise).
 //   * Marginal utility: after each grant the arbiter measures whether the
 //     winner's pressure actually dropped and keeps an EWMA of that gain
@@ -80,14 +80,6 @@ ArbiterInputs ReadArbiterInputs(const obs::MetricsRegistry& registry);
 
 struct ArbiterOptions {
   uint64_t interval_ms = 250;
-  /// Fraction of the total budget moved per rebalance.
-  double step_fraction = 0.05;
-  /// The winner's score must exceed the loser's by this factor.
-  double hysteresis = 1.3;
-  /// Windows with fewer operations than this are skipped entirely.
-  uint64_t min_ops_per_tick = 64;
-  /// EWMA weight of the newest marginal-gain observation.
-  double gain_ewma_alpha = 0.5;
 
   Clock* clock = nullptr;                    // required
   obs::MetricsRegistry* metrics = nullptr;   // optional

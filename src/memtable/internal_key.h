@@ -59,6 +59,18 @@ inline Slice ExtractUserKey(const Slice& internal_key) {
 /// The packed (seq, type) tag of an encoded internal key.
 uint64_t ExtractTag(const Slice& internal_key);
 
+/// Internal-key order over bytewise user keys (user key ascending, tag
+/// descending), without InternalKeyComparator's virtual calls: the PM
+/// layouts' searches use it, as their tables hold bytewise keys only.
+inline int CompareBytewiseInternalKeys(const Slice& a, const Slice& b) {
+  int r = ExtractUserKey(a).compare(ExtractUserKey(b));
+  if (r != 0) return r;
+  uint64_t atag = ExtractTag(a), btag = ExtractTag(b);
+  if (atag > btag) return -1;
+  if (atag < btag) return +1;
+  return 0;
+}
+
 /// Orders internal keys: user key ascending (per user comparator), then tag
 /// descending (newer versions first).
 class InternalKeyComparator : public Comparator {

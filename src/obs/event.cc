@@ -24,8 +24,6 @@ const char* EventTypeName(EventType type) {
       return "major_compaction_end";
     case EventType::kKeepSetSelected:
       return "keep_set_selected";
-    case EventType::kPartitionSplit:
-      return "partition_split";
     case EventType::kWalSync:
       return "wal_sync";
     case EventType::kIoGateChange:

@@ -33,7 +33,6 @@ enum class EventType : uint8_t {
   kMajorCompactionEnd,
   /// Eq. 3 keep-set selection; per-partition scores ride in `detail`.
   kKeepSetSelected,
-  kPartitionSplit,
   kWalSync,
   /// q_flush gate budget changed (coroutine flush scheduling).
   kIoGateChange,

@@ -111,7 +111,7 @@ class ArrayTableIter final : public Iterator {
         return;
       }
       ++probes;
-      if (CompareInternal(k, target) < 0) lo = mid + 1;
+      if (CompareBytewiseInternalKeys(k, target) < 0) lo = mid + 1;
       else hi = mid;
     }
     t_->pool_->InjectRead(probes * 32, probes * 2);
@@ -119,15 +119,6 @@ class ArrayTableIter final : public Iterator {
   }
 
  private:
-  static int CompareInternal(const Slice& a, const Slice& b) {
-    int r = ExtractUserKey(a).compare(ExtractUserKey(b));
-    if (r != 0) return r;
-    uint64_t atag = ExtractTag(a), btag = ExtractTag(b);
-    if (atag > btag) return -1;
-    if (atag < btag) return +1;
-    return 0;
-  }
-
   void Position(uint32_t pos) {
     pos_ = pos;
     if (pos_ >= t_->num_entries_) return;

@@ -165,21 +165,6 @@ Status PmTable::Validate() {
   return Status::OK();
 }
 
-namespace {
-
-// Internal-key order over the bytewise user keys PM tables hold: user key
-// ascending, tag descending.
-int CompareInternal(const Slice& a, const Slice& b) {
-  int r = ExtractUserKey(a).compare(ExtractUserKey(b));
-  if (r != 0) return r;
-  uint64_t atag = ExtractTag(a), btag = ExtractTag(b);
-  if (atag > btag) return -1;
-  if (atag < btag) return +1;
-  return 0;
-}
-
-}  // namespace
-
 bool PmTable::DecodeGroupFirstKey(uint32_t g, std::string* out) const {
   const char* ge = group_index_ + uint64_t{g} * kGroupIndexEntrySize;
   uint32_t entry_off = DecodeFixed32(ge);
@@ -209,7 +194,7 @@ bool PmTable::FindGroup(const Slice& target, std::string* scratch,
   const auto after = std::upper_bound(
       ranges_.begin(), ranges_.end(), target,
       [](const Slice& t, const MetaRange& range) {
-        return CompareInternal(t, Slice(range.first_key)) < 0;
+        return CompareBytewiseInternalKeys(t, Slice(range.first_key)) < 0;
       });
   if (after == ranges_.begin()) return true;  // target precedes every group
   const MetaRange& range = *(after - 1);
@@ -242,7 +227,7 @@ bool PmTable::FindGroup(const Slice& target, std::string* scratch,
     if (cmp == 0) {
       ++decoded;
       if (!DecodeGroupFirstKey(mid, scratch)) return false;
-      cmp = CompareInternal(Slice(*scratch), target);
+      cmp = CompareBytewiseInternalKeys(Slice(*scratch), target);
     }
     if (cmp > 0) {
       hi = mid;
@@ -349,7 +334,7 @@ Status PmTable::Get(const InternalKeyComparator& /*icmp*/,
         pool_->InjectRead(walked, 1);
         return Status::Corruption("pm table: bad entry encoding");
       }
-      if (CompareInternal(Slice(key), target) < 0) {
+      if (CompareBytewiseInternalKeys(Slice(key), target) < 0) {
         p += value_len;
         continue;
       }
@@ -420,7 +405,7 @@ class PmTableIter final : public Iterator {
     }
     if (!LoadGroup(candidate)) return;
     for (size_t i = 0; i < entry_count_; ++i) {
-      if (CompareInternal(EntryKey(i), target) >= 0) {
+      if (CompareBytewiseInternalKeys(EntryKey(i), target) >= 0) {
         PositionAt(static_cast<int>(i));
         return;
       }

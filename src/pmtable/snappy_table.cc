@@ -127,7 +127,7 @@ class SnappyTableIter final : public Iterator {
       uint32_t mid = (lo + hi) / 2;
       if (!LoadGroup(mid)) return;
       if (entries_.empty() ||
-          CompareInternal(Slice(entries_[0].key), target) < 0) {
+          CompareBytewiseInternalKeys(Slice(entries_[0].key), target) < 0) {
         lo = mid + 1;
       } else {
         hi = mid;
@@ -138,7 +138,7 @@ class SnappyTableIter final : public Iterator {
     while (g < t_->num_groups_) {
       if (!LoadGroup(g)) return;
       for (size_t i = 0; i < entries_.size(); ++i) {
-        if (CompareInternal(Slice(entries_[i].key), target) >= 0) {
+        if (CompareBytewiseInternalKeys(Slice(entries_[i].key), target) >= 0) {
           index_ = static_cast<int>(i);
           return;
         }
@@ -153,15 +153,6 @@ class SnappyTableIter final : public Iterator {
     std::string key;
     std::string value;
   };
-
-  static int CompareInternal(const Slice& a, const Slice& b) {
-    int r = ExtractUserKey(a).compare(ExtractUserKey(b));
-    if (r != 0) return r;
-    uint64_t atag = ExtractTag(a), btag = ExtractTag(b);
-    if (atag > btag) return -1;
-    if (atag < btag) return +1;
-    return 0;
-  }
 
   void Invalidate() { group_ = t_->num_groups_; }
 

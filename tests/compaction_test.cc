@@ -462,7 +462,6 @@ TEST_P(MajorCompactionTest, CompactsRangePartitionedSubtasks) {
 
   MajorCompactionOptions opts;
   opts.engine = GetParam();
-  opts.concurrency = 4;
   opts.worker_threads = 2;
   opts.max_io_q = 4;
   opts.read_block_bytes = 8 << 10;
@@ -537,7 +536,6 @@ TEST_P(MajorCompactionTest, CompactsRangePartitionedSubtasks) {
 TEST_P(MajorCompactionTest, EmptyInputProducesNoOutput) {
   MajorCompactionOptions opts;
   opts.engine = GetParam();
-  opts.concurrency = 2;
   MajorCompactor compactor(PosixEnv(), model_.get(), factory_.get(), opts);
   std::vector<CompactionSubtaskInput> subtasks(2);
   for (auto& sub : subtasks) {

@@ -216,14 +216,13 @@ class PartitionConcatTest : public ::testing::Test {
 };
 
 TEST_F(PartitionConcatTest, WalksAcrossPartitionsInOrder) {
-  std::vector<PartitionSnapshot> parts(3);
-  parts[0].end_key = "h";
-  parts[0].unsorted.push_back(Build({"apple", "fig"}, 10));
-  parts[1].begin_key = "h";
-  parts[1].end_key = "p";
-  parts[1].sorted_run.push_back(Build({"kiwi", "mango"}, 10));
-  parts[2].begin_key = "p";
-  parts[2].ssd_runs.push_back({Build({"pear", "plum"}, 10)});
+  auto low = std::make_shared<TableSet>();
+  low->unsorted.push_back(Build({"apple", "fig"}, 10));
+  auto mid = std::make_shared<TableSet>();
+  mid->sorted_run.push_back(Build({"kiwi", "mango"}, 10));
+  auto high = std::make_shared<TableSet>();
+  high->ssd_runs.push_back({1, {Build({"pear", "plum"}, 10)}});
+  std::vector<PartitionTables> parts = {{"h", low}, {"p", mid}, {"", high}};
 
   std::unique_ptr<Iterator> it(
       NewPartitionConcatIterator(&icmp_, parts));
@@ -243,14 +242,14 @@ TEST_F(PartitionConcatTest, WalksAcrossPartitionsInOrder) {
 }
 
 TEST_F(PartitionConcatTest, SeekLandsInRightPartition) {
-  std::vector<PartitionSnapshot> parts(3);
-  parts[0].end_key = "h";
-  parts[0].unsorted.push_back(Build({"apple"}, 10));
-  parts[1].begin_key = "h";
-  parts[1].end_key = "p";
-  parts[1].unsorted.push_back(Build({"kiwi"}, 10));
-  parts[2].begin_key = "p";
-  parts[2].unsorted.push_back(Build({"plum"}, 10));
+  auto unsorted = [this](const std::string& key) {
+    auto set = std::make_shared<TableSet>();
+    set->unsorted.push_back(Build({key}, 10));
+    return set;
+  };
+  std::vector<PartitionTables> parts = {{"h", unsorted("apple")},
+                                        {"p", unsorted("kiwi")},
+                                        {"", unsorted("plum")}};
 
   std::unique_ptr<Iterator> it(
       NewPartitionConcatIterator(&icmp_, parts));
@@ -261,13 +260,9 @@ TEST_F(PartitionConcatTest, SeekLandsInRightPartition) {
   EXPECT_EQ(ExtractUserKey(it->key()).ToString(), "kiwi");
 
   // Seek into an empty middle partition falls through to the next.
-  std::vector<PartitionSnapshot> sparse(3);
-  sparse[0].end_key = "h";
-  sparse[0].unsorted.push_back(Build({"apple"}, 10));
-  sparse[1].begin_key = "h";
-  sparse[1].end_key = "p";  // empty partition
-  sparse[2].begin_key = "p";
-  sparse[2].unsorted.push_back(Build({"plum"}, 10));
+  std::vector<PartitionTables> sparse = {{"h", unsorted("apple")},
+                                         {"p", std::make_shared<TableSet>()},
+                                         {"", unsorted("plum")}};
   it.reset(NewPartitionConcatIterator(&icmp_, sparse));
   it->Seek(seek);
   ASSERT_TRUE(it->Valid());

@@ -115,14 +115,12 @@ struct SyntheticLoad {
 
 class ArbiterTest : public ::testing::Test {
  protected:
-  void Build(double hysteresis = 1.3) {
+  void Build() {
     uint64_t floors[kNumComponents] = {kMiB, kMiB, 4096};
     uint64_t initial[kNumComponents] = {8 * kMiB, 8 * kMiB, 16 * kMiB};
     budget_.reset(new MemoryBudget(32 * kMiB, floors, initial));
-    ArbiterOptions opts;
-    opts.hysteresis = hysteresis;
     arbiter_.reset(new MemoryArbiter(
-        opts, budget_.get(), [this] { return load_.cum; },
+        ArbiterOptions{}, budget_.get(), [this] { return load_.cum; },
         [this](int component, uint64_t target) {
           applied_[component] = target;
           ++applies_;

@@ -1,18 +1,22 @@
 // Read-path acceleration tests: bloom filters must never produce a false
 // negative across flush, internal compaction, major compaction and reopen
-// (for every level-0 layout), absent-key probes must register bloom
+// (for every level-0 layout), a table set a reader holds stays intact and
+// readable across those installs, absent-key probes must register bloom
 // negatives, and the block cache's charge accounting must match its
 // capacity through inserts, evictions and arbiter-style SetCapacity
 // shrinks.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/db.h"
 #include "core/db_impl.h"
+#include "core/version.h"
 #include "sstable/block.h"
 #include "sstable/block_cache.h"
 #include "sstable/format.h"
@@ -142,6 +146,72 @@ TEST_P(ReadPathTest, FiltersDisabledStillCorrect) {
   EXPECT_EQ(Property("pmblade.bloom.checks"), 0u);
   std::string value;
   EXPECT_TRUE(db_->Get(ReadOptions(), "absent", &value).IsNotFound());
+}
+
+TEST_P(ReadPathTest, HeldTableSetOutlivesInstalls) {
+  Open();
+  const int n = 300;
+  LoadKeys(n);
+  ASSERT_TRUE(db_->FlushMemTable().ok());
+  auto* impl = static_cast<DBImpl*>(db_.get());
+  const std::shared_ptr<const TableSet> held =
+      impl->PartitionTablesForKey(Key(1));
+  ASSERT_NE(held, nullptr);
+  ASSERT_FALSE(held->unsorted.empty());
+  const InternalKeyComparator icmp(BytewiseComparator());
+  auto tables = [](const TableSet& set) {
+    std::vector<const L0Table*> out;
+    for (const auto& t : set.unsorted) out.push_back(t.get());
+    for (const auto& t : set.sorted_run) out.push_back(t.get());
+    for (const SsdRun& run : set.ssd_runs) {
+      for (const auto& t : run.tables) out.push_back(t.get());
+    }
+    return out;
+  };
+  auto entries = [&icmp](const TableSet& set) {
+    std::unique_ptr<Iterator> it(set.NewIterator(&icmp));
+    size_t count = 0;
+    for (it->SeekToFirst(); it->Valid(); it->Next()) ++count;
+    EXPECT_TRUE(it->status().ok());
+    return count;
+  };
+  const std::vector<const L0Table*> held_tables = tables(*held);
+  const size_t held_entries = entries(*held);
+  ASSERT_GT(held_entries, 0u);
+
+  // A reader shares the partitions' sets while a flush, an internal and a
+  // major compaction each install a new one.
+  std::atomic<bool> stop{false};
+  std::atomic<int> bad_reads{0};
+  std::thread reader([&] {
+    while (!stop.load()) {
+      for (int i = 0; i < n; i += 7) {
+        std::string value;
+        if (!db_->Get(ReadOptions(), Key(i), &value).ok()) ++bad_reads;
+      }
+    }
+  });
+  for (int i = 0; i < n; i += 2) {
+    ASSERT_TRUE(db_->Put(WriteOptions(), Key(i), Value(i)).ok());
+  }
+  ASSERT_TRUE(db_->FlushMemTable().ok());
+  ASSERT_TRUE(db_->CompactLevel0().ok());
+  ASSERT_TRUE(db_->CompactToLevel1(false).ok());
+  stop.store(true);
+  reader.join();
+  EXPECT_EQ(bad_reads.load(), 0);
+
+  // The held set still names the same, still readable tables; the
+  // partition's current set is a different one.
+  EXPECT_EQ(tables(*held), held_tables);
+  EXPECT_EQ(entries(*held), held_entries);
+  const std::shared_ptr<const TableSet> now =
+      impl->PartitionTablesForKey(Key(1));
+  EXPECT_NE(now, held);
+  EXPECT_TRUE(now->unsorted.empty());
+  EXPECT_TRUE(now->sorted_run.empty());
+  EXPECT_FALSE(now->ssd_runs.empty());
+  ExpectAllPresent(n);
 }
 
 INSTANTIATE_TEST_SUITE_P(Layouts, ReadPathTest,
