@@ -24,17 +24,8 @@ Status DB::Open(const Options& options, const std::string& dbname,
   // A directory pinned by a ShardedDB cannot be opened single-shard: the
   // data lives in shard-<i> subdirectories the classic engine would
   // silently ignore, presenting an empty DB.
-  {
-    Env* env = options.env != nullptr ? options.env : PosixEnv();
-    const std::string marker = dbname + "/SHARDS";
-    if (env->FileExists(marker)) {
-      std::string pinned;
-      (void)ReadFileToString(env, marker, &pinned);
-      return Status::InvalidArgument(
-          dbname + " was created with num_shards=" + pinned +
-          "; open it with that shard count");
-    }
-  }
+  PMBLADE_RETURN_IF_ERROR(ShardedDB::CheckOrPinShardCount(
+      options.env != nullptr ? options.env : PosixEnv(), dbname, 1));
   auto impl = std::make_unique<DBImpl>(options, dbname);
   PMBLADE_RETURN_IF_ERROR(impl->Init());
   *db = std::move(impl);
@@ -58,13 +49,18 @@ Status DestroyDB(const Options& options, const std::string& dbname) {
   return env->RemoveDirRecursively(dbname);
 }
 
-DBImpl::DBImpl(const Options& options, const std::string& dbname)
-    : options_(options), dbname_(dbname), icmp_(BytewiseComparator()) {}
+DBImpl::DBImpl(const Options& options, const std::string& dbname,
+               const EngineParts* shared)
+    : options_(options),
+      dbname_(dbname),
+      model_(shared != nullptr ? shared->ssd_model() : nullptr),
+      icmp_(BytewiseComparator()),
+      block_cache_(shared != nullptr ? shared->block_cache() : nullptr) {}
 
 DBImpl::~DBImpl() {
   // Join the arbiter thread first: its callbacks touch the metrics
   // registry, the block cache and the cost model, all torn down below.
-  if (arbiter_ != nullptr) arbiter_->Stop();
+  if (owned_parts_ != nullptr) owned_parts_->StopArbiter();
   // The SSD model may be caller-owned and outlive this DB; detach our bus
   // before it dies.
   if (model_ != nullptr) model_->set_event_bus(nullptr);
@@ -298,8 +294,7 @@ bool DBImpl::GetProperty(const std::string& property, std::string* value) {
     return true;
   }
   if (property == "pmblade.mem.json") {
-    *value = arbiter_ != nullptr ? arbiter_->ToJson()
-                                 : std::string("{\"enabled\":false}");
+    *value = EngineParts::MemJson(owned_parts_.get());
     return true;
   }
   return false;

@@ -74,9 +74,62 @@
 
 namespace pmblade {
 
+class DBImpl;
+
+/// The parts an engine builds once per process, whatever its shard count:
+/// the SST block cache (none when Options::block_cache_bytes == 0), the SSD
+/// model when Options::ssd_model is null (a private, injection-free one),
+/// and, with Options::memory_budget_bytes > 0, the memory budget and the
+/// arbiter that re-divides it. A single-shard DBImpl owns one set; a
+/// ShardedDB owns one and hands the cache and the model to every shard.
+class EngineParts {
+ public:
+  /// `options` must be sanitized. Creates the cache and the model.
+  explicit EngineParts(const Options& options);
+
+  EngineParts(const EngineParts&) = delete;
+  EngineParts& operator=(const EngineParts&) = delete;
+
+  BlockCache* block_cache() const { return cache_.get(); }
+  SsdModel* ssd_model() const { return model_; }
+
+  /// With memory_budget_bytes > 0, starts the arbiter over one budget that
+  /// covers all of `shards`: the memtable quota and the Eq. 3 keep-set
+  /// (τ_t) of every shard, and the one block cache. Floors are max(64 KiB,
+  /// budget/32) for the memtable and the cache and 4 KiB for the keep-set;
+  /// the configured memtable_bytes and cost.tau_t times the shard count and
+  /// block_cache_bytes seed the split. Every target change is split evenly
+  /// across the shards through SetMemtableLimit / SetDynamicTauT. The
+  /// arbiter registers pmblade.mem.* in `metrics`, reads its inputs from
+  /// it and emits its events on `events` (may be null). Does nothing
+  /// without a budget.
+  void StartArbiter(const Options& options, std::vector<DBImpl*> shards,
+                    obs::MetricsRegistry* metrics, obs::EventBus* events);
+  /// Joins the arbiter thread. The owner calls it before it tears down
+  /// anything the arbiter's callbacks touch: the shards and `metrics`.
+  void StopArbiter();
+
+  /// The "pmblade.mem.json" property of an engine owning `parts` (null for
+  /// a shard of a ShardedDB): the budget split and the arbiter's last
+  /// decision, or {"enabled":false} without an arbiter.
+  static std::string MemJson(const EngineParts* parts);
+
+ private:
+  std::unique_ptr<BlockCache> cache_;
+  std::unique_ptr<SsdModel> owned_model_;
+  SsdModel* model_ = nullptr;
+  std::unique_ptr<mem::MemoryBudget> budget_;
+  std::unique_ptr<mem::MemoryArbiter> arbiter_;
+};
+
 class DBImpl final : public DB {
  public:
-  DBImpl(const Options& options, const std::string& dbname);
+  /// `shared` is the ShardedDB's parts when this engine is one of its
+  /// shards: it reads through their block cache and SSD model and never
+  /// starts an arbiter. Null for a single-shard engine, which builds its
+  /// own parts in Init.
+  DBImpl(const Options& options, const std::string& dbname,
+         const EngineParts* shared = nullptr);
   ~DBImpl() override;
 
   Status Put(const WriteOptions& options, const Slice& key,
@@ -159,10 +212,9 @@ class DBImpl final : public DB {
   /// The current table set of the partition holding `user_key`.
   std::shared_ptr<const TableSet> PartitionTablesForKey(const Slice& user_key);
 
-  // ---- hooks for an external arbiter (ShardedDB's shared MemoryArbiter;
-  // also exercised directly by tests) ----
-  /// Retunes the live memtable rotation threshold (what the embedded
-  /// arbiter's apply callback does for mem::kMemtable).
+  // ---- hooks for the memory arbiter (EngineParts::StartArbiter; also
+  // exercised directly by tests) ----
+  /// Retunes the live memtable rotation threshold (mem::kMemtable).
   void SetMemtableLimit(size_t bytes) {
     memtable_limit_.store(bytes, std::memory_order_relaxed);
   }
@@ -363,17 +415,20 @@ class DBImpl final : public DB {
   std::string dbname_;
   Env* env_ = nullptr;
   Env* raw_env_ = nullptr;
+  /// The SSD model: owned_parts_'s, or the ShardedDB's shared one.
   SsdModel* model_ = nullptr;
-  std::unique_ptr<SsdModel> owned_model_;
+  /// The process-wide parts of a single-shard engine (null for a shard).
+  /// Declared before everything that reads through them, so the cache and
+  /// the model outlive the tables and metric callbacks; ~DBImpl stops the
+  /// arbiter before any member is destroyed.
+  std::unique_ptr<EngineParts> owned_parts_;
   Clock* clock_ = nullptr;
 
   InternalKeyComparator icmp_;
   std::unique_ptr<BloomFilterPolicy> filter_policy_;
-  /// The SST block cache this engine reads through: either owned (created
-  /// from block_cache_bytes) or the process-wide cache a ShardedDB injected
-  /// via Options::shared_block_cache. nullptr = caching disabled.
+  /// The SST block cache this engine reads through: owned_parts_'s, or the
+  /// ShardedDB's one cache. nullptr = caching disabled.
   BlockCache* block_cache_ = nullptr;
-  std::unique_ptr<BlockCache> owned_block_cache_;
   std::unique_ptr<PmPool> pool_;
   /// Where the write-ahead logs live: created in pool_ (Options::wal_in_pm)
   /// or on env_, and found on both. Declared after pool_, which it uses.
@@ -484,13 +539,6 @@ class DBImpl final : public DB {
   /// options_.memtable_bytes; the arbiter retunes it at runtime, so
   /// MakeRoomForWrite/GetWritePressure read THIS, never the option.
   std::atomic<size_t> memtable_limit_{0};
-  /// Budget + arbiter, present only when options_.memory_budget_bytes > 0.
-  /// Declared before metrics_ (the arbiter registers gauge callbacks
-  /// capturing the budget); ~DBImpl stops the arbiter thread before any
-  /// member is destroyed, so its callbacks never outrun metrics_ or the
-  /// cache.
-  std::unique_ptr<mem::MemoryBudget> mem_budget_;
-  std::unique_ptr<mem::MemoryArbiter> arbiter_;
 
   std::vector<std::unique_ptr<Partition>> partitions_;  // ascending ranges
   uint64_t next_partition_id_ = 1;

@@ -9,6 +9,90 @@
 namespace pmblade {
 
 // ---------------------------------------------------------------------------
+// Process-wide parts
+// ---------------------------------------------------------------------------
+
+EngineParts::EngineParts(const Options& options) {
+  if (options.block_cache_bytes > 0) {
+    cache_.reset(new BlockCache(options.block_cache_bytes));
+  }
+  model_ = options.ssd_model;
+  if (model_ == nullptr) {
+    SsdModelOptions mopts;
+    mopts.inject_latency = false;
+    mopts.clock = options.clock;
+    owned_model_.reset(new SsdModel(mopts));
+    model_ = owned_model_.get();
+  }
+}
+
+void EngineParts::StartArbiter(const Options& options,
+                               std::vector<DBImpl*> shards,
+                               obs::MetricsRegistry* metrics,
+                               obs::EventBus* events) {
+  if (options.memory_budget_bytes == 0) return;
+  const uint64_t total = options.memory_budget_bytes;
+  const uint64_t n = shards.size();
+  uint64_t floors[mem::kNumComponents];
+  uint64_t initial[mem::kNumComponents];
+  floors[mem::kMemtable] = std::max<uint64_t>(64 << 10, total / 32);
+  floors[mem::kBlockCache] =
+      cache_ != nullptr ? std::max<uint64_t>(64 << 10, total / 32) : 0;
+  floors[mem::kKeepSet] = 4096;
+  initial[mem::kMemtable] = static_cast<uint64_t>(options.memtable_bytes) * n;
+  initial[mem::kBlockCache] =
+      cache_ != nullptr ? options.block_cache_bytes : 0;
+  initial[mem::kKeepSet] = options.cost.tau_t * n;
+  budget_.reset(new mem::MemoryBudget(total, floors, initial));
+
+  auto apply = [this, shards = std::move(shards)](int component,
+                                                  uint64_t target) {
+    const uint64_t per = target / shards.size();
+    switch (component) {
+      case mem::kMemtable:
+        // The 4 KiB clamp keeps a pathological split from wedging a
+        // shard's write path.
+        for (DBImpl* shard : shards) {
+          shard->SetMemtableLimit(
+              static_cast<size_t>(std::max<uint64_t>(per, 4096)));
+        }
+        break;
+      case mem::kBlockCache:
+        if (cache_ != nullptr) cache_->SetCapacity(target);
+        break;
+      case mem::kKeepSet:
+        for (DBImpl* shard : shards) shard->SetDynamicTauT(per);
+        break;
+    }
+  };
+  // Push the seeded split into the shards (the budget may have reshaped
+  // the configured values to fit the total and the floors).
+  for (int c = 0; c < mem::kNumComponents; ++c) apply(c, budget_->target(c));
+
+  mem::ArbiterOptions aopts;
+  aopts.interval_ms = options.arbiter_interval_ms;
+  aopts.clock = options.clock;
+  aopts.metrics = metrics;
+  aopts.events = events;
+  aopts.logger = options.logger;
+  arbiter_.reset(new mem::MemoryArbiter(
+      aopts, budget_.get(),
+      [metrics] { return mem::ReadArbiterInputs(*metrics); },
+      std::move(apply)));
+  arbiter_->Start();
+}
+
+void EngineParts::StopArbiter() {
+  if (arbiter_ != nullptr) arbiter_->Stop();
+}
+
+std::string EngineParts::MemJson(const EngineParts* parts) {
+  return parts != nullptr && parts->arbiter_ != nullptr
+             ? parts->arbiter_->ToJson()
+             : std::string("{\"enabled\":false}");
+}
+
+// ---------------------------------------------------------------------------
 // Init / recovery
 // ---------------------------------------------------------------------------
 
@@ -20,26 +104,17 @@ Status DBImpl::Init() {
 
   PMBLADE_RETURN_IF_ERROR(env_->CreateDir(dbname_));
 
-  if (options_.ssd_model != nullptr) {
-    model_ = options_.ssd_model;
-  } else {
-    SsdModelOptions mopts;
-    mopts.inject_latency = false;
-    mopts.clock = clock_;
-    owned_model_.reset(new SsdModel(mopts));
-    model_ = owned_model_.get();
+  // A shard got the facade's cache and model at construction.
+  if (model_ == nullptr) {
+    owned_parts_.reset(new EngineParts(options_));
+    model_ = owned_parts_->ssd_model();
+    block_cache_ = owned_parts_->block_cache();
   }
 
   // bloom_bits_per_key <= 0 is the no-filter baseline; block_cache_bytes
   // == 0 the no-cache one (both used by benchmark A/B runs).
   if (options_.bloom_bits_per_key > 0) {
     filter_policy_.reset(new BloomFilterPolicy(options_.bloom_bits_per_key));
-  }
-  if (options_.shared_block_cache != nullptr) {
-    block_cache_ = options_.shared_block_cache;  // ShardedDB-owned
-  } else if (options_.block_cache_bytes > 0) {
-    owned_block_cache_.reset(new BlockCache(options_.block_cache_bytes));
-    block_cache_ = owned_block_cache_.get();
   }
   memtable_limit_.store(options_.memtable_bytes, std::memory_order_relaxed);
 
@@ -68,7 +143,6 @@ Status DBImpl::Init() {
   } else {
     L0FactoryOptions l0opts = l1opts;
     l0opts.layout = options_.l0_layout;
-    l0opts.pm_table = options_.pm_table;
     l0_factory_.reset(new L0TableFactory(l0opts, pool_.get(), env_));
   }
 
@@ -246,58 +320,10 @@ Status DBImpl::Init() {
   // Counted by the memory arbiter when there is one; 0 otherwise.
   metrics_.GetCounter("pmblade.mem.rebalances");
 
-  // Memory arbitration: one budget over {memtable quota, block cache,
-  // Eq. 3 keep-set}, retuned by the MemoryArbiter's feedback thread. The
-  // configured memtable_bytes/block_cache_bytes/cost.tau_t seed the split;
-  // any remainder of the budget lands on the keep-set.
-  if (options_.memory_budget_bytes > 0) {
-    const uint64_t total = options_.memory_budget_bytes;
-    uint64_t floors[mem::kNumComponents];
-    uint64_t initial[mem::kNumComponents];
-    floors[mem::kMemtable] = std::max<uint64_t>(64 << 10, total / 32);
-    floors[mem::kBlockCache] =
-        block_cache_ != nullptr ? std::max<uint64_t>(64 << 10, total / 32)
-                                : 0;
-    floors[mem::kKeepSet] = 4096;
-    initial[mem::kMemtable] = options_.memtable_bytes;
-    initial[mem::kBlockCache] =
-        block_cache_ != nullptr ? options_.block_cache_bytes : 0;
-    initial[mem::kKeepSet] = options_.cost.tau_t;
-    mem_budget_.reset(new mem::MemoryBudget(total, floors, initial));
-
-    auto apply = [this](int component, uint64_t target) {
-      switch (component) {
-        case mem::kMemtable:
-          memtable_limit_.store(static_cast<size_t>(target),
-                                std::memory_order_relaxed);
-          break;
-        case mem::kBlockCache:
-          if (block_cache_ != nullptr) block_cache_->SetCapacity(target);
-          break;
-        case mem::kKeepSet:
-          // 0 would read as "unset" to base_tau_t(); the floor keeps the
-          // target positive, but stay safe against direct Transfer calls.
-          cost_model_->set_dynamic_tau_t(std::max<uint64_t>(target, 1));
-          break;
-      }
-    };
-    // Push the seeded split into the engine (the ctor may have reshaped
-    // the configured values to fit the budget and floors).
-    for (int c = 0; c < mem::kNumComponents; ++c) {
-      apply(c, mem_budget_->target(c));
-    }
-
-    mem::ArbiterOptions aopts;
-    aopts.interval_ms = options_.arbiter_interval_ms;
-    aopts.clock = clock_;
-    aopts.metrics = &metrics_;
-    aopts.events = &events_;
-    aopts.logger = options_.logger;
-    arbiter_.reset(new mem::MemoryArbiter(
-        aopts, mem_budget_.get(),
-        [this] { return mem::ReadArbiterInputs(metrics_); },
-        apply));
-    arbiter_->Start();
+  // A single-shard engine's arbiter; a ShardedDB starts one over all its
+  // shards instead.
+  if (owned_parts_ != nullptr) {
+    owned_parts_->StartArbiter(options_, {this}, &metrics_, &events_);
   }
 
   mem_ = new MemTable(icmp_);

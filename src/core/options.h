@@ -13,12 +13,9 @@
 #include "env/env.h"
 #include "env/ssd_model.h"
 #include "pm/pm_pool.h"
-#include "pmtable/pm_table.h"
 #include "util/logging.h"
 
 namespace pmblade {
-
-class BlockCache;
 
 struct Options {
   // ---- environments / devices ----
@@ -30,8 +27,9 @@ struct Options {
   /// PosixEnv().
   Env* raw_env = nullptr;
   /// SSD timing/accounting model shared with `env`'s SimEnv, used by major
-  /// compaction and the coroutine I/O gate. May be nullptr (a private,
-  /// injection-free model is created).
+  /// compaction and the coroutine I/O gate. May be nullptr: the engine then
+  /// creates one private, injection-free model, which with num_shards > 1
+  /// serves every shard.
   SsdModel* ssd_model = nullptr;
 
   // ---- persistent memory (level-0) ----
@@ -40,9 +38,9 @@ struct Options {
   uint64_t pm_pool_capacity = 256ull << 20;
   PmLatencyOptions pm_latency;
   /// Physical layout of level-0 tables (PMB-P/PMB-PI use kArrayTable;
-  /// PMBlade-SSD uses kSstable).
+  /// PMBlade-SSD uses kSstable). PM tables use the PmTableOptions
+  /// defaults.
   L0Layout l0_layout = L0Layout::kPmTable;
-  PmTableOptions pm_table;
   /// Open the PM pool in crash-simulation mode (see PmPoolOptions::crash_sim):
   /// stores reach the durable image only through Persist(), and
   /// PmPool::SimulateCrash() models a power cut at 8-byte persist
@@ -85,15 +83,12 @@ struct Options {
   /// memtable, WAL + group-commit leader, level-0, flush thread and
   /// compaction scheduler) routed by hash(user key) % N. Per-shard options
   /// (memtable_bytes, pm_pool_capacity, the cost budgets) apply to EACH
-  /// shard; block_cache_bytes and memory_budget_bytes stay process-wide
-  /// (one shared cache, one arbiter over every shard's quotas). A
-  /// WriteBatch spanning several shards commits through two-phase commit
-  /// woven into the per-shard WALs, so reopen is always all-or-nothing.
+  /// shard; block_cache_bytes, memory_budget_bytes and ssd_model stay
+  /// process-wide (one shared cache, one SSD model, one arbiter over every
+  /// shard's quotas). A WriteBatch spanning several shards commits through
+  /// two-phase commit woven into the per-shard WALs, so reopen is always
+  /// all-or-nothing.
   uint32_t num_shards = 1;
-  /// Internal (set by ShardedDB): a process-wide block cache this engine
-  /// must use instead of creating its own from block_cache_bytes. Not
-  /// owned; must outlive the DB.
-  BlockCache* shared_block_cache = nullptr;
 
   // ---- compaction policy ----
   /// SSD compaction shape: "leveled" (the paper's single level-1 run per
@@ -154,10 +149,11 @@ struct Options {
   // ---- memory arbitration ----
   /// One DRAM budget the MemoryArbiter re-divides at runtime between the
   /// memtable quota, the SST block cache and the Eq. 3 keep-set target
-  /// (τ_t). 0 disables the arbiter: memtable_bytes / block_cache_bytes /
-  /// cost.tau_t stay fixed at their configured values. When set, those
-  /// three values seed the initial split and the remainder (if any) goes
-  /// to the keep-set.
+  /// (τ_t) — with num_shards > 1, every shard's quota and keep-set. 0
+  /// disables the arbiter: memtable_bytes / block_cache_bytes / cost.tau_t
+  /// stay fixed at their configured values. When set, those three values
+  /// (the per-shard ones times the shard count) seed the initial split and
+  /// the remainder (if any) goes to the keep-set.
   uint64_t memory_budget_bytes = 0;
   /// Period of the arbiter's feedback tick.
   uint64_t arbiter_interval_ms = 250;

@@ -71,16 +71,15 @@ enum class Combine {
   kMax,   // LSM depth, worst write pressure, largest free PM extent
 };
 
-Combine CombineOf(const std::string& name, bool shared_ssd) {
+Combine CombineOf(const std::string& name) {
   auto starts_with = [&name](const char* prefix) {
     return name.rfind(prefix, 0) == 0;
   };
-  // The block cache is process-wide, and every shard runs one policy. A
-  // caller-shared SSD model is one device: its counters and the q_flush
-  // budget derived from its queue are identical in every shard.
-  if (starts_with("pmblade.blockcache.") || name == "pmblade.policy" ||
-      (shared_ssd &&
-       (starts_with("pmblade.ssd.") || name == "pmblade.io.q_flush"))) {
+  // The block cache and the SSD model are process-wide, and every shard
+  // runs one policy: the device counters and the q_flush budget derived
+  // from its queue are identical in every shard.
+  if (starts_with("pmblade.blockcache.") || starts_with("pmblade.ssd.") ||
+      name == "pmblade.io.q_flush" || name == "pmblade.policy") {
     return Combine::kOnce;
   }
   if (name == "pmblade.lsm.max_ssd_level" ||
@@ -146,15 +145,15 @@ ShardedDB::ShardedDB(const Options& options, const std::string& dbname)
 
 ShardedDB::~ShardedDB() {
   // Join the arbiter thread before any member it touches (the shards'
-  // quotas, the shared cache, the facade registry) is destroyed.
-  if (arbiter_ != nullptr) arbiter_->Stop();
+  // quotas, the facade registry) is destroyed.
+  if (parts_ != nullptr) parts_->StopArbiter();
   // Last chance to retire committed fences whose markers are already
   // durable; the rest replay at the next open and are forgotten by its
   // resolution pass.
   if (!shards_.empty()) DrainForgettableTxns();
   // Fan-out tasks capture shards; join them first.
   fanout_pool_.reset();
-  // Shards read through shared_cache_; drop them while it is still alive
+  // Shards read through parts_; drop them while it is still alive
   // (declaration order already guarantees this — made explicit here).
   shards_.clear();
 }
@@ -163,36 +162,28 @@ Status ShardedDB::Init() {
   PMBLADE_RETURN_IF_ERROR(options_.Sanitize());
   env_ = options_.env;
   PMBLADE_RETURN_IF_ERROR(env_->CreateDir(dbname_));
-  PMBLADE_RETURN_IF_ERROR(CheckOrPinShardCount());
+  PMBLADE_RETURN_IF_ERROR(
+      CheckOrPinShardCount(env_, dbname_, options_.num_shards));
 
-  if (options_.shared_block_cache == nullptr &&
-      options_.block_cache_bytes > 0) {
-    shared_cache_.reset(new BlockCache(options_.block_cache_bytes));
-  }
-  BlockCache* cache = options_.shared_block_cache != nullptr
-                          ? options_.shared_block_cache
-                          : shared_cache_.get();
-
+  parts_.reset(new EngineParts(options_));
+  std::vector<DBImpl*> shards;
   shards_.reserve(options_.num_shards);
   for (uint32_t i = 0; i < options_.num_shards; ++i) {
     Options shard_opts = options_;
     shard_opts.num_shards = 1;
-    shard_opts.shared_block_cache = cache;
-    // One arbiter over every shard (below), not one per shard.
-    shard_opts.memory_budget_bytes = 0;
     if (!options_.pm_pool_path.empty()) {
       shard_opts.pm_pool_path = ShardPmPoolPath(options_.pm_pool_path, i);
     }
-    auto shard =
-        std::make_unique<DBImpl>(shard_opts, ShardDirName(dbname_, i));
+    auto shard = std::make_unique<DBImpl>(shard_opts, ShardDirName(dbname_, i),
+                                          parts_.get());
     PMBLADE_RETURN_IF_ERROR(shard->Init());
+    shards.push_back(shard.get());
     shards_.push_back(std::move(shard));
   }
 
   RegisterAggregatedMetrics();
-  if (options_.memory_budget_bytes > 0) {
-    PMBLADE_RETURN_IF_ERROR(SetUpSharedArbiter());
-  }
+  // The facade's arbiter emits no events: there is no facade trace ring.
+  parts_->StartArbiter(options_, std::move(shards), &metrics_, nullptr);
 
   // Cross-shard write fan-out + 2PC bookkeeping. A parallel wave runs N-1
   // shard ops on the pool (the caller runs the last inline), and pool
@@ -215,78 +206,22 @@ Status ShardedDB::Init() {
   return Status::OK();
 }
 
-Status ShardedDB::CheckOrPinShardCount() {
-  const std::string marker = dbname_ + "/SHARDS";
-  if (env_->FileExists(marker)) {
-    std::string data;
-    PMBLADE_RETURN_IF_ERROR(ReadFileToString(env_, marker, &data));
-    const unsigned long pinned = std::strtoul(data.c_str(), nullptr, 10);
-    if (pinned != options_.num_shards) {
-      return Status::InvalidArgument(
-          dbname_ + " was created with num_shards=" + std::to_string(pinned) +
-          "; reopening with num_shards=" +
-          std::to_string(options_.num_shards) + " would mis-route keys");
-    }
-    return Status::OK();
+Status ShardedDB::CheckOrPinShardCount(Env* env, const std::string& dbname,
+                                       uint32_t num_shards) {
+  const std::string marker = dbname + "/SHARDS";
+  if (!env->FileExists(marker)) {
+    if (num_shards == 1) return Status::OK();
+    return WriteStringToFile(env, Slice(std::to_string(num_shards)), marker);
   }
-  return WriteStringToFile(env_, Slice(std::to_string(options_.num_shards)),
-                           marker);
-}
-
-Status ShardedDB::SetUpSharedArbiter() {
-  const uint64_t total = options_.memory_budget_bytes;
-  const uint64_t n = shards_.size();
-  uint64_t floors[mem::kNumComponents];
-  uint64_t initial[mem::kNumComponents];
-  // Same shape as DBImpl's embedded arbiter, scaled: the memtable and
-  // keep-set components cover ALL shards (apply splits them evenly), the
-  // cache component is the one shared cache.
-  floors[mem::kMemtable] = std::max<uint64_t>(4096 * n, total / 32);
-  floors[mem::kBlockCache] =
-      shared_cache_ != nullptr ? std::max<uint64_t>(64 << 10, total / 32) : 0;
-  floors[mem::kKeepSet] = 4096;
-  initial[mem::kMemtable] = static_cast<uint64_t>(options_.memtable_bytes) * n;
-  initial[mem::kBlockCache] =
-      shared_cache_ != nullptr ? options_.block_cache_bytes : 0;
-  initial[mem::kKeepSet] = options_.cost.tau_t * n;
-  mem_budget_.reset(new mem::MemoryBudget(total, floors, initial));
-
-  auto apply = [this](int component, uint64_t target) {
-    const uint64_t n_shards = shards_.size();
-    switch (component) {
-      case mem::kMemtable: {
-        // Even split; the 4 KiB clamp keeps a pathological split from
-        // wedging a shard's write path.
-        const uint64_t per = std::max<uint64_t>(target / n_shards, 4096);
-        for (auto& shard : shards_) {
-          shard->SetMemtableLimit(static_cast<size_t>(per));
-        }
-        break;
-      }
-      case mem::kBlockCache:
-        if (shared_cache_ != nullptr) shared_cache_->SetCapacity(target);
-        break;
-      case mem::kKeepSet: {
-        const uint64_t per = std::max<uint64_t>(target / n_shards, 1);
-        for (auto& shard : shards_) shard->SetDynamicTauT(per);
-        break;
-      }
-    }
-  };
-  for (int c = 0; c < mem::kNumComponents; ++c) {
-    apply(c, mem_budget_->target(c));
+  std::string data;
+  PMBLADE_RETURN_IF_ERROR(ReadFileToString(env, marker, &data));
+  const unsigned long pinned = std::strtoul(data.c_str(), nullptr, 10);
+  if (pinned != num_shards) {
+    return Status::InvalidArgument(
+        dbname + " was created with num_shards=" + std::to_string(pinned) +
+        "; opening it with num_shards=" + std::to_string(num_shards) +
+        " would mis-route keys");
   }
-
-  mem::ArbiterOptions aopts;
-  aopts.interval_ms = options_.arbiter_interval_ms;
-  aopts.clock = options_.clock;
-  aopts.metrics = &metrics_;
-  aopts.logger = options_.logger;
-  arbiter_.reset(new mem::MemoryArbiter(
-      aopts, mem_budget_.get(),
-      [this] { return mem::ReadArbiterInputs(metrics_); },
-      apply));
-  arbiter_->Start();
   return Status::OK();
 }
 
@@ -333,7 +268,7 @@ void ShardedDB::RegisterAggregatedMetrics() {
             if (it == agg.end()) {
               agg.emplace(sample.name, std::move(sample));
             } else {
-              Fold(CombineOf(sample.name, shared_ssd_), sample, &it->second);
+              Fold(CombineOf(sample.name), sample, &it->second);
             }
           }
         }
@@ -357,7 +292,7 @@ bool ShardedDB::ReadShardMetric(const std::string& name,
     out->name = name;
     return true;
   }
-  const Combine rule = CombineOf(name, shared_ssd_);
+  const Combine rule = CombineOf(name);
   bool found = false;
   for (auto& s : shards_) {
     obs::MetricSample sample;
@@ -813,8 +748,7 @@ bool ShardedDB::GetProperty(const std::string& property, std::string* value) {
     return true;
   }
   if (property == "pmblade.mem.json") {
-    *value = arbiter_ != nullptr ? arbiter_->ToJson()
-                                 : std::string("{\"enabled\":false}");
+    *value = EngineParts::MemJson(parts_.get());
     return true;
   }
   if (property == "pmblade.compaction-policy") {

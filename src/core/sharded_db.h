@@ -49,11 +49,15 @@
 //     is what the RESP server's admission control uses so one stalled
 //     shard never sheds traffic bound for idle shards.
 //
-// Process-wide resources: one BlockCache (Options::block_cache_bytes) is
-// shared by every shard, and one MemoryBudget/MemoryArbiter
-// (Options::memory_budget_bytes) re-divides DRAM between the combined
-// memtable quota, the shared cache and the combined Eq. 3 keep-set — the
-// per-component targets are split evenly across shards on apply.
+// Process-wide resources: the facade owns one EngineParts (db_impl.h), the
+// same parts a single-shard engine owns: one BlockCache
+// (Options::block_cache_bytes) and one SsdModel (the caller's, or one
+// private model when Options::ssd_model is null) behind every shard, and
+// one MemoryBudget/MemoryArbiter (Options::memory_budget_bytes) that
+// re-divides DRAM between the combined memtable quota, the cache and the
+// combined Eq. 3 keep-set. Its floors are the single engine's for any
+// shard count; the memtable and keep-set targets are split evenly across
+// the shards on apply.
 //
 // The shard count is pinned in a <dbname>/SHARDS marker at creation;
 // reopening with a different num_shards fails loudly instead of silently
@@ -71,10 +75,7 @@
 #include <vector>
 
 #include "core/db_impl.h"
-#include "mem/arbiter.h"
-#include "mem/memory_budget.h"
 #include "obs/metrics.h"
-#include "sstable/block_cache.h"
 #include "util/thread_pool.h"
 
 namespace pmblade {
@@ -86,6 +87,12 @@ class ShardedDB final : public DB {
 
   /// Used by DB::Open (options.num_shards > 1).
   Status Init();
+
+  /// The one reader of the <dbname>/SHARDS marker. Fails when the marker
+  /// pins a count other than `num_shards`; creates it when it is missing
+  /// and num_shards > 1 (a single-shard directory has no marker).
+  static Status CheckOrPinShardCount(Env* env, const std::string& dbname,
+                                     uint32_t num_shards);
 
   // ---- routing (static so DestroyDB and tests can reuse them) ----
   /// FNV-1a over the user key, mod num_shards.
@@ -133,9 +140,6 @@ class ShardedDB final : public DB {
     return ShardOfKey(key, static_cast<uint32_t>(shards_.size()));
   }
 
-  /// Reads or creates the <dbname>/SHARDS marker; fails on a mismatch.
-  Status CheckOrPinShardCount();
-  Status SetUpSharedArbiter();
   void RegisterAggregatedMetrics();
   /// Reads `name` from the shards' registries: the cross-shard value folded
   /// by CombineOf (sharded_db.cc), or one shard's value for a
@@ -183,18 +187,11 @@ class ShardedDB final : public DB {
   Options options_;
   std::string dbname_;
   Env* env_ = nullptr;
-  /// A caller-owned SSD model is one device behind every shard.
-  const bool shared_ssd_ = options_.ssd_model != nullptr;
 
-  /// The process-wide block cache every shard reads through (nullptr when
-  /// block_cache_bytes == 0). Destroyed after the shards.
-  std::unique_ptr<BlockCache> shared_cache_;
+  /// The block cache, SSD model and arbiter of every shard. Destroyed
+  /// after the shards; ~ShardedDB stops the arbiter first.
+  std::unique_ptr<EngineParts> parts_;
   std::vector<std::unique_ptr<DBImpl>> shards_;
-
-  // Shared memory arbitration (memory_budget_bytes > 0): one budget over
-  // the combined memtable quota, the shared cache and the combined τ_t.
-  std::unique_ptr<mem::MemoryBudget> mem_budget_;
-  std::unique_ptr<mem::MemoryArbiter> arbiter_;
 
   // Snapshot handles: facade handle -> one sequence per shard. Bounded by
   // the callers: the RESP layer releases a connection's pinned snapshot on
